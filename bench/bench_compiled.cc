@@ -16,10 +16,10 @@
 //       scratch is pre-warmed. Counted with a replacement global operator
 //       new; report-only under sanitizers (their runtimes own the
 //       allocator).
-//   (d) SERVING — an InferenceRuntime published under --atnn_compile=auto
-//       answers a replay with scores identical to an --atnn_compile=off
-//       runtime, with plan.compiled == 1, plan executions > 0 and zero
-//       fallbacks; the kOff runtime reports no plan activity.
+//   (d) SERVING — an InferenceRuntime answers a replay fresh with scores
+//       bitwise identical to the tape reference
+//       (PopularityPredictor::ScoreItems), with plan.compiled == 1, plan
+//       executions > 0 and zero failed plan executions.
 //
 // Emits BENCH_compiled.json for dashboards.
 //
@@ -347,14 +347,15 @@ int Run(bool smoke) {
                    "compiled single-row scoring >= 1.3x faster than tape");
   }
 
-  // --- (d) runtime serving: auto vs off, identical scores + counters ---
+  // --- (d) runtime serving: fresh answers equal the tape, plan counters ---
   {
     const auto group = core::SelectActiveUsers(dataset, smoke ? 100 : 300);
     const auto predictor =
         core::PopularityPredictor::Build(model, dataset, group);
+    const std::vector<double> tape_scores =
+        predictor.ScoreItems(model, dataset, dataset.new_items);
     auto prior = std::make_shared<serving::PopularityIndex>();
-    prior->BulkLoad(dataset.new_items,
-                    predictor.ScoreItems(model, dataset, dataset.new_items));
+    prior->BulkLoad(dataset.new_items, tape_scores);
 
     runtime::ServingSnapshot snapshot;
     snapshot.model = runtime::Unowned(&model);
@@ -362,37 +363,33 @@ int Run(bool smoke) {
     snapshot.item_profiles = runtime::Unowned(&dataset.item_profiles);
     snapshot.tag = "bench-compiled";
 
-    std::vector<double> scores[2];
-    runtime::StatsSnapshot stats[2];
-    for (const bool compiled_run : {false, true}) {
-      runtime::RuntimeConfig config;
-      config.num_workers = 2;
-      config.enable_score_cache = false;  // every request walks the miss path
-      config.prior = prior;
-      config.compile_mode = compiled_run ? nn::ir::CompileMode::kAuto
-                                         : nn::ir::CompileMode::kOff;
-      runtime::InferenceRuntime runtime(config);
-      ATNN_CHECK(runtime.Publish(snapshot).ok());
-      for (const int64_t item : dataset.new_items) {
-        const auto result = runtime.Score(item);
-        ATNN_CHECK(result.ok()) << result.status().ToString();
-        scores[compiled_run ? 1 : 0].push_back(result->score);
-      }
-      runtime.Shutdown();
-      stats[compiled_run ? 1 : 0] = runtime.stats();
+    runtime::RuntimeConfig config;
+    config.num_workers = 2;
+    config.enable_score_cache = false;  // every request walks the miss path
+    config.prior = prior;
+    runtime::InferenceRuntime runtime(config);
+    ATNN_CHECK(runtime.Publish(snapshot).ok());
+    std::vector<double> scores;
+    bool all_fresh = true;
+    for (const int64_t item : dataset.new_items) {
+      const auto result = runtime.Score(item);
+      ATNN_CHECK(result.ok()) << result.status().ToString();
+      scores.push_back(result->score);
+      all_fresh = all_fresh && result->tier == runtime::ServingTier::kFresh;
     }
-    gate(scores[0] == scores[1],
-         "runtime scores identical: --atnn_compile=auto vs off");
-    gate(stats[1].plan_compiled == 1 && stats[1].plan_executions > 0 &&
-             stats[1].plan_compile_fallback == 0 &&
-             stats[1].plan_exec_fallback == 0,
-         "auto runtime served through the plan with zero fallbacks");
-    gate(stats[0].plan_compiled == 0 && stats[0].plan_executions == 0,
-         "off runtime reports no plan activity");
-    json.Add("auto_plan_executions",
-             static_cast<double>(stats[1].plan_executions));
-    json.Add("auto_arena_high_water_bytes",
-             static_cast<double>(stats[1].arena_high_water_bytes));
+    runtime.Shutdown();
+    const runtime::StatsSnapshot stats = runtime.stats();
+    // The prior holds the same scores, so only fresh answers prove the
+    // forward produced them.
+    gate(all_fresh && scores == tape_scores,
+         "runtime answers fresh and bitwise equal to the tape scores");
+    gate(stats.plan_compiled == 1 && stats.plan_executions > 0 &&
+             stats.plan_exec_fallback == 0,
+         "runtime served through the plan with zero failed executions");
+    json.Add("runtime_plan_executions",
+             static_cast<double>(stats.plan_executions));
+    json.Add("runtime_arena_high_water_bytes",
+             static_cast<double>(stats.arena_high_water_bytes));
   }
 
   if (!json.Flush("BENCH_compiled.json")) {

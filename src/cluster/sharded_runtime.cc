@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "data/schema.h"
-#include "runtime/plan_compiler.h"
 
 namespace atnn::cluster {
 
@@ -27,25 +26,6 @@ double MicrosSince(Clock::time_point start) {
 // Probes without an explicit budget still need a bound, or a hung shard
 // would hang the prober.
 constexpr int64_t kDefaultProbeDeadlineUs = 50'000;
-
-/// Cluster-level plan sharing: compile the generator forward ONCE against
-/// the full snapshot and let every shard slice carry the same plan (the
-/// plan closes over the model, not the item table, so it is slice
-/// independent). Shard runtimes see plan != nullptr and skip their own
-/// Publish-time compile — N shards, one trace+compile. Failures leave the
-/// snapshot on the tape; each shard then counts its own compile fallback.
-void AttachSharedPlan(const runtime::RuntimeConfig& shard_config,
-                      runtime::ServingSnapshot* snapshot) {
-  if (shard_config.compile_mode == nn::ir::CompileMode::kOff) return;
-  if (snapshot->plan != nullptr || snapshot->model == nullptr) return;
-  if (shard_config.compile_mode == nn::ir::CompileMode::kAuto &&
-      snapshot->quantized != nullptr) {
-    return;
-  }
-  auto plan = runtime::CompileSnapshotPlan(
-      *snapshot, static_cast<int64_t>(shard_config.batcher.max_batch_size));
-  if (plan.ok()) snapshot->plan = std::move(plan).value();
-}
 
 }  // namespace
 
@@ -89,6 +69,7 @@ ShardedRuntime::ShardedRuntime(const ShardedRuntimeConfig& config)
       probes_(frontend_.GetCounter("gather.probes")),
       probe_failures_(frontend_.GetCounter("gather.probe_failures")),
       resizes_(frontend_.GetCounter("gather.resizes")),
+      publish_rejected_(frontend_.GetCounter("gather.publish_rejected")),
       rebuilds_(frontend_.GetCounter("gather.rebuilds")),
       epoch_gauge_(frontend_.GetGauge("gather.epoch")),
       fanout_us_(frontend_.GetHistogram("gather.fanout_us")),
@@ -168,15 +149,22 @@ StatusOr<uint64_t> ShardedRuntime::PublishSlice(
 
 StatusOr<uint64_t> ShardedRuntime::PublishSharded(
     const runtime::ServingSnapshot& full) {
-  // One up-front validation over the whole snapshot: a corrupt model is
-  // rejected before any shard swaps, so a failed publish is atomic in the
-  // common case (per-shard rejections below only fire under injected
-  // faults).
-  ATNN_RETURN_IF_ERROR(runtime::ValidateServingSnapshot(full));
-  // Compile the execution plan once for the whole cluster; every slice
-  // below shares it by reference (see AttachSharedPlan).
+  // One up-front validation and plan compile over the whole snapshot: a
+  // corrupt model or a failed compile is rejected before any shard swaps,
+  // so a failed publish is atomic in the common case (per-shard rejections
+  // below only fire under injected faults). The plan closes over the
+  // model, not the item table, so every slice shares this one compile and
+  // the shard runtimes skip their own.
   runtime::ServingSnapshot shared = full;
-  AttachSharedPlan(config_.shard, &shared);
+  Status valid = runtime::ValidateServingSnapshot(shared);
+  if (valid.ok()) {
+    valid = runtime::AttachServingPlan(
+        static_cast<int64_t>(config_.shard.batcher.max_batch_size), &shared);
+  }
+  if (!valid.ok()) {
+    publish_rejected_.Increment();
+    return valid;
+  }
   const int64_t num_rows = shared.item_profiles->num_rows();
 
   std::lock_guard<std::mutex> admin(admin_mutex_);

@@ -125,9 +125,12 @@ class ShardedRuntime {
 
   ~ShardedRuntime();
 
-  /// Validates `full` once up front, partitions its item-profile table by
-  /// the ring, and publishes each shard's slice (sharing the model and
-  /// predictor, which are row-independent) plus its re-keyed prior slice.
+  /// Validates `full` and attaches its plan (runtime::AttachServingPlan)
+  /// once up front: a failure returns that Status before any shard swaps
+  /// and counts in gather.publish_rejected. Then partitions its
+  /// item-profile table by the ring and publishes each shard's slice
+  /// (sharing the model, predictor and plan, which are row-independent)
+  /// plus its re-keyed prior slice.
   /// Returns the per-shard snapshot version. When the row->shard/local
   /// mapping is unchanged (the common republish), slices are published in
   /// place and all shards advance in lockstep. When the mapping changed
@@ -286,6 +289,8 @@ class ShardedRuntime {
   obs::Counter& probes_;
   obs::Counter& probe_failures_;
   obs::Counter& resizes_;
+  /// PublishSharded calls refused up front (validation or plan compile).
+  obs::Counter& publish_rejected_;
   obs::Counter& rebuilds_;
   obs::Gauge& epoch_gauge_;
   obs::Histogram& fanout_us_;

@@ -67,24 +67,4 @@ StatusOr<std::vector<double>> ScoreItemsWithPlan(
   return scores;
 }
 
-std::vector<double> ScoreItemsMaybeCompiled(
-    nn::ir::CompileMode mode, const AtnnModel& model,
-    const PopularityPredictor& predictor, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& item_rows, bool* used_plan) {
-  if (used_plan != nullptr) *used_plan = false;
-  if (mode != nn::ir::CompileMode::kOff) {
-    const auto plan = CompileGeneratorPlan(model, dataset.item_profiles,
-                                           /*max_batch=*/1024);
-    if (plan.ok()) {
-      auto scored = ScoreItemsWithPlan(**plan, predictor,
-                                       dataset.item_profiles, item_rows);
-      if (scored.ok()) {
-        if (used_plan != nullptr) *used_plan = true;
-        return *std::move(scored);
-      }
-    }
-  }
-  return predictor.ScoreItems(model, dataset, item_rows);
-}
-
 }  // namespace atnn::core

@@ -9,7 +9,6 @@
 #include "core/atnn.h"
 #include "core/popularity.h"
 #include "data/schema.h"
-#include "data/tmall.h"
 #include "nn/ir/plan.h"
 
 namespace atnn::core {
@@ -22,8 +21,9 @@ namespace atnn::core {
 /// callers that guarantee the model outlives the plan may leave it null.
 ///
 /// Fails when the item table is empty or the forward uses an op outside
-/// the IR vocabulary. Failures are expected configuration states — callers
-/// fall back to the autograd tape, they don't error out.
+/// the IR vocabulary. The plan is the only fp32 serving executor, so a
+/// caller that cannot compile cannot serve: the runtime rejects such a
+/// snapshot at publish and the CLIs exit with the Status.
 StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileGeneratorPlan(
     const AtnnModel& model, const data::EntityTable& item_profiles,
     int64_t max_batch, std::shared_ptr<const void> keepalive = nullptr);
@@ -34,20 +34,11 @@ StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileGeneratorPlan(
 /// product — the same math as PopularityPredictor::ScoreItems, row for
 /// row bitwise-identical because the plan reproduces the tape forward
 /// exactly. InvalidArgument if the table's shape drifted from the traced
-/// graph (callers fall back to ScoreItems).
+/// graph or an id is outside its embedding table.
 StatusOr<std::vector<double>> ScoreItemsWithPlan(
     const nn::ir::CompiledPlan& plan, const PopularityPredictor& predictor,
     const data::EntityTable& item_profiles,
     const std::vector<int64_t>& item_rows);
-
-/// The CLI entry point: applies the --atnn_compile policy. Under kOn/kAuto
-/// it compiles the generator and scores through the plan; any compile or
-/// execute failure — and kOff — scores through the tape instead. Never
-/// fails. `used_plan` (optional) reports which path actually ran.
-std::vector<double> ScoreItemsMaybeCompiled(
-    nn::ir::CompileMode mode, const AtnnModel& model,
-    const PopularityPredictor& predictor, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& item_rows, bool* used_plan = nullptr);
 
 }  // namespace atnn::core
 

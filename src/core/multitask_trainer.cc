@@ -23,11 +23,13 @@ std::vector<MultiTaskEpochStats> TrainMultiTaskAtnn(
   }
   const bool adversarial = model->config().adversarial;
   nn::Adam optimizer_d(model->DiscriminatorParameters(),
-                       options.learning_rate);
+                       options.learning_rate, 0.9f, 0.999f, 1e-8f,
+                       options.weight_decay);
   std::unique_ptr<nn::Adam> optimizer_g;
   if (adversarial) {
-    optimizer_g = std::make_unique<nn::Adam>(model->GeneratorParameters(),
-                                             options.learning_rate);
+    optimizer_g = std::make_unique<nn::Adam>(
+        model->GeneratorParameters(), options.learning_rate, 0.9f, 0.999f,
+        1e-8f, options.weight_decay);
   }
   const std::vector<nn::Parameter*> all_params = model->Parameters();
   const float lambda1 = model->config().lambda1;
@@ -40,6 +42,14 @@ std::vector<MultiTaskEpochStats> TrainMultiTaskAtnn(
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const auto epoch_start = TrainTelemetry::Now();
+    if (epoch > 0 && options.lr_decay_per_epoch != 1.0f) {
+      optimizer_d.set_learning_rate(optimizer_d.learning_rate() *
+                                    options.lr_decay_per_epoch);
+      if (adversarial) {
+        optimizer_g->set_learning_rate(optimizer_g->learning_rate() *
+                                       options.lr_decay_per_epoch);
+      }
+    }
     rng.Shuffle(&order);
     // `order` is stable until the next epoch's shuffle, so the prefetcher
     // may gather batch t+1 from these views while batch t trains.

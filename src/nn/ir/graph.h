@@ -16,7 +16,7 @@ namespace atnn::nn::ir {
 /// compiled plan promise bitwise-identical outputs to the tape walk it
 /// replaces. Ops without an entry here (reductions, losses, dropout,
 /// layer_norm, ...) make a forward untraceable; TraceGraph then fails and
-/// callers fall back to the tape.
+/// a snapshot with such a generator cannot publish.
 enum class OpKind : uint8_t {
   /// Static tensor baked into the plan: a parameter (borrowed by pointer
   /// from the model that stays alive via the plan's keepalive) or a folded /

@@ -29,26 +29,6 @@ bool IsComputeKind(OpKind kind) {
 
 }  // namespace
 
-StatusOr<CompileMode> ParseCompileMode(const std::string& name) {
-  if (name == "off") return CompileMode::kOff;
-  if (name == "on") return CompileMode::kOn;
-  if (name == "auto") return CompileMode::kAuto;
-  return Status::InvalidArgument("unknown --atnn_compile value '" + name +
-                                 "' (expected off|on|auto)");
-}
-
-const char* CompileModeName(CompileMode mode) {
-  switch (mode) {
-    case CompileMode::kOff:
-      return "off";
-    case CompileMode::kOn:
-      return "on";
-    case CompileMode::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
 std::byte* PlanScratch::Ensure(size_t bytes) {
   if (bytes <= capacity_) return aligned_;
   storage_ = std::make_unique<std::byte[]>(bytes + kTensorAlignment - 1);

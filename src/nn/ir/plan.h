@@ -13,19 +13,6 @@
 
 namespace atnn::nn::ir {
 
-/// Serving compile policy (--atnn_compile).
-///   kOff  — always walk the tape.
-///   kAuto — compile when the snapshot serves through the fp32 model;
-///           any trace/compile/execute failure silently falls back to the
-///           tape (counted in metrics, never an error).
-///   kOn   — as kAuto, but an ineligible snapshot still attempts the
-///           compile so the failure counters surface misconfigurations.
-enum class CompileMode : uint8_t { kOff, kOn, kAuto };
-
-/// Parses "on" | "off" | "auto" (the --atnn_compile values).
-StatusOr<CompileMode> ParseCompileMode(const std::string& name);
-const char* CompileModeName(CompileMode mode);
-
 /// The batch-varying inputs of one plan execution. Mirrors
 /// data::BlockBatch: per-field raw categorical ids (the executor applies
 /// the EmbeddingBag feature hash itself where the graph says so) and the
@@ -93,8 +80,8 @@ class CompiledPlan {
   /// Runs the program for `batch` rows (1 <= batch <= max_batch) and
   /// returns the output buffer ([batch, output_cols] row-major inside
   /// `scratch` — valid until the scratch is reused or destroyed).
-  /// InvalidArgument when the input shape does not match the graph
-  /// (callers fall back to the tape). Performs no heap allocation once
+  /// InvalidArgument when the input shape does not match the graph or an
+  /// id is outside its table. Performs no heap allocation once
   /// `scratch` has warmed to plan_bytes().
   StatusOr<const float*> Execute(const PlanInput& input, int64_t batch,
                                  PlanScratch* scratch) const;

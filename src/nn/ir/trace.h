@@ -20,8 +20,8 @@ namespace atnn::nn::ir {
 /// Fails (InvalidArgument) without side effects when the forward uses an op
 /// outside the IR vocabulary, consumes a value produced by an untraced op,
 /// or calls EmbeddingLookup outside EmbeddingBag::Forward (the bag is what
-/// binds lookups to PlanInput field indices). Callers treat any failure as
-/// "keep walking the tape", never as a serving error.
+/// binds lookups to PlanInput field indices). The failure reaches the
+/// caller of CompileGeneratorPlan, which rejects the snapshot at publish.
 StatusOr<Graph> TraceGraph(int64_t probe_batch,
                            const std::function<Var()>& forward);
 

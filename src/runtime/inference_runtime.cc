@@ -11,7 +11,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "nn/arena.h"
-#include "runtime/plan_compiler.h"
 
 namespace atnn::runtime {
 
@@ -99,30 +98,17 @@ InferenceRuntime::~InferenceRuntime() { Shutdown(); }
 
 StatusOr<uint64_t> InferenceRuntime::Publish(ServingSnapshot snapshot) {
   if (injector_.TakeCorruptPublish()) CorruptSnapshotInPlace(&snapshot);
-  const Status valid = ValidateServingSnapshot(snapshot);
+  Status valid = ValidateServingSnapshot(snapshot);
+  if (valid.ok()) {
+    valid = AttachServingPlan(
+        static_cast<int64_t>(config_.batcher.max_batch_size), &snapshot);
+  }
   if (!valid.ok()) {
     // Reject without touching the published version: the previous snapshot
     // keeps serving and the caller decides whether to retry (see
     // common/retry.h) or page someone.
     stats_.RecordPublishRejected();
     return valid;
-  }
-  // Compiled-plan attachment (--atnn_compile). kAuto skips snapshots that
-  // serve through the quantized path (the plan covers the fp32 forward);
-  // kOn attempts the compile regardless so a misconfiguration shows up in
-  // plan.compile_fallback instead of silently serving slow. A compile
-  // failure is never a publish failure: the snapshot goes live on the tape.
-  if (config_.compile_mode != nn::ir::CompileMode::kOff &&
-      snapshot.plan == nullptr && snapshot.model != nullptr &&
-      (config_.compile_mode == nn::ir::CompileMode::kOn ||
-       snapshot.quantized == nullptr)) {
-    auto plan = CompileSnapshotPlan(
-        snapshot, static_cast<int64_t>(config_.batcher.max_batch_size));
-    if (plan.ok()) {
-      snapshot.plan = std::move(plan).value();
-    } else {
-      stats_.RecordPlanCompileFallback();
-    }
   }
   if (snapshot.plan != nullptr) {
     stats_.RecordPlanCompiled(snapshot.plan->plan_bytes());
@@ -345,69 +331,42 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
       Stopwatch score_timer;
       const data::BlockBatch block =
           data::GatherBlock(*snapshot.item_profiles, miss_rows);
-      // Snapshot forwards are read-only inference on shared weights: the
-      // no-grad scope keeps them tape-free and free of parameter-node
-      // writes across concurrent workers.
-      const nn::NoGradGuard no_grad;
       const nn::ArenaScope arena_scope;  // batch-scoped tensors, one rewind
+      // Publish fixed the executor: the quantized generator (DESIGN.md §15)
+      // when the snapshot carries one, else the compiled plan, whose
+      // pre-planned program writes every intermediate at a fixed offset in
+      // this worker's reusable scratch. Either yields [rows, cols] vectors.
+      nn::Tensor quantized_vectors;
+      const float* vectors = nullptr;
+      int64_t cols = 0;
+      Status forward;
+      if (snapshot.quantized != nullptr) {
+        forward = snapshot.quantized->Forward(block, &quantized_vectors);
+        vectors = quantized_vectors.data();
+        cols = quantized_vectors.cols();
+      } else {
+        static thread_local nn::ir::PlanScratch plan_scratch;
+        const StatusOr<const float*> out = snapshot.plan->Execute(
+            {&block.categorical, &block.numeric},
+            static_cast<int64_t>(miss_rows.size()), &plan_scratch);
+        forward = out.status();
+        if (out.ok()) {
+          vectors = out.value();
+          cols = snapshot.plan->output_cols();
+          stats_.RecordPlanExecution();
+        } else {
+          stats_.RecordPlanExecFallback();
+        }
+      }
       std::vector<double> miss_scores;
       miss_scores.reserve(miss_rows.size());
-      bool all_finite = true;
-      if (snapshot.quantized != nullptr) {
-        // Low-precision path (DESIGN.md §15): plain tensors, no graph.
-        nn::Tensor vectors;
-        const Status forward =
-            snapshot.quantized->Forward(block, &vectors);
-        if (!forward.ok()) {
-          all_finite = false;  // degrade every miss below, cache untouched
-        } else {
-          for (int64_t r = 0; r < vectors.rows(); ++r) {
-            const double score = snapshot.predictor->ScoreVector(
-                vectors.row_ptr(r), vectors.cols());
-            if (!std::isfinite(score)) all_finite = false;
-            miss_scores.push_back(score);
-          }
+      for (size_t r = 0; forward.ok() && r < miss_rows.size(); ++r) {
+        const double score = snapshot.predictor->ScoreVector(
+            vectors + static_cast<int64_t>(r) * cols, cols);
+        if (!std::isfinite(score)) {
+          forward = Status::DataLoss("forward pass produced non-finite scores");
         }
-      } else {
-        // Compiled-plan fast path: the pre-planned program touches no graph
-        // nodes and no arena, writing every intermediate at a fixed offset
-        // in this worker's reusable scratch. Any execution failure (shape
-        // drift, out-of-range ids, batch above the plan ceiling) falls back
-        // to the tape walk below — miss scoring never errors because of the
-        // compiler.
-        static thread_local nn::ir::PlanScratch plan_scratch;
-        bool scored = false;
-        if (snapshot.plan != nullptr) {
-          const int64_t miss_batch = static_cast<int64_t>(miss_rows.size());
-          nn::ir::PlanInput plan_input;
-          plan_input.categorical = &block.categorical;
-          plan_input.dense = &block.numeric;
-          const StatusOr<const float*> out =
-              snapshot.plan->Execute(plan_input, miss_batch, &plan_scratch);
-          if (out.ok()) {
-            const int64_t cols = snapshot.plan->output_cols();
-            const float* vectors = out.value();
-            for (int64_t r = 0; r < miss_batch; ++r) {
-              const double score = snapshot.predictor->ScoreVector(
-                  vectors + r * cols, cols);
-              if (!std::isfinite(score)) all_finite = false;
-              miss_scores.push_back(score);
-            }
-            stats_.RecordPlanExecution();
-            scored = true;
-          } else {
-            stats_.RecordPlanExecFallback();
-          }
-        }
-        if (!scored) {
-          const nn::Var vectors = snapshot.model->GeneratorItemVector(block);
-          for (int64_t r = 0; r < vectors.rows(); ++r) {
-            const double score = snapshot.predictor->ScoreVector(
-                vectors.value().row_ptr(r), vectors.cols());
-            if (!std::isfinite(score)) all_finite = false;
-            miss_scores.push_back(score);
-          }
-        }
+        miss_scores.push_back(score);
       }
       // Runtime-path arena telemetry (previously training-only): peak and
       // reserved bytes of this worker's arena, visible via --metrics_json.
@@ -424,14 +383,13 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
           old == 0 ? measured : (3 * old + measured) / 4,
           std::memory_order_relaxed);
 
-      if (!all_finite) {
-        // Scoring failure (a corrupt snapshot that slipped past validation,
-        // or an injected numerical fault): nothing from this forward is
-        // trustworthy, so every miss degrades and the cache stays clean.
-        const Status why =
-            Status::DataLoss("forward pass produced non-finite scores");
+      if (!forward.ok()) {
+        // Scoring failure (an executor error, a corrupt snapshot that
+        // slipped past validation, or an injected numerical fault): nothing
+        // from this forward is trustworthy, so every miss degrades and the
+        // cache stays clean.
         for (const size_t j : miss_pos) {
-          AnswerDegraded(&(*batch)[live[j]], why, /*expired=*/false);
+          AnswerDegraded(&(*batch)[live[j]], forward, /*expired=*/false);
           state[j] = 2;
         }
       } else {

@@ -57,14 +57,6 @@ struct RuntimeConfig {
   /// Chaos-testing hooks; disabled (zero-cost) by default.
   FaultInjectionConfig fault_injection;
   BatcherConfig batcher;
-  /// Compiled-plan policy for the cache-miss forward (--atnn_compile,
-  /// DESIGN.md §16). kAuto (default) and kOn compile the generator forward
-  /// at Publish time and serve misses through the pre-planned program; any
-  /// trace/compile/execute failure falls back to the autograd tape and is
-  /// counted (plan.* metrics), never surfaced as an error. kOff always
-  /// walks the tape. A snapshot arriving with a plan already attached
-  /// (cluster slices sharing one compile) is used as-is.
-  nn::ir::CompileMode compile_mode = nn::ir::CompileMode::kAuto;
 
   /// InvalidArgument on: zero workers (requests would hang forever), an
   /// invalid batcher config (see BatcherConfig::Validate), a zero cache
@@ -127,10 +119,14 @@ class InferenceRuntime {
   ~InferenceRuntime();
 
   /// Validates and atomically publishes a new serving snapshot (model +
-  /// mean-user vector + item-profile table), returning its version. A
-  /// snapshot rejected by ValidateServingSnapshot (null members, dimension
-  /// mismatch, NaN/Inf weights) returns that Status and the previously
-  /// published version keeps serving untouched.
+  /// mean-user vector + item-profile table), returning its version. The
+  /// executor of its cache misses is fixed here (AttachServingPlan): the
+  /// quantized generator when the snapshot carries one, otherwise a plan
+  /// compiled at batcher.max_batch_size. A snapshot rejected by
+  /// ValidateServingSnapshot (null members, dimension mismatch, an item
+  /// table the generator cannot read, NaN/Inf weights) or whose plan fails
+  /// to compile returns that Status, and the previously published version
+  /// keeps serving untouched.
   StatusOr<uint64_t> Publish(ServingSnapshot snapshot);
 
   /// Enqueues one item row for scoring under the config's default

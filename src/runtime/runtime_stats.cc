@@ -46,7 +46,6 @@ RuntimeStats::RuntimeStats()
       deadline_expired_(registry_.GetCounter("deadline_expired")),
       degraded_(registry_.GetCounter("degraded")),
       plan_compiled_(registry_.GetCounter("plan.compiled")),
-      plan_compile_fallback_(registry_.GetCounter("plan.compile_fallback")),
       plan_executions_(registry_.GetCounter("plan.executions")),
       plan_exec_fallback_(registry_.GetCounter("plan.exec_fallback")),
       tier_counts_(MakeTierCounters(registry_)),
@@ -75,7 +74,6 @@ StatsSnapshot RuntimeStats::Snapshot() const {
   snapshot.deadline_expired = deadline_expired_.Value();
   snapshot.degraded = degraded_.Value();
   snapshot.plan_compiled = plan_compiled_.Value();
-  snapshot.plan_compile_fallback = plan_compile_fallback_.Value();
   snapshot.plan_executions = plan_executions_.Value();
   snapshot.plan_exec_fallback = plan_exec_fallback_.Value();
   snapshot.plan_reserved_bytes =
@@ -137,9 +135,6 @@ std::string RuntimeStats::ToTable(const StatsSnapshot& snapshot,
                 "", "", "", "", ""});
   table.AddRow({"plan_compiled", std::to_string(snapshot.plan_compiled), "",
                 "", "", "", ""});
-  table.AddRow({"plan_compile_fallback",
-                std::to_string(snapshot.plan_compile_fallback), "", "", "", "",
-                ""});
   table.AddRow({"plan_executions", std::to_string(snapshot.plan_executions),
                 "", "", "", "", ""});
   table.AddRow({"plan_exec_fallback",

@@ -51,9 +51,10 @@ struct StatsSnapshot {
   int64_t degraded = 0;         // responses served by a non-fresh tier
   int64_t faults_injected = 0;  // chaos-harness triggers (0 in production)
   int64_t plan_compiled = 0;          // snapshots published with a compiled plan
-  int64_t plan_compile_fallback = 0;  // publishes that fell back to the tape
   int64_t plan_executions = 0;        // miss batches scored via compiled plan
-  int64_t plan_exec_fallback = 0;     // plan executions that fell back mid-run
+  // Miss batches whose plan execution failed and were answered from the
+  // degraded chain.
+  int64_t plan_exec_fallback = 0;
   int64_t plan_reserved_bytes = 0;    // scratch layout of the current plan
   int64_t arena_high_water_bytes = 0; // peak thread-arena bytes, any worker
   int64_t arena_reserved_bytes = 0;   // thread-arena reservation, last worker
@@ -121,12 +122,10 @@ class RuntimeStats {
     plan_compiled_.Increment();
     plan_reserved_bytes_.Set(static_cast<double>(reserved_bytes));
   }
-  /// Publish-time compile failed; the snapshot serves through the tape.
-  void RecordPlanCompileFallback() { plan_compile_fallback_.Increment(); }
   /// One miss batch scored through the compiled plan.
   void RecordPlanExecution() { plan_executions_.Increment(); }
-  /// A plan execution failed (shape drift, bad ids) and the batch re-ran on
-  /// the tape.
+  /// A plan execution failed (shape drift, bad ids) and the batch's misses
+  /// were answered from the degraded chain.
   void RecordPlanExecFallback() { plan_exec_fallback_.Increment(); }
   /// Thread-arena usage observed after a forward (peak is kept as a
   /// high-water mark across workers; the reservation gauge tracks the most
@@ -167,7 +166,6 @@ class RuntimeStats {
   obs::Counter& deadline_expired_;
   obs::Counter& degraded_;
   obs::Counter& plan_compiled_;
-  obs::Counter& plan_compile_fallback_;
   obs::Counter& plan_executions_;
   obs::Counter& plan_exec_fallback_;
   std::array<obs::Counter*, kNumServingTiers> tier_counts_;

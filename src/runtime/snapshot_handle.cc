@@ -1,8 +1,11 @@
 #include "runtime/snapshot_handle.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "core/generator_plan.h"
 
 namespace atnn::runtime {
 
@@ -14,6 +17,44 @@ int64_t FirstNonFinite(const float* data, int64_t count) {
     if (!std::isfinite(data[i])) return i;
   }
   return -1;
+}
+
+/// The fp32 generator reads every item row through its embedding bag and
+/// tower; a table it cannot read would abort the compile's trace (a wider
+/// dense block) or fail every batch holding an out-of-vocab id.
+Status CheckGeneratorReadsTable(const core::AtnnModel& model,
+                                const data::EntityTable& items) {
+  if (items.schema_ptr() == nullptr) {
+    return Status::InvalidArgument("item table has no schema");
+  }
+  const data::FeatureSchema& schema = items.schema();
+  const nn::EmbeddingBag& bag = model.generator_embedding_bag();
+  if (schema.num_categorical() != bag.num_fields()) {
+    return Status::InvalidArgument(
+        "item table has " + std::to_string(schema.num_categorical()) +
+        " categorical fields, the generator reads " +
+        std::to_string(bag.num_fields()));
+  }
+  for (size_t f = 0; f < bag.num_fields(); ++f) {
+    if (bag.field(f).hash_buckets > 0) continue;  // hashing takes any id
+    const data::FeatureSpec& spec = schema.categorical_spec(f);
+    const int64_t rows = bag.table(f).value().rows();
+    if (spec.vocab_size > rows) {
+      return Status::InvalidArgument(
+          "item field '" + spec.name + "' has vocab " +
+          std::to_string(spec.vocab_size) + ", the generator's table has " +
+          std::to_string(rows) + " rows");
+    }
+  }
+  const int64_t input_dim =
+      bag.OutputDim(static_cast<int64_t>(schema.num_numeric()));
+  if (input_dim != model.generator_tower().input_dim()) {
+    return Status::InvalidArgument(
+        "item table assembles a " + std::to_string(input_dim) +
+        "-wide generator input, the tower takes " +
+        std::to_string(model.generator_tower().input_dim()));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -48,6 +89,9 @@ Status ValidateServingSnapshot(const ServingSnapshot& snapshot) {
   }
   if (snapshot.quantized != nullptr) {
     ATNN_RETURN_IF_ERROR(snapshot.quantized->Validate());
+  } else {
+    ATNN_RETURN_IF_ERROR(
+        CheckGeneratorReadsTable(*snapshot.model, *snapshot.item_profiles));
   }
   if (snapshot.model != nullptr) {
     // GeneratorParameters() only appends pointers — the const_cast never
@@ -62,6 +106,25 @@ Status ValidateServingSnapshot(const ServingSnapshot& snapshot) {
                                 std::to_string(bad));
       }
     }
+  }
+  return Status::OK();
+}
+
+Status AttachServingPlan(int64_t max_batch, ServingSnapshot* snapshot) {
+  if (snapshot->quantized != nullptr) {
+    snapshot->plan = nullptr;
+    return Status::OK();
+  }
+  if (snapshot->plan == nullptr) {
+    ATNN_ASSIGN_OR_RETURN(
+        snapshot->plan,
+        core::CompileGeneratorPlan(*snapshot->model, *snapshot->item_profiles,
+                                   max_batch, snapshot->model));
+  } else if (snapshot->plan->max_batch() < max_batch) {
+    return Status::InvalidArgument(
+        "attached plan serves batches of up to " +
+        std::to_string(snapshot->plan->max_batch()) + " rows, below the " +
+        std::to_string(max_batch) + "-row batch ceiling");
   }
   return Status::OK();
 }

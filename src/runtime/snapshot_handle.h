@@ -35,11 +35,9 @@ struct ServingSnapshot {
   /// Cluster slicing (PublishSlice) copies the snapshot struct per shard,
   /// so every shard shares this one artifact by reference.
   std::shared_ptr<const quant::QuantizedGenerator> quantized;
-  /// Optional compiled execution plan for the fp32 generator forward
-  /// (nn/ir, DESIGN.md §16). When set, cache-miss batches score through the
-  /// pre-planned program instead of walking the autograd tape; any
-  /// execution failure falls back to the tape. Normally attached by
-  /// InferenceRuntime::Publish under --atnn_compile=on|auto; cluster
+  /// Compiled execution plan of the fp32 generator forward (nn/ir,
+  /// DESIGN.md §16): the executor of every cache miss of a snapshot without
+  /// `quantized`. Attached at publish by AttachServingPlan; cluster
   /// publication compiles once and shares the plan across shard slices
   /// (the plan closes over the model, not the item table).
   std::shared_ptr<const nn::ir::CompiledPlan> plan;
@@ -55,6 +53,10 @@ struct ServingSnapshot {
 ///     non-null                                         (InvalidArgument)
 ///   - mean-user vector width matches the scoring path's vector_dim
 ///                                                      (InvalidArgument)
+///   - fp32 serving (no `quantized`): the generator can read the item
+///     table — same categorical field count, every unhashed field's vocab
+///     within its embedding table, assembled input as wide as the
+///     generator tower's                                (InvalidArgument)
 ///   - NaN/Inf sweep over the mean-user vector and every generator-path
 ///     parameter                                        (DataLoss)
 ///   - quantized (when present): shape consistency and a finite/nonzero
@@ -63,6 +65,17 @@ struct ServingSnapshot {
 /// keeps serving. The sweep touches each generator weight once (a few MB
 /// at most), which is noise next to the model load that preceded it.
 Status ValidateServingSnapshot(const ServingSnapshot& snapshot);
+
+/// Decides, once per snapshot, which executor serves its cache misses: the
+/// quantized generator when the snapshot carries one (an attached plan is
+/// dropped, it would never run), otherwise a CompiledPlan of the fp32
+/// generator for batches of up to `max_batch` rows. Compiles that plan
+/// unless one is attached already (the sharded front-end compiles once and
+/// shares it across slices); an attached plan whose ceiling is below
+/// `max_batch` is InvalidArgument. A failed compile returns its Status: the
+/// snapshot cannot serve and must be rejected. Call after
+/// ValidateServingSnapshot succeeded.
+Status AttachServingPlan(int64_t max_batch, ServingSnapshot* snapshot);
 
 /// Wraps a T owned by the caller in a non-owning shared_ptr (aliasing
 /// constructor with an empty control block). Used by examples/tools whose

@@ -8,12 +8,6 @@ void AddComputeFlags(FlagParser* flags, const std::string& precision_help) {
   flags->AddString("atnn_kernel", "auto",
                    "compute backend: auto | scalar | avx2");
   flags->AddString("atnn_precision", "fp32", precision_help);
-  flags->AddString("atnn_compile", "auto",
-                   "graph-compiled scoring: on | off | auto. 'auto' compiles "
-                   "the generator tower into a pre-planned execution program "
-                   "when eligible (fp32 serving) and falls back to the "
-                   "autograd tape on any trace failure; 'on' always attempts "
-                   "the compile; 'off' always walks the tape");
 }
 
 StatusOr<ComputeOptions> ResolveComputeFlags(const FlagParser& flags) {
@@ -25,9 +19,6 @@ StatusOr<ComputeOptions> ResolveComputeFlags(const FlagParser& flags) {
   ATNN_ASSIGN_OR_RETURN(
       options.precision,
       quant::ParsePrecision(flags.GetString("atnn_precision")));
-  ATNN_ASSIGN_OR_RETURN(
-      options.compile,
-      nn::ir::ParseCompileMode(flags.GetString("atnn_compile")));
   return options;
 }
 

@@ -29,6 +29,11 @@ inline nn::TowerConfig TinyTowerConfig(nn::TowerKind kind) {
   return config;
 }
 
+/// Test-name suffix of a TowerKind parameter.
+inline const char* TowerKindName(nn::TowerKind kind) {
+  return kind == nn::TowerKind::kDeepCross ? "deep_cross" : "fully_connected";
+}
+
 /// Generates and normalizes the tiny dataset.
 inline data::TmallDataset MakeNormalizedTinyDataset() {
   data::TmallDataset dataset = data::GenerateTmallDataset(TinyTmallConfig());

@@ -20,21 +20,6 @@
 namespace atnn::nn::ir {
 namespace {
 
-TEST(CompileModeTest, ParsesTheFlagVocabulary) {
-  ASSERT_TRUE(ParseCompileMode("off").ok());
-  EXPECT_EQ(ParseCompileMode("off").value(), CompileMode::kOff);
-  EXPECT_EQ(ParseCompileMode("on").value(), CompileMode::kOn);
-  EXPECT_EQ(ParseCompileMode("auto").value(), CompileMode::kAuto);
-  for (const CompileMode mode :
-       {CompileMode::kOff, CompileMode::kOn, CompileMode::kAuto}) {
-    EXPECT_EQ(ParseCompileMode(CompileModeName(mode)).value(), mode);
-  }
-  const auto junk = ParseCompileMode("sometimes");
-  EXPECT_EQ(junk.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(junk.status().ToString().find("--atnn_compile"),
-            std::string::npos);
-}
-
 TEST(PlanScratchTest, GrowsOnceAndStaysAligned) {
   PlanScratch scratch;
   EXPECT_EQ(scratch.capacity(), 0u);
@@ -166,8 +151,7 @@ TEST(CompiledPlanTest, CompileRejectsBadOptionsAndGraphs) {
 
 // ---------------------------------------------------------------------------
 // End-to-end against the real model: the compiled generator reproduces the
-// tape scores bit for bit, and the CLI-facing wrappers honor the compile
-// policy.
+// tape scores bit for bit for every tower kind.
 // ---------------------------------------------------------------------------
 
 class GeneratorPlanTest : public ::testing::Test {
@@ -175,16 +159,23 @@ class GeneratorPlanTest : public ::testing::Test {
   static void SetUpTestSuite() {
     dataset_ = new data::TmallDataset(
         core::testing_helpers::MakeNormalizedTinyDataset());
+    model_ = MakeModel(nn::TowerKind::kDeepCross).release();
+    predictor_ = new core::PopularityPredictor(MakePredictor(*model_));
+  }
+
+  static std::unique_ptr<core::AtnnModel> MakeModel(nn::TowerKind kind) {
     core::AtnnConfig config;
-    config.tower =
-        core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
+    config.tower = core::testing_helpers::TinyTowerConfig(kind);
     config.seed = 11;
-    model_ = new core::AtnnModel(*dataset_->user_schema,
-                                 *dataset_->item_profile_schema,
-                                 *dataset_->item_stats_schema, config);
-    const auto group = core::SelectActiveUsers(*dataset_, 64);
-    predictor_ = new core::PopularityPredictor(
-        core::PopularityPredictor::Build(*model_, *dataset_, group));
+    return std::make_unique<core::AtnnModel>(
+        *dataset_->user_schema, *dataset_->item_profile_schema,
+        *dataset_->item_stats_schema, config);
+  }
+
+  static core::PopularityPredictor MakePredictor(
+      const core::AtnnModel& model) {
+    return core::PopularityPredictor::Build(
+        model, *dataset_, core::SelectActiveUsers(*dataset_, 64));
   }
 
   static void TearDownTestSuite() {
@@ -205,22 +196,28 @@ data::TmallDataset* GeneratorPlanTest::dataset_ = nullptr;
 core::AtnnModel* GeneratorPlanTest::model_ = nullptr;
 core::PopularityPredictor* GeneratorPlanTest::predictor_ = nullptr;
 
-TEST_F(GeneratorPlanTest, CompiledScoresMatchTheTapeBitwise) {
+class GeneratorPlanTowerTest
+    : public GeneratorPlanTest,
+      public ::testing::WithParamInterface<nn::TowerKind> {};
+
+TEST_P(GeneratorPlanTowerTest, CompiledScoresMatchTheTapeBitwise) {
+  const std::unique_ptr<core::AtnnModel> model = MakeModel(GetParam());
+  const core::PopularityPredictor predictor = MakePredictor(*model);
   // max_batch below the item count forces multi-chunk execution.
   const auto plan =
-      core::CompileGeneratorPlan(*model_, dataset_->item_profiles, 16);
+      core::CompileGeneratorPlan(*model, dataset_->item_profiles, 16);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_GT((*plan)->num_steps(), 0u);
   EXPECT_GT((*plan)->plan_bytes(), 0u);
   EXPECT_EQ((*plan)->max_batch(), 16);
-  EXPECT_EQ((*plan)->output_cols(), model_->vector_dim());
+  EXPECT_EQ((*plan)->output_cols(), model->vector_dim());
   EXPECT_FALSE((*plan)->pass_summary().empty());
 
   const auto planned = core::ScoreItemsWithPlan(
-      **plan, *predictor_, dataset_->item_profiles, dataset_->new_items);
+      **plan, predictor, dataset_->item_profiles, dataset_->new_items);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   const std::vector<double> tape =
-      predictor_->ScoreItems(*model_, *dataset_, dataset_->new_items);
+      predictor.ScoreItems(*model, *dataset_, dataset_->new_items);
   ASSERT_EQ(planned->size(), tape.size());
   for (size_t i = 0; i < tape.size(); ++i) {
     // Bitwise, not approximately: the plan runs the same kernels in the
@@ -228,6 +225,14 @@ TEST_F(GeneratorPlanTest, CompiledScoresMatchTheTapeBitwise) {
     EXPECT_EQ((*planned)[i], tape[i]) << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TowerKinds, GeneratorPlanTowerTest,
+    ::testing::Values(nn::TowerKind::kFullyConnected,
+                      nn::TowerKind::kDeepCross),
+    [](const ::testing::TestParamInfo<nn::TowerKind>& info) {
+      return std::string(core::testing_helpers::TowerKindName(info.param));
+    });
 
 TEST_F(GeneratorPlanTest, ExecuteRejectsDenseShapeDrift) {
   const auto plan =
@@ -240,7 +245,7 @@ TEST_F(GeneratorPlanTest, ExecuteRejectsDenseShapeDrift) {
       (*plan)->Execute({&block.categorical, &block.numeric}, 2, &scratch)
           .ok());
   // A dense block whose width drifted from the traced schema is refused —
-  // this is the signal callers use to fall back to the tape.
+  // the runtime answers such a batch from its degraded chain.
   const Tensor wrong_width(2, block.numeric.cols() + 1);
   EXPECT_EQ((*plan)
                 ->Execute({&block.categorical, &wrong_width}, 2, &scratch)
@@ -262,30 +267,6 @@ TEST_F(GeneratorPlanTest, CompileRequiresANonEmptyItemTable) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST_F(GeneratorPlanTest, MaybeCompiledHonorsThePolicy) {
-  const std::vector<double> tape =
-      predictor_->ScoreItems(*model_, *dataset_, dataset_->new_items);
-
-  bool used_plan = true;
-  const std::vector<double> off = core::ScoreItemsMaybeCompiled(
-      CompileMode::kOff, *model_, *predictor_, *dataset_,
-      dataset_->new_items, &used_plan);
-  EXPECT_FALSE(used_plan);
-  EXPECT_EQ(off, tape);
-
-  const std::vector<double> an = core::ScoreItemsMaybeCompiled(
-      CompileMode::kAuto, *model_, *predictor_, *dataset_,
-      dataset_->new_items, &used_plan);
-  EXPECT_TRUE(used_plan);
-  EXPECT_EQ(an, tape);
-
-  const std::vector<double> on = core::ScoreItemsMaybeCompiled(
-      CompileMode::kOn, *model_, *predictor_, *dataset_,
-      dataset_->new_items, &used_plan);
-  EXPECT_TRUE(used_plan);
-  EXPECT_EQ(on, tape);
 }
 
 }  // namespace

@@ -62,6 +62,15 @@ TEST(ThreadPoolMetricsTest, ObservesQueueAndTaskLatency) {
     });
   }
   pool.Wait();
+  // A worker reports completion after publishing it (callbacks run with
+  // the pool lock released), so the last task_us sample can land just
+  // after Wait returns; detaching first would drop it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (registry.GetHistogram("pool.task_us").Snapshot().count() < kTasks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   pool.SetObserver(nullptr);
 
   EXPECT_EQ(registry.GetCounter("pool.tasks").Value(), kTasks);

@@ -1,10 +1,14 @@
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "../core/test_helpers.h"
+#include "cluster/sharded_runtime.h"
 #include "core/atnn.h"
+#include "core/generator_plan.h"
 #include "core/popularity.h"
 #include "data/schema.h"
 #include "data/tmall.h"
@@ -15,23 +19,16 @@
 namespace atnn::runtime {
 namespace {
 
-/// Compiled serving through the InferenceRuntime: --atnn_compile policy,
-/// bitwise parity with the tape, and the plan observability counters.
+/// Compiled serving through the InferenceRuntime: the executor Publish
+/// picks, bitwise parity with the tape, rejection of snapshots that cannot
+/// serve, and the plan observability counters.
 class CompiledServingTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new data::TmallDataset(
         core::testing_helpers::MakeNormalizedTinyDataset());
-    core::AtnnConfig config;
-    config.tower =
-        core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
-    config.seed = 11;
-    model_ = new core::AtnnModel(*dataset_->user_schema,
-                                 *dataset_->item_profile_schema,
-                                 *dataset_->item_stats_schema, config);
-    const auto group = core::SelectActiveUsers(*dataset_, 64);
-    predictor_ = new core::PopularityPredictor(
-        core::PopularityPredictor::Build(*model_, *dataset_, group));
+    model_ = MakeModel(nn::TowerKind::kDeepCross).release();
+    predictor_ = new core::PopularityPredictor(MakePredictor(*model_));
   }
 
   static void TearDownTestSuite() {
@@ -43,6 +40,21 @@ class CompiledServingTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
+  static std::unique_ptr<core::AtnnModel> MakeModel(nn::TowerKind kind) {
+    core::AtnnConfig config;
+    config.tower = core::testing_helpers::TinyTowerConfig(kind);
+    config.seed = 11;
+    return std::make_unique<core::AtnnModel>(
+        *dataset_->user_schema, *dataset_->item_profile_schema,
+        *dataset_->item_stats_schema, config);
+  }
+
+  static core::PopularityPredictor MakePredictor(
+      const core::AtnnModel& model) {
+    return core::PopularityPredictor::Build(
+        model, *dataset_, core::SelectActiveUsers(*dataset_, 64));
+  }
+
   static ServingSnapshot MakeSnapshot() {
     ServingSnapshot snapshot;
     snapshot.model = Unowned(model_);
@@ -52,24 +64,87 @@ class CompiledServingTest : public ::testing::Test {
     return snapshot;
   }
 
-  static RuntimeConfig ConfigWithMode(nn::ir::CompileMode mode) {
+  static RuntimeConfig Config() {
     RuntimeConfig config;
     config.num_workers = 2;
     config.enable_score_cache = false;  // every request runs the forward
-    config.compile_mode = mode;
     return config;
   }
 
-  /// Scores every new item synchronously (deterministic single-row misses).
+  /// Scores every new item synchronously (deterministic single-row misses)
+  /// and requires each answer to come fresh from the forward.
   static std::vector<double> ScoreAll(InferenceRuntime* runtime) {
     std::vector<double> scores;
     scores.reserve(dataset_->new_items.size());
     for (const int64_t item : dataset_->new_items) {
       const auto result = runtime->Score(item);
       ATNN_CHECK(result.ok()) << result.status().ToString();
+      ATNN_CHECK(result.value().tier == ServingTier::kFresh) << item;
       scores.push_back(result.value().score);
     }
     return scores;
+  }
+
+  /// An item table the published generator cannot serve, and the Status
+  /// code Publish must refuse it with.
+  struct UnservableTable {
+    std::string what;
+    std::shared_ptr<const data::EntityTable> table;
+    StatusCode code;
+  };
+
+  /// Copies `items` under `features` (the original specs, edited or with
+  /// numeric features appended; appended columns stay zero).
+  static data::EntityTable CopyUnderSchema(
+      const data::EntityTable& items, std::vector<data::FeatureSpec> features) {
+    data::EntityTable copy(
+        std::make_shared<const data::FeatureSchema>(std::move(features)),
+        items.num_rows());
+    for (int64_t row = 0; row < items.num_rows(); ++row) {
+      for (size_t f = 0; f < items.schema().num_categorical(); ++f) {
+        copy.set_categorical(f, row, items.categorical(f, row));
+      }
+      for (size_t f = 0; f < items.schema().num_numeric(); ++f) {
+        copy.set_numeric(f, row, items.numeric(f, row));
+      }
+    }
+    return copy;
+  }
+
+  static std::vector<UnservableTable> UnservableTables() {
+    const data::EntityTable& items = dataset_->item_profiles;
+    std::vector<data::FeatureSpec> wider_dense = items.schema().features();
+    wider_dense.push_back(data::FeatureSpec::Numeric("extra"));
+
+    // One brand id past the generator's embedding table, on a served row.
+    std::vector<data::FeatureSpec> wider_vocab = items.schema().features();
+    for (data::FeatureSpec& spec : wider_vocab) {
+      if (spec.name == "brand") ++spec.vocab_size;
+    }
+    data::EntityTable out_of_vocab = CopyUnderSchema(items, wider_vocab);
+    for (size_t f = 0; f < out_of_vocab.schema().num_categorical(); ++f) {
+      const data::FeatureSpec& spec = out_of_vocab.schema().categorical_spec(f);
+      if (spec.name == "brand") {
+        out_of_vocab.set_categorical(f, dataset_->new_items.front(),
+                                     spec.vocab_size - 1);
+      }
+    }
+
+    std::vector<UnservableTable> tables;
+    tables.push_back({"one more numeric column",
+                      std::make_shared<const data::EntityTable>(
+                          CopyUnderSchema(items, wider_dense)),
+                      StatusCode::kInvalidArgument});
+    tables.push_back({"brand vocab wider than the embedding table",
+                      std::make_shared<const data::EntityTable>(
+                          std::move(out_of_vocab)),
+                      StatusCode::kInvalidArgument});
+    // Passes validation; the compile has no row to trace with.
+    tables.push_back({"empty item table",
+                      std::make_shared<const data::EntityTable>(
+                          items.schema_ptr(), 0),
+                      StatusCode::kFailedPrecondition});
+    return tables;
   }
 
   static data::TmallDataset* dataset_;
@@ -81,85 +156,169 @@ data::TmallDataset* CompiledServingTest::dataset_ = nullptr;
 core::AtnnModel* CompiledServingTest::model_ = nullptr;
 core::PopularityPredictor* CompiledServingTest::predictor_ = nullptr;
 
-TEST_F(CompiledServingTest, AutoServesThroughThePlanBitwiseEqualToOff) {
-  InferenceRuntime with_plan(ConfigWithMode(nn::ir::CompileMode::kAuto));
-  InferenceRuntime tape_only(ConfigWithMode(nn::ir::CompileMode::kOff));
-  ASSERT_TRUE(with_plan.Publish(MakeSnapshot()).ok());
-  ASSERT_TRUE(tape_only.Publish(MakeSnapshot()).ok());
+class CompiledServingTowerTest
+    : public CompiledServingTest,
+      public ::testing::WithParamInterface<nn::TowerKind> {};
 
-  const std::vector<double> plan_scores = ScoreAll(&with_plan);
-  const std::vector<double> tape_scores = ScoreAll(&tape_only);
-  ASSERT_EQ(plan_scores.size(), tape_scores.size());
-  for (size_t i = 0; i < plan_scores.size(); ++i) {
+TEST_P(CompiledServingTowerTest, FreshAnswersMatchTheTapeBitwise) {
+  const std::unique_ptr<core::AtnnModel> model = MakeModel(GetParam());
+  const core::PopularityPredictor predictor = MakePredictor(*model);
+  ServingSnapshot snapshot = MakeSnapshot();
+  snapshot.model = Unowned(model.get());
+  snapshot.predictor = Unowned(&predictor);
+
+  InferenceRuntime runtime(Config());
+  ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
+  const std::vector<double> served = ScoreAll(&runtime);
+  const std::vector<double> tape =
+      predictor.ScoreItems(*model, *dataset_, dataset_->new_items);
+  ASSERT_EQ(served.size(), tape.size());
+  for (size_t i = 0; i < served.size(); ++i) {
     // Bitwise — the compiled program must be indistinguishable from the
-    // tape in every serving response.
-    EXPECT_EQ(plan_scores[i], tape_scores[i]) << i;
+    // tape reference in every serving response.
+    EXPECT_EQ(served[i], tape[i]) << i;
   }
 
-  with_plan.Shutdown();
-  tape_only.Shutdown();
-  const auto plan_stats = with_plan.stats();
-  EXPECT_EQ(plan_stats.plan_compiled, 1);
-  EXPECT_EQ(plan_stats.plan_compile_fallback, 0);
-  EXPECT_GT(plan_stats.plan_executions, 0);
-  EXPECT_EQ(plan_stats.plan_exec_fallback, 0);
-  EXPECT_GT(plan_stats.plan_reserved_bytes, 0);
-
-  const auto tape_stats = tape_only.stats();
-  EXPECT_EQ(tape_stats.plan_compiled, 0);
-  EXPECT_EQ(tape_stats.plan_executions, 0);
-}
-
-TEST_F(CompiledServingTest, AutoSkipsQuantizedSnapshotsWithoutNoise) {
-  const data::BlockBatch calibration =
-      data::GatherBlock(dataset_->item_profiles, dataset_->new_items);
-  auto quantized = quant::QuantizedGenerator::Build(
-      *model_, calibration, quant::Precision::kInt8);
-  ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
-
-  ServingSnapshot snapshot;
-  snapshot.quantized = Unowned(&*quantized);
-  snapshot.predictor = Unowned(predictor_);
-  snapshot.item_profiles = Unowned(&dataset_->item_profiles);
-
-  InferenceRuntime runtime(ConfigWithMode(nn::ir::CompileMode::kAuto));
-  ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
-  EXPECT_TRUE(runtime.Score(dataset_->new_items.front()).ok());
   runtime.Shutdown();
-  // kAuto recognizes the snapshot serves through the quantized path: no
-  // compile attempt, no fallback counted — silence, not noise.
   const auto stats = runtime.stats();
-  EXPECT_EQ(stats.plan_compiled, 0);
-  EXPECT_EQ(stats.plan_compile_fallback, 0);
-  EXPECT_EQ(stats.plan_executions, 0);
+  EXPECT_EQ(stats.plan_compiled, 1);
+  EXPECT_GT(stats.plan_executions, 0);
   EXPECT_EQ(stats.plan_exec_fallback, 0);
+  EXPECT_GT(stats.plan_reserved_bytes, 0);
 }
 
-TEST_F(CompiledServingTest, OnCompilesHybridSnapshotButQuantizedStillServes) {
+INSTANTIATE_TEST_SUITE_P(
+    TowerKinds, CompiledServingTowerTest,
+    ::testing::Values(nn::TowerKind::kFullyConnected,
+                      nn::TowerKind::kDeepCross),
+    [](const ::testing::TestParamInfo<nn::TowerKind>& info) {
+      return std::string(core::testing_helpers::TowerKindName(info.param));
+    });
+
+TEST_F(CompiledServingTest, QuantizedSnapshotPublishesWithoutCompiling) {
   const data::BlockBatch calibration =
       data::GatherBlock(dataset_->item_profiles, dataset_->new_items);
   auto quantized = quant::QuantizedGenerator::Build(
       *model_, calibration, quant::Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
 
+  // Carrying the fp32 model too does not matter: the quantized generator
+  // serves, so nothing is compiled.
   ServingSnapshot snapshot = MakeSnapshot();
   snapshot.quantized = Unowned(&*quantized);
 
-  InferenceRuntime runtime(ConfigWithMode(nn::ir::CompileMode::kOn));
+  InferenceRuntime runtime(Config());
   ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
   EXPECT_TRUE(runtime.Score(dataset_->new_items.front()).ok());
   runtime.Shutdown();
-  // kOn attaches the plan even to a hybrid snapshot (so misconfigurations
-  // surface), but the quantized branch still owns execution.
   const auto stats = runtime.stats();
-  EXPECT_EQ(stats.plan_compiled, 1);
-  EXPECT_EQ(stats.plan_compile_fallback, 0);
+  EXPECT_EQ(stats.plan_compiled, 0);
   EXPECT_EQ(stats.plan_executions, 0);
   EXPECT_EQ(stats.plan_exec_fallback, 0);
 }
 
+TEST_F(CompiledServingTest, PublishRejectsASnapshotThatCannotServe) {
+  for (const UnservableTable& bad : UnservableTables()) {
+    SCOPED_TRACE(bad.what);
+    InferenceRuntime runtime(Config());
+    ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+
+    ServingSnapshot snapshot = MakeSnapshot();
+    snapshot.item_profiles = bad.table;
+    EXPECT_EQ(runtime.Publish(std::move(snapshot)).status().code(), bad.code);
+    EXPECT_EQ(runtime.stats().publish_rejected, 1);
+    EXPECT_EQ(runtime.snapshot_version(), 1u);
+    const auto answer = runtime.Score(dataset_->new_items.front());
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->tier, ServingTier::kFresh);
+    EXPECT_EQ(answer->snapshot_version, 1u);
+  }
+}
+
+TEST_F(CompiledServingTest, PublishShardedRejectsASnapshotThatCannotServe) {
+  for (const UnservableTable& bad : UnservableTables()) {
+    SCOPED_TRACE(bad.what);
+    cluster::ShardedRuntimeConfig config;
+    config.num_shards = 2;
+    config.shard = Config();
+    cluster::ShardedRuntime sharded(config);
+    ASSERT_TRUE(sharded.PublishSharded(MakeSnapshot()).ok());
+
+    ServingSnapshot snapshot = MakeSnapshot();
+    snapshot.item_profiles = bad.table;
+    EXPECT_EQ(sharded.PublishSharded(snapshot).status().code(), bad.code);
+    int64_t rejected = -1;
+    for (const auto& [name, value] : sharded.Collect().counters) {
+      if (name == "gather.publish_rejected") rejected = value;
+    }
+    EXPECT_EQ(rejected, 1);
+    // Refused before any shard swapped.
+    for (size_t i = 0; i < sharded.num_shards(); ++i) {
+      EXPECT_EQ(sharded.shard(i).snapshot_version(), 1u) << i;
+    }
+    const auto answer = sharded.Score(dataset_->new_items.front());
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->tier, ServingTier::kFresh);
+    EXPECT_EQ(answer->snapshot_version, 1u);
+  }
+}
+
+TEST_F(CompiledServingTest, AttachedPlanBelowTheBatchCeilingIsRejected) {
+  InferenceRuntime runtime(Config());  // max_batch_size 64
+  ServingSnapshot snapshot = MakeSnapshot();
+  auto small = core::CompileGeneratorPlan(*model_, dataset_->item_profiles,
+                                          /*max_batch=*/4);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  snapshot.plan = *small;
+  EXPECT_EQ(runtime.Publish(std::move(snapshot)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(runtime.stats().publish_rejected, 1);
+  EXPECT_EQ(runtime.snapshot_version(), 0u);
+}
+
+TEST_F(CompiledServingTest, FailedPlanExecutionDegradesTheMisses) {
+  // An attached plan traced from a generator one dense column narrower
+  // than the published table: every Execute refuses the block.
+  const data::FeatureSchema& schema = dataset_->item_profiles.schema();
+  std::vector<data::FeatureSpec> narrow = schema.features();
+  narrow.erase(narrow.begin() +
+               static_cast<std::ptrdiff_t>(schema.numeric_indices().back()));
+  const auto narrow_schema =
+      std::make_shared<const data::FeatureSchema>(std::move(narrow));
+  core::AtnnConfig config;
+  config.tower =
+      core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
+  const core::AtnnModel narrow_model(*dataset_->user_schema, *narrow_schema,
+                                     *dataset_->item_stats_schema, config);
+  auto plan = core::CompileGeneratorPlan(
+      narrow_model, data::EntityTable(narrow_schema, 1), /*max_batch=*/64);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  for (const bool fallback : {true, false}) {
+    SCOPED_TRACE(fallback ? "fallback chain" : "no fallback chain");
+    RuntimeConfig runtime_config = Config();
+    runtime_config.enable_degraded_fallback = fallback;
+    InferenceRuntime runtime(runtime_config);
+    ServingSnapshot snapshot = MakeSnapshot();
+    snapshot.plan = *plan;
+    ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
+    const auto answer = runtime.Score(dataset_->new_items.front());
+    if (fallback) {
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->tier, ServingTier::kGlobalMean);
+    } else {
+      // Without the chain the executor's own Status surfaces.
+      EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
+    }
+    runtime.Shutdown();
+    const auto stats = runtime.stats();
+    EXPECT_EQ(stats.plan_executions, 0);
+    EXPECT_EQ(stats.plan_exec_fallback, 1);
+  }
+}
+
 TEST_F(CompiledServingTest, PlanCountersRenderInTheStatsTable) {
-  InferenceRuntime runtime(ConfigWithMode(nn::ir::CompileMode::kAuto));
+  InferenceRuntime runtime(Config());
   ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
   ASSERT_TRUE(runtime.Score(dataset_->new_items.front()).ok());
   runtime.Shutdown();
@@ -171,14 +330,14 @@ TEST_F(CompiledServingTest, PlanCountersRenderInTheStatsTable) {
 }
 
 TEST_F(CompiledServingTest, RepublishingRecompilesPerSnapshot) {
-  InferenceRuntime runtime(ConfigWithMode(nn::ir::CompileMode::kAuto));
+  InferenceRuntime runtime(Config());
   ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
   ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
   const std::vector<double> scores = ScoreAll(&runtime);
   EXPECT_EQ(scores.size(), dataset_->new_items.size());
   runtime.Shutdown();
   // Each published snapshot carries its own plan (weights may differ
-  // between versions), and serving still never fell back.
+  // between versions), and no plan execution ever failed.
   const auto stats = runtime.stats();
   EXPECT_EQ(stats.plan_compiled, 2);
   EXPECT_EQ(stats.plan_exec_fallback, 0);

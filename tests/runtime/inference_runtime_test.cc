@@ -528,6 +528,7 @@ TEST_F(InferenceRuntimeTest,
   ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
 
   std::atomic<bool> stop{false};
+  std::atomic<int64_t> corrupt_attempts{0};
   std::atomic<int64_t> corrupt_accepted{0};
   std::thread valid_publisher([&] {
     while (!stop.load()) {
@@ -545,6 +546,7 @@ TEST_F(InferenceRuntimeTest,
       if (runtime.Publish(std::move(corrupt)).ok()) {
         corrupt_accepted.fetch_add(1);
       }
+      corrupt_attempts.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -563,6 +565,9 @@ TEST_F(InferenceRuntimeTest,
     EXPECT_GE(result.value().snapshot_version, 1u);
     ++answered;
   }
+  // Scoring can finish before a loaded scheduler first runs the corrupt
+  // publisher; the rejection path must have been exercised at least once.
+  while (corrupt_attempts.load() == 0) std::this_thread::yield();
   stop.store(true);
   valid_publisher.join();
   corrupt_publisher.join();

@@ -33,22 +33,15 @@ TEST_F(ComputeFlagsTest, DefaultsAreFp32AutoCompileAutoBackend) {
   const auto options = Resolve({});
   ASSERT_TRUE(options.ok()) << options.status().ToString();
   EXPECT_EQ(options->precision, quant::Precision::kFp32);
-  EXPECT_EQ(options->compile, nn::ir::CompileMode::kAuto);
   EXPECT_FALSE(options->backend_name.empty());
 }
 
 TEST_F(ComputeFlagsTest, ExplicitValuesResolve) {
-  const auto options = Resolve({"--atnn_kernel=scalar",
-                                "--atnn_precision=int8",
-                                "--atnn_compile=off"});
+  const auto options =
+      Resolve({"--atnn_kernel=scalar", "--atnn_precision=int8"});
   ASSERT_TRUE(options.ok()) << options.status().ToString();
   EXPECT_EQ(options->precision, quant::Precision::kInt8);
-  EXPECT_EQ(options->compile, nn::ir::CompileMode::kOff);
   EXPECT_EQ(options->backend_name, "scalar");
-
-  const auto on = Resolve({"--atnn_compile=on"});
-  ASSERT_TRUE(on.ok());
-  EXPECT_EQ(on->compile, nn::ir::CompileMode::kOn);
 }
 
 TEST_F(ComputeFlagsTest, JunkKernelIsInvalidArgument) {
@@ -61,16 +54,8 @@ TEST_F(ComputeFlagsTest, JunkPrecisionIsInvalidArgument) {
   EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(ComputeFlagsTest, JunkCompileModeIsInvalidArgumentNamingTheFlag) {
-  const auto options = Resolve({"--atnn_compile=maybe"});
-  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(options.status().ToString().find("--atnn_compile"),
-            std::string::npos)
-      << options.status().ToString();
-}
-
 TEST_F(ComputeFlagsTest, UnknownFlagStillRejectedByTheParser) {
-  const auto options = Resolve({"--atnn_compiler=on"});  // typo'd name
+  const auto options = Resolve({"--atnn_kernal=scalar"});  // typo'd name
   EXPECT_FALSE(options.ok());
 }
 

@@ -119,11 +119,19 @@ int Run(int argc, const char* const* argv) {
       core::PopularityPredictor::Build(model, dataset, group);
 
   std::vector<double> scores;
-  bool used_plan = false;
   if (compute.precision == quant::Precision::kFp32) {
-    scores = core::ScoreItemsMaybeCompiled(compute.compile, model, predictor,
-                                           dataset, dataset.new_items,
-                                           &used_plan);
+    const auto plan = core::CompileGeneratorPlan(model, dataset.item_profiles,
+                                                 /*max_batch=*/1024);
+    auto planned = plan.ok() ? core::ScoreItemsWithPlan(
+                                   **plan, predictor, dataset.item_profiles,
+                                   dataset.new_items)
+                             : StatusOr<std::vector<double>>(plan.status());
+    if (!planned.ok()) {
+      std::fprintf(stderr, "compiled scoring failed: %s\n",
+                   planned.status().ToString().c_str());
+      return 1;
+    }
+    scores = std::move(planned).value();
   } else {
     // Prefer the artifact atnn_train wrote next to the snapshot; fall back
     // to quantizing the freshly loaded model in-process (same calibration
@@ -160,9 +168,8 @@ int Run(int argc, const char* const* argv) {
   serving::PopularityIndex index;
   index.BulkLoad(dataset.new_items, scores);
 
-  std::printf("top %lld of %zu new arrivals (re-scored%s):\n",
-              static_cast<long long>(top_k), scores.size(),
-              used_plan ? " via compiled plan" : "");
+  std::printf("top %lld of %zu new arrivals (re-scored):\n",
+              static_cast<long long>(top_k), scores.size());
   int rank = 1;
   for (const auto& [item, score] : index.TopK(top_k)) {
     std::printf("  #%3d item %lld  score %.4f\n", rank++,

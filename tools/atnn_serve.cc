@@ -437,7 +437,6 @@ int Run(int argc, const char* const* argv) {
       tenant.sharded.prior = prior;
       tenant.sharded.shard.num_workers =
           static_cast<size_t>(flags.GetInt64("workers"));
-      tenant.sharded.shard.compile_mode = compute.compile;
       tenant.sharded.shard.enable_score_cache = flags.GetBool("score_cache");
       tenant.sharded.shard.batcher.max_batch_size =
           static_cast<size_t>(flags.GetInt64("max_batch"));
@@ -681,7 +680,6 @@ int Run(int argc, const char* const* argv) {
   runtime_config.num_workers =
       static_cast<size_t>(flags.GetInt64("workers"));
   runtime_config.enable_score_cache = flags.GetBool("score_cache");
-  runtime_config.compile_mode = compute.compile;
   runtime_config.default_deadline_us = flags.GetInt64("deadline_us");
   runtime_config.prior = prior;
   runtime_config.batcher.max_batch_size =

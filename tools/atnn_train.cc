@@ -158,22 +158,27 @@ int Run(int argc, const char* const* argv) {
       core::SelectActiveUsers(dataset, flags.GetInt64("user_group"));
   const auto predictor =
       core::PopularityPredictor::Build(model, dataset, group);
+  const auto plan = core::CompileGeneratorPlan(model, dataset.item_profiles,
+                                               /*max_batch=*/1024);
+  const auto scores = plan.ok() ? core::ScoreItemsWithPlan(
+                                      **plan, predictor,
+                                      dataset.item_profiles, dataset.new_items)
+                                : StatusOr<std::vector<double>>(plan.status());
+  if (!scores.ok()) {
+    std::fprintf(stderr, "compiled scoring failed: %s\n",
+                 scores.status().ToString().c_str());
+    return 1;
+  }
   serving::PopularityIndex index;
-  bool used_plan = false;
-  index.BulkLoad(dataset.new_items,
-                 core::ScoreItemsMaybeCompiled(compute.compile, model,
-                                               predictor, dataset,
-                                               dataset.new_items,
-                                               &used_plan));
+  index.BulkLoad(dataset.new_items, *scores);
   status = index.SaveToFile(flags.GetString("index"));
   if (!status.ok()) {
     std::fprintf(stderr, "index save failed: %s\n",
                  status.ToString().c_str());
     return 1;
   }
-  std::printf("popularity index: %s (%zu new arrivals scored, %s)\n",
-              flags.GetString("index").c_str(), index.size(),
-              used_plan ? "compiled plan" : "tape");
+  std::printf("popularity index: %s (%zu new arrivals scored)\n",
+              flags.GetString("index").c_str(), index.size());
   return 0;
 }
 
