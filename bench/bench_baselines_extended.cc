@@ -48,8 +48,7 @@ SparseViews MakeSparseViews(const data::TmallDataset& dataset,
   views.test_complete =
       baselines::EncodeInteractions(dataset, dataset.test_indices, encoder);
   // Cold: gather, mask stats, then encode.
-  for (const auto& chunk :
-       core::MakeBatches(dataset.test_indices, 4096)) {
+  for (const auto chunk : core::MakeBatchSpans(dataset.test_indices, 4096)) {
     data::CtrBatch batch = MakeCtrBatch(dataset, chunk);
     core::MaskStatsAsMissing(&batch.item_stats);
     auto encoded = encoder.Encode(batch);
@@ -95,18 +94,14 @@ Row EvalDeep(const std::string& name, Model* model,
       baselines::EvaluateCtrBaselineAuc(*model, dataset,
                                         dataset.test_indices);
   // Cold: identical batches with the stats slab mean-imputed.
-  std::vector<double> scores;
-  std::vector<float> labels;
-  for (const auto& chunk : core::MakeBatches(dataset.test_indices, 1024)) {
-    data::CtrBatch batch = MakeCtrBatch(dataset, chunk);
-    core::MaskStatsAsMissing(&batch.item_stats);
-    const auto probs = model->PredictCtr(batch);
-    scores.insert(scores.end(), probs.begin(), probs.end());
-    for (int64_t r = 0; r < batch.labels.rows(); ++r) {
-      labels.push_back(batch.labels.at(r, 0));
-    }
-  }
-  row.cold = metrics::Auc(scores, labels);
+  row.cold = metrics::Auc(
+      core::ScoreChunks(dataset.test_indices, 1024, /*pool=*/nullptr,
+                        [&](std::span<const int64_t> chunk) {
+                          data::CtrBatch batch = MakeCtrBatch(dataset, chunk);
+                          core::MaskStatsAsMissing(&batch.item_stats);
+                          return model->PredictCtr(batch);
+                        }),
+      core::GatherLabels(dataset, dataset.test_indices));
   row.seconds = timer.ElapsedSeconds();
   std::printf("[baselines] %-12s done (%.1fs)\n", name.c_str(), row.seconds);
   return row;

@@ -92,17 +92,6 @@ inline core::TrainOptions BenchElemeTrainOptions() {
   return options;
 }
 
-/// Gathers interaction labels.
-inline std::vector<float> GatherLabels(const data::TmallDataset& dataset,
-                                       const std::vector<int64_t>& indices) {
-  std::vector<float> labels;
-  labels.reserve(indices.size());
-  for (int64_t idx : indices) {
-    labels.push_back(dataset.labels[static_cast<size_t>(idx)]);
-  }
-  return labels;
-}
-
 /// Flattens interactions into a GBDT feature matrix:
 /// [user features | item profile features | item statistics (optional)].
 inline nn::Tensor AssembleGbdtFeatures(const data::TmallDataset& dataset,

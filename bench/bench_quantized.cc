@@ -47,7 +47,6 @@
 #include "common/table_printer.h"
 #include "core/popularity.h"
 #include "metrics/metrics.h"
-#include "nn/arena.h"
 #include "nn/autograd.h"
 #include "nn/kernels.h"
 #include "quant/quantized_generator.h"
@@ -90,28 +89,24 @@ double QuantizedGeneratorAuc(const core::AtnnModel& model,
                              const data::TmallDataset& dataset,
                              const std::vector<int64_t>& indices) {
   const float bias = model.generator_bias_value();
-  std::vector<double> scores;
-  std::vector<float> labels;
-  scores.reserve(indices.size());
-  labels.reserve(indices.size());
-  for (const auto& chunk : core::MakeBatches(indices, 1024)) {
-    const data::CtrBatch batch = data::MakeCtrBatch(dataset, chunk);
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;
-    const nn::Var user_vec = model.UserVector(batch.user);
-    nn::Tensor gen_vec;
-    ATNN_CHECK(quantized.Forward(batch.item_profile, &gen_vec).ok());
-    ATNN_CHECK_EQ(gen_vec.rows(), user_vec.rows());
-    for (int64_t r = 0; r < gen_vec.rows(); ++r) {
-      const float* g = gen_vec.row_ptr(r);
-      const float* u = user_vec.value().row_ptr(r);
-      double logit = bias;
-      for (int64_t c = 0; c < gen_vec.cols(); ++c) logit += g[c] * u[c];
-      scores.push_back(logit);
-      labels.push_back(batch.labels.at(r, 0));
-    }
-  }
-  return metrics::Auc(scores, labels);
+  const std::vector<double> logits = core::ScoreChunks(
+      indices, 1024, /*pool=*/nullptr, [&](std::span<const int64_t> chunk) {
+        const data::CtrBatch batch = data::MakeCtrBatch(dataset, chunk);
+        const nn::Var user_vec = model.UserVector(batch.user);
+        nn::Tensor gen_vec;
+        ATNN_CHECK(quantized.Forward(batch.item_profile, &gen_vec).ok());
+        ATNN_CHECK_EQ(gen_vec.rows(), user_vec.rows());
+        std::vector<double> chunk_logits;
+        for (int64_t r = 0; r < gen_vec.rows(); ++r) {
+          const float* g = gen_vec.row_ptr(r);
+          const float* u = user_vec.value().row_ptr(r);
+          double logit = bias;
+          for (int64_t c = 0; c < gen_vec.cols(); ++c) logit += g[c] * u[c];
+          chunk_logits.push_back(logit);
+        }
+        return chunk_logits;
+      });
+  return metrics::Auc(logits, core::GatherLabels(dataset, indices));
 }
 
 bool BitwiseEqual(const nn::Tensor& a, const nn::Tensor& b) {

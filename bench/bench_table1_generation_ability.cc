@@ -49,12 +49,12 @@ ColdWarmAucs TrainAndEvalGbdt(const data::TmallDataset& dataset) {
   const nn::Tensor train_x =
       AssembleGbdtFeatures(dataset, dataset.train_indices, /*use_stats=*/true);
   const std::vector<float> train_y =
-      GatherLabels(dataset, dataset.train_indices);
+      core::GatherLabels(dataset, dataset.train_indices);
   gbdt::GbdtModel model;
   model.Train(train_x, train_y, config);
 
   const std::vector<float> test_y =
-      GatherLabels(dataset, dataset.test_indices);
+      core::GatherLabels(dataset, dataset.test_indices);
   ColdWarmAucs aucs;
   const nn::Tensor test_complete =
       AssembleGbdtFeatures(dataset, dataset.test_indices, /*use_stats=*/true);

@@ -1,0 +1,134 @@
+#ifndef ATNN_CORE_EPOCH_LOOP_H_
+#define ATNN_CORE_EPOCH_LOOP_H_
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "common/logging.h"
+#include "common/prefetcher.h"
+#include "common/rng.h"
+#include "core/train_telemetry.h"
+#include "core/trainer.h"
+#include "nn/arena.h"
+#include "nn/autograd.h"
+#include "nn/optimizer.h"
+#include "obs/trace_span.h"
+
+namespace atnn::core {
+
+/// A trainer's averaged epoch losses by name. Each becomes a `train.<name>`
+/// gauge and a ` name=value` field of the verbose epoch log line.
+using EpochLosses = std::vector<std::pair<const char*, double>>;
+
+/// update(g, objective): zero every group's gradients, backpropagate
+/// `objective`, clip group g's gradients to TrainOptions::clip_norm and step
+/// its Adam. A G-step backward also deposits gradients into discriminator
+/// parameters, so zeroing everything keeps half-steps from leaking.
+using GroupUpdate =
+    std::function<void(size_t group, const nn::Var& objective)>;
+
+/// What one trainer plugs into RunEpochs.
+template <typename Batch>
+struct EpochSteps {
+  /// Label of the verbose log line and of the empty-input warning.
+  const char* name;
+  /// Parameter groups; RunEpochs builds one Adam per group.
+  std::vector<std::vector<nn::Parameter*>> groups;
+  /// Gathers the batch of a span of row ids. With TrainOptions::pool it runs
+  /// on a pool thread while the previous step trains, so it may only read
+  /// state the step does not write.
+  std::function<Batch(std::span<const int64_t>)> make_batch;
+  /// One mini-batch: forwards, one update(group, objective) per half-step,
+  /// and the trainer's own loss sums.
+  std::function<void(const Batch&, const GroupUpdate&)> step;
+  /// Averages the sums over the epoch's `steps` batches, appends the history
+  /// row, resets the sums and names the losses to report.
+  std::function<EpochLosses(int64_t steps)> end_epoch;
+};
+
+/// The mini-batch epoch policy every trainer shares. It validates `options`
+/// (aborting with "invalid TrainOptions"; the StreamingTrainer checks first
+/// and returns the Status instead), returns at once with a warning when
+/// `rows` is empty, and otherwise runs options.epochs epochs. Each epoch
+/// decays the learning rate (after the first), reshuffles a copy of `rows`
+/// with the one Rng(options.seed), cuts MakeBatchSpans batches, prefetches
+/// them through options.pool, and runs every step under a step timer and an
+/// arena scope. Telemetry and the verbose log close each epoch.
+template <typename Batch>
+void RunEpochs(std::span<const int64_t> rows, const TrainOptions& options,
+               const EpochSteps<Batch>& trainer) {
+  const Status valid = options.Validate();
+  ATNN_CHECK(valid.ok()) << "invalid TrainOptions: " << valid.ToString();
+  if (rows.empty()) {
+    ATNN_LOG(Warning) << trainer.name << ": no training rows, nothing to "
+                         "do; returning empty history";
+    return;
+  }
+  std::vector<std::unique_ptr<nn::Adam>> optimizers;
+  for (const std::vector<nn::Parameter*>& group : trainer.groups) {
+    optimizers.push_back(std::make_unique<nn::Adam>(
+        group, options.learning_rate, 0.9f, 0.999f, 1e-8f,
+        options.weight_decay));
+  }
+  const GroupUpdate update = [&](size_t group, const nn::Var& objective) {
+    for (const auto& optimizer : optimizers) optimizer->ZeroGrad();
+    nn::Backward(objective);
+    if (options.clip_norm > 0.0f) {
+      optimizers[group]->ClipGradNorm(options.clip_norm);
+    }
+    optimizers[group]->Step();
+  };
+
+  Rng rng(options.seed);
+  std::vector<int64_t> order(rows.begin(), rows.end());
+  TrainTelemetry telemetry(options.metrics, options.emit_metric_lines);
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    const auto epoch_start = TrainTelemetry::Now();
+    if (epoch > 0 && options.lr_decay_per_epoch != 1.0f) {
+      for (const auto& optimizer : optimizers) {
+        optimizer->set_learning_rate(optimizer->learning_rate() *
+                                     options.lr_decay_per_epoch);
+      }
+    }
+    rng.Shuffle(&order);
+    // `order` is stable until the next epoch's shuffle, so the prefetcher
+    // may gather batch t+1 from these views while batch t trains.
+    const std::vector<std::span<const int64_t>> batches =
+        MakeBatchSpans(order, options.batch_size);
+    Prefetcher<Batch> batches_ahead(
+        options.pool, batches.size(), [&trainer, &batches](size_t i) {
+          return trainer.make_batch(batches[i]);
+        });
+    while (batches_ahead.HasNext()) {
+      const Batch batch = batches_ahead.Next();
+      const obs::ScopedTimer step_timer(telemetry.step_sink());
+      telemetry.RecordStep();
+      // Step-scoped tensors (graph nodes, activations, gradients of
+      // non-parameters) come from the thread arena and are released in one
+      // rewind here; after the first few steps grow the arena, a step
+      // performs no heap allocations.
+      const nn::ArenaScope arena_scope;
+      trainer.step(batch, update);
+    }
+    const EpochLosses losses =
+        trainer.end_epoch(static_cast<int64_t>(batches.size()));
+    telemetry.EndEpoch(epoch, TrainTelemetry::MsSince(epoch_start), losses);
+    if (options.verbose) {
+      std::ostringstream line;
+      line << trainer.name << " epoch " << epoch + 1 << "/" << options.epochs;
+      for (const auto& [name, value] : losses) {
+        line << " " << name << "=" << value;
+      }
+      ATNN_LOG(Info) << line.str();
+    }
+  }
+}
+
+}  // namespace atnn::core
+
+#endif  // ATNN_CORE_EPOCH_LOOP_H_

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "core/trainer.h"
 
@@ -13,21 +15,24 @@ namespace {
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
-/// Runs fn(i) for every chunk index, across the pool when provided. Every
-/// chunk writes only its own output slot; merging in chunk order keeps the
-/// result sequence identical to the serial loop.
-void ForEachChunk(ThreadPool* pool, size_t count,
-                  const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || count < 2) {
-    for (size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  pool->ParallelFor(count, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 }  // namespace
+
+nn::Tensor GroupUserVectors(const AtnnModel& model,
+                            const data::TmallDataset& dataset,
+                            const std::vector<int64_t>& user_group,
+                            int batch_size, ThreadPool* pool) {
+  nn::Tensor user_vectors(static_cast<int64_t>(user_group.size()),
+                          model.vector_dim());
+  ForEachChunk(user_group, batch_size, pool,
+               [&](size_t first, std::span<const int64_t> chunk) {
+                 const nn::Var vectors =
+                     model.UserVector(data::GatherBlock(dataset.users, chunk));
+                 const nn::Tensor& values = vectors.value();
+                 std::copy(values.data(), values.data() + values.numel(),
+                           user_vectors.row_ptr(static_cast<int64_t>(first)));
+               });
+  return user_vectors;
+}
 
 PopularityPredictor::PopularityPredictor(nn::Tensor mean_user_vector,
                                          float bias)
@@ -40,23 +45,23 @@ PopularityPredictor PopularityPredictor::Build(
     const std::vector<int64_t>& user_group, int batch_size,
     ThreadPool* pool) {
   ATNN_CHECK(!user_group.empty());
-  const std::vector<std::span<const int64_t>> chunks =
-      MakeBatchSpans(user_group, batch_size);
+  ATNN_CHECK(batch_size > 0);
   // Per-chunk partial sums, merged in chunk order below.
-  std::vector<nn::Tensor> partial(chunks.size());
-  ForEachChunk(pool, chunks.size(), [&](size_t i) {
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;
-    const data::BlockBatch block = data::GatherBlock(dataset.users, chunks[i]);
-    nn::Var vectors = model.UserVector(block);
-    nn::Tensor sum(1, model.vector_dim());
-    for (int64_t r = 0; r < vectors.rows(); ++r) {
-      const float* row = vectors.value().row_ptr(r);
-      float* dst = sum.data();
-      for (int64_t c = 0; c < sum.cols(); ++c) dst[c] += row[c];
-    }
-    partial[i] = std::move(sum);
-  });
+  std::vector<nn::Tensor> partial((user_group.size() + batch_size - 1) /
+                                  static_cast<size_t>(batch_size));
+  ForEachChunk(user_group, batch_size, pool,
+               [&](size_t first, std::span<const int64_t> chunk) {
+                 const nn::Var vectors =
+                     model.UserVector(data::GatherBlock(dataset.users, chunk));
+                 nn::Tensor sum(1, model.vector_dim());
+                 float* dst = sum.data();
+                 for (int64_t r = 0; r < vectors.rows(); ++r) {
+                   const float* row = vectors.value().row_ptr(r);
+                   for (int64_t c = 0; c < sum.cols(); ++c) dst[c] += row[c];
+                 }
+                 partial[first / static_cast<size_t>(batch_size)] =
+                     std::move(sum);
+               });
   nn::Tensor sum(1, model.vector_dim());
   for (const nn::Tensor& chunk_sum : partial) sum.AddInPlace(chunk_sum);
   sum.Scale(1.0f / static_cast<float>(user_group.size()));
@@ -76,27 +81,27 @@ std::vector<double> PopularityPredictor::ScoreItems(
     const AtnnModel& model, const data::TmallDataset& dataset,
     const std::vector<int64_t>& item_rows, int batch_size,
     ThreadPool* pool) const {
-  const std::vector<std::span<const int64_t>> chunks =
-      MakeBatchSpans(item_rows, batch_size);
-  std::vector<std::vector<double>> chunk_scores(chunks.size());
-  ForEachChunk(pool, chunks.size(), [&](size_t i) {
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;
-    const data::BlockBatch block =
-        data::GatherBlock(dataset.item_profiles, chunks[i]);
-    nn::Var vectors = model.GeneratorItemVector(block);
-    std::vector<double>& out = chunk_scores[i];
-    out.reserve(static_cast<size_t>(vectors.rows()));
-    for (int64_t r = 0; r < vectors.rows(); ++r) {
-      out.push_back(ScoreVector(vectors.value().row_ptr(r), vectors.cols()));
-    }
-  });
-  std::vector<double> scores;
-  scores.reserve(item_rows.size());
-  for (const auto& chunk : chunk_scores) {
-    scores.insert(scores.end(), chunk.begin(), chunk.end());
-  }
-  return scores;
+  return ScoreGeneratedItems(
+      model, dataset, item_rows, batch_size, pool,
+      std::bind_front(&PopularityPredictor::ScoreVector, this));
+}
+
+std::vector<double> ScoreGeneratedItems(
+    const AtnnModel& model, const data::TmallDataset& dataset,
+    const std::vector<int64_t>& item_rows, int batch_size, ThreadPool* pool,
+    const std::function<double(const float*, int64_t)>& score_vector) {
+  return ScoreChunks(
+      item_rows, batch_size, pool, [&](std::span<const int64_t> chunk) {
+        const nn::Var vectors = model.GeneratorItemVector(
+            data::GatherBlock(dataset.item_profiles, chunk));
+        std::vector<double> scores;
+        scores.reserve(static_cast<size_t>(vectors.rows()));
+        for (int64_t r = 0; r < vectors.rows(); ++r) {
+          scores.push_back(
+              score_vector(vectors.value().row_ptr(r), vectors.cols()));
+        }
+        return scores;
+      });
 }
 
 std::vector<double> ScoreItemsPairwise(const AtnnModel& model,
@@ -107,61 +112,23 @@ std::vector<double> ScoreItemsPairwise(const AtnnModel& model,
   ATNN_CHECK(!user_group.empty());
   // Precompute all user vectors once (amortized across items); the cost
   // that remains per item is still O(|user_group|) dot products.
-  nn::Tensor user_vectors(static_cast<int64_t>(user_group.size()),
-                          model.vector_dim());
-  {
-    const std::vector<std::span<const int64_t>> user_chunks =
-        MakeBatchSpans(user_group, batch_size);
-    // Chunk c starts at row c * batch_size: chunks are contiguous and
-    // full-sized except the last, so parallel workers write disjoint rows.
-    ForEachChunk(pool, user_chunks.size(), [&](size_t c) {
-      const nn::NoGradGuard no_grad;
-      const nn::ArenaScope arena_scope;
-      const data::BlockBatch block =
-          data::GatherBlock(dataset.users, user_chunks[c]);
-      nn::Var vectors = model.UserVector(block);
-      int64_t row = static_cast<int64_t>(c) * batch_size;
-      for (int64_t r = 0; r < vectors.rows(); ++r, ++row) {
-        std::copy(vectors.value().row_ptr(r),
-                  vectors.value().row_ptr(r) + vectors.cols(),
-                  user_vectors.row_ptr(row));
-      }
-    });
-  }
-
+  const nn::Tensor user_vectors =
+      GroupUserVectors(model, dataset, user_group, batch_size, pool);
   const float gen_bias = model.generator_bias_value();
-
-  const std::vector<std::span<const int64_t>> item_chunks =
-      MakeBatchSpans(item_rows, batch_size);
-  std::vector<std::vector<double>> chunk_scores(item_chunks.size());
-  ForEachChunk(pool, item_chunks.size(), [&](size_t i) {
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;
-    const data::BlockBatch block =
-        data::GatherBlock(dataset.item_profiles, item_chunks[i]);
-    nn::Var vectors = model.GeneratorItemVector(block);
-    std::vector<double>& out = chunk_scores[i];
-    out.reserve(static_cast<size_t>(vectors.rows()));
-    for (int64_t r = 0; r < vectors.rows(); ++r) {
-      const float* item_vec = vectors.value().row_ptr(r);
-      double total = 0.0;
-      for (int64_t u = 0; u < user_vectors.rows(); ++u) {
-        const float* user_vec = user_vectors.row_ptr(u);
-        double dot = 0.0;
-        for (int64_t c = 0; c < user_vectors.cols(); ++c) {
-          dot += item_vec[c] * user_vec[c];
+  return ScoreGeneratedItems(
+      model, dataset, item_rows, batch_size, pool,
+      [&](const float* item_vec, int64_t) {
+        double total = 0.0;
+        for (int64_t u = 0; u < user_vectors.rows(); ++u) {
+          const float* user_vec = user_vectors.row_ptr(u);
+          double dot = 0.0;
+          for (int64_t c = 0; c < user_vectors.cols(); ++c) {
+            dot += item_vec[c] * user_vec[c];
+          }
+          total += Sigmoid(dot + gen_bias);
         }
-        total += Sigmoid(dot + gen_bias);
-      }
-      out.push_back(total / static_cast<double>(user_vectors.rows()));
-    }
-  });
-  std::vector<double> scores;
-  scores.reserve(item_rows.size());
-  for (const auto& chunk : chunk_scores) {
-    scores.insert(scores.end(), chunk.begin(), chunk.end());
-  }
-  return scores;
+        return total / static_cast<double>(user_vectors.rows());
+      });
 }
 
 std::vector<int64_t> SelectActiveUsers(const data::TmallDataset& dataset,

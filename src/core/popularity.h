@@ -1,6 +1,7 @@
 #ifndef ATNN_CORE_POPULARITY_H_
 #define ATNN_CORE_POPULARITY_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -61,6 +62,21 @@ std::vector<double> ScoreItemsPairwise(const AtnnModel& model,
                                        const std::vector<int64_t>& user_group,
                                        int batch_size = 1024,
                                        ThreadPool* pool = nullptr);
+
+/// The user-tower vectors of `user_group` ([|user_group|, d], one row per
+/// user), computed through ForEachChunk in chunks of batch_size.
+nn::Tensor GroupUserVectors(const AtnnModel& model,
+                            const data::TmallDataset& dataset,
+                            const std::vector<int64_t>& user_group,
+                            int batch_size, ThreadPool* pool = nullptr);
+
+/// One score per item row: the generator vector of each row, computed
+/// through ScoreChunks, mapped by score_vector(vector, dim). The shared
+/// body of every ScoreItems variant.
+std::vector<double> ScoreGeneratedItems(
+    const AtnnModel& model, const data::TmallDataset& dataset,
+    const std::vector<int64_t>& item_rows, int batch_size, ThreadPool* pool,
+    const std::function<double(const float*, int64_t)>& score_vector);
 
 /// Selects the top-k most active users — the paper's "top 20 million
 /// active users who prefer new arrivals" device, scaled down.

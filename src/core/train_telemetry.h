@@ -2,8 +2,8 @@
 #define ATNN_CORE_TRAIN_TELEMETRY_H_
 
 #include <chrono>
-#include <initializer_list>
 #include <iostream>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -13,7 +13,7 @@
 
 namespace atnn::core {
 
-/// Shared instrumentation for the three training loops. All handles are
+/// Instrumentation of RunEpochs, the loop of every trainer. All handles are
 /// resolved up front, so the per-step cost is one lock-free counter
 /// increment plus one histogram record (via ScopedTimer on step_sink());
 /// per-epoch work (gauge lookups, the optional JSON line) may take the
@@ -34,8 +34,6 @@ class TrainTelemetry {
     arena_high_water_ = &registry_->GetGauge("train.arena_high_water_bytes");
   }
 
-  bool enabled() const { return registry_ != nullptr; }
-
   /// Sink for per-step ScopedTimers; null when telemetry is disabled
   /// (ScopedTimer treats a null sink as "record nothing").
   obs::Histogram* step_sink() const { return step_us_; }
@@ -49,7 +47,7 @@ class TrainTelemetry {
   /// values. With emit_lines, prints one machine-readable line:
   ///   ATNN_METRICS {"ts_ms":...,...}
   void EndEpoch(int epoch_index, double epoch_ms,
-                std::initializer_list<std::pair<const char*, double>> losses) {
+                std::span<const std::pair<const char*, double>> losses) {
     if (registry_ == nullptr) return;
     epoch_->Set(static_cast<double>(epoch_index + 1));
     epoch_ms_->Record(epoch_ms);

@@ -1,16 +1,14 @@
 #include "core/trainer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/prefetcher.h"
-#include "common/rng.h"
-#include "core/train_telemetry.h"
+#include "core/epoch_loop.h"
 #include "metrics/metrics.h"
 #include "nn/arena.h"
 #include "nn/autograd.h"
-#include "nn/optimizer.h"
-#include "obs/trace_span.h"
 
 namespace atnn::core {
 
@@ -21,9 +19,8 @@ Status TrainOptions::Validate() const {
   if (batch_size <= 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (!std::isfinite(learning_rate) || learning_rate < 0.0f) {
-    return Status::InvalidArgument(
-        "learning_rate must be finite and >= 0");
+  if (!std::isfinite(learning_rate) || learning_rate <= 0.0f) {
+    return Status::InvalidArgument("learning_rate must be finite and > 0");
   }
   if (!std::isfinite(lr_decay_per_epoch) || lr_decay_per_epoch <= 0.0f) {
     return Status::InvalidArgument(
@@ -46,31 +43,6 @@ Status TrainOptions::Validate() const {
   return Status::OK();
 }
 
-namespace {
-
-/// Aborting wrapper shared by the vector-returning trainer entry points
-/// (they predate Status plumbing; the StreamingTrainer path validates the
-/// same options and returns the Status instead).
-void CheckTrainOptions(const TrainOptions& options) {
-  const Status valid = options.Validate();
-  ATNN_CHECK(valid.ok()) << "invalid TrainOptions: " << valid.ToString();
-}
-
-}  // namespace
-
-std::vector<std::vector<int64_t>> MakeBatches(
-    const std::vector<int64_t>& indices, int batch_size) {
-  ATNN_CHECK(batch_size > 0);
-  std::vector<std::vector<int64_t>> batches;
-  for (size_t begin = 0; begin < indices.size();
-       begin += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(begin + static_cast<size_t>(batch_size), indices.size());
-    batches.emplace_back(indices.begin() + begin, indices.begin() + end);
-  }
-  return batches;
-}
-
 std::vector<std::span<const int64_t>> MakeBatchSpans(
     std::span<const int64_t> indices, int batch_size) {
   ATNN_CHECK(batch_size > 0);
@@ -84,99 +56,78 @@ std::vector<std::span<const int64_t>> MakeBatchSpans(
   return batches;
 }
 
-namespace {
-
-/// Runs fn(i) for i in [0, count), across the pool when one is provided.
-/// Used by the evaluation paths: every chunk writes only its own slot, and
-/// the caller merges slots in chunk order, so results match the serial
-/// loop exactly.
-void ForEachChunkIndex(ThreadPool* pool, size_t count,
-                       const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || count < 2) {
-    for (size_t i = 0; i < count; ++i) fn(i);
+void ForEachChunk(
+    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    const std::function<void(size_t, std::span<const int64_t>)>& fn) {
+  const std::vector<std::span<const int64_t>> chunks =
+      MakeBatchSpans(rows, batch_size);
+  auto run = [&](size_t i) {
+    const nn::NoGradGuard no_grad;
+    const nn::ArenaScope arena_scope;  // per-chunk tensors, freed at once
+    fn(i * static_cast<size_t>(batch_size), chunks[i]);
+  };
+  if (pool == nullptr || chunks.size() < 2) {
+    for (size_t i = 0; i < chunks.size(); ++i) run(i);
     return;
   }
-  pool->ParallelFor(count, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
+  pool->ParallelFor(chunks.size(), [&run](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) run(i);
   });
 }
 
-/// Concatenates per-chunk score vectors in chunk order.
-std::vector<double> MergeChunks(std::vector<std::vector<double>>* chunks,
-                                size_t total) {
-  std::vector<double> merged;
-  merged.reserve(total);
-  for (auto& chunk : *chunks) {
-    merged.insert(merged.end(), chunk.begin(), chunk.end());
-  }
-  return merged;
+std::vector<double> ScoreChunks(
+    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    const std::function<std::vector<double>(std::span<const int64_t>)>&
+        score) {
+  std::vector<double> scores(rows.size());
+  ForEachChunk(rows, batch_size, pool,
+               [&](size_t first, std::span<const int64_t> chunk) {
+                 const std::vector<double> chunk_scores = score(chunk);
+                 ATNN_CHECK_EQ(chunk_scores.size(), chunk.size());
+                 std::copy(chunk_scores.begin(), chunk_scores.end(),
+                           scores.begin() + static_cast<std::ptrdiff_t>(first));
+               });
+  return scores;
 }
 
-}  // namespace
+std::vector<float> GatherLabels(const data::TmallDataset& dataset,
+                                std::span<const int64_t> indices) {
+  std::vector<float> labels;
+  labels.reserve(indices.size());
+  for (int64_t idx : indices) {
+    labels.push_back(dataset.labels[static_cast<size_t>(idx)]);
+  }
+  return labels;
+}
 
 std::vector<EpochStats> TrainTwoTowerModel(TwoTowerModel* model,
                                            const data::TmallDataset& dataset,
                                            const TrainOptions& options) {
-  CheckTrainOptions(options);
-  if (dataset.train_indices.empty()) {
-    ATNN_LOG(Warning) << "TrainTwoTowerModel: empty train split, nothing to "
-                         "do; returning empty history";
-    return {};
-  }
-  nn::Adam optimizer(model->Parameters(), options.learning_rate, 0.9f,
-                     0.999f, 1e-8f, options.weight_decay);
-  Rng rng(options.seed);
-  std::vector<int64_t> order = dataset.train_indices;
   std::vector<EpochStats> history;
-  TrainTelemetry telemetry(options.metrics, options.emit_metric_lines);
-
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    const auto epoch_start = TrainTelemetry::Now();
-    if (epoch > 0 && options.lr_decay_per_epoch != 1.0f) {
-      optimizer.set_learning_rate(optimizer.learning_rate() *
-                                  options.lr_decay_per_epoch);
-    }
-    rng.Shuffle(&order);
-    // `order` is stable until the next epoch's shuffle, so the prefetcher
-    // may gather batch t+1 from these views while batch t trains.
-    const std::vector<std::span<const int64_t>> batches =
-        MakeBatchSpans(order, options.batch_size);
-    Prefetcher<data::CtrBatch> batches_ahead(
-        options.pool, batches.size(), [&dataset, &batches](size_t i) {
-          return data::MakeCtrBatch(dataset, batches[i]);
-        });
-    EpochStats stats;
-    int64_t steps = 0;
-    while (batches_ahead.HasNext()) {
-      const data::CtrBatch batch = batches_ahead.Next();
-      const obs::ScopedTimer step_timer(telemetry.step_sink());
-      telemetry.RecordStep();
-      // Step-scoped tensors (graph nodes, activations, gradients of
-      // non-parameters) come from the thread arena and are released in one
-      // rewind here; after the first few steps grow the arena, a step
-      // performs no heap allocations.
-      const nn::ArenaScope arena_scope;
-      optimizer.ZeroGrad();
-      nn::Var logits =
-          model->ScoreLogits(model->ItemVector(batch.item_profile,
-                                               batch.item_stats),
-                             model->UserVector(batch.user));
-      nn::Var loss = nn::SigmoidBceLossWithLogits(logits, batch.labels);
-      nn::Backward(loss);
-      if (options.clip_norm > 0.0f) optimizer.ClipGradNorm(options.clip_norm);
-      optimizer.Step();
-      stats.loss_i += loss.value().scalar();
-      ++steps;
-    }
-    stats.loss_i /= static_cast<double>(steps);
-    history.push_back(stats);
-    telemetry.EndEpoch(epoch, TrainTelemetry::MsSince(epoch_start),
-                       {{"loss_i", stats.loss_i}});
-    if (options.verbose) {
-      ATNN_LOG(Info) << "two-tower epoch " << epoch + 1 << "/"
-                     << options.epochs << " L_i=" << stats.loss_i;
-    }
-  }
+  EpochStats sums;
+  RunEpochs<data::CtrBatch>(
+      dataset.train_indices, options,
+      {.name = "two-tower",
+       .groups = {model->Parameters()},
+       .make_batch =
+           [&dataset](std::span<const int64_t> rows) {
+             return data::MakeCtrBatch(dataset, rows);
+           },
+       .step =
+           [&](const data::CtrBatch& batch, const GroupUpdate& update) {
+             nn::Var logits = model->ScoreLogits(
+                 model->ItemVector(batch.item_profile, batch.item_stats),
+                 model->UserVector(batch.user));
+             nn::Var loss = nn::SigmoidBceLossWithLogits(logits, batch.labels);
+             update(0, loss);
+             sums.loss_i += loss.value().scalar();
+           },
+       .end_epoch =
+           [&](int64_t steps) -> EpochLosses {
+             sums.loss_i /= static_cast<double>(steps);
+             return {{"loss_i",
+                      history.emplace_back(std::exchange(sums, {})).loss_i}};
+           }});
   return history;
 }
 
@@ -190,163 +141,123 @@ std::vector<EpochStats> TrainAtnnOnIndices(AtnnModel* model,
                                            const data::TmallDataset& dataset,
                                            std::span<const int64_t> indices,
                                            const TrainOptions& options) {
-  CheckTrainOptions(options);
-  if (indices.empty()) {
-    ATNN_LOG(Warning) << "TrainAtnnOnIndices: empty index set, nothing to "
-                         "do; returning empty history";
-    return {};
-  }
-  // Two optimizers over disjoint parameter groups, per Algorithm 1.
-  nn::Adam optimizer_d(model->DiscriminatorParameters(),
-                       options.learning_rate, 0.9f, 0.999f, 1e-8f,
-                       options.weight_decay);
-  nn::Adam optimizer_g(model->GeneratorParameters(), options.learning_rate,
-                       0.9f, 0.999f, 1e-8f, options.weight_decay);
-  // A G-step backward also deposits gradients into frozen discriminator
-  // parameters; clear everything between half-steps so nothing leaks.
-  const std::vector<nn::Parameter*> all_params = model->Parameters();
-
-  Rng rng(options.seed);
-  std::vector<int64_t> order(indices.begin(), indices.end());
+  constexpr size_t kD = 0;
+  constexpr size_t kG = 1;
   std::vector<EpochStats> history;
-  TrainTelemetry telemetry(options.metrics, options.emit_metric_lines);
+  EpochStats sums;
+  int64_t steps_d = 0;
+  int64_t steps_g = 0;
   // Global step counter across epochs — the one-backprop alternation must
   // not reset at epoch boundaries or odd-step-count epochs would starve
   // one tower.
   int64_t global_step = 0;
+  auto step = [&](const data::CtrBatch& batch, const GroupUpdate& update) {
+    // One-backprop alternation: with the switch on, each batch runs a
+    // single half-step (even global steps train D, odd train G); off,
+    // both run — the historical Algorithm 1 schedule.
+    const bool run_d = !options.one_backprop || global_step % 2 == 0;
+    const bool run_g = !options.one_backprop || global_step % 2 == 1;
+    ++global_step;
 
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    const auto epoch_start = TrainTelemetry::Now();
-    if (epoch > 0 && options.lr_decay_per_epoch != 1.0f) {
-      optimizer_d.set_learning_rate(optimizer_d.learning_rate() *
-                                    options.lr_decay_per_epoch);
-      optimizer_g.set_learning_rate(optimizer_g.learning_rate() *
-                                    options.lr_decay_per_epoch);
-    }
-    rng.Shuffle(&order);
-    const std::vector<std::span<const int64_t>> batches =
-        MakeBatchSpans(order, options.batch_size);
-    Prefetcher<data::CtrBatch> batches_ahead(
-        options.pool, batches.size(), [&dataset, &batches](size_t i) {
-          return data::MakeCtrBatch(dataset, batches[i]);
-        });
-    EpochStats stats;
-    int64_t steps_d = 0;
-    int64_t steps_g = 0;
-    while (batches_ahead.HasNext()) {
-      const data::CtrBatch batch = batches_ahead.Next();
-      const obs::ScopedTimer step_timer(telemetry.step_sink());
-      telemetry.RecordStep();
-      // One arena scope spans both half-steps; see TrainTwoTowerModel.
-      const nn::ArenaScope arena_scope;
-      // One-backprop alternation: with the switch on, each batch runs a
-      // single half-step (even global steps train D, odd train G); off,
-      // both run — the historical Algorithm 1 schedule.
-      const bool run_d = !options.one_backprop || global_step % 2 == 0;
-      const bool run_g = !options.one_backprop || global_step % 2 == 1;
-      ++global_step;
-
-      if (run_d) {
-        // --- D step: minimize L_i through the encoder path. ---
-        nn::ZeroAllGrads(all_params);
-        nn::Var user_vec = model->UserVector(batch.user);
-        nn::Var enc_vec =
-            model->EncoderItemVector(batch.item_profile, batch.item_stats);
-        nn::Var loss_i = nn::SigmoidBceLossWithLogits(
-            model->EncoderLogits(enc_vec, user_vec), batch.labels);
-        nn::Var d_objective = loss_i;
-        if (options.cross_batch_negatives &&
-            options.negative_cache->total_rows() > 0) {
-          // CBNS: the cached generated vectors of recent batches act as
-          // extra label-0 impressions against this batch's users. The
-          // cached side enters as a constant, so the gradient reshapes
-          // only the user tower — the tower this half-step owns; the
-          // cache itself is refreshed by the G step below. loss_i (the
-          // reported stat) stays the pure CTR log loss.
-          nn::Var neg_logits =
-              nn::MatMul(user_vec,
-                         nn::Constant(
-                             options.negative_cache->GatherTransposed()));
-          nn::Var loss_neg = nn::SigmoidBceLossWithLogits(
-              neg_logits,
-              nn::Tensor::Zeros(batch.labels.rows(),
-                                options.negative_cache->total_rows()));
-          d_objective =
-              nn::Add(loss_i, nn::Scale(loss_neg, options.negative_weight));
-        }
-        nn::Backward(d_objective);
-        if (options.clip_norm > 0.0f) {
-          optimizer_d.ClipGradNorm(options.clip_norm);
-        }
-        optimizer_d.Step();
-        stats.loss_i += loss_i.value().scalar();
-        ++steps_d;
+    if (run_d) {
+      // --- D step: minimize L_i through the encoder path. ---
+      nn::Var user_vec = model->UserVector(batch.user);
+      nn::Var enc_vec =
+          model->EncoderItemVector(batch.item_profile, batch.item_stats);
+      nn::Var loss_i = nn::SigmoidBceLossWithLogits(
+          model->EncoderLogits(enc_vec, user_vec), batch.labels);
+      nn::Var d_objective = loss_i;
+      if (options.cross_batch_negatives &&
+          options.negative_cache->total_rows() > 0) {
+        // CBNS: the cached generated vectors of recent batches act as
+        // extra label-0 impressions against this batch's users. The
+        // cached side enters as a constant, so the gradient reshapes
+        // only the user tower — the tower this half-step owns; the
+        // cache itself is refreshed by the G step below. loss_i (the
+        // reported stat) stays the pure CTR log loss.
+        nn::Var neg_logits = nn::MatMul(
+            user_vec,
+            nn::Constant(options.negative_cache->GatherTransposed()));
+        nn::Var loss_neg = nn::SigmoidBceLossWithLogits(
+            neg_logits,
+            nn::Tensor::Zeros(batch.labels.rows(),
+                              options.negative_cache->total_rows()));
+        d_objective =
+            nn::Add(loss_i, nn::Scale(loss_neg, options.negative_weight));
       }
-
-      if (run_g) {
-        // --- G step: minimize L_g + lambda * L_s. ---
-        nn::ZeroAllGrads(all_params);
-        // Recompute with updated discriminator weights; the user vector
-        // and encoder target are treated as fixed inputs in this
-        // half-step.
-        nn::Var user_vec_g = model->UserVector(batch.user);
-        nn::Var enc_vec_g =
-            model->EncoderItemVector(batch.item_profile, batch.item_stats);
-        nn::Var gen_vec = model->GeneratorItemVector(batch.item_profile);
-        nn::Var loss_g = nn::SigmoidBceLossWithLogits(
-            model->GeneratorLogits(gen_vec, user_vec_g), batch.labels);
-        nn::Var loss_s = model->SimilarityLoss(gen_vec, enc_vec_g);
-        nn::Var total = nn::Add(loss_g, nn::Scale(loss_s,
-                                                  model->config().lambda));
-        nn::Backward(total);
-        if (options.clip_norm > 0.0f) {
-          optimizer_g.ClipGradNorm(options.clip_norm);
-        }
-        optimizer_g.Step();
-        if (options.cross_batch_negatives) {
-          // Detach and enqueue this batch's generated vectors for future
-          // steps (the cache copies to the heap; gen_vec itself is
-          // arena-scoped).
-          options.negative_cache->Push(gen_vec.value());
-        }
-        stats.loss_g += loss_g.value().scalar();
-        stats.loss_s += loss_s.value().scalar();
-        ++steps_g;
-      }
+      update(kD, d_objective);
+      sums.loss_i += loss_i.value().scalar();
+      ++steps_d;
     }
+
+    if (run_g) {
+      // --- G step: minimize L_g + lambda * L_s. ---
+      // Recompute with updated discriminator weights; the user vector and
+      // encoder target are treated as fixed inputs in this half-step.
+      nn::Var user_vec_g = model->UserVector(batch.user);
+      nn::Var enc_vec_g =
+          model->EncoderItemVector(batch.item_profile, batch.item_stats);
+      nn::Var gen_vec = model->GeneratorItemVector(batch.item_profile);
+      nn::Var loss_g = nn::SigmoidBceLossWithLogits(
+          model->GeneratorLogits(gen_vec, user_vec_g), batch.labels);
+      nn::Var loss_s = model->SimilarityLoss(gen_vec, enc_vec_g);
+      update(kG, nn::Add(loss_g, nn::Scale(loss_s, model->config().lambda)));
+      if (options.cross_batch_negatives) {
+        // Detach and enqueue this batch's generated vectors for future
+        // steps (the cache copies to the heap; gen_vec itself is
+        // arena-scoped).
+        options.negative_cache->Push(gen_vec.value());
+      }
+      sums.loss_g += loss_g.value().scalar();
+      sums.loss_s += loss_s.value().scalar();
+      ++steps_g;
+    }
+  };
+  auto end_epoch = [&](int64_t) -> EpochLosses {
     // With one_backprop each loss averages over the half-steps that
     // actually ran; with it off, steps_d == steps_g == the batch count and
     // the arithmetic is bit-for-bit the historical division.
-    if (steps_d > 0) stats.loss_i /= static_cast<double>(steps_d);
+    if (steps_d > 0) sums.loss_i /= static_cast<double>(steps_d);
     if (steps_g > 0) {
-      stats.loss_g /= static_cast<double>(steps_g);
-      stats.loss_s /= static_cast<double>(steps_g);
+      sums.loss_g /= static_cast<double>(steps_g);
+      sums.loss_s /= static_cast<double>(steps_g);
     }
-    history.push_back(stats);
-    telemetry.EndEpoch(epoch, TrainTelemetry::MsSince(epoch_start),
-                       {{"loss_i", stats.loss_i},
-                        {"loss_g", stats.loss_g},
-                        {"loss_s", stats.loss_s}});
-    if (options.verbose) {
-      ATNN_LOG(Info) << "atnn epoch " << epoch + 1 << "/" << options.epochs
-                     << " L_i=" << stats.loss_i << " L_g=" << stats.loss_g
-                     << " L_s=" << stats.loss_s;
-    }
-  }
+    steps_d = steps_g = 0;
+    const EpochStats& stats = history.emplace_back(std::exchange(sums, {}));
+    return {{"loss_i", stats.loss_i},
+            {"loss_g", stats.loss_g},
+            {"loss_s", stats.loss_s}};
+  };
+  // Two optimizers over the discriminator and generator parameter groups,
+  // per Algorithm 1.
+  RunEpochs<data::CtrBatch>(
+      indices, options,
+      {.name = "atnn",
+       .groups = {model->DiscriminatorParameters(),
+                  model->GeneratorParameters()},
+       .make_batch =
+           [&dataset](std::span<const int64_t> rows) {
+             return data::MakeCtrBatch(dataset, rows);
+           },
+       .step = step,
+       .end_epoch = end_epoch});
   return history;
 }
 
 namespace {
 
-/// Collects labels for the given interaction indices.
-std::vector<float> GatherLabels(const data::TmallDataset& dataset,
-                                const std::vector<int64_t>& indices) {
-  std::vector<float> labels;
-  labels.reserve(indices.size());
-  for (int64_t idx : indices) {
-    labels.push_back(dataset.labels[static_cast<size_t>(idx)]);
-  }
-  return labels;
+/// AUC over `indices` of predict(batch), scored in ScoreChunks chunks.
+double ChunkedCtrAuc(
+    const data::TmallDataset& dataset, const std::vector<int64_t>& indices,
+    int batch_size, ThreadPool* pool,
+    const std::function<std::vector<double>(data::CtrBatch*)>& predict) {
+  return metrics::Auc(
+      ScoreChunks(indices, batch_size, pool,
+                  [&](std::span<const int64_t> chunk) {
+                    data::CtrBatch batch = data::MakeCtrBatch(dataset, chunk);
+                    return predict(&batch);
+                  }),
+      GatherLabels(dataset, indices));
 }
 
 }  // namespace
@@ -355,18 +266,12 @@ double EvaluateTwoTowerAuc(const TwoTowerModel& model,
                            const data::TmallDataset& dataset,
                            const std::vector<int64_t>& interaction_indices,
                            int batch_size, ThreadPool* pool) {
-  const std::vector<std::span<const int64_t>> chunks =
-      MakeBatchSpans(interaction_indices, batch_size);
-  std::vector<std::vector<double>> chunk_scores(chunks.size());
-  ForEachChunkIndex(pool, chunks.size(), [&](size_t i) {
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;  // per-chunk tensors, freed at once
-    const data::CtrBatch batch = MakeCtrBatch(dataset, chunks[i]);
-    chunk_scores[i] =
-        model.PredictCtr(batch.user, batch.item_profile, batch.item_stats);
-  });
-  return metrics::Auc(MergeChunks(&chunk_scores, interaction_indices.size()),
-                      GatherLabels(dataset, interaction_indices));
+  return ChunkedCtrAuc(dataset, interaction_indices, batch_size, pool,
+                       [&model](data::CtrBatch* batch) {
+                         return model.PredictCtr(batch->user,
+                                                 batch->item_profile,
+                                                 batch->item_stats);
+                       });
 }
 
 void MaskStatsAsMissing(data::BlockBatch* stats) {
@@ -378,40 +283,28 @@ double EvaluateTwoTowerAucMissingStats(
     const TwoTowerModel& model, const data::TmallDataset& dataset,
     const std::vector<int64_t>& interaction_indices, int batch_size,
     ThreadPool* pool) {
-  const std::vector<std::span<const int64_t>> chunks =
-      MakeBatchSpans(interaction_indices, batch_size);
-  std::vector<std::vector<double>> chunk_scores(chunks.size());
-  ForEachChunkIndex(pool, chunks.size(), [&](size_t i) {
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;
-    data::CtrBatch batch = MakeCtrBatch(dataset, chunks[i]);
-    MaskStatsAsMissing(&batch.item_stats);
-    chunk_scores[i] =
-        model.PredictCtr(batch.user, batch.item_profile, batch.item_stats);
-  });
-  return metrics::Auc(MergeChunks(&chunk_scores, interaction_indices.size()),
-                      GatherLabels(dataset, interaction_indices));
+  return ChunkedCtrAuc(dataset, interaction_indices, batch_size, pool,
+                       [&model](data::CtrBatch* batch) {
+                         MaskStatsAsMissing(&batch->item_stats);
+                         return model.PredictCtr(batch->user,
+                                                 batch->item_profile,
+                                                 batch->item_stats);
+                       });
 }
 
 double EvaluateAtnnAuc(const AtnnModel& model,
                        const data::TmallDataset& dataset,
                        const std::vector<int64_t>& interaction_indices,
                        CtrPath path, int batch_size, ThreadPool* pool) {
-  const std::vector<std::span<const int64_t>> chunks =
-      MakeBatchSpans(interaction_indices, batch_size);
-  std::vector<std::vector<double>> chunk_scores(chunks.size());
-  ForEachChunkIndex(pool, chunks.size(), [&](size_t i) {
-    const nn::NoGradGuard no_grad;
-    const nn::ArenaScope arena_scope;
-    const data::CtrBatch batch = MakeCtrBatch(dataset, chunks[i]);
-    chunk_scores[i] =
-        path == CtrPath::kEncoder
-            ? model.PredictCtrEncoder(batch.user, batch.item_profile,
-                                      batch.item_stats)
-            : model.PredictCtrGenerator(batch.user, batch.item_profile);
-  });
-  return metrics::Auc(MergeChunks(&chunk_scores, interaction_indices.size()),
-                      GatherLabels(dataset, interaction_indices));
+  return ChunkedCtrAuc(
+      dataset, interaction_indices, batch_size, pool,
+      [&model, path](data::CtrBatch* batch) {
+        return path == CtrPath::kEncoder
+                   ? model.PredictCtrEncoder(batch->user, batch->item_profile,
+                                             batch->item_stats)
+                   : model.PredictCtrGenerator(batch->user,
+                                               batch->item_profile);
+      });
 }
 
 }  // namespace atnn::core

@@ -1,6 +1,7 @@
 #ifndef ATNN_CORE_TRAINER_H_
 #define ATNN_CORE_TRAINER_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -35,11 +36,11 @@ struct TrainOptions {
   /// same shuffle, same batch order; only batch *assembly* moves off the
   /// training thread). nullptr = fully serial.
   ThreadPool* pool = nullptr;
-  /// Optional metrics sink (not owned). When set, the loops record counter
-  /// `train.steps`, histograms `train.step_us` / `train.epoch_ms`, and
-  /// per-epoch gauges `train.epoch`, `train.loss_*`,
-  /// `train.arena_high_water_bytes`. Recording is lock-free per step; see
-  /// core/train_telemetry.h.
+  /// Optional metrics sink (not owned). When set, the trainers record
+  /// counter `train.steps`, histograms `train.step_us` / `train.epoch_ms`,
+  /// and per-epoch gauges `train.epoch`, one `train.<loss>` per reported
+  /// loss, `train.arena_high_water_bytes`. Recording is lock-free per step;
+  /// see core/train_telemetry.h.
   obs::MetricsRegistry* metrics = nullptr;
   /// With `metrics` set, print one "ATNN_METRICS {json}" line per epoch
   /// (the machine-readable twin of `verbose`; atnn_train turns this on).
@@ -71,10 +72,11 @@ struct TrainOptions {
 
   /// InvalidArgument on junk that today trains garbage silently:
   /// non-positive epochs/batch_size (zero-step "histories"), non-finite or
-  /// negative learning_rate (NaN parameters by step two), non-finite or
-  /// non-positive lr_decay_per_epoch, non-finite or negative
-  /// clip_norm/weight_decay/negative_weight, and cross_batch_negatives
-  /// without a cache. Every trainer entry point checks this and aborts on
+  /// non-positive learning_rate (NaN parameters by step two; Adam refuses
+  /// 0), non-finite or non-positive lr_decay_per_epoch, non-finite or
+  /// negative clip_norm/weight_decay/negative_weight, and
+  /// cross_batch_negatives without a cache. Every trainer runs through
+  /// RunEpochs (core/epoch_loop.h), which checks this and aborts on
   /// failure (the StreamingTrainer surfaces it as a Status instead).
   Status Validate() const;
 };
@@ -119,11 +121,10 @@ enum class CtrPath {
   kGenerator,  // item profiles only (cold-start column of Table I)
 };
 
-/// Test-set AUC of a two-tower baseline. All Evaluate* functions run their
-/// forwards in no-grad mode; when a pool is given, the MakeBatches chunks
-/// are scored across the pool and merged in deterministic chunk order, so
-/// the score sequence (and hence the metric) is identical to the serial
-/// path.
+/// Test-set AUC of a two-tower baseline. All Evaluate* functions score
+/// through ScoreChunks: no-grad forwards, chunks across the pool when one
+/// is given, merged in chunk order, so the score sequence (and hence the
+/// metric) is identical to the serial path.
 double EvaluateTwoTowerAuc(const TwoTowerModel& model,
                            const data::TmallDataset& dataset,
                            const std::vector<int64_t>& interaction_indices,
@@ -151,16 +152,33 @@ double EvaluateAtnnAuc(const AtnnModel& model,
                        CtrPath path, int batch_size = 1024,
                        ThreadPool* pool = nullptr);
 
-/// Splits `indices` into contiguous chunks of at most batch_size.
-std::vector<std::vector<int64_t>> MakeBatches(
-    const std::vector<int64_t>& indices, int batch_size);
-
-/// View-based MakeBatches: the returned spans alias `indices`, so the hot
-/// shuffle-then-batch loop allocates O(num_batches) span headers instead of
-/// O(dataset) copied ids per epoch. `indices` must outlive (and not be
-/// reallocated or reshuffled under) the returned views.
+/// Splits `indices` into contiguous chunks of at most batch_size. The
+/// chunks are views into `indices`, which must outlive (and not be
+/// reallocated or reshuffled under) them.
 std::vector<std::span<const int64_t>> MakeBatchSpans(
     std::span<const int64_t> indices, int batch_size);
+
+/// The one evaluation loop: runs fn(first, chunk) over the MakeBatchSpans
+/// chunks of `rows`, where `first` is the chunk's position in `rows`. Each
+/// call runs under a no-grad guard and its own arena scope, across `pool`
+/// when one is given, and must write only its own outputs (the per-row
+/// slots [first, first + chunk.size())), so the merged result is identical
+/// to the serial loop.
+void ForEachChunk(
+    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    const std::function<void(size_t first, std::span<const int64_t> chunk)>&
+        fn);
+
+/// ForEachChunk for one score per row: concatenates score(chunk) in chunk
+/// order.
+std::vector<double> ScoreChunks(
+    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    const std::function<std::vector<double>(std::span<const int64_t>)>&
+        score);
+
+/// The click labels of the given interaction indices.
+std::vector<float> GatherLabels(const data::TmallDataset& dataset,
+                                std::span<const int64_t> indices);
 
 }  // namespace atnn::core
 

@@ -1,10 +1,10 @@
 #include "core/user_clusters.h"
 
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "common/rng.h"
-#include "core/trainer.h"
 
 namespace atnn::core {
 
@@ -131,21 +131,8 @@ ClusteredPopularityPredictor ClusteredPopularityPredictor::Build(
     const std::vector<int64_t>& user_group, const KMeansConfig& config,
     int batch_size) {
   ATNN_CHECK(!user_group.empty());
-  const nn::NoGradGuard no_grad;
-  // Materialize all user vectors for the group.
-  nn::Tensor user_vectors(static_cast<int64_t>(user_group.size()),
-                          model.vector_dim());
-  int64_t row = 0;
-  for (const auto& chunk : MakeBatches(user_group, batch_size)) {
-    const nn::ArenaScope arena_scope;  // per-chunk tensors, freed at once
-    const data::BlockBatch block = data::GatherBlock(dataset.users, chunk);
-    nn::Var vectors = model.UserVector(block);
-    for (int64_t r = 0; r < vectors.rows(); ++r, ++row) {
-      std::copy(vectors.value().row_ptr(r),
-                vectors.value().row_ptr(r) + vectors.cols(),
-                user_vectors.row_ptr(row));
-    }
-  }
+  const nn::Tensor user_vectors =
+      GroupUserVectors(model, dataset, user_group, batch_size);
 
   const KMeansResult clusters = RunKMeans(user_vectors, config);
   std::vector<double> weights(clusters.cluster_sizes.size());
@@ -173,20 +160,9 @@ double ClusteredPopularityPredictor::ScoreVector(const float* item_vector,
 std::vector<double> ClusteredPopularityPredictor::ScoreItems(
     const AtnnModel& model, const data::TmallDataset& dataset,
     const std::vector<int64_t>& item_rows, int batch_size) const {
-  const nn::NoGradGuard no_grad;
-  std::vector<double> scores;
-  scores.reserve(item_rows.size());
-  for (const auto& chunk : MakeBatches(item_rows, batch_size)) {
-    const nn::ArenaScope arena_scope;
-    const data::BlockBatch block =
-        data::GatherBlock(dataset.item_profiles, chunk);
-    nn::Var vectors = model.GeneratorItemVector(block);
-    for (int64_t r = 0; r < vectors.rows(); ++r) {
-      scores.push_back(
-          ScoreVector(vectors.value().row_ptr(r), vectors.cols()));
-    }
-  }
-  return scores;
+  return ScoreGeneratedItems(
+      model, dataset, item_rows, batch_size, /*pool=*/nullptr,
+      std::bind_front(&ClusteredPopularityPredictor::ScoreVector, this));
 }
 
 }  // namespace atnn::core

@@ -3,7 +3,8 @@
 // The Validate death tests are regressions: before the check was added,
 // epochs=0 silently returned an empty history, a negative learning rate
 // trained *away* from the gradient, and a NaN rate corrupted every
-// parameter on the first step — all three trainers now refuse up front.
+// parameter on the first step — every trainer, the CTR baselines
+// included, now refuses up front.
 
 #include <cmath>
 #include <cstring>
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/baseline_trainer.h"
+#include "baselines/wide_deep.h"
 #include "core/multitask_atnn.h"
 #include "core/multitask_trainer.h"
 #include "core/negative_cache.h"
@@ -62,6 +65,8 @@ TEST(TrainOptionsValidateTest, RejectsNonPositiveBatchSize) {
 
 TEST(TrainOptionsValidateTest, RejectsBadLearningRate) {
   TrainOptions options = SaneOptions();
+  options.learning_rate = 0.0f;  // Adam refuses it; Validate must first
+  EXPECT_FALSE(options.Validate().ok());
   options.learning_rate = -1e-3f;
   EXPECT_FALSE(options.Validate().ok());
   options.learning_rate = std::numeric_limits<float>::quiet_NaN();
@@ -101,7 +106,7 @@ TEST(TrainOptionsValidateTest, RejectsCrossBatchNegativesWithoutCache) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
-// --- all three trainers refuse invalid options up front ---
+// --- every trainer refuses invalid options up front ---
 
 class TrainerValidationTest : public testing::Test {
  protected:
@@ -148,6 +153,22 @@ TEST_F(TrainerValidationTest, AtnnTrainerRejectsInvalidOptions) {
   EXPECT_DEATH(
       TrainAtnnOnIndices(&model, *dataset_, dataset_->train_indices, options),
       "invalid TrainOptions");
+}
+
+TEST_F(TrainerValidationTest, BaselineTrainerRejectsInvalidOptions) {
+  baselines::WideDeepConfig config;
+  config.deep_dims = {16};
+  baselines::WideDeepModel model(*dataset_->user_schema,
+                                 *dataset_->item_profile_schema,
+                                 *dataset_->item_stats_schema, config);
+  TrainOptions options = SaneOptions();
+  options.weight_decay = -1.0f;
+  EXPECT_DEATH(baselines::TrainCtrBaseline(&model, *dataset_, options),
+               "invalid TrainOptions");
+  options = SaneOptions();
+  options.learning_rate = 0.0f;
+  EXPECT_DEATH(baselines::TrainCtrBaseline(&model, *dataset_, options),
+               "invalid TrainOptions");
 }
 
 TEST(MultiTaskTrainerValidationTest, RejectsInvalidOptions) {

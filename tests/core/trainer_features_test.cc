@@ -1,8 +1,13 @@
 // Tests for the training-loop features layered on the basic loops:
 // learning-rate decay, weight decay, and evaluation protocol helpers.
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "baselines/baseline_trainer.h"
+#include "baselines/wide_deep.h"
 #include "core/trainer.h"
 #include "test_helpers.h"
 
@@ -33,6 +38,29 @@ TwoTowerConfig MakeModelConfig() {
   return config;
 }
 
+double SquaredParameterNorm(const std::vector<nn::Parameter*>& params) {
+  double total = 0.0;
+  for (const nn::Parameter* param : params) {
+    total += param->value().SquaredNorm();
+  }
+  return total;
+}
+
+/// The CTR baselines train through the same epoch loop, so every decay
+/// test takes a Wide & Deep model as one more input. Returns the loss
+/// history and the trained parameters' squared norm.
+std::pair<std::vector<double>, double> TrainBaseline(
+    const data::TmallDataset& dataset, const TrainOptions& options) {
+  baselines::WideDeepConfig config;
+  config.deep_dims = {32, 16};
+  baselines::WideDeepModel model(*dataset.user_schema,
+                                 *dataset.item_profile_schema,
+                                 *dataset.item_stats_schema, config);
+  std::vector<double> history =
+      baselines::TrainCtrBaseline(&model, dataset, options);
+  return {std::move(history), SquaredParameterNorm(model.Parameters())};
+}
+
 TEST_F(TrainerFeaturesTest, LrDecayChangesTrajectory) {
   TwoTowerModel constant_lr(*dataset_->user_schema,
                             *dataset_->item_profile_schema,
@@ -46,12 +74,16 @@ TEST_F(TrainerFeaturesTest, LrDecayChangesTrajectory) {
   options.learning_rate = 2e-3f;
   const auto constant_history =
       TrainTwoTowerModel(&constant_lr, *dataset_, options);
+  const auto constant_baseline = TrainBaseline(*dataset_, options).first;
   options.lr_decay_per_epoch = 0.3f;
   const auto decayed_history =
       TrainTwoTowerModel(&decayed_lr, *dataset_, options);
+  const auto decayed_baseline = TrainBaseline(*dataset_, options).first;
   // First epoch identical (decay applies from epoch 2), later epochs not.
   EXPECT_DOUBLE_EQ(constant_history[0].loss_i, decayed_history[0].loss_i);
   EXPECT_NE(constant_history[2].loss_i, decayed_history[2].loss_i);
+  EXPECT_EQ(constant_baseline[0], decayed_baseline[0]);
+  EXPECT_NE(constant_baseline[2], decayed_baseline[2]);
   // Both still converge.
   EXPECT_LT(decayed_history.back().loss_i, decayed_history.front().loss_i);
 }
@@ -67,17 +99,17 @@ TEST_F(TrainerFeaturesTest, WeightDecayShrinksParameterNorm) {
   options.batch_size = 256;
   options.learning_rate = 2e-3f;
   TrainTwoTowerModel(&plain, *dataset_, options);
+  const auto [plain_baseline, plain_baseline_norm] =
+      TrainBaseline(*dataset_, options);
   options.weight_decay = 0.05f;
   TrainTwoTowerModel(&decayed, *dataset_, options);
+  const auto [decayed_baseline, decayed_baseline_norm] =
+      TrainBaseline(*dataset_, options);
 
-  auto total_norm = [](TwoTowerModel* model) {
-    double total = 0.0;
-    for (nn::Parameter* param : model->Parameters()) {
-      total += param->value().SquaredNorm();
-    }
-    return total;
-  };
-  EXPECT_LT(total_norm(&decayed), total_norm(&plain));
+  EXPECT_LT(SquaredParameterNorm(decayed.Parameters()),
+            SquaredParameterNorm(plain.Parameters()));
+  EXPECT_NE(plain_baseline.back(), decayed_baseline.back());
+  EXPECT_LT(decayed_baseline_norm, plain_baseline_norm);
 }
 
 TEST_F(TrainerFeaturesTest, AtnnTrainerHonorsDecayOptions) {

@@ -129,10 +129,14 @@ TEST_F(TwoTowerTest, DeterministicConstructionForSameSeed) {
 
 TEST(MakeBatchesTest, ChunksExactly) {
   const std::vector<int64_t> indices = {1, 2, 3, 4, 5, 6, 7};
-  const auto batches = MakeBatches(indices, 3);
+  const auto batches = MakeBatchSpans(indices, 3);
   ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0], (std::vector<int64_t>{1, 2, 3}));
-  EXPECT_EQ(batches[2], (std::vector<int64_t>{7}));
+  EXPECT_EQ(std::vector<int64_t>(batches[0].begin(), batches[0].end()),
+            (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(std::vector<int64_t>(batches[1].begin(), batches[1].end()),
+            (std::vector<int64_t>{4, 5, 6}));
+  EXPECT_EQ(std::vector<int64_t>(batches[2].begin(), batches[2].end()),
+            (std::vector<int64_t>{7}));
 }
 
 }  // namespace

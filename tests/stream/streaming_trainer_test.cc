@@ -218,13 +218,18 @@ TEST(StreamingTrainerTest, PublishRejectionIsRecordedNotFatal) {
 
 TEST(StreamingTrainerTest, InvalidTrainOptionsSurfaceAsStatus) {
   const data::TmallDataset dataset = MakeTinyWorld();
-  StreamingTrainerConfig config = TinyTrainerConfig();
-  config.train.epochs = 0;
-  CapturingPublisher publisher;
-  StreamingTrainer trainer(dataset, config, publisher.Fn());
-  sim::ArrivalStream stream(&dataset, TinyStreamConfig());
-  EXPECT_FALSE(trainer.Step(&stream).ok());
-  EXPECT_TRUE(publisher.snapshots.empty());
+  StreamingTrainerConfig zero_epochs = TinyTrainerConfig();
+  zero_epochs.train.epochs = 0;
+  // A zero learning rate used to pass Validate and abort inside Adam.
+  StreamingTrainerConfig zero_rate = TinyTrainerConfig();
+  zero_rate.train.learning_rate = 0.0f;
+  for (const StreamingTrainerConfig& config : {zero_epochs, zero_rate}) {
+    CapturingPublisher publisher;
+    StreamingTrainer trainer(dataset, config, publisher.Fn());
+    sim::ArrivalStream stream(&dataset, TinyStreamConfig());
+    EXPECT_FALSE(trainer.Step(&stream).ok());
+    EXPECT_TRUE(publisher.snapshots.empty());
+  }
 }
 
 TEST(StreamingTrainerTest, ReplaySamplesExtendTheTrainingSet) {

@@ -75,6 +75,19 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
   const serving::ComputeOptions& compute = *compute_or;
+  core::TrainOptions options;
+  options.epochs = static_cast<int>(flags.GetInt64("epochs"));
+  options.batch_size = static_cast<int>(flags.GetInt64("batch_size"));
+  options.learning_rate =
+      static_cast<float>(flags.GetDouble("learning_rate"));
+  // Validate here so a bad flag yields a usage error, not the trainer's
+  // abort after the world is generated.
+  status = options.Validate();
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
+                 flags.Usage().c_str());
+    return 2;
+  }
   std::printf("kernel backend: %s\n", compute.backend_name.c_str());
 
   data::TmallConfig world;
@@ -102,11 +115,6 @@ int Run(int argc, const char* const* argv) {
   core::AtnnModel model(*dataset.user_schema, *dataset.item_profile_schema,
                         *dataset.item_stats_schema, config);
 
-  core::TrainOptions options;
-  options.epochs = static_cast<int>(flags.GetInt64("epochs"));
-  options.batch_size = static_cast<int>(flags.GetInt64("batch_size"));
-  options.learning_rate =
-      static_cast<float>(flags.GetDouble("learning_rate"));
   options.verbose = true;
   obs::MetricsRegistry training_metrics;
   options.metrics = &training_metrics;
