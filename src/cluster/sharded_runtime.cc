@@ -122,27 +122,62 @@ std::shared_ptr<runtime::InferenceRuntime> ShardedRuntime::MakeShardRuntime()
   return std::make_shared<runtime::InferenceRuntime>(shard_config);
 }
 
-StatusOr<uint64_t> ShardedRuntime::PublishSlice(
-    const runtime::ServingSnapshot& full, const std::vector<int64_t>& members,
-    size_t shard_index, runtime::InferenceRuntime* target) {
-  runtime::ServingSnapshot slice = full;
-  slice.item_profiles = std::make_shared<const data::EntityTable>(
-      data::SliceRows(*full.item_profiles, members));
-  slice.tag = full.tag + "/shard" + std::to_string(shard_index);
-  uint64_t version = 0;
-  ATNN_ASSIGN_OR_RETURN(version, target->Publish(std::move(slice)));
+std::shared_ptr<const ShardedRuntime::RoutingTable>
+ShardedRuntime::CompactRouting(const ShardRing& ring, int64_t num_rows) {
+  auto routing = std::make_shared<RoutingTable>();
+  routing->shard_of_row.resize(static_cast<size_t>(num_rows));
+  routing->local_of_row.resize(static_cast<size_t>(num_rows));
+  routing->rows_of_shard.resize(ring.num_shards());
+  for (int64_t row = 0; row < num_rows; ++row) {
+    const size_t shard = ring.ShardFor(row);
+    auto& members = routing->rows_of_shard[shard];
+    routing->shard_of_row[static_cast<size_t>(row)] =
+        static_cast<uint32_t>(shard);
+    routing->local_of_row[static_cast<size_t>(row)] =
+        static_cast<int64_t>(members.size());
+    members.push_back(row);
+  }
+  routing->compact = true;
+  return routing;
+}
 
-  if (config_.prior != nullptr) {
-    // Shards score by local row, so their tier-2 prior must be re-keyed
-    // from the global index.
-    auto local_prior = std::make_shared<serving::PopularityIndex>();
-    for (size_t local = 0; local < members.size(); ++local) {
-      const auto score = config_.prior->Score(members[local]);
-      if (score.ok()) {
-        local_prior->Upsert(static_cast<int64_t>(local), score.value());
-      }
+std::shared_ptr<const serving::PopularityIndex> ShardedRuntime::RekeyPrior(
+    const std::vector<int64_t>& members) const {
+  if (config_.prior == nullptr) return nullptr;
+  // Shards score by local row, so their tier-2 prior must be re-keyed from
+  // the global index.
+  auto local_prior = std::make_shared<serving::PopularityIndex>();
+  for (size_t local = 0; local < members.size(); ++local) {
+    const auto score = config_.prior->Score(members[local]);
+    if (score.ok()) {
+      local_prior->Upsert(static_cast<int64_t>(local), score.value());
     }
-    target->SetPrior(std::move(local_prior));
+  }
+  return local_prior;
+}
+
+StatusOr<uint64_t> ShardedRuntime::PublishSlices(
+    const runtime::ServingSnapshot& full, const std::vector<ShardSlice>& slices,
+    const std::vector<runtime::InferenceRuntime*>& targets) {
+  std::vector<runtime::CheckedSnapshot> checked;
+  for (size_t s = 0; s < targets.size(); ++s) {
+    if (targets[s] == nullptr) continue;
+    runtime::ServingSnapshot slice = full;
+    slice.item_profiles = slices[s].item_profiles;
+    slice.tag = full.tag + "/shard" + std::to_string(s);
+    ATNN_ASSIGN_OR_RETURN(runtime::CheckedSnapshot shard_checked,
+                          targets[s]->CheckPublish(std::move(slice)));
+    checked.push_back(std::move(shard_checked));
+  }
+  uint64_t version = 0;
+  auto next_checked = checked.begin();
+  for (size_t s = 0; s < targets.size(); ++s) {
+    if (targets[s] == nullptr) continue;
+    // Fresh instances restart their version counter at 1 while kept
+    // shards keep counting; the front-end reports the highest.
+    version = std::max(version,
+                       targets[s]->CommitPublish(std::move(*next_checked++)));
+    targets[s]->SetPrior(slices[s].prior);
   }
   return version;
 }
@@ -150,11 +185,9 @@ StatusOr<uint64_t> ShardedRuntime::PublishSlice(
 StatusOr<uint64_t> ShardedRuntime::PublishSharded(
     const runtime::ServingSnapshot& full) {
   // One up-front validation and plan compile over the whole snapshot: a
-  // corrupt model or a failed compile is rejected before any shard swaps,
-  // so a failed publish is atomic in the common case (per-shard rejections
-  // below only fire under injected faults). The plan closes over the
-  // model, not the item table, so every slice shares this one compile and
-  // the shard runtimes skip their own.
+  // corrupt model or a failed compile is rejected before any shard swaps.
+  // The plan closes over the model, not the item table, so every slice
+  // shares this one compile and the shard runtimes skip their own.
   runtime::ServingSnapshot shared = full;
   Status valid = runtime::ValidateServingSnapshot(shared);
   if (valid.ok()) {
@@ -169,74 +202,56 @@ StatusOr<uint64_t> ShardedRuntime::PublishSharded(
 
   std::lock_guard<std::mutex> admin(admin_mutex_);
   std::shared_ptr<const Epoch> current = CurrentEpoch();
+  const size_t num_shards = current->shards.size();
 
-  // Compact routing under the current ring: each shard's slice is its
-  // owned rows in global-row order.
-  auto routing = std::make_shared<RoutingTable>();
-  routing->shard_of_row.resize(static_cast<size_t>(num_rows));
-  routing->local_of_row.resize(static_cast<size_t>(num_rows));
-  routing->rows_of_shard.resize(current->shards.size());
-  for (int64_t row = 0; row < num_rows; ++row) {
-    const size_t shard = current->ring.ShardFor(row);
-    auto& members = routing->rows_of_shard[shard];
-    routing->shard_of_row[static_cast<size_t>(row)] =
-        static_cast<uint32_t>(shard);
-    routing->local_of_row[static_cast<size_t>(row)] =
-        static_cast<int64_t>(members.size());
-    members.push_back(row);
+  // A compact table depends only on the ring and the row count, and so
+  // does each shard's re-keyed prior (the cluster prior is fixed at
+  // construction): the common republish reuses both. Slices are cut from
+  // the item table, so they carry over only for the very table object
+  // last published — immutable once published, and kept alive by
+  // last_full_, so its address cannot name another table.
+  const bool reuse_routing =
+      current->routing != nullptr && current->routing->compact &&
+      current->routing->shard_of_row.size() == static_cast<size_t>(num_rows);
+  const bool reuse_slices =
+      reuse_routing && shared.item_profiles == last_full_->item_profiles;
+  std::shared_ptr<const RoutingTable> routing =
+      reuse_routing ? current->routing
+                    : CompactRouting(current->ring, num_rows);
+  std::vector<ShardSlice> slices =
+      reuse_routing ? slices_ : std::vector<ShardSlice>(num_shards);
+  if (!reuse_slices) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      const std::vector<int64_t>& members = routing->rows_of_shard[s];
+      slices[s].item_profiles = std::make_shared<const data::EntityTable>(
+          data::SliceRows(*shared.item_profiles, members));
+      if (!reuse_routing) slices[s].prior = RekeyPrior(members);
+    }
   }
 
-  const bool same_mapping =
-      current->routing != nullptr &&
-      current->routing->rows_of_shard == routing->rows_of_shard;
-
+  // A shard whose member list changed (e.g. the first publish after a
+  // grow-resize compacts the slices, or the catalog shrank) is republished
+  // onto a fresh runtime instance behind an epoch swap: in-flight requests
+  // hold local indices minted for the OLD slices, and the old instances
+  // keep serving them until the drain completes. Every other shard swaps
+  // its slice in place.
+  auto next = std::make_shared<Epoch>(*current);
+  std::vector<std::shared_ptr<runtime::InferenceRuntime>> replaced;
+  std::vector<runtime::InferenceRuntime*> targets(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (current->routing != nullptr && routing != current->routing &&
+        current->routing->rows_of_shard[s] != routing->rows_of_shard[s]) {
+      replaced.push_back(next->shards[s].runtime);
+      next->shards[s].runtime = MakeShardRuntime();
+    }
+    targets[s] = next->shards[s].runtime.get();
+  }
   uint64_t version = 0;
-  if (current->routing == nullptr || same_mapping) {
-    // First publish, or a republish that keeps every row's (shard, local)
-    // assignment: slices swap in place inside each runtime, all shards
-    // advance in lockstep, and no epoch swap is needed beyond installing
-    // the routing table the first time around.
-    for (size_t i = 0; i < current->shards.size(); ++i) {
-      ATNN_ASSIGN_OR_RETURN(
-          version, PublishSlice(shared, routing->rows_of_shard[i], i,
-                                current->shards[i].runtime.get()));
-    }
-    if (!same_mapping) {
-      auto next = std::make_shared<Epoch>(*current);
-      next->routing = std::move(routing);
-      current.reset();  // the drain waits for our reference too
-      SwapEpochAndDrain(std::move(next));
-    }
-  } else {
-    // The row->(shard, local) mapping changed — e.g. the first publish
-    // after a grow-resize compacts the slices, or the catalog shrank.
-    // In-flight requests hold local indices minted for the OLD slices, so
-    // every shard whose member list changed is republished onto a fresh
-    // runtime instance behind an epoch swap; the old instances keep
-    // serving the in-flight requests until the drain completes.
-    auto next = std::make_shared<Epoch>(*current);
-    next->id = current->id + 1;
-    std::vector<std::shared_ptr<runtime::InferenceRuntime>> replaced;
-    for (size_t i = 0; i < current->shards.size(); ++i) {
-      const bool changed = current->routing->rows_of_shard[i] !=
-                           routing->rows_of_shard[i];
-      runtime::InferenceRuntime* target = nullptr;
-      if (changed) {
-        auto fresh = MakeShardRuntime();
-        target = fresh.get();
-        replaced.push_back(next->shards[i].runtime);
-        next->shards[i].runtime = std::move(fresh);
-      } else {
-        target = next->shards[i].runtime.get();
-      }
-      uint64_t shard_version = 0;
-      ATNN_ASSIGN_OR_RETURN(
-          shard_version,
-          PublishSlice(shared, routing->rows_of_shard[i], i, target));
-      // Fresh instances restart their version counter at 1 while kept
-      // shards keep counting; the front-end reports the highest.
-      version = std::max(version, shard_version);
-    }
+  ATNN_ASSIGN_OR_RETURN(version, PublishSlices(shared, slices, targets));
+  if (routing != current->routing) {
+    // Installing the first routing table, or an identical layout marked
+    // compact, keeps the epoch id; replacing runtimes advances it.
+    if (!replaced.empty()) next->id = current->id + 1;
     next->routing = std::move(routing);
     current.reset();  // the drain waits for our reference too
     SwapEpochAndDrain(std::move(next));
@@ -246,9 +261,10 @@ StatusOr<uint64_t> ShardedRuntime::PublishSharded(
     }
   }
 
-  // Rebuild/resize re-slice from this snapshot; keeping the plan attached
+  // Rebuild/resize republish from this snapshot; keeping the plan attached
   // means a shard rebuild never re-traces either.
   last_full_ = std::move(shared);
+  slices_ = std::move(slices);
   published_version_.store(version, std::memory_order_relaxed);
   return version;
 }
@@ -346,16 +362,24 @@ StatusOr<ResizeReport> ShardedRuntime::ResizeShards(size_t new_num_shards) {
 
   // Publish every new or extended slice BEFORE the routing swap: the first
   // request routed by the new table must find its rows already serving.
+  std::vector<ShardSlice> slices(new_num_shards);
+  std::vector<runtime::InferenceRuntime*> targets(new_num_shards, nullptr);
   for (size_t s = 0; s < new_num_shards; ++s) {
     const bool is_new = s >= old_n;
-    if (!is_new && gained[s].empty()) continue;  // slice untouched
-    ATNN_RETURN_IF_ERROR(PublishSlice(*last_full_,
-                                      routing->rows_of_shard[s], s,
-                                      next->shards[s].runtime.get())
-                             .status());
+    if (!is_new && gained[s].empty()) {
+      slices[s] = slices_[s];  // slice untouched
+      continue;
+    }
+    const std::vector<int64_t>& members = routing->rows_of_shard[s];
+    slices[s].item_profiles = std::make_shared<const data::EntityTable>(
+        data::SliceRows(*last_full_->item_profiles, members));
+    slices[s].prior = RekeyPrior(members);
+    targets[s] = next->shards[s].runtime.get();
   }
+  ATNN_RETURN_IF_ERROR(PublishSlices(*last_full_, slices, targets).status());
 
   next->routing = std::move(routing);
+  slices_ = std::move(slices);
   report.epoch = next->id;
   std::vector<std::shared_ptr<runtime::InferenceRuntime>> removed;
   for (size_t s = new_num_shards; s < old_n; ++s) {
@@ -388,10 +412,9 @@ Status ShardedRuntime::RebuildShard(size_t shard) {
   }
 
   auto fresh = MakeShardRuntime();
-  ATNN_RETURN_IF_ERROR(PublishSlice(*last_full_,
-                                    current->routing->rows_of_shard[shard],
-                                    shard, fresh.get())
-                           .status());
+  std::vector<runtime::InferenceRuntime*> targets(slices_.size(), nullptr);
+  targets[shard] = fresh.get();
+  ATNN_RETURN_IF_ERROR(PublishSlices(*last_full_, slices_, targets).status());
 
   // Trip the breaker BEFORE the rebuilt runtime becomes routable: the
   // shard re-enters service only after probes walk half-open -> closed,

@@ -11,6 +11,7 @@
 #include "cluster/admission.h"
 #include "cluster/shard_ring.h"
 #include "common/status.h"
+#include "data/schema.h"
 #include "obs/metrics_registry.h"
 #include "runtime/inference_runtime.h"
 #include "serving/popularity_index.h"
@@ -127,21 +128,25 @@ class ShardedRuntime {
 
   /// Validates `full` and attaches its plan (runtime::AttachServingPlan)
   /// once up front: a failure returns that Status before any shard swaps
-  /// and counts in gather.publish_rejected. Then partitions its
-  /// item-profile table by the ring and publishes each shard's slice
-  /// (sharing the model, predictor and plan, which are row-independent)
-  /// plus its re-keyed prior slice.
-  /// Returns the per-shard snapshot version. When the row->shard/local
-  /// mapping is unchanged (the common republish), slices are published in
-  /// place and all shards advance in lockstep. When the mapping changed
-  /// (first publish after a resize with a changed catalog), affected
+  /// and counts in gather.publish_rejected. Then publishes each shard its
+  /// slice of the item-profile table (sharing the model, predictor and
+  /// plan, which are row-independent) plus its re-keyed prior, checking
+  /// every shard's snapshot before swapping any.
+  /// Returns the per-shard snapshot version. The common republish keeps
+  /// the ring and the row count: it reuses the compact routing table and
+  /// every shard's re-keyed prior, and when `full.item_profiles` is the
+  /// very table object last published it also reuses every shard's slice,
+  /// so it costs validation, one plan compile and the swaps. Any other
+  /// table object is sliced anew. Slices are published in place and all
+  /// shards advance in lockstep. When the row->shard/local mapping changed
+  /// (first publish after a resize, or a changed row count), affected
   /// shards are republished onto fresh runtime instances behind an epoch
   /// swap, so in-flight requests holding old local indices finish against
   /// the slices they were routed for. On a per-shard rejection (only
-  /// reachable via injected corruption — validation already passed) the
-  /// previous version keeps serving on every shard and the routing table
-  /// is left untouched. The snapshot is retained as the rebuild source for
-  /// RebuildShard/ResizeShards.
+  /// reachable via injected corruption — validation already passed) no
+  /// shard has swapped: the previous version keeps serving on every shard
+  /// and the routing table is left untouched. The snapshot, its slices
+  /// and priors are retained as the source for RebuildShard/ResizeShards.
   StatusOr<uint64_t> PublishSharded(const runtime::ServingSnapshot& full);
 
   /// Live-resizes the cluster to `new_num_shards` without dropping or
@@ -157,11 +162,11 @@ class ShardedRuntime {
   StatusOr<ResizeReport> ResizeShards(size_t new_num_shards);
 
   /// Rebuilds shard `shard` from the last successfully published snapshot:
-  /// a fresh InferenceRuntime is constructed, its slice and prior are
-  /// published and validated, and it replaces the old runtime behind an
-  /// epoch swap (the old one is shut down after the drain). The shard's
-  /// circuit breaker is force-opened, so the rebuilt shard serves no
-  /// traffic until probes walk it half-open -> closed: recovery is
+  /// a fresh InferenceRuntime is constructed, the shard's stored slice and
+  /// prior are published and validated, and it replaces the old runtime
+  /// behind an epoch swap (the old one is shut down after the drain). The
+  /// shard's circuit breaker is force-opened, so the rebuilt shard serves
+  /// no traffic until probes walk it half-open -> closed: recovery is
   /// re-admission THROUGH health checks, not a blind swap-in.
   Status RebuildShard(size_t shard);
 
@@ -237,6 +242,18 @@ class ShardedRuntime {
     std::vector<uint32_t> shard_of_row;
     std::vector<int64_t> local_of_row;
     std::vector<std::vector<int64_t>> rows_of_shard;  // slice layout
+    /// Built by CompactRouting: each shard's slice is its owned rows in
+    /// global-row order, a function of the epoch's ring and the row count
+    /// alone. ResizeShards' prefix-stable tables are not compact.
+    bool compact = false;
+  };
+
+  /// What one shard serves of the last accepted snapshot: its slice of the
+  /// item-profile table and its prior re-keyed to local rows (null without
+  /// a cluster prior).
+  struct ShardSlice {
+    std::shared_ptr<const data::EntityTable> item_profiles;
+    std::shared_ptr<const serving::PopularityIndex> prior;
   };
 
   /// One shard slot: the runtime serving its slice plus the breaker
@@ -268,12 +285,23 @@ class ShardedRuntime {
   void SwapEpochAndDrain(std::shared_ptr<const Epoch> epoch);
   /// Builds a fresh runtime from the shard template (no prior installed).
   std::shared_ptr<runtime::InferenceRuntime> MakeShardRuntime() const;
-  /// Publishes `full`'s slice for `members` onto `target` and installs the
-  /// re-keyed prior. Returns the shard's new snapshot version.
-  StatusOr<uint64_t> PublishSlice(const runtime::ServingSnapshot& full,
-                                  const std::vector<int64_t>& members,
-                                  size_t shard_index,
-                                  runtime::InferenceRuntime* target);
+  /// Compact routing of rows [0, num_rows) under `ring`: one ShardFor per
+  /// row.
+  static std::shared_ptr<const RoutingTable> CompactRouting(
+      const ShardRing& ring, int64_t num_rows);
+  /// The cluster prior re-keyed to the local rows of a slice holding
+  /// `members`; null without a cluster prior.
+  std::shared_ptr<const serving::PopularityIndex> RekeyPrior(
+      const std::vector<int64_t>& members) const;
+  /// Publishes `full` over `slices[s]` onto `targets[s]` for every shard s
+  /// with a non-null target, then installs each slice's prior. Every
+  /// target's snapshot is checked before any swaps, so a rejection leaves
+  /// every target serving its previous version. Returns the highest
+  /// version a target now serves.
+  StatusOr<uint64_t> PublishSlices(
+      const runtime::ServingSnapshot& full,
+      const std::vector<ShardSlice>& slices,
+      const std::vector<runtime::InferenceRuntime*>& targets);
   /// Prior/global-mean fallback for `global_row`; always OK, always
   /// tier-tagged.
   runtime::ScoreResult FrontendDegraded(int64_t global_row);
@@ -301,6 +329,9 @@ class ShardedRuntime {
   /// Rebuild/resize source: the last snapshot PublishSharded accepted.
   /// Guarded by admin_mutex_.
   std::optional<runtime::ServingSnapshot> last_full_;
+  /// What each shard of the current epoch serves of last_full_, indexed by
+  /// shard. Guarded by admin_mutex_.
+  std::vector<ShardSlice> slices_;
   /// Runtimes replaced or removed by admin operations, shut down after
   /// their epoch drained; kept so shard(i) references from old epochs
   /// stay valid for the runtime's lifetime. Guarded by admin_mutex_.

@@ -55,10 +55,6 @@ Status RuntimeConfig::Validate() const {
         "unanswered forever)");
   }
   ATNN_RETURN_IF_ERROR(batcher.Validate());
-  if (enable_score_cache && score_cache_capacity == 0) {
-    return Status::InvalidArgument(
-        "score_cache_capacity must be >= 1 when the cache is enabled");
-  }
   if (default_deadline_us < 0) {
     return Status::InvalidArgument("default_deadline_us must be >= 0");
   }
@@ -97,6 +93,13 @@ InferenceRuntime::InferenceRuntime(const RuntimeConfig& config)
 InferenceRuntime::~InferenceRuntime() { Shutdown(); }
 
 StatusOr<uint64_t> InferenceRuntime::Publish(ServingSnapshot snapshot) {
+  ATNN_ASSIGN_OR_RETURN(CheckedSnapshot checked,
+                        CheckPublish(std::move(snapshot)));
+  return CommitPublish(std::move(checked));
+}
+
+StatusOr<CheckedSnapshot> InferenceRuntime::CheckPublish(
+    ServingSnapshot snapshot) {
   if (injector_.TakeCorruptPublish()) CorruptSnapshotInPlace(&snapshot);
   Status valid = ValidateServingSnapshot(snapshot);
   if (valid.ok()) {
@@ -110,8 +113,22 @@ StatusOr<uint64_t> InferenceRuntime::Publish(ServingSnapshot snapshot) {
     stats_.RecordPublishRejected();
     return valid;
   }
+  return CheckedSnapshot(this, std::move(snapshot));
+}
+
+uint64_t InferenceRuntime::CommitPublish(CheckedSnapshot checked) {
+  ATNN_CHECK(checked.checker_ == this)
+      << "CommitPublish takes only a snapshot this runtime checked";
+  ServingSnapshot& snapshot = checked.snapshot_;
   if (snapshot.plan != nullptr) {
     stats_.RecordPlanCompiled(snapshot.plan->plan_bytes());
+  }
+  if (config_.enable_score_cache) {
+    // Sized before the version becomes visible, so every row a worker can
+    // range-check against this snapshot has an entry.
+    const auto rows = static_cast<size_t>(snapshot.item_profiles->num_rows());
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (score_cache_.size() < rows) score_cache_.resize(rows);
   }
   const uint64_t version = snapshots_.Publish(std::move(snapshot));
   stats_.RecordSwap();
@@ -126,19 +143,17 @@ void InferenceRuntime::EvictRetiredCacheGenerations(
   // A concurrent publisher that won the version race already rotated past
   // us; this call's generation bookkeeping is obsolete.
   if (published_version <= cache_version_) return;
-  if (cache_version_ + 1 == published_version) {
-    // The just-retired generation serves one more version as the
-    // stale-while-revalidate tier.
-    stale_cache_ = std::move(score_cache_);
-    stale_version_ = cache_version_;
-  } else {
-    // More than one version behind (publishes raced, or nothing was ever
-    // scored): both retained generations are older than the stale window.
-    stale_cache_.clear();
-    stale_version_ = published_version - 1;
-  }
-  score_cache_.clear();
-  cache_version_ = published_version;
+  RotateCacheLocked(published_version);
+}
+
+void InferenceRuntime::RotateCacheLocked(uint64_t version) {
+  // The just-retired version serves one more version as the
+  // stale-while-revalidate tier. More than one version behind (publishes
+  // raced, or nothing was ever scored), no entry carries version - 1, so
+  // the stale tier starts empty.
+  stale_version_ =
+      cache_version_ + 1 == version ? cache_version_ : version - 1;
+  cache_version_ = version;
 }
 
 std::future<StatusOr<ScoreResult>> InferenceRuntime::ScoreAsync(
@@ -421,26 +436,21 @@ size_t InferenceRuntime::LookupCached(uint64_t version,
                                       std::vector<char>* hit_out) {
   if (!config_.enable_score_cache) return 0;
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (version > cache_version_) {
-    // Defensive rotation. Publish() rotates eagerly via
-    // EvictRetiredCacheGenerations, so a batch normally never outruns the
-    // cache version; this branch only fires in the window between
-    // snapshots_.Publish making the version visible and the publisher
-    // reacquiring cache_mutex_.
-    stale_cache_ = std::move(score_cache_);
-    stale_version_ = cache_version_;
-    score_cache_.clear();
-    cache_version_ = version;
-    return 0;
-  }
-  // A laggard worker still holding an older snapshot gets no hits (and,
-  // below, no inserts) — it must not read or rotate the newer cache.
-  if (version < cache_version_) return 0;
+  // Defensive rotation. Publish() rotates eagerly via
+  // EvictRetiredCacheGenerations, so a batch normally never outruns the
+  // cache version; this only fires in the window between snapshots_.Publish
+  // making the version visible and the publisher reacquiring cache_mutex_.
+  if (version > cache_version_) RotateCacheLocked(version);
+  // A laggard worker still holding an older snapshot gets no hits (and, in
+  // InsertCached, no inserts) — it must not read or rotate the newer cache.
+  if (version != cache_version_) return 0;
   size_t hits = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    const auto it = score_cache_.find(rows[i]);
-    if (it == score_cache_.end()) continue;
-    (*scores_out)[i] = it->second;
+    const auto row = static_cast<size_t>(rows[i]);
+    if (row >= score_cache_.size()) continue;
+    const CacheEntry& entry = score_cache_[row];
+    if (entry.version != version) continue;
+    (*scores_out)[i] = entry.score;
     (*hit_out)[i] = 1;
     ++hits;
   }
@@ -452,9 +462,12 @@ InferenceRuntime::ScoreCacheGenerationsForTest() {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   CacheGenerations view;
   view.fresh_version = cache_version_;
-  view.fresh_entries = score_cache_.size();
   view.stale_version = stale_version_;
-  view.stale_entries = stale_cache_.size();
+  for (const CacheEntry& entry : score_cache_) {
+    if (entry.version == 0) continue;
+    if (entry.version == cache_version_) ++view.fresh_entries;
+    if (entry.version == stale_version_) ++view.stale_entries;
+  }
   return view;
 }
 
@@ -467,8 +480,8 @@ void InferenceRuntime::InsertCached(uint64_t version,
   // cache after version N+1 was published and claimed it.
   if (cache_version_ != version) return;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (score_cache_.size() >= config_.score_cache_capacity) return;
-    score_cache_.emplace(rows[i], scores[i]);
+    const auto row = static_cast<size_t>(rows[i]);
+    if (row < score_cache_.size()) score_cache_[row] = {scores[i], version};
   }
 }
 
@@ -477,23 +490,26 @@ ScoreResult InferenceRuntime::DegradedScore(int64_t item_row) {
   const uint64_t published_version = snapshots_.version();
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = score_cache_.find(item_row);
-    if (it != score_cache_.end()) {
+    // Rows of queue-rejected requests were never range-checked; a negative
+    // row wraps past the end and misses too.
+    const auto row = static_cast<size_t>(item_row);
+    const CacheEntry entry =
+        row < score_cache_.size() ? score_cache_[row] : CacheEntry{};
+    if (entry.version != 0 && entry.version == cache_version_) {
       // A cache hit at the published version is the exact score — serving
       // it without a forward pass is not a degradation. In the brief
       // window between a publish becoming visible and its eager rotation
-      // taking the cache mutex, the live map can still hold the previous
+      // taking the cache mutex, the cache can still accept the previous
       // version's scores: those are stale, and tagged as such.
-      result.score = it->second;
+      result.score = entry.score;
       result.snapshot_version = cache_version_;
       result.tier = cache_version_ == published_version
                         ? ServingTier::kFresh
                         : ServingTier::kStaleCache;
       return result;
     }
-    it = stale_cache_.find(item_row);
-    if (it != stale_cache_.end()) {
-      result.score = it->second;
+    if (entry.version != 0 && entry.version == stale_version_) {
+      result.score = entry.score;
       result.snapshot_version = stale_version_;
       result.tier = ServingTier::kStaleCache;
       return result;

@@ -6,7 +6,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -27,15 +27,15 @@ struct RuntimeConfig {
   /// Memoize scores per (snapshot version, item row). Sound because the
   /// popularity path is deterministic given the published snapshot: the
   /// score depends only on the item profile and the frozen generator +
-  /// mean-user vector. A Publish() rotates the cache (it is keyed by
-  /// version), so hot swaps can never serve a stale score as fresh; the
-  /// rotated-out generation survives one version as the degraded-mode
-  /// stale tier. Under the Zipf-skewed traffic of real request logs this
-  /// answers most requests without a forward pass.
+  /// mean-user vector. The cache is one entry per item row stamped with the
+  /// version that scored it (16 bytes per row of the largest table
+  /// published), so it holds at most one score per row. A Publish()
+  /// rotates it in O(1) by advancing the version it accepts, so hot swaps
+  /// can never serve a stale score as fresh; the previous version's
+  /// entries survive one version as the degraded-mode stale tier. Under
+  /// the Zipf-skewed traffic of real request logs this answers most
+  /// requests without a forward pass.
   bool enable_score_cache = true;
-  /// Entry cap; inserts stop when reached (item tables are finite, so in
-  /// practice the cache holds at most one score per item).
-  size_t score_cache_capacity = 1 << 20;
   /// Per-request completion budget applied by ScoreAsync(row); 0 means no
   /// deadline. ScoreAsync(row, deadline_us) overrides per call. A request
   /// past its deadline is never given a forward pass: it is answered from
@@ -59,13 +59,28 @@ struct RuntimeConfig {
   BatcherConfig batcher;
 
   /// InvalidArgument on: zero workers (requests would hang forever), an
-  /// invalid batcher config (see BatcherConfig::Validate), a zero cache
-  /// capacity with the cache enabled, or a nonzero default deadline
-  /// shorter than the batcher's flush interval (every request would blow
-  /// its budget waiting for the batch window — a config that can only
-  /// degrade). Use InferenceRuntime::Create to get this as a Status
-  /// instead of a checked abort.
+  /// invalid batcher config (see BatcherConfig::Validate), or a nonzero
+  /// default deadline shorter than the batcher's flush interval (every
+  /// request would blow its budget waiting for the batch window — a config
+  /// that can only degrade). Use InferenceRuntime::Create to get this as a
+  /// Status instead of a checked abort.
   Status Validate() const;
+};
+
+class InferenceRuntime;
+
+/// A snapshot that passed one runtime's publish checks, ready to swap in.
+/// Only InferenceRuntime::CheckPublish makes one, and only the runtime that
+/// made it accepts it in CommitPublish, so no unchecked snapshot can become
+/// a serving version.
+class CheckedSnapshot {
+ private:
+  friend class InferenceRuntime;
+  CheckedSnapshot(const InferenceRuntime* checker, ServingSnapshot snapshot)
+      : checker_(checker), snapshot_(std::move(snapshot)) {}
+
+  const InferenceRuntime* checker_;
+  ServingSnapshot snapshot_;
 };
 
 /// Concurrent micro-batching scorer for the paper's O(1) popularity path:
@@ -126,8 +141,19 @@ class InferenceRuntime {
   /// ValidateServingSnapshot (null members, dimension mismatch, an item
   /// table the generator cannot read, NaN/Inf weights) or whose plan fails
   /// to compile returns that Status, and the previously published version
-  /// keeps serving untouched.
+  /// keeps serving untouched. Runs CheckPublish and then CommitPublish.
   StatusOr<uint64_t> Publish(ServingSnapshot snapshot);
+
+  /// The checking half of Publish: applies an armed corrupt-publish fault,
+  /// validates, and attaches the executor. A rejection is counted in
+  /// publish_rejected and returned; nothing is swapped either way. Lets a
+  /// caller check several runtimes' snapshots before swapping any.
+  StatusOr<CheckedSnapshot> CheckPublish(ServingSnapshot snapshot);
+
+  /// The swapping half of Publish: sizes the score cache for the snapshot's
+  /// item table, makes it the serving version and rotates the cache.
+  /// Cannot fail. `checked` must come from this runtime's CheckPublish.
+  uint64_t CommitPublish(CheckedSnapshot checked);
 
   /// Enqueues one item row for scoring under the config's default
   /// deadline. The future resolves with the score, the snapshot version
@@ -178,12 +204,13 @@ class InferenceRuntime {
   /// joins the workers. Idempotent.
   void Shutdown();
 
-  /// Test-only view of the score-cache generations. The invariant asserted
-  /// by tests (and relied on under streaming publish cadence): immediately
-  /// after Publish returns version V, the fresh generation is empty at V
-  /// and the stale generation holds at most the scores of V-1 — no entry
-  /// from a version older than the one-version stale-while-revalidate
-  /// window survives a publish.
+  /// Test-only view of the score-cache generations: the versions the fresh
+  /// and stale tiers accept and how many entries carry each stamp. The
+  /// invariant asserted by tests (and relied on under streaming publish
+  /// cadence): immediately after Publish returns version V, the fresh
+  /// generation is empty at V and the stale generation holds at most the
+  /// scores of V-1 — no entry from a version older than the one-version
+  /// stale-while-revalidate window is served after a publish.
   struct CacheGenerations {
     uint64_t fresh_version = 0;
     size_t fresh_entries = 0;
@@ -212,21 +239,25 @@ class InferenceRuntime {
                     std::vector<PendingRequest>* batch);
   /// Fills `scores_out[i]` and marks `hit_out[i]` for each row cached at
   /// `version`; returns the number of hits. No-op when the cache is
-  /// disabled.
+  /// disabled. Allocates nothing.
   size_t LookupCached(uint64_t version, const std::vector<int64_t>& rows,
                       std::vector<double>* scores_out,
                       std::vector<char>* hit_out);
-  /// Inserts freshly computed scores, unless a newer version was published
-  /// in the meantime (the version check makes late writers harmless).
+  /// Stamps freshly computed scores into their rows, unless a newer
+  /// version was published in the meantime (the version check makes late
+  /// writers harmless). Allocates nothing.
   void InsertCached(uint64_t version, const std::vector<int64_t>& rows,
                     const std::vector<double>& scores);
-  /// Publish-time cache rotation: retires the serving generation into the
-  /// stale-while-revalidate slot and drops anything older. Before this ran
-  /// eagerly, rotation happened lazily on the first scored batch of a new
-  /// version — under a publish-per-day streaming cadence with sparse
-  /// traffic, entries from versions arbitrarily older than the one-version
-  /// stale window stayed resident and were served by DegradedScore.
+  /// Publish-time cache rotation: the serving version becomes the
+  /// stale-while-revalidate version and entries stamped anything older stop
+  /// matching either tier. Two integer stores; no entry is touched. Eager,
+  /// because rotating on the next scored batch instead lets DegradedScore
+  /// serve entries older than the one-version stale window whenever
+  /// publishes outpace traffic (a publish-per-day streaming cadence).
   void EvictRetiredCacheGenerations(uint64_t published_version);
+  /// Moves the cache to `version` (> cache_version_). Caller holds
+  /// cache_mutex_.
+  void RotateCacheLocked(uint64_t version);
   /// Walks the fallback chain for one item row and returns the degraded
   /// answer: cache (current then stale generation) -> prior -> global
   /// mean. Always succeeds; never blocks on the queue; never runs a
@@ -248,13 +279,23 @@ class InferenceRuntime {
   SnapshotHandle snapshots_;
   MicroBatcher batcher_;
 
+  /// One score per item row, stamped with the snapshot version that
+  /// computed it; version 0 marks an empty entry (published versions start
+  /// at 1).
+  struct CacheEntry {
+    double score = 0.0;
+    uint64_t version = 0;
+  };
+
   std::mutex cache_mutex_;
+  /// Entries stamped cache_version_ are fresh hits; entries stamped
+  /// stale_version_ (the previous version) are the stale-while-revalidate
+  /// tier of the fallback chain; any other stamp is dead.
   uint64_t cache_version_ = 0;
-  std::unordered_map<int64_t, double> score_cache_;
-  /// The previous version's scores, rotated out by the first batch on a new
-  /// version — the stale-while-revalidate tier of the fallback chain.
   uint64_t stale_version_ = 0;
-  std::unordered_map<int64_t, double> stale_cache_;
+  /// Indexed by item row. Grown to every published item table before its
+  /// version becomes visible, never shrunk.
+  std::vector<CacheEntry> score_cache_;
 
   std::mutex prior_mutex_;
   std::shared_ptr<const serving::PopularityIndex> prior_;

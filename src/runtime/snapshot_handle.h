@@ -32,7 +32,7 @@ struct ServingSnapshot {
   /// Optional low-precision generator (int8/bf16, DESIGN.md §15). When set,
   /// cache-miss forwards run through it instead of `model`, which may then
   /// be null — a serving process never needs the fp32 weights resident.
-  /// Cluster slicing (PublishSlice) copies the snapshot struct per shard,
+  /// Cluster slicing (PublishSlices) copies the snapshot struct per shard,
   /// so every shard shares this one artifact by reference.
   std::shared_ptr<const quant::QuantizedGenerator> quantized;
   /// Compiled execution plan of the fp32 generator forward (nn/ir,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,16 +27,24 @@ class ShardedRuntimeTest : public ::testing::Test {
   static void SetUpTestSuite() {
     dataset_ = new data::TmallDataset(
         core::testing_helpers::MakeNormalizedTinyDataset());
+    model_ = MakeModel(11).release();
+    predictor_ = new core::PopularityPredictor(BuildPredictor(*model_));
+  }
+
+  static std::unique_ptr<core::AtnnModel> MakeModel(uint64_t seed) {
     core::AtnnConfig config;
     config.tower =
         core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
-    config.seed = 11;
-    model_ = new core::AtnnModel(*dataset_->user_schema,
-                                 *dataset_->item_profile_schema,
-                                 *dataset_->item_stats_schema, config);
-    const auto group = core::SelectActiveUsers(*dataset_, 64);
-    predictor_ = new core::PopularityPredictor(
-        core::PopularityPredictor::Build(*model_, *dataset_, group));
+    config.seed = seed;
+    return std::make_unique<core::AtnnModel>(
+        *dataset_->user_schema, *dataset_->item_profile_schema,
+        *dataset_->item_stats_schema, config);
+  }
+
+  static core::PopularityPredictor BuildPredictor(
+      const core::AtnnModel& model) {
+    return core::PopularityPredictor::Build(
+        model, *dataset_, core::SelectActiveUsers(*dataset_, 64));
   }
 
   static void TearDownTestSuite() {
@@ -72,6 +81,34 @@ class ShardedRuntimeTest : public ::testing::Test {
       prior->Upsert(row, value);
     }
     return prior;
+  }
+
+  /// Scores every row and expects each answer fresh, bitwise equal to
+  /// `expected[row]` and, when `version` is set, served at that version.
+  static void ExpectFreshBitwise(ShardedRuntime& runtime,
+                                 const std::vector<double>& expected,
+                                 std::optional<uint64_t> version) {
+    const std::vector<int64_t> rows = AllRows();
+    const auto results = runtime.ScoreBatch(rows);
+    ASSERT_EQ(results.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kFresh)
+          << "row " << rows[i];
+      if (version.has_value()) {
+        EXPECT_EQ(results[i].value().snapshot_version, *version)
+            << "row " << rows[i];
+      }
+      EXPECT_EQ(results[i].value().score, expected[i]) << "row " << rows[i];
+    }
+  }
+
+  static int64_t Counter(const ShardedRuntime& runtime,
+                         const std::string& name) {
+    for (const auto& [counter, value] : runtime.Collect().counters) {
+      if (counter == name) return value;
+    }
+    return 0;
   }
 
   static std::vector<int64_t> AllRows() {
@@ -137,7 +174,7 @@ TEST_F(ShardedRuntimeTest, MatchesUnshardedScoringAcrossShardCounts) {
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].ok())
           << shards << " shards: " << results[i].status().ToString();
-      EXPECT_NEAR(results[i].value().score, expected[i], 1e-9)
+      EXPECT_EQ(results[i].value().score, expected[i])
           << shards << " shards, item " << dataset_->new_items[i];
       EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kFresh);
       EXPECT_EQ(results[i].value().snapshot_version, 1u);
@@ -216,7 +253,7 @@ TEST_F(ShardedRuntimeTest, DeadShardDegradesThroughPriorNeverErrors) {
       ++degraded;
     } else {
       EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kFresh);
-      EXPECT_NEAR(results[i].value().score, expected[i], 1e-9);
+      EXPECT_EQ(results[i].value().score, expected[i]);
     }
   }
   EXPECT_GT(degraded, 0) << "shard 0 owned no rows; test is vacuous";
@@ -287,7 +324,7 @@ TEST_F(ShardedRuntimeTest, SingleRowScoreMatchesBatch) {
   ASSERT_TRUE(single.ok());
   const auto batch = runtime.ScoreBatch({item});
   ASSERT_TRUE(batch.front().ok());
-  EXPECT_NEAR(single.value().score, batch.front().value().score, 1e-12);
+  EXPECT_EQ(single.value().score, batch.front().value().score);
   runtime.Shutdown();
 }
 
@@ -358,13 +395,7 @@ TEST_F(ShardedRuntimeTest, ResizeGrowMovesOnlyBoundedRemapRows) {
 
   // Every row still serves fresh with an unchanged score on the new
   // routing — including rows that moved shards.
-  const std::vector<int64_t> rows = AllRows();
-  const auto results = runtime.ScoreBatch(rows);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kFresh);
-    EXPECT_NEAR(results[i].value().score, expected[i], 1e-9);
-  }
+  ExpectFreshBitwise(runtime, expected, 1);
   runtime.Shutdown();
 }
 
@@ -431,6 +462,9 @@ TEST_F(ShardedRuntimeTest, RebuildShardReadmitsOnlyThroughBreakerProbes) {
             StatusCode::kFailedPrecondition);
   ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
   EXPECT_EQ(runtime.RebuildShard(7).code(), StatusCode::kInvalidArgument);
+  // A republish of the same table reuses every slice; the rebuild below
+  // republishes the stored slice.
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
 
   runtime.ShutDownShard(0);
   const uint64_t epoch_before = runtime.epoch_id();
@@ -459,9 +493,13 @@ TEST_F(ShardedRuntimeTest, RebuildShardReadmitsOnlyThroughBreakerProbes) {
                     .status.ok());
   }
   EXPECT_EQ(runtime.breaker(0).state(), BreakerState::kClosed);
-  for (const auto& result : runtime.ScoreBatch(shard0_rows)) {
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result.value().tier, runtime::ServingTier::kFresh);
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, shard0_rows);
+  const auto rebuilt = runtime.ScoreBatch(shard0_rows);
+  for (size_t i = 0; i < shard0_rows.size(); ++i) {
+    ASSERT_TRUE(rebuilt[i].ok()) << rebuilt[i].status().ToString();
+    EXPECT_EQ(rebuilt[i].value().tier, runtime::ServingTier::kFresh);
+    EXPECT_EQ(rebuilt[i].value().score, expected[i]);
   }
 
   const auto snapshot = runtime.Collect();
@@ -503,6 +541,177 @@ TEST_F(ShardedRuntimeTest, DegradedBatchAnswersTierTaggedWithoutShards) {
   for (size_t s = 0; s < 2; ++s) {
     EXPECT_EQ(runtime.shard(s).stats().enqueued, 0) << "shard " << s;
   }
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, ShardRejectionKeepsEveryShardOnThePreviousVersion) {
+  ShardedRuntimeConfig config = SmallShardedConfig(2);
+  config.shard.fault_injection.enabled = true;  // arms the corrupt publish
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+
+  // Shard 1 rejects its slice after shard 0's already passed its checks:
+  // no shard may swap, or the shards serve different versions for good.
+  runtime.shard(1).fault_injector().ArmCorruptPublish();
+  EXPECT_EQ(runtime.PublishSharded(MakeSnapshot()).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(runtime.shard(1).stats().publish_rejected, 1);
+  EXPECT_EQ(runtime.snapshot_version(), 1u);
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(runtime.shard(s).snapshot_version(), 1u) << "shard " << s;
+  }
+  ExpectFreshBitwise(runtime, expected, 1);
+
+  const auto next = runtime.PublishSharded(MakeSnapshot());
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value(), 2u);
+  ExpectFreshBitwise(runtime, expected, 2);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, RepublishOverTheSameTableServesEachModelBitwise) {
+  const std::unique_ptr<core::AtnnModel> model_b = MakeModel(12);
+  const core::PopularityPredictor predictor_b = BuildPredictor(*model_b);
+  const std::vector<double> expected_a =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  const std::vector<double> expected_b =
+      predictor_b.ScoreItems(*model_b, *dataset_, AllRows());
+  ASSERT_NE(expected_a, expected_b) << "the two models must differ";
+
+  ShardedRuntime runtime(SmallShardedConfig(2));
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const uint64_t epoch = runtime.epoch_id();
+
+  runtime::ServingSnapshot snapshot_b = MakeSnapshot();
+  snapshot_b.model = runtime::Unowned(model_b.get());
+  snapshot_b.predictor = runtime::Unowned(&predictor_b);
+  const auto second = runtime.PublishSharded(snapshot_b);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second.value(), 2u);
+  ExpectFreshBitwise(runtime, expected_b, 2);
+
+  const auto third = runtime.PublishSharded(MakeSnapshot());
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(third.value(), 3u);
+  ExpectFreshBitwise(runtime, expected_a, 3);
+  // Reused routing: no epoch swap.
+  EXPECT_EQ(runtime.epoch_id(), epoch);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, AnotherTableWithTheSameRowCountIsSlicedAnew) {
+  ASSERT_GT(dataset_->item_profiles.schema().num_numeric(), 0u);
+  const int64_t changed_row = dataset_->new_items.front();
+  data::TmallDataset changed = *dataset_;
+  changed.item_profiles = data::SliceRows(dataset_->item_profiles, AllRows());
+  changed.item_profiles.set_numeric(
+      0, changed_row, changed.item_profiles.numeric(0, changed_row) + 1.0f);
+  const std::vector<double> before =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  const std::vector<double> after =
+      predictor_->ScoreItems(*model_, changed, AllRows());
+  ASSERT_NE(before[static_cast<size_t>(changed_row)],
+            after[static_cast<size_t>(changed_row)]);
+
+  ShardedRuntime runtime(SmallShardedConfig(2));
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  runtime::ServingSnapshot snapshot = MakeSnapshot();
+  snapshot.item_profiles = runtime::Unowned(&changed.item_profiles);
+  ASSERT_TRUE(runtime.PublishSharded(snapshot).ok());
+  ExpectFreshBitwise(runtime, after, 2);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, ReusedPriorStaysKeyedToGlobalRows) {
+  ShardedRuntimeConfig config = SmallShardedConfig(2);
+  auto prior = std::make_shared<serving::PopularityIndex>();
+  for (const int64_t row : AllRows()) {
+    prior->Upsert(row, 0.001 * static_cast<double>(row + 1));
+  }
+  config.prior = prior;
+  // Shard requests expire at once while the gather waits: every answer
+  // comes from the shard's own re-keyed prior, not the front-end's.
+  config.fanout_budget_fraction = 1e-6;
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+
+  const std::vector<int64_t> rows = AllRows();
+  const auto results = runtime.ScoreBatch(rows, 1'000'000);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kPrior)
+        << "row " << rows[i];
+    EXPECT_EQ(results[i].value().score, prior->Score(rows[i]).value())
+        << "row " << rows[i];
+  }
+  EXPECT_EQ(Counter(runtime, "gather.degraded"), 0);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, PublishAfterResizeRecompactsThenReuses) {
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  ShardedRuntime runtime(SmallShardedConfig(2));
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  ASSERT_TRUE(runtime.ResizeShards(3).ok());
+  const uint64_t resized_epoch = runtime.epoch_id();
+
+  // The resize left prefix-stable slices; the first publish re-compacts
+  // them behind an epoch swap. Shards republished onto fresh runtimes
+  // restart their version count, so answers are not checked by version.
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  EXPECT_EQ(runtime.epoch_id(), resized_epoch + 1);
+  ExpectFreshBitwise(runtime, expected, std::nullopt);
+
+  // The second reuses the compact routing: no epoch swap.
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  EXPECT_EQ(runtime.epoch_id(), resized_epoch + 1);
+  ExpectFreshBitwise(runtime, expected, std::nullopt);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, StalledShardTimesOutIntoThePriorAndTripsItsBreaker) {
+  ShardedRuntimeConfig config = SmallShardedConfig(2);
+  config.shard.fault_injection.enabled = true;  // allows the stall drill
+  config.prior = FlatPrior(0.625);
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  const std::vector<int64_t> rows = AllRows();
+  int64_t shard0_rows = 0;
+  for (const int64_t row : rows) {
+    if (runtime.ring().ShardFor(row) == 0) ++shard0_rows;
+  }
+  ASSERT_GT(shard0_rows, 0);
+
+  runtime.shard(0).fault_injector().SetStallWorkers(true);
+  const auto results = runtime.ScoreBatch(rows, 200'000);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    if (runtime.ring().ShardFor(rows[i]) == 0) {
+      EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kPrior);
+      EXPECT_EQ(results[i].value().score, 0.625);
+    } else {
+      EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kFresh);
+      EXPECT_EQ(results[i].value().score, expected[i]);
+    }
+  }
+  EXPECT_EQ(Counter(runtime, "gather.timeouts"), shard0_rows);
+
+  // Every straggler counted against shard 0's breaker: the next batch
+  // sheds its rows at scatter time.
+  EXPECT_EQ(runtime.breaker(0).state(), BreakerState::kOpen);
+  for (const auto& result : runtime.ScoreBatch(rows, 200'000)) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  EXPECT_EQ(Counter(runtime, "gather.breaker_shed"), shard0_rows);
+  EXPECT_EQ(Counter(runtime, "gather.timeouts"), shard0_rows);
+
+  runtime.shard(0).fault_injector().SetStallWorkers(false);
   runtime.Shutdown();
 }
 

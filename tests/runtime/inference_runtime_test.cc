@@ -318,12 +318,6 @@ TEST_F(InferenceRuntimeTest, ConfigValidationReturnsStatusNotAbort) {
   EXPECT_EQ(InferenceRuntime::Create(config).status().code(),
             StatusCode::kInvalidArgument);
 
-  config = SmallRuntimeConfig();
-  config.enable_score_cache = true;
-  config.score_cache_capacity = 0;
-  EXPECT_EQ(InferenceRuntime::Create(config).status().code(),
-            StatusCode::kInvalidArgument);
-
   // A valid config constructs and serves through Create.
   auto runtime = InferenceRuntime::Create(SmallRuntimeConfig());
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -702,6 +696,38 @@ TEST_F(InferenceRuntimeTest, CacheGenerationBoundHoldsUnderPublishChurn) {
     EXPECT_EQ(generations.stale_version, live - 1);
     EXPECT_EQ(generations.stale_entries, 3u);
   }
+}
+
+TEST_F(InferenceRuntimeTest, CacheGrowsWithALargerItemTable) {
+  RuntimeConfig config = SmallRuntimeConfig();
+  config.num_workers = 1;  // sync Score => one request per batch
+  InferenceRuntime runtime(config);
+  ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+  ASSERT_TRUE(runtime.Score(dataset_->new_items.front()).ok());
+
+  // Twice the rows: the second half repeats the first.
+  const int64_t old_rows = dataset_->item_profiles.num_rows();
+  std::vector<int64_t> doubled;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t row = 0; row < old_rows; ++row) doubled.push_back(row);
+  }
+  const data::EntityTable larger =
+      data::SliceRows(dataset_->item_profiles, doubled);
+  ServingSnapshot snapshot = MakeSnapshot();
+  snapshot.item_profiles = Unowned(&larger);
+  ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
+
+  const int64_t row = old_rows + dataset_->new_items.front();
+  const auto first = runtime.Score(row);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().tier, ServingTier::kFresh);
+  const int64_t hits_before = runtime.stats().cache_hits;
+  const auto second = runtime.Score(row);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(runtime.stats().cache_hits, hits_before + 1);
+  EXPECT_EQ(second.value().score, first.value().score);
+  EXPECT_EQ(second.value().snapshot_version, 2u);
+  runtime.Shutdown();
 }
 
 }  // namespace
