@@ -123,7 +123,7 @@ cluster::ShardedRuntimeConfig ShardedConfig(
 
 struct ReplayOutcome {
   int64_t requests = 0;
-  int64_t errors = 0;  // futures resolved with a Status — must stay 0
+  int64_t errors = 0;  // answers that came back a Status — must stay 0
   std::array<int64_t, runtime::kNumServingTiers> tiers = {};
   double wall_s = 0.0;
   /// max over shards of that shard's fresh-tier p99 (us) — the sweep's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <string>
 #include <thread>
 #include <utility>
@@ -518,8 +517,8 @@ std::vector<StatusOr<runtime::ScoreResult>> ShardedRuntime::ScoreBatch(
   const Clock::time_point overall_deadline =
       deadline_us > 0 ? start + std::chrono::microseconds(deadline_us)
                       : Clock::time_point::max();
-  // Deadline split: the scatter leg hands every shard request this budget;
-  // whatever the budget leaves after fan-out bounds the merge waits below.
+  // Deadline split: each shard burst gets this budget from the moment it
+  // is handed over; the overall deadline bounds the merge wait below.
   const int64_t fanout_deadline_us =
       deadline_us > 0
           ? std::max<int64_t>(
@@ -529,19 +528,14 @@ std::vector<StatusOr<runtime::ScoreResult>> ShardedRuntime::ScoreBatch(
           : 0;
 
   // --- scatter ---
+  // Route every row first, then hand each shard its rows as one burst:
+  // one admission under the shard's batcher mutex and one shared
+  // completion. A burst flushes at its end, so a sub-batch tail that
+  // does not fill max_batch_size never waits out the batch window.
   const int64_t num_rows = static_cast<int64_t>(table.shard_of_row.size());
   const size_t num_shards = epoch->shards.size();
-  std::vector<std::optional<std::future<StatusOr<runtime::ScoreResult>>>>
-      futures(item_rows.size());
-  std::vector<uint32_t> owner(item_rows.size(), 0);
-  // Route first, then enqueue each shard's rows as one contiguous burst
-  // closed by a FlushHint. Interleaving enqueues row-by-row instead would
-  // hold every shard's batch window open for the entire scatter leg (each
-  // queue fills as a trickle), and the hash split almost never aligns with
-  // max_batch_size — the tail of every sub-batch would then ride out the
-  // full coalescing window before the gather could complete.
-  std::vector<std::vector<std::pair<size_t, int64_t>>> bursts(
-      num_shards);  // shard -> (result index, local row)
+  std::vector<std::vector<int64_t>> locals(num_shards);   // burst rows
+  std::vector<std::vector<size_t>> indices(num_shards);  // result slots
   for (size_t i = 0; i < item_rows.size(); ++i) {
     const int64_t row = item_rows[i];
     if (row < 0 || row >= num_rows) {
@@ -551,63 +545,60 @@ std::vector<StatusOr<runtime::ScoreResult>> ShardedRuntime::ScoreBatch(
       continue;
     }
     const size_t shard = table.shard_of_row[static_cast<size_t>(row)];
-    owner[i] = static_cast<uint32_t>(shard);
-    bursts[shard].emplace_back(i,
-                               table.local_of_row[static_cast<size_t>(row)]);
+    locals[shard].push_back(table.local_of_row[static_cast<size_t>(row)]);
+    indices[shard].push_back(i);
     results.emplace_back(runtime::ScoreResult{});  // merged below
   }
+  std::vector<std::shared_ptr<runtime::BurstCompletion>> bursts(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    if (bursts[s].empty()) continue;
+    if (locals[s].empty()) continue;
     if (!epoch->shards[s].breaker->AllowRequest()) {
       // Open/half-open breaker: shed the whole burst to the front-end
       // fallback before spending any deadline budget on a sick shard.
       // Only probe traffic can re-admit it.
-      breaker_shed_.Increment(static_cast<int64_t>(bursts[s].size()));
-      for (const auto& [index, local] : bursts[s]) {
-        (void)local;
+      breaker_shed_.Increment(static_cast<int64_t>(locals[s].size()));
+      for (const size_t index : indices[s]) {
         results[index] = FrontendDegraded(item_rows[index]);
       }
       continue;
     }
-    for (const auto& [index, local] : bursts[s]) {
-      futures[index] =
-          epoch->shards[s].runtime->ScoreAsync(local, fanout_deadline_us);
-    }
-    epoch->shards[s].runtime->FlushHint();  // end of this shard's group
+    bursts[s] = epoch->shards[s].runtime->ScoreBurst(locals[s],
+                                                     fanout_deadline_us);
   }
   fanout_us_.Record(MicrosSince(start));
 
   // --- gather ---
+  // One wait per shard, bounded by the whole-request budget, then every
+  // row's outcome in burst order. A straggler past the budget is
+  // abandoned: the shard still answers it, into the burst it co-owns,
+  // and the merge never holds the batch hostage to one shard.
   const Clock::time_point merge_start = Clock::now();
-  for (size_t i = 0; i < item_rows.size(); ++i) {
-    if (!futures[i].has_value()) continue;  // answered at scatter time
-    auto& future = *futures[i];
-    CircuitBreaker& breaker = *epoch->shards[owner[i]].breaker;
-    if (overall_deadline != Clock::time_point::max() &&
-        future.wait_until(overall_deadline) != std::future_status::ready) {
-      // Straggler past the whole-request budget: abandon the future (the
-      // shard will still resolve it harmlessly) and answer degraded now —
-      // the merge leg must never hold the batch hostage to one shard.
-      gather_timeouts_.Increment();
-      breaker.RecordResult(false);
-      results[i] = FrontendDegraded(item_rows[i]);
-      continue;
-    }
-    StatusOr<runtime::ScoreResult> result = future.get();
-    if (result.ok()) {
-      // Degraded-tier answers still count as successes here: the shard is
-      // alive and inside its budget, just not fresh — the supervisor's
-      // probes, not the breaker, handle staleness.
-      breaker.RecordResult(true);
-      results[i] = std::move(result);
-    } else {
-      // A down shard (FailedPrecondition after ShutDownShard) or a shard
-      // erroring with its fallback chain disabled: degrade at the
-      // front-end instead of surfacing a partial-failure error.
-      shard_errors_.Increment();
-      breaker.RecordResult(false);
-      results[i] = FrontendDegraded(item_rows[i]);
-    }
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (bursts[s] == nullptr) continue;  // answered at scatter time
+    bursts[s]->WaitUntil(overall_deadline);
+    CircuitBreaker& breaker = *epoch->shards[s].breaker;
+    bursts[s]->TakeAll([&](size_t slot,
+                           StatusOr<runtime::ScoreResult>* answer) {
+      const size_t index = indices[s][slot];
+      if (answer == nullptr) {
+        gather_timeouts_.Increment();
+        breaker.RecordResult(false);
+        results[index] = FrontendDegraded(item_rows[index]);
+      } else if (answer->ok()) {
+        // Degraded-tier answers still count as successes here: the shard
+        // is alive and inside its budget, just not fresh — the
+        // supervisor's probes, not the breaker, handle staleness.
+        breaker.RecordResult(true);
+        results[index] = std::move(*answer);
+      } else {
+        // A down shard (FailedPrecondition after ShutDownShard) or a shard
+        // erroring with its fallback chain disabled: degrade at the
+        // front-end instead of surfacing a partial-failure error.
+        shard_errors_.Increment();
+        breaker.RecordResult(false);
+        results[index] = FrontendDegraded(item_rows[index]);
+      }
+    });
   }
   merge_us_.Record(MicrosSince(merge_start));
   return results;

@@ -34,9 +34,11 @@ struct ShardedRuntimeConfig {
   /// 0 = none. Split between fan-out and merge by
   /// `fanout_budget_fraction`.
   int64_t default_deadline_us = 0;
-  /// Fraction of the budget given to the scatter leg (it becomes each
-  /// shard request's deadline); the remainder bounds how long the gather
-  /// waits on stragglers before degrading them. Must be in (0, 1].
+  /// Fraction of the budget given to the scatter leg: each shard burst's
+  /// deadline, counted from the moment the burst is handed to its shard.
+  /// The whole budget, counted from the ScoreBatch call, bounds how long
+  /// the gather waits on stragglers before degrading them. Must be in
+  /// (0, 1].
   double fanout_budget_fraction = 0.75;
   /// Front-end fallback, keyed by *global* item row: answers requests
   /// whose shard is down or whose gather budget expired. May be null (the
@@ -185,6 +187,12 @@ class ShardedRuntime {
   ///   - OK + tier:          fresh/degraded score (see class comment)
   ///   - InvalidArgument:    row outside the published catalog
   ///   - FailedPrecondition: PublishSharded never succeeded
+  /// Each shard gets its rows as one burst (InferenceRuntime::ScoreBurst)
+  /// under one deadline, and the gather waits once per shard. A row still
+  /// unanswered at the whole-request deadline is answered from the
+  /// front-end fallback and counts in gather.timeouts and as a failure of
+  /// its shard's breaker; the shard's late answer lands in the burst's
+  /// completion, never in the returned results.
   std::vector<StatusOr<runtime::ScoreResult>> ScoreBatch(
       const std::vector<int64_t>& item_rows);
 

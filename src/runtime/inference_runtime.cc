@@ -24,14 +24,6 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
-std::future<StatusOr<ScoreResult>> ReadyResponse(
-    StatusOr<ScoreResult> response) {
-  std::promise<StatusOr<ScoreResult>> promise;
-  auto future = promise.get_future();
-  promise.set_value(std::move(response));
-  return future;
-}
-
 /// The fault injector's snapshot-publish corruption: a NaN poked into a
 /// copy of the mean-user vector. The corrupt snapshot then flows through
 /// the *real* ValidateServingSnapshot rejection path — the injection
@@ -44,6 +36,10 @@ void CorruptSnapshotInPlace(ServingSnapshot* snapshot) {
   }
   snapshot->predictor = std::make_shared<core::PopularityPredictor>(
       std::move(mean), snapshot->predictor->bias());
+}
+
+Status InjectedQueueFull() {
+  return Status::ResourceExhausted("fault injection: queue full");
 }
 
 }  // namespace
@@ -166,37 +162,63 @@ std::future<StatusOr<ScoreResult>> InferenceRuntime::ScoreAsync(
   const Clock::time_point deadline =
       deadline_us > 0 ? Clock::now() + std::chrono::microseconds(deadline_us)
                       : kNoDeadline;
-
-  if (injector_.ShouldRejectEnqueue()) {
-    PendingRequest request;
-    request.item_row = item_row;
-    request.enqueue_time = Clock::now();
-    auto future = request.promise.get_future();
-    AnswerDegraded(&request,
-                   Status::ResourceExhausted("fault injection: queue full"),
-                   /*expired=*/false);
-    return future;
-  }
-
   std::future<StatusOr<ScoreResult>> future;
-  const Status admitted = batcher_.TryEnqueue(item_row, deadline, &future);
-  if (admitted.ok()) return future;
-  if (admitted.code() == StatusCode::kFailedPrecondition) {
+  const Status refused = injector_.ShouldRejectEnqueue()
+                             ? InjectedQueueFull()
+                             : batcher_.TryEnqueue(item_row, deadline, &future);
+  if (refused.ok()) return future;
+  PendingRequest request;
+  request.item_row = item_row;
+  request.enqueue_time = Clock::now();
+  request.promise.emplace();
+  future = request.promise->get_future();
+  AnswerRefused(&request, refused);
+  return future;
+}
+
+std::shared_ptr<BurstCompletion> InferenceRuntime::ScoreBurst(
+    const std::vector<int64_t>& item_rows, int64_t deadline_us) {
+  const Clock::time_point now = Clock::now();
+  const Clock::time_point deadline =
+      deadline_us > 0 ? now + std::chrono::microseconds(deadline_us)
+                      : kNoDeadline;
+  auto burst = std::make_shared<BurstCompletion>(item_rows.size());
+  std::vector<PendingRequest> requests;
+  requests.reserve(item_rows.size());
+  for (size_t i = 0; i < item_rows.size(); ++i) {
+    PendingRequest request;
+    request.item_row = item_rows[i];
+    request.burst = burst;
+    request.slot = i;
+    request.enqueue_time = now;
+    request.deadline = deadline;
+    if (injector_.ShouldRejectEnqueue()) {
+      AnswerRefused(&request, InjectedQueueFull());
+      continue;
+    }
+    requests.push_back(std::move(request));
+  }
+  Status refused;
+  const size_t admitted = batcher_.EnqueueBurst(&requests, &refused);
+  for (size_t i = admitted; i < requests.size(); ++i) {
+    AnswerRefused(&requests[i], refused);
+  }
+  return burst;
+}
+
+void InferenceRuntime::AnswerRefused(PendingRequest* request,
+                                     const Status& why) {
+  if (why.code() == StatusCode::kFailedPrecondition) {
     // Shutdown is not an overload: a degraded answer would hide that the
     // process is going away. Callers see the real condition.
-    return ReadyResponse(admitted);
+    request->Complete(why);
+    return;
   }
   // Queue rejection (ResourceExhausted) or deadline expiry while blocked on
   // backpressure (DeadlineExceeded): answer degraded, never re-touching the
   // queue — degraded responses must stay cheap precisely when the fresh
   // path is the bottleneck.
-  PendingRequest request;
-  request.item_row = item_row;
-  request.enqueue_time = Clock::now();
-  auto degraded_future = request.promise.get_future();
-  AnswerDegraded(&request, admitted,
-                 admitted.code() == StatusCode::kDeadlineExceeded);
-  return degraded_future;
+  AnswerDegraded(request, why, why.code() == StatusCode::kDeadlineExceeded);
 }
 
 StatusOr<ScoreResult> InferenceRuntime::Score(int64_t item_row) {
@@ -256,7 +278,7 @@ void InferenceRuntime::WorkerLoop() {
     const auto snapshot = snapshots_.Acquire();
     if (snapshot == nullptr) {
       for (auto& request : batch) {
-        request.promise.set_value(Status::FailedPrecondition(
+        request.Complete(Status::FailedPrecondition(
             "no model snapshot published; call Publish() first"));
         stats_.RecordResponse(false, MicrosSince(request.enqueue_time));
       }
@@ -280,7 +302,7 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
     PendingRequest& request = (*batch)[i];
     const int64_t row = request.item_row;
     if (row < 0 || row >= num_rows) {
-      request.promise.set_value(Status::InvalidArgument(
+      request.Complete(Status::InvalidArgument(
           "item row " + std::to_string(row) + " outside profile table [0, " +
           std::to_string(num_rows) + ")"));
       stats_.RecordResponse(false, MicrosSince(request.enqueue_time));
@@ -424,7 +446,7 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
     result.score = scores[j];
     result.snapshot_version = snapshot.version;
     result.tier = ServingTier::kFresh;
-    request.promise.set_value(result);
+    request.Complete(result);
     stats_.RecordServed(ServingTier::kFresh,
                         MicrosSince(request.enqueue_time));
   }
@@ -547,12 +569,12 @@ void InferenceRuntime::AnswerDegraded(PendingRequest* request,
                                       const Status& why, bool expired) {
   if (expired) stats_.RecordDeadlineExpired();
   if (!config_.enable_degraded_fallback) {
-    request->promise.set_value(why);
+    request->Complete(why);
     stats_.RecordResponse(false, MicrosSince(request->enqueue_time));
     return;
   }
   const ScoreResult result = DegradedScore(request->item_row);
-  request->promise.set_value(result);
+  request->Complete(result);
   stats_.RecordServed(result.tier, MicrosSince(request->enqueue_time));
 }
 

@@ -102,9 +102,9 @@ class CheckedSnapshot {
 /// Lifecycle:
 ///   ATNN_ASSIGN_OR_RETURN(auto runtime, InferenceRuntime::Create(config));
 ///   ATNN_RETURN_IF_ERROR(runtime->Publish(snapshot).status());
-///   auto future = runtime->ScoreAsync(row);
+///   auto future = runtime->ScoreAsync(row);  // or ScoreBurst(rows, us)
 ///   ...
-///   runtime->Shutdown();                  // drains; also run by ~dtor
+///   runtime->Shutdown();                     // drains; also run by ~dtor
 ///
 /// Hot swap: Publish() may be called at any time, from any thread, while
 /// requests are in flight. Workers pick up the new version at their next
@@ -112,11 +112,11 @@ class CheckedSnapshot {
 /// No request is ever dropped or scored against a half-written model, and
 /// a snapshot failing validation leaves the current version serving.
 ///
-/// Thread safety: ScoreAsync/Score/Publish/SetPrior/stats are safe from
-/// any thread. Scoring runs concurrent *forward* passes over a shared
-/// immutable model; this is safe because forward ops only read parameter
-/// values (training the published model concurrently is not supported —
-/// train a copy and Publish it).
+/// Thread safety: ScoreAsync/ScoreBurst/Score/Publish/SetPrior/stats are
+/// safe from any thread. Scoring runs concurrent *forward* passes over a
+/// shared immutable model; this is safe because forward ops only read
+/// parameter values (training the published model concurrently is not
+/// supported — train a copy and Publish it).
 class InferenceRuntime {
  public:
   /// Validates `config` (see RuntimeConfig::Validate) and constructs.
@@ -172,6 +172,19 @@ class InferenceRuntime {
   std::future<StatusOr<ScoreResult>> ScoreAsync(int64_t item_row,
                                                 int64_t deadline_us);
 
+  /// Scores a burst of item rows under one deadline (microseconds from
+  /// now; 0 = none): item_rows[i] is answered into slot i of the returned
+  /// completion, with the outcome ScoreAsync would give that row alone.
+  /// The burst is admitted under one acquisition of the batcher's mutex
+  /// and flushed at its end, so no FlushHint is needed (see
+  /// MicroBatcher::EnqueueBurst for what a full queue does to a burst).
+  /// Rows the queue refuses are answered at once, degraded (or
+  /// FailedPrecondition when shutting down). The caller waits once for the
+  /// whole burst instead of once per row, and may stop waiting: rows
+  /// answered later write into the completion, which they co-own.
+  std::shared_ptr<BurstCompletion> ScoreBurst(
+      const std::vector<int64_t>& item_rows, int64_t deadline_us);
+
   /// Blocking convenience wrapper around ScoreAsync.
   StatusOr<ScoreResult> Score(int64_t item_row);
 
@@ -188,13 +201,12 @@ class InferenceRuntime {
   /// a stalled worker never answers, cached row or not.
   StatusOr<ScoreResult> Probe(int64_t item_row, int64_t deadline_us);
 
-  /// Group-boundary hint after a burst of ScoreAsync calls: the caller
+  /// Group-boundary hint after a run of ScoreAsync calls: the caller
   /// promises no more requests are coming for the current batch window, so
   /// any partial batch of already-admitted requests flushes immediately
   /// instead of waiting out max_delay_us for co-riders that never arrive.
-  /// The sharded front-end issues one per shard after each scatter leg —
-  /// hash-split sub-batches almost never align with max_batch_size, and
-  /// without the hint every chunk's tail rides the full batch window.
+  /// Probe issues one, and so does a caller warming the cache with single
+  /// rows. ScoreBurst flushes its own burst and needs no hint.
   void FlushHint() { batcher_.FlushHint(); }
 
   /// Replaces the tier-2 fallback prior (may be null to remove it).
@@ -267,6 +279,9 @@ class InferenceRuntime {
   /// chain is disabled) and records stats. `expired` marks deadline blown.
   void AnswerDegraded(PendingRequest* request, const Status& why,
                       bool expired);
+  /// Answers a request the queue refused for `why` (a TryEnqueue or
+  /// EnqueueBurst code): FailedPrecondition as is, anything else degraded.
+  void AnswerRefused(PendingRequest* request, const Status& why);
   /// Feeds the running global-mean accumulator (fresh scores only).
   void RecordFreshScores(const std::vector<double>& scores);
 

@@ -23,6 +23,37 @@ double MicrosBetween(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
+void BurstCompletion::Complete(size_t slot, StatusOr<ScoreResult> result) {
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_[slot].emplace(std::move(result));
+    last = --unanswered_ == 0;
+  }
+  // The answering row co-owns the burst, so it outlives this notify even
+  // when the waiter returns and drops its reference first.
+  if (last) all_answered_.notify_all();
+}
+
+bool BurstCompletion::WaitUntil(
+    std::chrono::steady_clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto answered = [this] { return unanswered_ == 0; };
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    all_answered_.wait(lock, answered);
+    return true;
+  }
+  return all_answered_.wait_until(lock, deadline, answered);
+}
+
+void PendingRequest::Complete(StatusOr<ScoreResult> result) {
+  if (burst != nullptr) {
+    burst->Complete(slot, std::move(result));
+  } else {
+    promise->set_value(std::move(result));
+  }
+}
+
 Status BatcherConfig::Validate() const {
   if (max_batch_size < 1) {
     return Status::InvalidArgument("max_batch_size must be >= 1");
@@ -61,32 +92,14 @@ Status MicroBatcher::TryEnqueue(
   request.item_row = item_row;
   request.enqueue_time = std::chrono::steady_clock::now();
   request.deadline = deadline;
-  auto future = request.promise.get_future();
+  request.promise.emplace();
+  auto future = request.promise->get_future();
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.admission == AdmissionPolicy::kBlock) {
-      const auto have_space = [this] {
-        return closed_ || queue_.size() < config_.queue_capacity;
-      };
-      if (deadline == std::chrono::steady_clock::time_point::max()) {
-        not_full_.wait(lock, have_space);
-      } else if (!not_full_.wait_until(lock, deadline, have_space)) {
-        // Backpressure held the caller all the way to its deadline.
-        if (stats_ != nullptr) stats_->RecordRejected();
-        return Status::DeadlineExceeded(
-            "request deadline expired waiting for queue space");
-      }
-    }
-    if (closed_) {
+    const Status space = AwaitSpaceLocked(&lock, deadline);
+    if (!space.ok()) {
       if (stats_ != nullptr) stats_->RecordRejected();
-      return Status::FailedPrecondition("runtime is shutting down");
-    }
-    if (queue_.size() >= config_.queue_capacity) {
-      // Only reachable under kRejectWithStatus: kBlock waited for space.
-      if (stats_ != nullptr) stats_->RecordRejected();
-      return Status::ResourceExhausted(
-          "request queue full (" + std::to_string(config_.queue_capacity) +
-          " pending)");
+      return space;
     }
     request.seq = ++admitted_seq_;
     queue_.push_back(std::move(request));
@@ -104,6 +117,77 @@ Status MicroBatcher::TryEnqueue(
   }
   if (stats_ != nullptr) stats_->RecordEnqueued();
   *out = std::move(future);
+  return Status::OK();
+}
+
+size_t MicroBatcher::EnqueueBurst(std::vector<PendingRequest>* requests,
+                                  Status* refused) {
+  size_t admitted = 0;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto now = std::chrono::steady_clock::now();
+    for (; admitted < requests->size(); ++admitted) {
+      PendingRequest& request = (*requests)[admitted];
+      const bool must_wait = config_.admission == AdmissionPolicy::kBlock &&
+                             !closed_ &&
+                             queue_.size() >= config_.queue_capacity;
+      if (must_wait) {
+        // Waiting for space releases the mutex, so first let the consumers
+        // at what is queued: flush it and wake them, or the full queue
+        // would only drain once its oldest request aged out.
+        flush_seq_ = admitted_seq_;
+        PublishDepthLocked();
+        not_empty_.notify_all();
+      }
+      *refused = AwaitSpaceLocked(&lock, request.deadline);
+      if (!refused->ok()) break;
+      if (must_wait) now = std::chrono::steady_clock::now();
+      request.enqueue_time = now;
+      request.seq = ++admitted_seq_;
+      queue_.push_back(std::move(request));
+    }
+    // The whole burst is in: no co-riders are coming for it, so it flushes
+    // like a FlushHint.
+    if (admitted > 0) flush_seq_ = admitted_seq_;
+    PublishDepthLocked();
+  }
+  if (stats_ != nullptr) {
+    if (admitted > 0) stats_->RecordEnqueued(admitted);
+    if (admitted < requests->size()) {
+      stats_->RecordRejected(requests->size() - admitted);
+    }
+  }
+  // The wakes the per-row rule would give (the queue turning non-empty,
+  // each further full batch) cannot take effect while the burst holds the
+  // mutex, so they are given here as one, together with the flush's.
+  // notify_all, as in FlushHint: the consumer in the batch window is not
+  // necessarily the one a notify_one would reach.
+  if (admitted > 0) not_empty_.notify_all();
+  return admitted;
+}
+
+Status MicroBatcher::AwaitSpaceLocked(
+    std::unique_lock<std::mutex>* lock,
+    std::chrono::steady_clock::time_point deadline) {
+  if (config_.admission == AdmissionPolicy::kBlock) {
+    const auto have_space = [this] {
+      return closed_ || queue_.size() < config_.queue_capacity;
+    };
+    if (deadline == std::chrono::steady_clock::time_point::max()) {
+      not_full_.wait(*lock, have_space);
+    } else if (!not_full_.wait_until(*lock, deadline, have_space)) {
+      // Backpressure held the caller all the way to its deadline.
+      return Status::DeadlineExceeded(
+          "request deadline expired waiting for queue space");
+    }
+  }
+  if (closed_) return Status::FailedPrecondition("runtime is shutting down");
+  if (queue_.size() >= config_.queue_capacity) {
+    // Only reachable under kRejectWithStatus: kBlock waited for space.
+    return Status::ResourceExhausted(
+        "request queue full (" + std::to_string(config_.queue_capacity) +
+        " pending)");
+  }
   return Status::OK();
 }
 

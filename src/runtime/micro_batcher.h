@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -19,9 +21,8 @@ enum class AdmissionPolicy {
   /// Enqueue blocks the caller until space frees up (producer-side
   /// backpressure; total memory stays bounded, latency absorbs the spike).
   kBlock,
-  /// Enqueue immediately fulfils the request's future with
-  /// ResourceExhausted (load shedding; callers see the overload and can
-  /// retry or degrade).
+  /// Enqueue immediately answers the request with ResourceExhausted (load
+  /// shedding; callers see the overload and can retry or degrade).
   kRejectWithStatus,
 };
 
@@ -51,11 +52,62 @@ struct ScoreResult {
   ServingTier tier = ServingTier::kFresh;
 };
 
+/// One shared completion for a burst of requests admitted together
+/// (MicroBatcher::EnqueueBurst, InferenceRuntime::ScoreBurst): a result
+/// slot per row, the count of rows still unanswered, and one timed wait.
+/// It stands in for a promise/future pair per row, so a burst costs one
+/// shared object and one cross-thread wake-up instead of one of each per
+/// row. The burst's queued rows co-own it: a row answered after its waiter
+/// gave up lands here, never in memory the waiter has moved on to.
+class BurstCompletion {
+ public:
+  explicit BurstCompletion(size_t rows) : slots_(rows), unanswered_(rows) {}
+
+  BurstCompletion(const BurstCompletion&) = delete;
+  BurstCompletion& operator=(const BurstCompletion&) = delete;
+
+  size_t size() const { return slots_.size(); }
+
+  /// Answers row `slot`; each slot is answered once. The answer that
+  /// leaves no row unanswered wakes the waiter.
+  void Complete(size_t slot, StatusOr<ScoreResult> result);
+
+  /// Blocks until every row is answered or `deadline` passes
+  /// (time_point::max() waits unbounded). True when every row was
+  /// answered.
+  bool WaitUntil(std::chrono::steady_clock::time_point deadline);
+
+  /// Calls `take(slot, answer)` for every row in slot order, under the
+  /// burst's mutex so no answer can land mid-read: `answer` points at the
+  /// row's result (the callee may move it out) or is null while the row is
+  /// still unanswered. A row answered after this call is never seen by
+  /// `take`, which must not call back into this completion.
+  template <typename Take>
+  void TakeAll(Take&& take) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t slot = 0; slot < slots_.size(); ++slot) {
+      take(slot, slots_[slot].has_value() ? &*slots_[slot] : nullptr);
+    }
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable all_answered_;
+  /// Empty until the row is answered.
+  std::vector<std::optional<StatusOr<ScoreResult>>> slots_;
+  size_t unanswered_;
+};
+
 /// A request admitted to the queue, waiting to be batched. Movable-only
 /// because of the promise.
 struct PendingRequest {
   int64_t item_row = 0;
-  std::promise<StatusOr<ScoreResult>> promise;
+  /// Where the answer goes: the promise of a single request (ScoreAsync,
+  /// Probe), or slot `slot` of a shared burst completion (ScoreBurst).
+  /// Exactly one of `promise` and `burst` is set.
+  std::optional<std::promise<StatusOr<ScoreResult>>> promise;
+  std::shared_ptr<BurstCompletion> burst;
+  size_t slot = 0;
   std::chrono::steady_clock::time_point enqueue_time;
   /// Admission order, assigned by the batcher. Lets FlushHint name "every
   /// request admitted so far" without touching the requests themselves.
@@ -65,14 +117,19 @@ struct PendingRequest {
   /// DeadlineExceeded — the runtime decides, the batcher only carries it).
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
+
+  /// Answers the request through its promise or its burst slot. Every
+  /// answer the runtime gives goes through here, exactly once per request.
+  void Complete(StatusOr<ScoreResult> result);
 };
 
 /// Coalesces single-item score requests into micro-batches. Producers call
-/// Enqueue from any thread; consumers (the runtime's workers) call
-/// PopBatch, which blocks until at least one request is queued and then
-/// waits until the batch is full or the oldest request's age reaches
-/// max_delay_us — the standard size-or-deadline flush rule. A producer
-/// that knows its burst is over can cut the wait short with FlushHint.
+/// Enqueue (one row) or EnqueueBurst (many rows) from any thread;
+/// consumers (the runtime's workers) call PopBatch, which blocks until at
+/// least one request is queued and then waits until the batch is full or
+/// the oldest request's age reaches max_delay_us — the standard
+/// size-or-deadline flush rule. A producer that knows its requests are
+/// over can cut the wait short with FlushHint; EnqueueBurst does so itself.
 ///
 /// The queue is bounded (queue_capacity); see AdmissionPolicy for what
 /// happens at the bound. Close() wakes everyone: queued requests still
@@ -107,6 +164,24 @@ class MicroBatcher {
                     std::chrono::steady_clock::time_point deadline,
                     std::future<StatusOr<ScoreResult>>* out);
 
+  /// Admits a burst of requests in order under one acquisition of the
+  /// mutex, stamping each row's enqueue time and admission order, and
+  /// returns how many were admitted: always a prefix of `*requests`,
+  /// moved into the queue. The rest stay in `*requests` for the caller to
+  /// answer, and `*refused` says why (the codes of TryEnqueue):
+  ///   ResourceExhausted:  the queue was full at the row's admission under
+  ///                       kRejectWithStatus. Nothing drains while the
+  ///                       burst holds the mutex, so a burst admitted to
+  ///                       an empty queue takes exactly queue_capacity rows.
+  ///   DeadlineExceeded:   kBlock waited past the row's deadline for space.
+  ///   FailedPrecondition: closed (shutting down).
+  /// Under kBlock the burst flushes what is queued and wakes a consumer
+  /// before each wait for space, so a full queue drains at once instead of
+  /// after max_delay_us. `enqueued` and `rejected` are counted once per
+  /// burst, and the whole admitted burst is flushed at its end, as by
+  /// FlushHint.
+  size_t EnqueueBurst(std::vector<PendingRequest>* requests, Status* refused);
+
   /// Blocks for the next micro-batch. Returns an empty vector only after
   /// Close() once all queued requests have been handed out. Safe to call
   /// from multiple consumer threads; each request is handed to exactly one
@@ -128,6 +203,12 @@ class MicroBatcher {
   const BatcherConfig& config() const { return config_; }
 
  private:
+  /// Under kBlock waits, until `deadline`, for queue space; then says
+  /// whether one more request may be queued (OK) or why not, with the
+  /// codes of TryEnqueue. Counts nothing. `lock` holds mutex_.
+  Status AwaitSpaceLocked(std::unique_lock<std::mutex>* lock,
+                          std::chrono::steady_clock::time_point deadline);
+
   /// The single accounting point for the queue_depth gauge: every queue
   /// mutation publishes through here, under mutex_, so the gauge can never
   /// disagree with what a consumer holding the lock would observe.

@@ -87,8 +87,12 @@ class RuntimeStats {
   RuntimeStats(const RuntimeStats&) = delete;
   RuntimeStats& operator=(const RuntimeStats&) = delete;
 
-  void RecordEnqueued() { enqueued_.Increment(); }
-  void RecordRejected() { rejected_.Increment(); }
+  void RecordEnqueued(size_t count = 1) {
+    enqueued_.Increment(static_cast<int64_t>(count));
+  }
+  void RecordRejected(size_t count = 1) {
+    rejected_.Increment(static_cast<int64_t>(count));
+  }
   void RecordBatch(size_t batch_size, double score_us) {
     batches_.Increment();
     batch_size_.Record(static_cast<double>(batch_size));

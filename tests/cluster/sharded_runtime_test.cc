@@ -1,6 +1,7 @@
 #include "cluster/sharded_runtime.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -712,6 +713,136 @@ TEST_F(ShardedRuntimeTest, StalledShardTimesOutIntoThePriorAndTripsItsBreaker) {
   EXPECT_EQ(Counter(runtime, "gather.timeouts"), shard0_rows);
 
   runtime.shard(0).fault_injector().SetStallWorkers(false);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, BlockedScatterStaysInsideTheWholeBudget) {
+  ShardedRuntimeConfig config = SmallShardedConfig(2);
+  config.shard.num_workers = 1;
+  config.shard.batcher.queue_capacity = 16;
+  config.shard.fault_injection.enabled = true;  // allows the stall drill
+  config.prior = FlatPrior(0.375);
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const std::vector<int64_t> rows = AllRows();
+  int64_t shard0_rows = 0;
+  for (const int64_t row : rows) {
+    if (runtime.ring().ShardFor(row) == 0) ++shard0_rows;
+  }
+  // More than the stalled worker's batch plus a full queue: the rest of
+  // shard 0's burst must wait for space that never frees.
+  ASSERT_GT(shard0_rows, 32);
+
+  // Under kBlock the scatter leg waits for queue space, but one deadline
+  // bounds the whole burst's wait. A deadline per row would hold the
+  // gateway for one fan-out budget per blocked row.
+  runtime.shard(0).fault_injector().SetStallWorkers(true);
+  const auto start = std::chrono::steady_clock::now();
+  const auto results = runtime.ScoreBatch(rows, 20'000);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+  ASSERT_EQ(results.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    if (runtime.ring().ShardFor(rows[i]) == 0) {
+      EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kPrior)
+          << "row " << rows[i];
+      EXPECT_EQ(results[i].value().score, 0.375) << "row " << rows[i];
+    }
+  }
+  // Every shard-0 row either waited out the burst deadline for space (the
+  // shard answered it from its prior) or was admitted and never answered
+  // (the gather timed it out into the front-end prior).
+  EXPECT_EQ(Counter(runtime, "gather.timeouts") +
+                runtime.shard(0).stats().deadline_expired,
+            shard0_rows);
+
+  runtime.shard(0).fault_injector().SetStallWorkers(false);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, BurstOverQueueCapacityBlocksUntilEveryRowIsFresh) {
+  ShardedRuntimeConfig config = SmallShardedConfig(1);
+  config.shard.num_workers = 1;
+  config.shard.batcher.queue_capacity = 16;  // one max_batch_size batch
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  ASSERT_GT(expected.size(), 16u);
+
+  // The burst waits for space batch after batch; no row is refused.
+  ExpectFreshBitwise(runtime, expected, 1);
+  EXPECT_EQ(runtime.shard(0).stats().rejected, 0);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, BurstOverQueueCapacityRejectsExactlyTheOverflow) {
+  constexpr int64_t kCapacity = 16;  // one max_batch_size batch
+  ShardedRuntimeConfig config = SmallShardedConfig(1);
+  config.shard.num_workers = 1;
+  config.shard.batcher.queue_capacity = kCapacity;
+  config.shard.batcher.admission = runtime::AdmissionPolicy::kRejectWithStatus;
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  const std::vector<int64_t> rows = AllRows();
+  const int64_t overflow = static_cast<int64_t>(rows.size()) - kCapacity;
+  ASSERT_GT(overflow, 0);
+
+  // No worker can pop while the burst holds the batcher mutex, so the
+  // burst fills the empty queue and every later row is refused — and
+  // answered degraded by the shard, never as an error.
+  const auto results = runtime.ScoreBatch(rows);
+  ASSERT_EQ(results.size(), rows.size());
+  int64_t fresh = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    if (results[i].value().tier == runtime::ServingTier::kFresh) {
+      EXPECT_EQ(results[i].value().score, expected[i]) << "row " << rows[i];
+      ++fresh;
+    }
+  }
+  EXPECT_EQ(fresh, kCapacity);
+  const runtime::StatsSnapshot stats = runtime.shard(0).stats();
+  EXPECT_EQ(stats.enqueued, kCapacity);
+  EXPECT_EQ(stats.rejected, overflow);
+  EXPECT_EQ(Counter(runtime, "gather.shard_errors"), 0);
+  runtime.Shutdown();
+}
+
+TEST_F(ShardedRuntimeTest, LateAnswersNeverLandInALaterBatch) {
+  ShardedRuntimeConfig config = SmallShardedConfig(2);
+  config.shard.fault_injection.enabled = true;  // allows the stall drill
+  config.prior = FlatPrior(0.875);
+  // Shard 0 stays routable after its timeouts.
+  config.breaker.min_samples = 1'000'000;
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, AllRows());
+  const std::vector<int64_t> rows = AllRows();
+
+  runtime.shard(0).fault_injector().SetStallWorkers(true);
+  const auto abandoned = runtime.ScoreBatch(rows, 50'000);
+  ASSERT_EQ(abandoned.size(), rows.size());
+  ASSERT_GT(Counter(runtime, "gather.timeouts"), 0);
+
+  // Shard 0 now answers the abandoned burst while the next batch is in
+  // flight. In reverse order every slot index names a different row, so
+  // an answer that landed in the wrong batch would be a wrong score.
+  runtime.shard(0).fault_injector().SetStallWorkers(false);
+  const std::vector<int64_t> reversed(rows.rbegin(), rows.rend());
+  const auto results = runtime.ScoreBatch(reversed, 0);
+  ASSERT_EQ(results.size(), reversed.size());
+  for (size_t i = 0; i < reversed.size(); ++i) {
+    const auto row = static_cast<size_t>(reversed[i]);
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(results[i].value().tier, runtime::ServingTier::kFresh)
+        << "row " << row;
+    EXPECT_EQ(results[i].value().score, expected[row]) << "row " << row;
+  }
   runtime.Shutdown();
 }
 

@@ -145,6 +145,65 @@ TEST_F(InferenceRuntimeTest, SyncScoreMatchesAsync) {
   EXPECT_NEAR(sync.value().score, async.value().score, 1e-12);
 }
 
+TEST_F(InferenceRuntimeTest, ScoreBurstAnswersEveryRowIntoItsSlot) {
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, dataset_->new_items);
+  InferenceRuntime runtime(SmallRuntimeConfig());
+  ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+
+  std::vector<int64_t> rows = dataset_->new_items;
+  rows.push_back(-1);
+  rows.push_back(dataset_->item_profiles.num_rows());
+  const auto burst = runtime.ScoreBurst(rows, 0);
+  ASSERT_EQ(burst->size(), rows.size());
+  EXPECT_TRUE(burst->WaitUntil(std::chrono::steady_clock::time_point::max()));
+  burst->TakeAll([&](size_t slot, StatusOr<ScoreResult>* answer) {
+    ASSERT_NE(answer, nullptr) << "slot " << slot;
+    if (slot >= expected.size()) {
+      EXPECT_EQ(answer->status().code(), StatusCode::kInvalidArgument);
+      return;
+    }
+    ASSERT_TRUE(answer->ok()) << answer->status().ToString();
+    EXPECT_EQ(answer->value().score, expected[slot]) << "slot " << slot;
+    EXPECT_EQ(answer->value().tier, ServingTier::kFresh);
+    EXPECT_EQ(answer->value().snapshot_version, 1u);
+  });
+  EXPECT_EQ(runtime.stats().enqueued, static_cast<int64_t>(rows.size()));
+
+  // After shutdown every row is refused as the real condition, not
+  // degraded.
+  runtime.Shutdown();
+  const auto refused = runtime.ScoreBurst(dataset_->new_items, 0);
+  EXPECT_TRUE(refused->WaitUntil(std::chrono::steady_clock::now()));
+  refused->TakeAll([](size_t slot, StatusOr<ScoreResult>* answer) {
+    ASSERT_NE(answer, nullptr) << "slot " << slot;
+    EXPECT_EQ(answer->status().code(), StatusCode::kFailedPrecondition);
+  });
+}
+
+TEST_F(InferenceRuntimeTest, InjectedFaultsDegradeEveryBurstRowCleanly) {
+  RuntimeConfig config = SmallRuntimeConfig();
+  config.fault_injection.enabled = true;
+  config.fault_injection.seed = 99;
+  config.fault_injection.batch_failure_probability = 0.3;
+  config.fault_injection.enqueue_reject_probability = 0.1;
+  InferenceRuntime runtime(config);
+  ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+
+  const auto burst = runtime.ScoreBurst(dataset_->new_items, 0);
+  EXPECT_TRUE(burst->WaitUntil(std::chrono::steady_clock::time_point::max()));
+  burst->TakeAll([](size_t slot, StatusOr<ScoreResult>* answer) {
+    ASSERT_NE(answer, nullptr) << "slot " << slot;
+    EXPECT_TRUE(answer->ok()) << answer->status().ToString();
+  });
+  runtime.Shutdown();
+  const auto stats = runtime.stats();
+  EXPECT_GT(stats.faults_injected, 0);
+  EXPECT_EQ(stats.completed_ok,
+            static_cast<int64_t>(dataset_->new_items.size()));
+  EXPECT_GT(stats.degraded, 0);
+}
+
 TEST_F(InferenceRuntimeTest, ScoreCacheServesRepeatsAndInvalidatesOnPublish) {
   RuntimeConfig config = SmallRuntimeConfig();
   config.num_workers = 1;  // sync Score => one request per batch, so the

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,19 @@ BatcherConfig SmallConfig() {
   config.max_delay_us = 2000;
   config.queue_capacity = 8;
   return config;
+}
+
+/// Requests for rows first_row, first_row + 1, ... answering into slots
+/// 0, 1, ... of `burst`.
+std::vector<PendingRequest> BurstRequests(
+    const std::shared_ptr<BurstCompletion>& burst, int64_t first_row) {
+  std::vector<PendingRequest> requests(burst->size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].item_row = first_row + static_cast<int64_t>(i);
+    requests[i].burst = burst;
+    requests[i].slot = i;
+  }
+  return requests;
 }
 
 TEST(MicroBatcherTest, FlushesWhenBatchFills) {
@@ -328,6 +342,142 @@ TEST(MicroBatcherTest, TryEnqueueAfterCloseIsFailedPrecondition) {
       1, std::chrono::steady_clock::time_point::max(), &future);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(future.valid());
+}
+
+TEST(MicroBatcherTest, BurstPopsAtOnceAsOneBatchInAdmissionOrder) {
+  BatcherConfig config = SmallConfig();
+  config.max_batch_size = 8;
+  config.max_delay_us = 10'000'000;  // a burst left to the window hangs 10s
+  MicroBatcher batcher(config);
+  auto burst = std::make_shared<BurstCompletion>(5);
+  std::vector<PendingRequest> requests = BurstRequests(burst, 10);
+  Status refused;
+  ASSERT_EQ(batcher.EnqueueBurst(&requests, &refused), 5u);
+  EXPECT_TRUE(refused.ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto batch = batcher.PopBatch();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(batch.size(), 5u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].item_row, 10 + static_cast<int64_t>(i));
+    EXPECT_EQ(batch[i].slot, i);
+  }
+  EXPECT_LT(waited, std::chrono::seconds(5)) << "the burst was not flushed";
+  batcher.Close();
+}
+
+TEST(MicroBatcherTest, BurstSplitsIntoFullBatchesAndAFlushedTail) {
+  BatcherConfig config = SmallConfig();
+  config.max_batch_size = 8;
+  config.max_delay_us = 10'000'000;
+  config.queue_capacity = 32;
+  MicroBatcher batcher(config);
+  auto burst = std::make_shared<BurstCompletion>(20);
+  std::vector<PendingRequest> requests = BurstRequests(burst, 0);
+  Status refused;
+  ASSERT_EQ(batcher.EnqueueBurst(&requests, &refused), 20u);
+
+  const auto start = std::chrono::steady_clock::now();
+  int64_t next_row = 0;
+  for (const size_t expected : {size_t{8}, size_t{8}, size_t{4}}) {
+    const auto batch = batcher.PopBatch();
+    ASSERT_EQ(batch.size(), expected);
+    for (const PendingRequest& request : batch) {
+      EXPECT_EQ(request.item_row, next_row++);
+    }
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+      << "the tail waited out the batch window";
+  batcher.Close();
+}
+
+TEST(MicroBatcherTest, RejectPolicyAdmitsABurstUpToCapacity) {
+  BatcherConfig config = SmallConfig();  // capacity 8
+  config.admission = AdmissionPolicy::kRejectWithStatus;
+  RuntimeStats stats;
+  MicroBatcher batcher(config, &stats);
+  std::vector<std::future<StatusOr<ScoreResult>>> singles;
+  for (int64_t i = 0; i < 3; ++i) singles.push_back(batcher.Enqueue(i));
+
+  auto burst = std::make_shared<BurstCompletion>(10);
+  std::vector<PendingRequest> requests = BurstRequests(burst, 100);
+  Status refused;
+  // The burst holds the mutex throughout, so nothing drains under it: it
+  // takes exactly the 5 free places and every later row is refused.
+  EXPECT_EQ(batcher.EnqueueBurst(&requests, &refused), 5u);
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(batcher.queue_depth(), 8u);
+  // The refused rows stay with the caller, in order, to be answered.
+  ASSERT_EQ(requests.size(), 10u);
+  EXPECT_EQ(requests[5].item_row, 105);
+  EXPECT_EQ(requests[9].item_row, 109);
+  const auto snapshot = stats.Snapshot();
+  EXPECT_EQ(snapshot.enqueued, 8);
+  EXPECT_EQ(snapshot.rejected, 5);
+  batcher.Close();
+}
+
+TEST(MicroBatcherTest, SingleRowsAroundABurstKeepFifoOrder) {
+  BatcherConfig config = SmallConfig();
+  config.max_batch_size = 8;
+  config.max_delay_us = 10'000'000;
+  MicroBatcher batcher(config);
+  const auto no_deadline = std::chrono::steady_clock::time_point::max();
+  std::future<StatusOr<ScoreResult>> before;
+  ASSERT_TRUE(batcher.TryEnqueue(1, no_deadline, &before).ok());
+  auto burst = std::make_shared<BurstCompletion>(3);
+  std::vector<PendingRequest> requests = BurstRequests(burst, 2);
+  Status refused;
+  ASSERT_EQ(batcher.EnqueueBurst(&requests, &refused), 3u);
+  std::future<StatusOr<ScoreResult>> after;
+  ASSERT_TRUE(batcher.TryEnqueue(5, no_deadline, &after).ok());
+
+  // The burst's flush covers the single row ahead of it; the row behind
+  // rides along in the same batch.
+  const auto start = std::chrono::steady_clock::now();
+  const auto batch = batcher.PopBatch();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+      << "the burst's flush did not cover the row queued ahead of it";
+  ASSERT_EQ(batch.size(), 5u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].item_row, static_cast<int64_t>(i) + 1);
+  }
+  EXPECT_EQ(batch[0].burst, nullptr);
+  EXPECT_EQ(batch[1].burst, burst);
+  EXPECT_EQ(batch[4].burst, nullptr);
+  batcher.Close();
+}
+
+TEST(MicroBatcherTest, BurstCompletionWakesItsWaiterOnTheLastAnswer) {
+  auto burst = std::make_shared<BurstCompletion>(3);
+  ScoreResult result;
+  result.score = 0.25;
+  burst->Complete(0, result);
+  burst->Complete(1, Status::InvalidArgument("bad row"));
+  EXPECT_FALSE(burst->WaitUntil(std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(5)));
+  std::vector<bool> answered;
+  burst->TakeAll([&](size_t slot, StatusOr<ScoreResult>* answer) {
+    EXPECT_EQ(slot, answered.size());
+    answered.push_back(answer != nullptr);
+  });
+  EXPECT_EQ(answered, (std::vector<bool>{true, true, false}));
+
+  std::thread late([burst] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    burst->Complete(2, ScoreResult{});
+  });
+  EXPECT_TRUE(burst->WaitUntil(std::chrono::steady_clock::time_point::max()));
+  late.join();
+  burst->TakeAll([](size_t slot, StatusOr<ScoreResult>* answer) {
+    ASSERT_NE(answer, nullptr) << "slot " << slot;
+    if (slot == 0) {
+      EXPECT_EQ(answer->value().score, 0.25);
+    } else if (slot == 1) {
+      EXPECT_EQ(answer->status().code(), StatusCode::kInvalidArgument);
+    }
+  });
 }
 
 }  // namespace
