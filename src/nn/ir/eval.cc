@@ -21,7 +21,7 @@ void CopyUnlessAliased(const float* src, float* out, int64_t count) {
 }  // namespace
 
 void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
-                  int64_t out_rows, float* out) {
+                  int64_t out_rows, float* out, float* dots) {
   const kernels::KernelTable& kt = kernels::Kernels();
   const int64_t count = out_rows * def.cols;
   switch (def.kind) {
@@ -106,6 +106,15 @@ void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
         const float* src = ins[0].data + r * ins[0].cols + def.slice_begin;
         std::copy(src, src + def.cols, out + r * def.cols);
       }
+      break;
+    case OpKind::kCrossLayer:
+      // The matmul, then scale_rows -> add_bias -> add in one pass. Every
+      // dot is computed before any row of `out` is written, so `out` may
+      // alias x_l.
+      ATNN_CHECK(dots != nullptr) << "cross_layer needs a dot workspace";
+      kt.gemm(out_rows, def.cols, 1, ins[0].data, ins[2].data, dots);
+      kt.cross_epilogue(out_rows, def.cols, ins[1].data, dots, ins[3].data,
+                        ins[0].data, out);
       break;
     case OpKind::kConstant:
     case OpKind::kDenseInput:

@@ -25,8 +25,11 @@ struct EvalInput {
 /// `out` may alias ins[0].data (in-place execution); the copy-then-transform
 /// steps skip the copy when they detect the alias. Leaf kinds (kConstant,
 /// kDenseInput, kEmbedLookup) are not compute nodes and must not be passed.
+///
+/// `dots` is kCrossLayer's workspace: out_rows floats that receive the
+/// per-row x_l·w before the epilogue reads them. Other kinds ignore it.
 void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
-                  int64_t out_rows, float* out);
+                  int64_t out_rows, float* out, float* dots);
 
 }  // namespace atnn::nn::ir
 

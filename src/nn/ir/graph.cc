@@ -25,6 +25,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kLeakyRelu:   return "leaky_relu";
     case OpKind::kConcatCols:  return "concat_cols";
     case OpKind::kSliceCols:   return "slice_cols";
+    case OpKind::kCrossLayer:  return "cross_layer";
   }
   return "unknown";
 }
@@ -206,6 +207,26 @@ Status Graph::Validate() const {
         if (node.slice_begin < 0 ||
             node.slice_begin + node.cols > x.cols) {
           return fail("slice out of range");
+        }
+        break;
+      }
+      case OpKind::kCrossLayer: {
+        ATNN_RETURN_IF_ERROR(expect_inputs(4));
+        const NodeDef& xl = nodes_[node.inputs[0]];
+        const NodeDef& x0 = nodes_[node.inputs[1]];
+        const NodeDef& w = nodes_[node.inputs[2]];
+        const NodeDef& b = nodes_[node.inputs[3]];
+        for (const NodeDef* x : {&xl, &x0}) {
+          if (x->batch_rows != node.batch_rows || x->rows != node.rows ||
+              x->cols != node.cols) {
+            return fail("x_l/x0 shape mismatch");
+          }
+        }
+        if (w.batch_rows || w.rows != node.cols || w.cols != 1) {
+          return fail("weight must be [d,1]");
+        }
+        if (b.batch_rows || b.rows != 1 || b.cols != node.cols) {
+          return fail("bias must be [1,d]");
         }
         break;
       }

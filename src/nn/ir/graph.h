@@ -11,12 +11,13 @@
 
 namespace atnn::nn::ir {
 
-/// Op vocabulary of the inference IR. Each kind mirrors exactly one autograd
-/// op from nn/ops.h (same kernels, same loop order), which is what lets a
-/// compiled plan promise bitwise-identical outputs to the tape walk it
-/// replaces. Ops without an entry here (reductions, losses, dropout,
-/// layer_norm, ...) make a forward untraceable; TraceGraph then fails and
-/// a snapshot with such a generator cannot publish.
+/// Op vocabulary of the inference IR. Each traced kind mirrors exactly one
+/// autograd op from nn/ops.h (same kernels, same loop order), and the one
+/// pass-only kind (kCrossLayer) reproduces the bits of the op chain it
+/// replaces, which is what lets a compiled plan promise bitwise-identical
+/// outputs to the tape walk. Ops without an entry here (reductions, losses,
+/// dropout, layer_norm, ...) make a forward untraceable; TraceGraph then
+/// fails and a snapshot with such a generator cannot publish.
 enum class OpKind : uint8_t {
   /// Static tensor baked into the plan: a parameter (borrowed by pointer
   /// from the model that stays alive via the plan's keepalive) or a folded /
@@ -43,6 +44,13 @@ enum class OpKind : uint8_t {
   kLeakyRelu,
   kConcatCols,
   kSliceCols,
+  /// One Deep & Cross layer, inputs (x_l, x0, w [d,1], b [1,d]):
+  ///   x_{l+1} = x0 * (x_l w) + b + x_l
+  /// Never traced; the fusion pass rewrites the tape's
+  /// add(add_bias(scale_rows(x0, matmul(x_l, w)), b), x_l) chain into it.
+  /// Executes as gemm into a per-row dot slot, then the kernel table's
+  /// cross_epilogue, which rounds like the three ops it replaces.
+  kCrossLayer,
 };
 
 /// Stable lowercase op name ("matmul", "dense_affine", ...).

@@ -16,6 +16,10 @@ bool IsComputeKind(OpKind kind) {
   return kind != OpKind::kConstant && kind != OpKind::kDenseInput;
 }
 
+bool SameShape(const NodeDef& a, const NodeDef& b) {
+  return a.batch_rows == b.batch_rows && a.rows == b.rows && a.cols == b.cols;
+}
+
 /// Uses per node: appearances in input lists, +1 for the graph output (the
 /// output buffer is read by the caller, so it is never a free intermediate).
 std::vector<int32_t> UseCounts(const Graph& graph) {
@@ -54,7 +58,8 @@ void RunConstantFolding(Graph* graph, int* changes) {
     // Evaluate with the executor's own primitives: the baked tensor holds
     // exactly the bytes executing the subgraph would have produced.
     Tensor folded(node.rows, node.cols);
-    EvalNodeInto(node, ins, node.rows, folded.data());
+    Tensor dots(node.rows, 1);
+    EvalNodeInto(node, ins, node.rows, folded.data(), dots.data());
     NodeDef replacement;
     replacement.kind = OpKind::kConstant;
     replacement.rows = node.rows;
@@ -86,6 +91,41 @@ void RunEpilogueFusion(Graph* graph, int* changes) {
   }
   for (int32_t id = 0; id < graph->size(); ++id) {
     const NodeDef& node = graph->node(id);
+    // Pattern C: one Deep & Cross layer,
+    //   add(add_bias(scale_rows(x0, matmul(x_l, w)), b), x_l)
+    // with single-use intermediates and a [d,1] weight ->
+    // cross_layer(x_l, x0, w, b). The fused epilogue rounds its mul and
+    // two adds separately, in the chain's order, so this is bit-preserving.
+    if (node.kind == OpKind::kAdd) {
+      const int32_t bias_id = node.inputs[0];
+      const NodeDef& bias = graph->node(bias_id);
+      if (bias.kind != OpKind::kAddBias || uses[bias_id] != 1) continue;
+      const int32_t scaled_id = bias.inputs[0];
+      const NodeDef& scaled = graph->node(scaled_id);
+      if (scaled.kind != OpKind::kScaleRows || uses[scaled_id] != 1) {
+        continue;
+      }
+      const int32_t mm_id = scaled.inputs[1];
+      const NodeDef& mm = graph->node(mm_id);
+      if (mm.kind != OpKind::kMatMul || uses[mm_id] != 1) continue;
+      if (mm.cols != 1 || node.inputs[1] != mm.inputs[0]) continue;
+      if (!SameShape(graph->node(mm.inputs[0]), node) ||
+          !SameShape(graph->node(scaled.inputs[0]), node) ||
+          graph->node(mm.inputs[1]).batch_rows ||
+          graph->node(bias.inputs[1]).batch_rows) {
+        continue;
+      }
+      NodeDef fused;
+      fused.kind = OpKind::kCrossLayer;
+      fused.inputs = {mm.inputs[0], scaled.inputs[0], mm.inputs[1],
+                      bias.inputs[1]};
+      fused.batch_rows = node.batch_rows;
+      fused.rows = node.rows;
+      fused.cols = node.cols;
+      graph->mutable_node(id) = std::move(fused);
+      ++*changes;
+      continue;
+    }
     // Pattern A: relu(add_bias(matmul(x, w), b)) with single-use
     // intermediates -> dense_affine(x, w, b, relu). Identity and relu fuse
     // bitwise-exactly on every backend (the epilogue applies the same add
@@ -152,6 +192,9 @@ bool SupportsInplace(OpKind kind) {
     case OpKind::kSigmoid:
     case OpKind::kTanh:
     case OpKind::kLeakyRelu:
+    // Safe because every per-row dot is computed before any output row is
+    // written, and each element reads x_l[r,c] before writing out[r,c].
+    case OpKind::kCrossLayer:
       return true;
     default:
       return false;
@@ -180,10 +223,7 @@ void RunInplaceRewrite(Graph* graph, int* changes) {
     // plan (or the model) and the dense block belongs to the caller.
     if (!IsComputeKind(producer.kind)) continue;
     if (last_use[src] != id) continue;  // a later step still reads it
-    if (producer.batch_rows != node.batch_rows ||
-        producer.rows != node.rows || producer.cols != node.cols) {
-      continue;
-    }
+    if (!SameShape(producer, node)) continue;
     node.inplace = true;
     ++*changes;
   }

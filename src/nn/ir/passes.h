@@ -39,7 +39,8 @@ extern const Pass kDeadCodeElimination;
 /// epilogues apply the same adds in the same order as the unfused pair.
 /// Sigmoid chains are deliberately left unfused (the fused kernel
 /// saturates; see the pass body) — they execute fused anyway whenever the
-/// traced forward itself used DenseAffine, which is the default.
+/// traced forward itself used DenseAffine, which is the default. Also
+/// rewrites each Deep & Cross layer's four-op chain into one kCrossLayer.
 extern const Pass kEpilogueFusion;
 
 /// Marks nodes whose output may overwrite their first input's buffer

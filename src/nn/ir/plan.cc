@@ -144,20 +144,21 @@ Status CompiledPlan::Lower() {
     }
   }
 
-  // Shared slot for hashed embedding ids (every lookup's ids are consumed
-  // within its own step, so one region serves all fields).
-  size_t ids_offset = 0;
-  bool needs_ids = false;
+  // The shared step workspace: hashed embedding ids ([rows] int64) and
+  // cross-layer dots ([rows] float).
+  size_t workspace_bytes = 0;
   for (int32_t id = 0; id < n; ++id) {
     const NodeDef& node = g.node(id);
+    const auto rows = static_cast<size_t>(
+        node.batch_rows ? options_.max_batch : node.rows);
     if (node.kind == OpKind::kEmbedLookup && node.hash_buckets > 0) {
-      needs_ids = true;
+      workspace_bytes = std::max(workspace_bytes, rows * sizeof(int64_t));
+    } else if (node.kind == OpKind::kCrossLayer) {
+      workspace_bytes = std::max(workspace_bytes, rows * sizeof(float));
     }
   }
-  if (needs_ids) {
-    ids_offset = total;
-    total += AlignUp(static_cast<size_t>(options_.max_batch) * sizeof(int64_t));
-  }
+  workspace_offset_ = total;
+  total += AlignUp(workspace_bytes);
   plan_bytes_ = total;
 
   // --- lower nodes to steps with resolved operands ---
@@ -196,7 +197,6 @@ Status CompiledPlan::Lower() {
       const NodeDef& table = g.node(node.inputs[0]);
       step.table = table.data;
       step.table_rows = table.rows;
-      step.ids_offset = ids_offset;
     }
     steps_.push_back(step);
   }
@@ -236,6 +236,7 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
     return reinterpret_cast<const float*>(base + op.offset);
   };
 
+  std::byte* workspace = base + workspace_offset_;
   EvalInput ins[kMaxStepInputs];
   for (const Step& step : steps_) {
     const NodeDef& def = graph_.node(step.node);
@@ -244,7 +245,7 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
       const int64_t* ids = (*input.categorical)[def.field].data();
       if (def.hash_buckets > 0) {
         // Same feature hash EmbeddingBag::Forward applies to raw ids.
-        auto* hashed = reinterpret_cast<int64_t*>(base + step.ids_offset);
+        auto* hashed = reinterpret_cast<int64_t*>(workspace);
         for (int64_t r = 0; r < batch; ++r) {
           hashed[r] = static_cast<int64_t>(
               SplitMix64(static_cast<uint64_t>(ids[r])) %
@@ -269,7 +270,7 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
     }
     const int64_t out_rows = step.out.rows < 0 ? batch : step.out.rows;
     EvalNodeInto(def, std::span<const EvalInput>(ins, step.in_count),
-                 out_rows, out);
+                 out_rows, out, reinterpret_cast<float*>(workspace));
   }
   return reinterpret_cast<const float*>(base + output_offset_);
 }

@@ -112,10 +112,9 @@ class CompiledPlan {
     Operand out;
     uint32_t in_begin = 0;
     uint32_t in_count = 0;
-    // kEmbedLookup only: resolved table + the shared hashed-ids slot.
+    // kEmbedLookup only: resolved table.
     const float* table = nullptr;
     int64_t table_rows = 0;
-    size_t ids_offset = 0;
   };
 
   CompiledPlan() = default;
@@ -130,6 +129,10 @@ class CompiledPlan {
   std::vector<Operand> operands_;
   size_t plan_bytes_ = 0;
   size_t output_offset_ = 0;
+  /// One scratch region every step may use for its own temporaries: the
+  /// hashed ids of an embedding lookup, the per-row dots of a cross layer.
+  /// Each step consumes it before the next runs, so the steps share it.
+  size_t workspace_offset_ = 0;
 };
 
 }  // namespace atnn::nn::ir

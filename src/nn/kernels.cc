@@ -186,6 +186,30 @@ void BiasSigmoidScalar(int64_t rows, int64_t cols, const float* bias,
   }
 }
 
+// The cross epilogue's mul and two adds must round separately, as they do
+// in the three ops it replaces; -march=native lets GCC contract them into
+// an FMA otherwise.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+void CrossEpilogueScalar(int64_t rows, int64_t cols, const float* x0,
+                         const float* s, const float* bias, const float* xl,
+                         float* out) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float factor = s[r];
+    const float* x0_row = x0 + r * cols;
+    const float* xl_row = xl + r * cols;
+    float* out_row = out + r * cols;
+    for (int64_t c = 0; c < cols; ++c) {
+      float v = x0_row[c] * factor;
+      v += bias[c];
+      out_row[c] = v + xl_row[c];
+    }
+  }
+}
+
+#pragma GCC pop_options
+
 void QuantizeU8Scalar(int64_t n, float inv_scale, const float* x,
                       uint8_t* q) {
   for (int64_t i = 0; i < n; ++i) {
@@ -284,6 +308,7 @@ constexpr KernelTable kScalarTable = {
     AxpyScalar,       ScaleScalar,           AddScalar,
     SumScalar,        SquaredNormScalar,     DotScalar,
     BiasIdentityScalar, BiasReluScalar,      BiasSigmoidScalar,
+    CrossEpilogueScalar,
     QuantizeU8Scalar, DequantRowS8Scalar,    GemmS8Scalar,
     F32ToBf16Scalar,  Bf16ToF32Scalar,       GemmBf16Scalar,
 };
@@ -348,8 +373,8 @@ ATNN_AVX2 inline double HSum256d(__m256d v) {
   return _mm_cvtsd_f64(lo);
 }
 
-/// One row of C = A*B: c_row[0..n) = sum_p a_row[p] * b[p,:], using 16-wide
-/// register tiles, then 8-wide, then scalar for the ragged tail.
+/// One row of C = A*B over the columns the 16- and 8-wide register tiles
+/// cover (the first n - n % 8).
 ATNN_AVX2 void GemmAvx2Row(int64_t k, int64_t n, const float* a_row,
                            const float* b, float* c_row) {
   int64_t j = 0;
@@ -373,10 +398,121 @@ ATNN_AVX2 void GemmAvx2Row(int64_t k, int64_t n, const float* a_row,
     }
     _mm256_storeu_ps(c_row + j, acc);
   }
-  for (; j < n; ++j) {
-    float acc = 0.0f;
-    for (int64_t p = 0; p < k; ++p) acc += a_row[p] * b[p * n + j];
-    c_row[j] = acc;
+}
+
+/// In-register 8x8 transpose: afterwards r[q] holds element q of the eight
+/// input rows, one row per lane.
+ATNN_AVX2 inline void Transpose8x8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+/// acc[t] += a_cols[q] * b[q, t] for q in [0, count), in order of q: the
+/// next `count` links of each lane's FMA chain.
+template <int kCols>
+ATNN_AVX2 inline void AccumulateNarrow(const __m256 a_cols[8], int64_t count,
+                                       int64_t n, const float* b_rows,
+                                       __m256 acc[kCols]) {
+  for (int64_t q = 0; q < count; ++q) {
+    for (int t = 0; t < kCols; ++t) {
+      acc[t] = _mm256_fmadd_ps(a_cols[q], _mm256_set1_ps(b_rows[q * n + t]),
+                               acc[t]);
+    }
+  }
+}
+
+/// kCols (< 8) narrow columns of C = A*B for 8 * kGroups consecutive rows,
+/// one row per lane. Each lane runs the scalar table's FMA chain over p in
+/// order from +0.0f, so the result is bitwise the scalar one. A is read in
+/// 8x8 blocks of plain row loads transposed in registers; the last k % 8
+/// columns of A use masked loads, so no lane reads past a row of A. `b`
+/// and `c` point at the first narrow column.
+template <int kCols, int kGroups>
+ATNN_AVX2 void GemmNarrowRowBlock(int64_t k, int64_t n, const float* a,
+                                  const float* b, float* c) {
+  __m256 acc[kGroups][kCols];
+  for (int g = 0; g < kGroups; ++g) {
+    for (int t = 0; t < kCols; ++t) acc[g][t] = _mm256_setzero_ps();
+  }
+  int64_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    for (int g = 0; g < kGroups; ++g) {
+      __m256 a_cols[8];
+      for (int r = 0; r < 8; ++r) {
+        a_cols[r] = _mm256_loadu_ps(a + (g * 8 + r) * k + p);
+      }
+      Transpose8x8(a_cols);
+      AccumulateNarrow<kCols>(a_cols, 8, n, b + p * n, acc[g]);
+    }
+  }
+  if (p < k) {
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(k - p)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (int g = 0; g < kGroups; ++g) {
+      __m256 a_cols[8];
+      for (int r = 0; r < 8; ++r) {
+        a_cols[r] = _mm256_maskload_ps(a + (g * 8 + r) * k + p, mask);
+      }
+      Transpose8x8(a_cols);
+      AccumulateNarrow<kCols>(a_cols, k - p, n, b + p * n, acc[g]);
+    }
+  }
+  for (int g = 0; g < kGroups; ++g) {
+    for (int t = 0; t < kCols; ++t) {
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, acc[g][t]);
+      for (int r = 0; r < 8; ++r) c[(g * 8 + r) * n + t] = lanes[r];
+    }
+  }
+}
+
+/// The last kCols = n % 8 columns of C = A*B, which no register tile
+/// covers. Two 8-row groups run interleaved while their accumulators fit
+/// in registers, hiding the FMA chain latency; the last m % 8 rows run the
+/// same chain with std::fma. `b` and `c` point at the first narrow column.
+template <int kCols>
+ATNN_AVX2 void GemmNarrowColumns(int64_t m, int64_t k, int64_t n,
+                                 const float* a, const float* b, float* c) {
+  constexpr int kGroups = kCols <= 3 ? 2 : 1;
+  int64_t i = 0;
+  for (; i + 8 * kGroups <= m; i += 8 * kGroups) {
+    GemmNarrowRowBlock<kCols, kGroups>(k, n, a + i * k, b, c + i * n);
+  }
+  for (; i + 8 <= m; i += 8) {
+    GemmNarrowRowBlock<kCols, 1>(k, n, a + i * k, b, c + i * n);
+  }
+  for (; i < m; ++i) {
+    const float* a_row = a + i * k;
+    for (int t = 0; t < kCols; ++t) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc = std::fma(a_row[p], b[p * n + t], acc);
+      }
+      c[i * n + t] = acc;
+    }
   }
 }
 
@@ -441,22 +577,19 @@ ATNN_AVX2 void GemmAvx2(int64_t m, int64_t k, int64_t n, const float* a,
       _mm256_storeu_ps(c2 + j, acc2);
       _mm256_storeu_ps(c3 + j, acc3);
     }
-    for (; j < n; ++j) {
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        const float b_val = b[p * n + j];
-        s0 += a0[p] * b_val;
-        s1 += a1[p] * b_val;
-        s2 += a2[p] * b_val;
-        s3 += a3[p] * b_val;
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-      c2[j] = s2;
-      c3[j] = s3;
-    }
   }
   for (; i < m; ++i) GemmAvx2Row(k, n, a + i * k, b, c + i * n);
+  const int64_t wide = n - n % 8;
+  switch (n % 8) {
+    case 1: GemmNarrowColumns<1>(m, k, n, a, b + wide, c + wide); break;
+    case 2: GemmNarrowColumns<2>(m, k, n, a, b + wide, c + wide); break;
+    case 3: GemmNarrowColumns<3>(m, k, n, a, b + wide, c + wide); break;
+    case 4: GemmNarrowColumns<4>(m, k, n, a, b + wide, c + wide); break;
+    case 5: GemmNarrowColumns<5>(m, k, n, a, b + wide, c + wide); break;
+    case 6: GemmNarrowColumns<6>(m, k, n, a, b + wide, c + wide); break;
+    case 7: GemmNarrowColumns<7>(m, k, n, a, b + wide, c + wide); break;
+    default: break;
+  }
 }
 
 ATNN_AVX2 void GemmTransBAccumAvx2(int64_t m, int64_t k, int64_t n,
@@ -679,6 +812,37 @@ ATNN_AVX2 void BiasSigmoidAvx2(int64_t rows, int64_t cols, const float* bias,
   }
 }
 
+// GCC contracts _mm256_add_ps(_mm256_mul_ps(...), ...) into an FMA too;
+// the epilogue must keep the scalar family's three roundings.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+ATNN_AVX2 void CrossEpilogueAvx2(int64_t rows, int64_t cols, const float* x0,
+                                 const float* s, const float* bias,
+                                 const float* xl, float* out) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float factor = s[r];
+    const __m256 fv = _mm256_set1_ps(factor);
+    const float* x0_row = x0 + r * cols;
+    const float* xl_row = xl + r * cols;
+    float* out_row = out + r * cols;
+    int64_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x0_row + c), fv);
+      v = _mm256_add_ps(v, _mm256_loadu_ps(bias + c));
+      _mm256_storeu_ps(out_row + c,
+                       _mm256_add_ps(v, _mm256_loadu_ps(xl_row + c)));
+    }
+    for (; c < cols; ++c) {
+      float v = x0_row[c] * factor;
+      v += bias[c];
+      out_row[c] = v + xl_row[c];
+    }
+  }
+}
+
+#pragma GCC pop_options
+
 ATNN_AVX2 void QuantizeU8Avx2(int64_t n, float inv_scale, const float* x,
                               uint8_t* q) {
   const __m256 scale = _mm256_set1_ps(inv_scale);
@@ -868,6 +1032,7 @@ constexpr KernelTable kAvx2Table = {
     AxpyAvx2,       ScaleAvx2,           AddAvx2,
     SumAvx2,        SquaredNormAvx2,     DotAvx2,
     BiasIdentityAvx2, BiasReluAvx2,      BiasSigmoidAvx2,
+    CrossEpilogueAvx2,
     QuantizeU8Avx2, DequantRowS8Avx2,    GemmS8Avx2,
     F32ToBf16Avx2,  Bf16ToF32Avx2,       GemmBf16Avx2,
 };

@@ -22,7 +22,11 @@ enum class Backend { kScalar, kAvx2 };
 /// nothing on aligned data with modern x86. No pointer may alias except
 /// where noted in the member comment.
 struct KernelTable {
-  /// C = A * B. A [m,k], B [k,n], C [m,n]; C is overwritten.
+  /// C = A * B. A [m,k], B [k,n], C [m,n]; C is overwritten. Every element
+  /// is one FMA chain over p in order, starting from +0.0f, on both
+  /// backends (the scalar loop's c += a*b contracts to an FMA under the
+  /// build's -march=native on any host that can run the AVX2 table), so
+  /// the tables agree bitwise for every shape.
   void (*gemm)(int64_t m, int64_t k, int64_t n, const float* a,
                const float* b, float* c);
   /// C += A * B^T. A [m,k], B [n,k], C [m,n]. (dX = dY * W^T.)
@@ -50,6 +54,15 @@ struct KernelTable {
   void (*bias_relu)(int64_t rows, int64_t cols, const float* bias, float* x);
   void (*bias_sigmoid)(int64_t rows, int64_t cols, const float* bias,
                        float* x);
+  /// Deep & Cross layer epilogue over [rows, cols]:
+  ///   out[r,c] = ((x0[r,c] * s[r]) + bias[c]) + xl[r,c]
+  /// Three separately rounded operations (both versions are compiled
+  /// without FP contraction), so the result equals the scale_rows ->
+  /// bias_identity -> add composition bitwise. `out` may alias x0 or xl:
+  /// each element is read before it is written.
+  void (*cross_epilogue)(int64_t rows, int64_t cols, const float* x0,
+                         const float* s, const float* bias, const float* xl,
+                         float* out);
 
   // --- Low-precision kernels (quantized inference path, DESIGN.md §15) ---
 

@@ -1,8 +1,12 @@
 #ifndef ATNN_TESTS_CORE_TEST_HELPERS_H_
 #define ATNN_TESTS_CORE_TEST_HELPERS_H_
 
+#include <vector>
+
+#include "common/macros.h"
 #include "core/feature_adapter.h"
 #include "data/tmall.h"
+#include "nn/kernels.h"
 #include "nn/layers.h"
 
 namespace atnn::core::testing_helpers {
@@ -40,6 +44,31 @@ inline data::TmallDataset MakeNormalizedTinyDataset() {
   NormalizeTmallInPlace(&dataset);
   return dataset;
 }
+
+/// The kernel tables this host can run: scalar, plus AVX2 on CPUs with
+/// AVX2+FMA. A test that loops over them skips the AVX2 case elsewhere.
+inline std::vector<nn::kernels::Backend> HostBackends() {
+  std::vector<nn::kernels::Backend> backends = {nn::kernels::Backend::kScalar};
+  if (nn::kernels::Avx2Supported()) {
+    backends.push_back(nn::kernels::Backend::kAvx2);
+  }
+  return backends;
+}
+
+/// Dispatches one kernel table for a scope and restores the previous one.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(nn::kernels::Backend backend)
+      : previous_(nn::kernels::ActiveBackend()) {
+    ATNN_CHECK(nn::kernels::SetBackend(backend).ok());
+  }
+  ~ScopedBackend() { (void)nn::kernels::SetBackend(previous_); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+
+ private:
+  nn::kernels::Backend previous_;
+};
 
 }  // namespace atnn::core::testing_helpers
 

@@ -288,9 +288,9 @@ TEST(CsvTest, SubnormalNumericValuesAccepted) {
   ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
   EXPECT_GT(loaded_or.value().numeric(0, 0), 0.0f);
   EXPECT_LT(loaded_or.value().numeric(0, 0), 1e-41f);
-  // -4.9e-324 underflows float all the way to (signed) zero — a value,
-  // not an error.
-  EXPECT_LE(loaded_or.value().numeric(0, 1), 0.0f);
+  // -4.9e-324 (the second numeric field, num_y) underflows float all the
+  // way to (signed) zero — a value, not an error.
+  EXPECT_LE(loaded_or.value().numeric(1, 0), 0.0f);
   std::remove(path.c_str());
 }
 

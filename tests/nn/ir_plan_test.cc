@@ -15,6 +15,7 @@
 #include "core/popularity.h"
 #include "data/schema.h"
 #include "data/tmall.h"
+#include "nn/kernels.h"
 #include "nn/tensor.h"
 
 namespace atnn::nn::ir {
@@ -202,27 +203,64 @@ class GeneratorPlanTowerTest
 
 TEST_P(GeneratorPlanTowerTest, CompiledScoresMatchTheTapeBitwise) {
   const std::unique_ptr<core::AtnnModel> model = MakeModel(GetParam());
-  const core::PopularityPredictor predictor = MakePredictor(*model);
-  // max_batch below the item count forces multi-chunk execution.
-  const auto plan =
-      core::CompileGeneratorPlan(*model, dataset_->item_profiles, 16);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_GT((*plan)->num_steps(), 0u);
-  EXPECT_GT((*plan)->plan_bytes(), 0u);
-  EXPECT_EQ((*plan)->max_batch(), 16);
-  EXPECT_EQ((*plan)->output_cols(), model->vector_dim());
-  EXPECT_FALSE((*plan)->pass_summary().empty());
+  for (const kernels::Backend backend : core::testing_helpers::HostBackends()) {
+    SCOPED_TRACE(kernels::BackendName(backend));
+    const core::testing_helpers::ScopedBackend scoped(backend);
+    const core::PopularityPredictor predictor = MakePredictor(*model);
+    const std::vector<double> tape =
+        predictor.ScoreItems(*model, *dataset_, dataset_->new_items);
+    // max_batch below the item count forces multi-chunk execution; 1, 7 and
+    // 64 also put every row group of the narrow-column GEMM on the path.
+    for (const int64_t max_batch : {1, 7, 16, 64}) {
+      SCOPED_TRACE(max_batch);
+      const auto plan = core::CompileGeneratorPlan(
+          *model, dataset_->item_profiles, max_batch);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_GT((*plan)->num_steps(), 0u);
+      EXPECT_GT((*plan)->plan_bytes(), 0u);
+      EXPECT_EQ((*plan)->max_batch(), max_batch);
+      EXPECT_EQ((*plan)->output_cols(), model->vector_dim());
+      EXPECT_FALSE((*plan)->pass_summary().empty());
 
-  const auto planned = core::ScoreItemsWithPlan(
-      **plan, predictor, dataset_->item_profiles, dataset_->new_items);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  const std::vector<double> tape =
-      predictor.ScoreItems(*model, *dataset_, dataset_->new_items);
-  ASSERT_EQ(planned->size(), tape.size());
-  for (size_t i = 0; i < tape.size(); ++i) {
-    // Bitwise, not approximately: the plan runs the same kernels in the
-    // same composition as the tape forward.
-    EXPECT_EQ((*planned)[i], tape[i]) << i;
+      const auto planned = core::ScoreItemsWithPlan(
+          **plan, predictor, dataset_->item_profiles, dataset_->new_items);
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      ASSERT_EQ(planned->size(), tape.size());
+      for (size_t i = 0; i < tape.size(); ++i) {
+        // Bitwise, not approximately: the plan runs the same kernels in
+        // the same composition as the tape forward.
+        EXPECT_EQ((*planned)[i], tape[i]) << i;
+      }
+    }
+  }
+}
+
+TEST_P(GeneratorPlanTowerTest, ServedScoresAreBitwiseEqualAcrossKernelTables) {
+  if (!kernels::Avx2Supported()) GTEST_SKIP() << "host lacks AVX2+FMA";
+  const std::unique_ptr<core::AtnnModel> model = MakeModel(GetParam());
+  std::vector<int64_t> rows(static_cast<size_t>(
+      dataset_->item_profiles.num_rows()));
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int64_t>(i);
+  // Predictor, plan and scores all come from one table at a time.
+  std::vector<std::vector<double>> scores;
+  for (const kernels::Backend backend :
+       {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
+    const core::testing_helpers::ScopedBackend scoped(backend);
+    const core::PopularityPredictor predictor = MakePredictor(*model);
+    const auto plan =
+        core::CompileGeneratorPlan(*model, dataset_->item_profiles, 64);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto planned = core::ScoreItemsWithPlan(**plan, predictor,
+                                            dataset_->item_profiles, rows);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    scores.push_back(std::move(planned).value());
+  }
+  ASSERT_EQ(scores[0].size(), rows.size());
+  ASSERT_EQ(scores[1].size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&scores[0][i], &scores[1][i], sizeof(double)), 0)
+        << "row " << i << ": scalar " << scores[0][i] << " avx2 "
+        << scores[1][i];
   }
 }
 

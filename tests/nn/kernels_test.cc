@@ -1,5 +1,6 @@
 #include "nn/kernels.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -89,8 +90,10 @@ TEST(KernelDispatchTest, SetBackendFromString) {
 // ---------------------------------------------------------------------------
 // AVX2 kernels vs the scalar reference table. Elementwise kernels whose
 // vector lanes perform the exact same operation per element (scale, add,
-// bias_identity, bias_relu) must match bitwise; reductions and FMA-based
-// kernels reassociate or round once instead of twice, so they get a
+// bias_identity, bias_relu, cross_epilogue) must match bitwise, and so must
+// gemm: both tables compute every element as one FMA chain over p in
+// order, its narrow columns included. gemm_trans_*, axpy and the
+// reductions reassociate or round once instead of twice, so they keep a
 // tolerance.
 // ---------------------------------------------------------------------------
 
@@ -104,18 +107,24 @@ class Avx2VsScalarTest : public testing::Test {
 };
 
 TEST_F(Avx2VsScalarTest, Gemm) {
-  for (int64_t m : {1, 3, 4, 5, 8}) {
-    for (int64_t n : kSizes) {
-      const int64_t k = 7;
-      const auto a = RandomVector(static_cast<size_t>(m * k), 1000 + n);
-      const auto b = RandomVector(static_cast<size_t>(k * n), 2000 + n);
-      std::vector<float> c_scalar(static_cast<size_t>(m * n));
-      std::vector<float> c_avx2(static_cast<size_t>(m * n));
-      scalar().gemm(m, k, n, a.data(), b.data(), c_scalar.data());
-      avx2().gemm(m, k, n, a.data(), b.data(), c_avx2.data());
-      for (size_t i = 0; i < c_scalar.size(); ++i) {
-        EXPECT_NEAR(c_avx2[i], c_scalar[i], 1e-4)
-            << "m=" << m << " n=" << n << " i=" << i;
+  // Row counts straddle the 4-row tiles and the 8-row (and 16-row) groups
+  // of the narrow-column path; column counts cover every n % 8 with and
+  // without a wide tile in front; k straddles the 8x8 transpose blocks.
+  // A holds exactly m*k floats, so a load past its end shows under ASan.
+  for (int64_t m : {1, 3, 7, 8, 9, 61, 64}) {
+    for (int64_t k : {1, 7, 95, 127}) {
+      for (int64_t n : {1, 2, 3, 5, 7, 9, 15, 17, 33}) {
+        const auto a =
+            RandomVector(static_cast<size_t>(m * k), 1000 + m * 131 + k);
+        const auto b = RandomVector(static_cast<size_t>(k * n), 2000 + n);
+        std::vector<float> c_scalar(static_cast<size_t>(m * n));
+        std::vector<float> c_avx2(static_cast<size_t>(m * n));
+        scalar().gemm(m, k, n, a.data(), b.data(), c_scalar.data());
+        avx2().gemm(m, k, n, a.data(), b.data(), c_avx2.data());
+        EXPECT_EQ(std::memcmp(c_scalar.data(), c_avx2.data(),
+                              c_scalar.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " k=" << k << " n=" << n;
       }
     }
   }
@@ -272,8 +281,117 @@ TEST_F(Avx2VsScalarTest, UnalignedRowStarts) {
   std::vector<float> c_avx2(c_scalar.size());
   scalar().gemm(3, 5, n, a.data() + 1, b.data() + 1, c_scalar.data() + 1);
   avx2().gemm(3, 5, n, a.data() + 1, b.data() + 1, c_avx2.data() + 1);
-  for (size_t i = 1; i < c_scalar.size(); ++i) {
-    EXPECT_NEAR(c_avx2[i], c_scalar[i], 1e-4) << "i=" << i;
+  EXPECT_EQ(std::memcmp(c_scalar.data(), c_avx2.data(),
+                        c_scalar.size() * sizeof(float)),
+            0);
+}
+
+// ---------------------------------------------------------------------------
+// The Deep & Cross epilogue out = ((x0 * s) + b) + x_l: bitwise across the
+// tables and bitwise against the scale_rows -> bias_identity -> add
+// composition it replaces, hostile values included.
+// ---------------------------------------------------------------------------
+
+/// Random values salted with NaN, +-Inf, subnormals and -0.0. The one NaN
+/// used is the x86 default NaN (sign set, quiet), which is also what
+/// 0 * Inf and Inf - Inf produce, so every NaN in a result has the same
+/// bits whichever operand a compiler puts first.
+std::vector<float> HostileVector(size_t n, uint64_t seed) {
+  const float kDefaultNan = std::bit_cast<float>(0xffc00000u);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kSubnormal = std::numeric_limits<float>::denorm_min() * 37;
+  const float specials[] = {kDefaultNan, kInf, -kInf, kSubnormal,
+                            -kSubnormal, -0.0f, 0.0f};
+  std::vector<float> v = RandomVector(n, seed);
+  Rng rng(seed + 1);
+  for (float& x : v) {
+    if (rng.Uniform() < 0.2) x = specials[rng.UniformInt(std::size(specials))];
+  }
+  return v;
+}
+
+/// The composition the fused epilogue replaces, as the tape runs it:
+/// nn::ScaleRows' loop, then the table's bias_identity and add.
+std::vector<float> UnfusedCross(const KernelTable& table, int64_t rows,
+                                int64_t cols, const std::vector<float>& x0,
+                                const std::vector<float>& s,
+                                const std::vector<float>& bias,
+                                const std::vector<float>& xl) {
+  std::vector<float> out = x0;
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      out[static_cast<size_t>(r * cols + c)] *= s[static_cast<size_t>(r)];
+    }
+  }
+  table.bias_identity(rows, cols, bias.data(), out.data());
+  table.add(rows * cols, xl.data(), out.data());
+  return out;
+}
+
+TEST(CrossEpilogueTest, MatchesTheUnfusedChainBitwiseOnEveryTable) {
+  std::vector<const KernelTable*> tables = {&Table(Backend::kScalar)};
+  if (Avx2Supported()) tables.push_back(&Table(Backend::kAvx2));
+  constexpr int64_t kRows = 11;
+  for (const int64_t cols : {1, 7, 8, 9, 95}) {
+    const size_t count = static_cast<size_t>(kRows * cols);
+    const auto x0 = HostileVector(count, 500 + cols);
+    const auto xl = HostileVector(count, 600 + cols);
+    const auto s = HostileVector(kRows, 700 + cols);
+    const auto bias = HostileVector(static_cast<size_t>(cols), 800 + cols);
+    std::vector<std::vector<float>> fused_by_table;
+    for (const KernelTable* table : tables) {
+      std::vector<float> fused(count);
+      table->cross_epilogue(kRows, cols, x0.data(), s.data(), bias.data(),
+                            xl.data(), fused.data());
+      const auto unfused = UnfusedCross(*table, kRows, cols, x0, s, bias, xl);
+      EXPECT_EQ(std::memcmp(fused.data(), unfused.data(),
+                            count * sizeof(float)),
+                0)
+          << "cols=" << cols;
+      // In place over x_l (what the plan's inplace mark does) and over x0.
+      std::vector<float> over_xl = xl;
+      table->cross_epilogue(kRows, cols, x0.data(), s.data(), bias.data(),
+                            over_xl.data(), over_xl.data());
+      EXPECT_EQ(std::memcmp(over_xl.data(), fused.data(),
+                            count * sizeof(float)),
+                0)
+          << "cols=" << cols;
+      std::vector<float> over_x0 = x0;
+      table->cross_epilogue(kRows, cols, over_x0.data(), s.data(),
+                            bias.data(), xl.data(), over_x0.data());
+      EXPECT_EQ(std::memcmp(over_x0.data(), fused.data(),
+                            count * sizeof(float)),
+                0)
+          << "cols=" << cols;
+      fused_by_table.push_back(std::move(fused));
+    }
+    for (size_t t = 1; t < fused_by_table.size(); ++t) {
+      EXPECT_EQ(std::memcmp(fused_by_table[t].data(), fused_by_table[0].data(),
+                            count * sizeof(float)),
+                0)
+          << "cols=" << cols;
+    }
+  }
+}
+
+TEST(CrossEpilogueTest, RoundsTheMultiplyAndBothAddsSeparately) {
+  // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24. Rounded on its own, x0 * s drops
+  // the 2^-24 (a tie, broken to even), so adding -1 leaves 2^-11. An FMA
+  // would keep it and give 2^-11 + 2^-24, which a float holds exactly.
+  const float one_up = 1.0f + std::ldexp(1.0f, -12);
+  const float expected = std::ldexp(1.0f, -11);
+  std::vector<const KernelTable*> tables = {&Table(Backend::kScalar)};
+  if (Avx2Supported()) tables.push_back(&Table(Backend::kAvx2));
+  for (const KernelTable* table : tables) {
+    for (const int64_t cols : {1, 9}) {  // scalar tail and one vector
+      const std::vector<float> x0(static_cast<size_t>(cols), one_up);
+      const std::vector<float> bias(static_cast<size_t>(cols), -1.0f);
+      const std::vector<float> xl(static_cast<size_t>(cols), 0.0f);
+      std::vector<float> out(static_cast<size_t>(cols));
+      table->cross_epilogue(1, cols, x0.data(), &one_up, bias.data(),
+                            xl.data(), out.data());
+      for (const float v : out) EXPECT_EQ(v, expected) << "cols=" << cols;
+    }
   }
 }
 
