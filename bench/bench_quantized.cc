@@ -9,12 +9,12 @@
 //   (b) SIZE — the int8 artifact must serialize to <= 0.35x of the fp32
 //       bytes it replaces (target ~0.3x: 1 byte + per-row/col scales),
 //       bf16 to <= 0.55x. Hard gates everywhere.
-//   (c) DETERMINISM — the int8 forward is BITWISE identical between the
-//       AVX2 and pinned-scalar backends (integer accumulation is exact,
-//       the dequant epilogue is two single-rounded multiplies on both),
-//       and a save -> load round trip reproduces the in-memory forward
-//       bitwise. Hard gates (the AVX2 half is skipped on hosts without
-//       AVX2+FMA).
+//   (c) DETERMINISM — the lowered int8 plan's forward is BITWISE
+//       identical between the AVX2 and pinned-scalar backends (integer
+//       accumulation is exact, the dequant epilogue is two single-rounded
+//       multiplies on both), and a save -> load -> lower round trip
+//       reproduces the in-memory forward bitwise. Hard gates (the AVX2
+//       half is skipped on hosts without AVX2+FMA).
 //   (d) SAFETY — a quantized artifact with a poisoned scale (NaN or zero)
 //       must be rejected by ValidateServingSnapshot. Hard gate.
 //   (e) SERVING — a quantized snapshot (model dropped, quantized set)
@@ -81,38 +81,58 @@ struct JsonWriter {
   }
 };
 
-/// Generator-path CTR AUC with the item side routed through the quantized
-/// artifact; the user tower stays fp32 (it is not part of the artifact —
-/// in production the user vector arrives from the user-side service).
+constexpr int64_t kChunk = 1024;
+
+/// The artifact lowered into the plan serving runs, at the chunk size.
+std::shared_ptr<const nn::ir::CompiledPlan> Lower(
+    const quant::QuantizedGenerator& quantized) {
+  auto plan = quant::CompileQuantizedPlan(quantized, kChunk);
+  ATNN_CHECK(plan.ok()) << plan.status().ToString();
+  return std::move(plan).value();
+}
+
+/// Generator vectors of one block (at most kChunk rows) through `plan`.
+std::vector<float> PlanVectors(const nn::ir::CompiledPlan& plan,
+                               const data::BlockBatch& block) {
+  nn::ir::PlanScratch scratch;
+  const auto out = plan.Execute({&block.categorical, &block.numeric},
+                                block.rows(), &scratch);
+  ATNN_CHECK(out.ok()) << out.status().ToString();
+  return std::vector<float>(*out, *out + block.rows() * plan.output_cols());
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Generator-path CTR AUC with the item side routed through the lowered
+/// quantized artifact; the user tower stays fp32 (it is not part of the
+/// artifact — in production the user vector arrives from the user-side
+/// service).
 double QuantizedGeneratorAuc(const core::AtnnModel& model,
-                             const quant::QuantizedGenerator& quantized,
+                             const nn::ir::CompiledPlan& plan,
                              const data::TmallDataset& dataset,
                              const std::vector<int64_t>& indices) {
   const float bias = model.generator_bias_value();
+  const int64_t cols = plan.output_cols();
   const std::vector<double> logits = core::ScoreChunks(
-      indices, 1024, /*pool=*/nullptr, [&](std::span<const int64_t> chunk) {
+      indices, kChunk, /*pool=*/nullptr, [&](std::span<const int64_t> chunk) {
         const data::CtrBatch batch = data::MakeCtrBatch(dataset, chunk);
         const nn::Var user_vec = model.UserVector(batch.user);
-        nn::Tensor gen_vec;
-        ATNN_CHECK(quantized.Forward(batch.item_profile, &gen_vec).ok());
-        ATNN_CHECK_EQ(gen_vec.rows(), user_vec.rows());
+        const std::vector<float> gen_vec =
+            PlanVectors(plan, batch.item_profile);
         std::vector<double> chunk_logits;
-        for (int64_t r = 0; r < gen_vec.rows(); ++r) {
-          const float* g = gen_vec.row_ptr(r);
+        for (int64_t r = 0; r < user_vec.rows(); ++r) {
+          const float* g = gen_vec.data() + r * cols;
           const float* u = user_vec.value().row_ptr(r);
           double logit = bias;
-          for (int64_t c = 0; c < gen_vec.cols(); ++c) logit += g[c] * u[c];
+          for (int64_t c = 0; c < cols; ++c) logit += g[c] * u[c];
           chunk_logits.push_back(logit);
         }
         return chunk_logits;
       });
   return metrics::Auc(logits, core::GatherLabels(dataset, indices));
-}
-
-bool BitwiseEqual(const nn::Tensor& a, const nn::Tensor& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 /// One request per distinct simulated user (defeats request memoization
@@ -138,11 +158,11 @@ struct ReplayOutcome {
 
 ReplayOutcome Replay(cluster::ShardedRuntime& runtime,
                      const std::vector<int64_t>& stream) {
-  constexpr size_t kChunk = 1000;
+  constexpr size_t kReplayChunk = 1000;
   ReplayOutcome outcome;
   Stopwatch timer;
-  for (size_t begin = 0; begin < stream.size(); begin += kChunk) {
-    const size_t end = std::min(begin + kChunk, stream.size());
+  for (size_t begin = 0; begin < stream.size(); begin += kReplayChunk) {
+    const size_t end = std::min(begin + kReplayChunk, stream.size());
     const std::vector<int64_t> chunk(stream.begin() + begin,
                                      stream.begin() + end);
     for (const auto& result : runtime.ScoreBatch(chunk)) {
@@ -247,10 +267,11 @@ int Run(bool smoke) {
   // --- (a) cold-start AUC ---
   const double auc_fp32 = core::EvaluateAtnnAuc(
       model, dataset, dataset.test_indices, core::CtrPath::kGenerator);
-  const double auc_int8 =
-      QuantizedGeneratorAuc(model, int8, dataset, dataset.test_indices);
-  const double auc_bf16 =
-      QuantizedGeneratorAuc(model, bf16, dataset, dataset.test_indices);
+  const auto int8_plan = Lower(int8);
+  const double auc_int8 = QuantizedGeneratorAuc(model, *int8_plan, dataset,
+                                                dataset.test_indices);
+  const double auc_bf16 = QuantizedGeneratorAuc(model, *Lower(bf16), dataset,
+                                                dataset.test_indices);
   std::printf("cold-start AUC: fp32 %.5f | int8 %.5f (delta %+.5f) | "
               "bf16 %.5f (delta %+.5f)\n",
               auc_fp32, auc_int8, auc_int8 - auc_fp32, auc_bf16,
@@ -267,16 +288,14 @@ int Run(bool smoke) {
 
   // --- (c) determinism: backend bitwise + round trip ---
   {
-    nn::Tensor active_out;
-    ATNN_CHECK(int8.Forward(calibration, &active_out).ok());
+    const std::vector<float> active_out = PlanVectors(*int8_plan, calibration);
     if (avx2) {
       const Backend previous = nn::kernels::ActiveBackend();
       ATNN_CHECK(nn::kernels::SetBackend(Backend::kScalar).ok());
-      nn::Tensor scalar_out;
-      ATNN_CHECK(int8.Forward(calibration, &scalar_out).ok());
+      const std::vector<float> scalar_out =
+          PlanVectors(*int8_plan, calibration);
       ATNN_CHECK(nn::kernels::SetBackend(Backend::kAvx2).ok());
-      nn::Tensor avx2_out;
-      ATNN_CHECK(int8.Forward(calibration, &avx2_out).ok());
+      const std::vector<float> avx2_out = PlanVectors(*int8_plan, calibration);
       ATNN_CHECK(nn::kernels::SetBackend(previous).ok());
       gate(BitwiseEqual(scalar_out, avx2_out),
            "int8 forward bitwise identical: AVX2 vs pinned-scalar");
@@ -290,8 +309,8 @@ int Run(bool smoke) {
     auto loaded = quant::QuantizedGenerator::Load(path, "bench-quant");
     std::remove(path.c_str());
     ATNN_CHECK(loaded.ok()) << loaded.status().ToString();
-    nn::Tensor loaded_out;
-    ATNN_CHECK(loaded->Forward(calibration, &loaded_out).ok());
+    const std::vector<float> loaded_out =
+        PlanVectors(*Lower(*loaded), calibration);
     gate(BitwiseEqual(active_out, loaded_out),
          "int8 save -> load round trip reproduces the forward bitwise");
   }

@@ -21,7 +21,7 @@ void CopyUnlessAliased(const float* src, float* out, int64_t count) {
 }  // namespace
 
 void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
-                  int64_t out_rows, float* out, float* dots) {
+                  int64_t out_rows, float* out, void* workspace) {
   const kernels::KernelTable& kt = kernels::Kernels();
   const int64_t count = out_rows * def.cols;
   switch (def.kind) {
@@ -30,22 +30,46 @@ void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
               out);
       break;
     case OpKind::kDenseAffine:
-      // Same kernel pair nn::DenseAffine issues: gemm, then the fused
-      // bias+activation epilogue.
-      kt.gemm(out_rows, ins[0].cols, ins[1].cols, ins[0].data, ins[1].data,
-              out);
+    case OpKind::kDenseAffineS8:
+    case OpKind::kDenseAffineBf16: {
+      // The GEMM of the weight format, then the fused bias+activation
+      // epilogue, the kernel pair nn::DenseAffine issues for fp32.
+      const LowPrecisionWeights& w = def.weights;
+      if (def.kind == OpKind::kDenseAffine) {
+        kt.gemm(out_rows, ins[0].cols, ins[1].cols, ins[0].data, ins[1].data,
+                out);
+      } else if (def.kind == OpKind::kDenseAffineS8) {
+        // Each input row becomes 7-bit codes at the layer's static scale;
+        // lanes past k hold the zero point 64, so the bytes stay defined.
+        const int64_t k = ins[0].cols;
+        const int64_t k4 = kernels::RoundUpK4(k);
+        auto* codes = static_cast<uint8_t*>(workspace);
+        const float inv_scale = 1.0f / w.act_scale;
+        for (int64_t r = 0; r < out_rows; ++r) {
+          uint8_t* row = codes + r * k4;
+          kt.quantize_u8(k, inv_scale, ins[0].data + r * k, row);
+          std::memset(row + k, 64, static_cast<size_t>(k4 - k));
+        }
+        kt.gemm_s8(out_rows, k4, def.cols, codes, w.s8, w.colsum, w.scales,
+                   w.act_scale, out);
+      } else {
+        kt.gemm_bf16(out_rows, ins[0].cols, def.cols, ins[0].data, w.bf16,
+                     out);
+      }
+      const float* bias = ins.back().data;
       switch (def.act) {
         case Activation::kIdentity:
-          kt.bias_identity(out_rows, def.cols, ins[2].data, out);
+          kt.bias_identity(out_rows, def.cols, bias, out);
           break;
         case Activation::kRelu:
-          kt.bias_relu(out_rows, def.cols, ins[2].data, out);
+          kt.bias_relu(out_rows, def.cols, bias, out);
           break;
         default:
-          kt.bias_sigmoid(out_rows, def.cols, ins[2].data, out);
+          kt.bias_sigmoid(out_rows, def.cols, bias, out);
           break;
       }
       break;
+    }
     case OpKind::kAdd:
       // nn::Add is ScratchCopy(a) + AddInPlace(b) == copy + kt.add.
       CopyUnlessAliased(ins[0].data, out, count);
@@ -107,15 +131,17 @@ void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
         std::copy(src, src + def.cols, out + r * def.cols);
       }
       break;
-    case OpKind::kCrossLayer:
+    case OpKind::kCrossLayer: {
       // The matmul, then scale_rows -> add_bias -> add in one pass. Every
       // dot is computed before any row of `out` is written, so `out` may
       // alias x_l.
-      ATNN_CHECK(dots != nullptr) << "cross_layer needs a dot workspace";
+      ATNN_CHECK(workspace != nullptr) << "cross_layer needs a dot workspace";
+      auto* dots = static_cast<float*>(workspace);
       kt.gemm(out_rows, def.cols, 1, ins[0].data, ins[2].data, dots);
       kt.cross_epilogue(out_rows, def.cols, ins[1].data, dots, ins[3].data,
                         ins[0].data, out);
       break;
+    }
     case OpKind::kConstant:
     case OpKind::kDenseInput:
     case OpKind::kEmbedLookup:

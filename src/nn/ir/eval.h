@@ -26,10 +26,11 @@ struct EvalInput {
 /// steps skip the copy when they detect the alias. Leaf kinds (kConstant,
 /// kDenseInput, kEmbedLookup) are not compute nodes and must not be passed.
 ///
-/// `dots` is kCrossLayer's workspace: out_rows floats that receive the
-/// per-row x_l·w before the epilogue reads them. Other kinds ignore it.
+/// `workspace` holds kCrossLayer's out_rows float dots (x_l·w) and
+/// kDenseAffineS8's out_rows x RoundUpK4(in) u8 input codes; other kinds
+/// ignore it.
 void EvalNodeInto(const NodeDef& def, std::span<const EvalInput> ins,
-                  int64_t out_rows, float* out, float* dots);
+                  int64_t out_rows, float* out, void* workspace);
 
 }  // namespace atnn::nn::ir
 

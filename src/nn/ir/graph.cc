@@ -15,6 +15,8 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kEmbedLookup: return "embed_lookup";
     case OpKind::kMatMul:      return "matmul";
     case OpKind::kDenseAffine: return "dense_affine";
+    case OpKind::kDenseAffineS8: return "dense_affine_s8";
+    case OpKind::kDenseAffineBf16: return "dense_affine_bf16";
     case OpKind::kAdd:         return "add";
     case OpKind::kAddBias:     return "add_bias";
     case OpKind::kScale:       return "scale";
@@ -48,6 +50,11 @@ bool IsLeafKind(OpKind kind) {
 }
 
 }  // namespace
+
+bool IsEpilogueActivation(Activation act) {
+  return act == Activation::kIdentity || act == Activation::kRelu ||
+         act == Activation::kSigmoid;
+}
 
 int32_t Graph::AddNode(NodeDef def) {
   const int32_t id = size();
@@ -125,13 +132,21 @@ Status Graph::Validate() const {
         if (!node.batch_rows) return fail("dense input must be batch-sized");
         break;
       case OpKind::kEmbedLookup: {
+        if (node.field < 0 || node.field >= num_fields_) {
+          return fail("field index outside [0, num_fields)");
+        }
+        if (node.inputs.empty()) {  // an int8 or bf16 table on the node
+          const LowPrecisionWeights& w = node.weights;
+          if (w.rows <= 0 || (w.s8 != nullptr) == (w.bf16 != nullptr) ||
+              (w.s8 != nullptr && w.scales == nullptr)) {
+            return fail("table must be one non-empty int8 or bf16 matrix");
+          }
+          break;
+        }
         ATNN_RETURN_IF_ERROR(expect_inputs(1));
         const NodeDef& table = nodes_[node.inputs[0]];
         if (table.kind != OpKind::kConstant) {
           return fail("embedding table must be a constant");
-        }
-        if (node.field < 0 || node.field >= num_fields_) {
-          return fail("field index outside [0, num_fields)");
         }
         if (node.cols != table.cols) return fail("dim mismatch with table");
         break;
@@ -145,19 +160,28 @@ Status Graph::Validate() const {
         }
         break;
       }
-      case OpKind::kDenseAffine: {
-        ATNN_RETURN_IF_ERROR(expect_inputs(3));
+      case OpKind::kDenseAffine:
+      case OpKind::kDenseAffineS8:
+      case OpKind::kDenseAffineBf16: {
+        // Inputs (x, w, b), or (x, b) with the weight in `weights`.
+        const bool fp32 = node.kind == OpKind::kDenseAffine;
+        ATNN_RETURN_IF_ERROR(expect_inputs(fp32 ? 3 : 2));
         const NodeDef& x = nodes_[node.inputs[0]];
-        const NodeDef& w = nodes_[node.inputs[1]];
-        const NodeDef& b = nodes_[node.inputs[2]];
-        if (x.cols != w.rows || node.cols != w.cols || b.rows != 1 ||
-            b.cols != w.cols) {
+        const NodeDef& b = nodes_[node.inputs.back()];
+        const LowPrecisionWeights& low = node.weights;
+        const int64_t w_rows = fp32 ? nodes_[node.inputs[1]].rows : low.rows;
+        const int64_t w_cols = fp32 ? nodes_[node.inputs[1]].cols : node.cols;
+        if (x.cols != w_rows || node.cols != w_cols || b.rows != 1 ||
+            b.cols != w_cols) {
           return fail("shape mismatch");
         }
-        if (node.act != Activation::kIdentity &&
-            node.act != Activation::kRelu &&
-            node.act != Activation::kSigmoid) {
+        if (!IsEpilogueActivation(node.act)) {
           return fail("unsupported fused activation");
+        }
+        if (node.kind == OpKind::kDenseAffineS8
+                ? !low.s8 || !low.colsum || !low.scales || low.act_scale == 0
+                : node.kind == OpKind::kDenseAffineBf16 && !low.bf16) {
+          return fail("missing low-precision weights");
         }
         break;
       }
@@ -245,15 +269,23 @@ std::string Graph::ToText() const {
     if (node.kind == OpKind::kConstant) {
       if (!node.label.empty()) out << " \"" << node.label << "\"";
     } else if (node.kind == OpKind::kEmbedLookup) {
-      out << "(%" << node.inputs[0] << ", field=" << node.field
-          << ", hash=" << node.hash_buckets << ")";
+      if (node.inputs.empty()) {
+        out << (node.weights.s8 != nullptr ? "(s8[" : "(bf16[")
+            << node.weights.rows << "x" << node.cols << "]";
+      } else {
+        out << "(%" << node.inputs[0];
+      }
+      out << ", field=" << node.field << ", hash=" << node.hash_buckets
+          << ")";
     } else if (!node.inputs.empty()) {
       out << "(";
       for (size_t i = 0; i < node.inputs.size(); ++i) {
         if (i > 0) out << ", ";
         out << "%" << node.inputs[i];
       }
-      if (node.kind == OpKind::kDenseAffine) {
+      if (node.kind == OpKind::kDenseAffine ||
+          node.kind == OpKind::kDenseAffineS8 ||
+          node.kind == OpKind::kDenseAffineBf16) {
         out << ", act=" << ActivationName(node.act);
       } else if (node.kind == OpKind::kScale ||
                  node.kind == OpKind::kLeakyRelu) {

@@ -15,9 +15,10 @@ namespace atnn::nn::ir {
 /// autograd op from nn/ops.h (same kernels, same loop order), and the one
 /// pass-only kind (kCrossLayer) reproduces the bits of the op chain it
 /// replaces, which is what lets a compiled plan promise bitwise-identical
-/// outputs to the tape walk. Ops without an entry here (reductions, losses,
-/// dropout, layer_norm, ...) make a forward untraceable; TraceGraph then
-/// fails and a snapshot with such a generator cannot publish.
+/// outputs to the tape walk; only the lowering of a quantized artifact
+/// builds the low-precision kinds. Ops without an entry here (reductions,
+/// losses, dropout, layer_norm, ...) make a forward untraceable; TraceGraph
+/// then fails and a snapshot with such a generator cannot publish.
 enum class OpKind : uint8_t {
   /// Static tensor baked into the plan: a parameter (borrowed by pointer
   /// from the model that stays alive via the plan's keepalive) or a folded /
@@ -26,14 +27,20 @@ enum class OpKind : uint8_t {
   /// The batch-varying dense feature block ([B, dense_cols]), read straight
   /// from PlanInput at execution time.
   kDenseInput,
-  /// Row gather of a constant table by the runtime ids of one categorical
-  /// field ([B, dim]). hash_buckets > 0 applies the EmbeddingBag feature
-  /// hash (SplitMix64 % buckets) to the raw ids first.
+  /// Row gather of a table by the runtime ids of one categorical field
+  /// ([B, dim]). hash_buckets > 0 applies the EmbeddingBag feature hash
+  /// (SplitMix64 % buckets) to the raw ids first. The table is the one
+  /// constant input, or, with no inputs, an int8 or bf16 `weights` table.
   kEmbedLookup,
   kMatMul,
   /// Fused act(x W + b); the gemm + bias_{identity,relu,sigmoid} epilogue
   /// pair from the kernel table, exactly as nn::DenseAffine issues it.
   kDenseAffine,
+  /// act(x W + b) over int8 / bf16 `weights`, inputs (x, b): quantize_u8
+  /// of x into the step workspace and gemm_s8, or gemm_bf16; then
+  /// dense_affine's bias epilogue (DESIGN.md §15).
+  kDenseAffineS8,
+  kDenseAffineBf16,
   kAdd,
   kAddBias,
   kScale,
@@ -56,6 +63,22 @@ enum class OpKind : uint8_t {
 /// Stable lowercase op name ("matmul", "dense_affine", ...).
 const char* OpKindName(OpKind kind);
 
+/// The activations the dense_affine kinds fuse: identity, relu, sigmoid.
+bool IsEpilogueActivation(Activation act);
+
+/// A [rows, cols] weight borrowed from a quantized artifact (pinned by the
+/// plan's keepalive): for kDenseAffineS8 PackInt8B codes with per-column
+/// colsum/scales and the input's act_scale, for kDenseAffineBf16 bf16, for
+/// a kEmbedLookup table row-major s8 codes with per-row scales, or bf16.
+struct LowPrecisionWeights {
+  int64_t rows = 0;
+  const int8_t* s8 = nullptr;
+  const int32_t* colsum = nullptr;
+  const float* scales = nullptr;
+  float act_scale = 0.0f;
+  const uint16_t* bf16 = nullptr;
+};
+
 /// One SSA value/node of the graph: every node produces exactly one output
 /// value, so node index == value id. Inputs are indices of earlier nodes
 /// (the node list is always topologically ordered by construction).
@@ -71,11 +94,12 @@ struct NodeDef {
   int64_t cols = 0;
 
   // --- per-kind attributes ---
-  Activation act = Activation::kIdentity;  // kDenseAffine
+  Activation act = Activation::kIdentity;  // the three dense_affine kinds
   float alpha = 0.0f;                      // kScale factor, kLeakyRelu slope
   int64_t slice_begin = 0;                 // kSliceCols
   int32_t field = -1;                      // kEmbedLookup: categorical field
   int64_t hash_buckets = 0;                // kEmbedLookup: 0 = ids used raw
+  LowPrecisionWeights weights;             // see LowPrecisionWeights
 
   /// kConstant payload. `data` points at the bytes the executor reads:
   /// either `owned` (folded/copied values) or an external buffer kept alive

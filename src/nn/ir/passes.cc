@@ -37,8 +37,12 @@ void RunConstantFolding(Graph* graph, int* changes) {
   std::vector<EvalInput> ins;
   for (int32_t id = 0; id < graph->size(); ++id) {
     const NodeDef& node = graph->node(id);
-    if (!IsComputeKind(node.kind) || node.kind == OpKind::kEmbedLookup) {
-      continue;  // lookups gather by runtime ids even off a constant table
+    // Lookups gather by runtime ids even off a constant table, and
+    // low-precision steps run only as lowered.
+    if (!IsComputeKind(node.kind) || node.kind == OpKind::kEmbedLookup ||
+        node.kind == OpKind::kDenseAffineS8 ||
+        node.kind == OpKind::kDenseAffineBf16) {
+      continue;
     }
     bool all_const = true;
     for (const int32_t input : node.inputs) {

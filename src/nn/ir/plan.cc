@@ -10,6 +10,7 @@
 #include "nn/arena.h"
 #include "nn/ir/eval.h"
 #include "nn/ir/passes.h"
+#include "nn/kernels.h"
 
 namespace atnn::nn::ir {
 
@@ -144,17 +145,19 @@ Status CompiledPlan::Lower() {
     }
   }
 
-  // The shared step workspace: hashed embedding ids ([rows] int64) and
-  // cross-layer dots ([rows] float).
+  // The shared step workspace: cross-layer dots ([rows] float) and int8
+  // input codes ([rows, k4] u8).
   size_t workspace_bytes = 0;
   for (int32_t id = 0; id < n; ++id) {
     const NodeDef& node = g.node(id);
     const auto rows = static_cast<size_t>(
         node.batch_rows ? options_.max_batch : node.rows);
-    if (node.kind == OpKind::kEmbedLookup && node.hash_buckets > 0) {
-      workspace_bytes = std::max(workspace_bytes, rows * sizeof(int64_t));
-    } else if (node.kind == OpKind::kCrossLayer) {
+    if (node.kind == OpKind::kCrossLayer) {
       workspace_bytes = std::max(workspace_bytes, rows * sizeof(float));
+    } else if (node.kind == OpKind::kDenseAffineS8) {
+      const int64_t k4 = kernels::RoundUpK4(node.weights.rows);
+      workspace_bytes =
+          std::max(workspace_bytes, rows * static_cast<size_t>(k4));
     }
   }
   workspace_offset_ = total;
@@ -194,9 +197,10 @@ Status CompiledPlan::Lower() {
       operands_.push_back(operand_of(input));
     }
     if (node.kind == OpKind::kEmbedLookup) {
-      const NodeDef& table = g.node(node.inputs[0]);
-      step.table = table.data;
-      step.table_rows = table.rows;
+      const NodeDef* table =
+          node.inputs.empty() ? nullptr : &g.node(node.inputs[0]);
+      step.table = table != nullptr ? table->data : nullptr;
+      step.table_rows = table != nullptr ? table->rows : node.weights.rows;
     }
     steps_.push_back(step);
   }
@@ -236,31 +240,37 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
     return reinterpret_cast<const float*>(base + op.offset);
   };
 
+  const kernels::KernelTable& kt = kernels::Kernels();
   std::byte* workspace = base + workspace_offset_;
   EvalInput ins[kMaxStepInputs];
   for (const Step& step : steps_) {
     const NodeDef& def = graph_.node(step.node);
     float* out = reinterpret_cast<float*>(base + step.out.offset);
     if (step.kind == OpKind::kEmbedLookup) {
+      // One id path for every table format: hash, range-check, gather.
       const int64_t* ids = (*input.categorical)[def.field].data();
-      if (def.hash_buckets > 0) {
-        // Same feature hash EmbeddingBag::Forward applies to raw ids.
-        auto* hashed = reinterpret_cast<int64_t*>(workspace);
-        for (int64_t r = 0; r < batch; ++r) {
-          hashed[r] = static_cast<int64_t>(
-              SplitMix64(static_cast<uint64_t>(ids[r])) %
-              static_cast<uint64_t>(def.hash_buckets));
-        }
-        ids = hashed;
-      }
       const int64_t dim = def.cols;
+      const LowPrecisionWeights& low = def.weights;
       for (int64_t r = 0; r < batch; ++r) {
-        const int64_t id = ids[r];
+        int64_t id = ids[r];
+        // Same feature hash EmbeddingBag::Forward applies to raw ids, which
+        // it defines for non-negative ids only.
+        if (def.hash_buckets > 0 && id >= 0) {
+          id = static_cast<int64_t>(SplitMix64(static_cast<uint64_t>(id)) %
+                                    static_cast<uint64_t>(def.hash_buckets));
+        }
         if (id < 0 || id >= step.table_rows) {
           return Status::InvalidArgument("embedding id out of range");
         }
-        std::memcpy(out + r * dim, step.table + id * dim,
-                    static_cast<size_t>(dim) * sizeof(float));
+        float* row = out + r * dim;
+        if (step.table != nullptr) {
+          std::memcpy(row, step.table + id * dim,
+                      static_cast<size_t>(dim) * sizeof(float));
+        } else if (low.s8 != nullptr) {
+          kt.dequant_row_s8(dim, low.scales[id], low.s8 + id * dim, row);
+        } else {
+          kt.bf16_to_f32(dim, low.bf16 + id * dim, row);
+        }
       }
       continue;
     }
@@ -270,7 +280,7 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
     }
     const int64_t out_rows = step.out.rows < 0 ? batch : step.out.rows;
     EvalNodeInto(def, std::span<const EvalInput>(ins, step.in_count),
-                 out_rows, out, reinterpret_cast<float*>(workspace));
+                 out_rows, out, workspace);
   }
   return reinterpret_cast<const float*>(base + output_offset_);
 }

@@ -72,7 +72,8 @@ class CompiledPlan {
 
   /// Validates, optionally optimizes, and lowers `graph`. `keepalive`
   /// (may be null) is pinned for the plan's lifetime — pass the model whose
-  /// parameter buffers the graph's constants borrow.
+  /// parameter buffers the graph's constants borrow, or the quantized
+  /// artifact whose weights its low-precision nodes borrow.
   static StatusOr<std::unique_ptr<CompiledPlan>> Compile(
       Graph graph, const Options& options,
       std::shared_ptr<const void> keepalive = nullptr);
@@ -80,9 +81,9 @@ class CompiledPlan {
   /// Runs the program for `batch` rows (1 <= batch <= max_batch) and
   /// returns the output buffer ([batch, output_cols] row-major inside
   /// `scratch` — valid until the scratch is reused or destroyed).
-  /// InvalidArgument when the input shape does not match the graph or an
-  /// id is outside its table. Performs no heap allocation once
-  /// `scratch` has warmed to plan_bytes().
+  /// InvalidArgument when the input shape does not match the graph, an id
+  /// is outside its table, or an id on a hashed field is negative. Performs
+  /// no heap allocation once `scratch` has warmed to plan_bytes().
   StatusOr<const float*> Execute(const PlanInput& input, int64_t batch,
                                  PlanScratch* scratch) const;
 
@@ -112,7 +113,7 @@ class CompiledPlan {
     Operand out;
     uint32_t in_begin = 0;
     uint32_t in_count = 0;
-    // kEmbedLookup only: resolved table.
+    // kEmbedLookup only: the fp32 table (null for a node-carried one).
     const float* table = nullptr;
     int64_t table_rows = 0;
   };
@@ -130,7 +131,7 @@ class CompiledPlan {
   size_t plan_bytes_ = 0;
   size_t output_offset_ = 0;
   /// One scratch region every step may use for its own temporaries: the
-  /// hashed ids of an embedding lookup, the per-row dots of a cross layer.
+  /// per-row dots of a cross layer, the input codes of an int8 dense layer.
   /// Each step consumes it before the next runs, so the steps share it.
   size_t workspace_offset_ = 0;
 };

@@ -4,8 +4,10 @@
 #include <cstring>
 #include <utility>
 
-#include "common/rng.h"
+#include "nn/autograd.h"
+#include "nn/ir/graph.h"
 #include "nn/kernels.h"
+#include "nn/ops.h"
 
 namespace atnn::quant {
 
@@ -72,82 +74,14 @@ std::vector<float> RowToVector(const nn::Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
 }
 
-float ApplyActivationScalar(nn::Activation activation, float z) {
-  switch (activation) {
-    case nn::Activation::kIdentity:
-      return z;
-    case nn::Activation::kRelu:
-      return z > 0.0f ? z : 0.0f;
-    case nn::Activation::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-z));
-    default:
-      ATNN_CHECK(false) << "unsupported activation in quantized path";
-      return z;
+/// rows * cols, or SIZE_MAX when either is negative or the product
+/// overflows, so a corrupt shape never matches a real buffer's size.
+size_t CheckedCount(int64_t rows, int64_t cols) {
+  int64_t count = 0;
+  if (rows < 0 || cols < 0 || __builtin_mul_overflow(rows, cols, &count)) {
+    return SIZE_MAX;
   }
-}
-
-bool SupportedActivation(nn::Activation activation) {
-  return activation == nn::Activation::kIdentity ||
-         activation == nn::Activation::kRelu ||
-         activation == nn::Activation::kSigmoid;
-}
-
-/// Plain-loop fp32 dense forward for calibration (offline; clarity over
-/// speed — the serving path goes through the kernel table instead).
-nn::Tensor DenseForwardFp32(const nn::Tensor& in, const nn::Tensor& w,
-                            const nn::Tensor& b,
-                            nn::Activation activation) {
-  nn::Tensor out(in.rows(), w.cols());
-  for (int64_t r = 0; r < in.rows(); ++r) {
-    const float* x = in.row_ptr(r);
-    float* y = out.row_ptr(r);
-    for (int64_t c = 0; c < w.cols(); ++c) {
-      float acc = b.data()[c];
-      for (int64_t p = 0; p < w.rows(); ++p) {
-        acc += x[p] * w.at(p, c);
-      }
-      y[c] = ApplyActivationScalar(activation, acc);
-    }
-  }
-  return out;
-}
-
-/// DCN cross stack over fp32 layer vectors:
-///   x_{l+1} = x0 * (x_l . w_l) + b_l + x_l
-nn::Tensor CrossForwardFp32(const nn::Tensor& x0,
-                            const std::vector<CrossLayerFp32>& layers) {
-  nn::Tensor x = x0;  // deep copy
-  const int64_t d = x0.cols();
-  for (const CrossLayerFp32& layer : layers) {
-    for (int64_t r = 0; r < x.rows(); ++r) {
-      const float* base = x0.row_ptr(r);
-      float* row = x.row_ptr(r);
-      float t = 0.0f;
-      for (int64_t c = 0; c < d; ++c) t += row[c] * layer.w[c];
-      for (int64_t c = 0; c < d; ++c) {
-        row[c] = base[c] * t + layer.b[c] + row[c];
-      }
-    }
-  }
-  return x;
-}
-
-/// Bucket index for one categorical id, mirroring EmbeddingBag::Forward.
-StatusOr<int64_t> ResolveRow(int64_t id, int64_t hash_buckets,
-                             int64_t rows, const std::string& field) {
-  if (id < 0) {
-    return Status::InvalidArgument("negative id " + std::to_string(id) +
-                                   " for field " + field);
-  }
-  if (hash_buckets > 0) {
-    return static_cast<int64_t>(SplitMix64(static_cast<uint64_t>(id)) %
-                                static_cast<uint64_t>(hash_buckets));
-  }
-  if (id >= rows) {
-    return Status::OutOfRange("id " + std::to_string(id) +
-                              " out of vocab for field " + field);
-  }
-  return id;
+  return static_cast<size_t>(count);
 }
 
 void WriteBf16(BinaryWriter* writer, const Bf16Matrix& m) {
@@ -162,8 +96,8 @@ Status ReadBf16(BinaryReader* reader, Bf16Matrix* m) {
   ATNN_RETURN_IF_ERROR(reader->ReadI64(&m->cols));
   std::string bytes;
   ATNN_RETURN_IF_ERROR(reader->ReadString(&bytes));
-  if (m->rows < 0 || m->cols < 0 ||
-      bytes.size() != static_cast<size_t>(m->rows * m->cols) * 2) {
+  const size_t count = CheckedCount(m->rows, m->cols);
+  if (count == SIZE_MAX || bytes.size() != count * 2) {
     return Status::Corruption("bf16 matrix size mismatch");
   }
   m->data.resize(bytes.size() / 2);
@@ -193,6 +127,30 @@ Status CheckFiniteNonzeroScales(const std::vector<float>& scales,
   for (float s : scales) {
     if (!std::isfinite(s) || s == 0.0f) {
       return Status::DataLoss("non-finite or zero scale in " + what);
+    }
+  }
+  return Status::OK();
+}
+
+/// The tape's embedding gather aborts on an id it cannot read, so a batch
+/// the generator cannot read becomes a Status before the forward runs.
+Status CheckCalibrationBatch(const nn::EmbeddingBag& bag, int64_t numeric_cols,
+                             const data::BlockBatch& batch) {
+  if (batch.rows() == 0 || batch.categorical.size() != bag.num_fields() ||
+      (numeric_cols > 0 && batch.numeric.cols() != numeric_cols)) {
+    return Status::InvalidArgument(
+        "int8 calibration needs a non-empty batch of the generator's shape");
+  }
+  for (size_t f = 0; f < bag.num_fields(); ++f) {
+    for (const int64_t id : batch.categorical[f]) {
+      if (id < 0) {
+        return Status::InvalidArgument("negative id for field " +
+                                       bag.field(f).name);
+      }
+      if (bag.field(f).hash_buckets == 0 && id >= bag.table(f).value().rows()) {
+        return Status::OutOfRange("id out of vocab for field " +
+                                  bag.field(f).name);
+      }
     }
   }
   return Status::OK();
@@ -274,7 +232,7 @@ StatusOr<QuantizedGenerator> QuantizedGenerator::Build(
   // 1 and are calibrated below for int8.
   auto build_dense = [&](const nn::Dense& dense,
                          QuantizedDense* out) -> Status {
-    if (!SupportedActivation(dense.activation())) {
+    if (!nn::ir::IsEpilogueActivation(dense.activation())) {
       return Status::InvalidArgument(
           "quantized path supports identity/relu/sigmoid activations only");
     }
@@ -332,69 +290,27 @@ StatusOr<QuantizedGenerator> QuantizedGenerator::Build(
     }
   }
 
-  // Static activation-scale calibration (int8 only): run the fp32
-  // reference forward on the calibration batch and record the input absmax
-  // of every dense layer. 63 levels, not 127 — activations quantize to
-  // 7-bit codes so gemm_s8's maddubs pair sums cannot saturate int16.
+  // Static activation-scale calibration (int8 only): each dense layer's
+  // input absmax, read off the model's own tape forward (the one the fp32
+  // plan reproduces bitwise). 63 levels, not 127: 7-bit activation codes
+  // keep gemm_s8's maddubs pair sums below int16 saturation.
   if (precision == Precision::kInt8) {
-    if (calibration.rows() == 0) {
-      return Status::InvalidArgument(
-          "int8 calibration needs a non-empty item-profile batch");
-    }
-    if (calibration.categorical.size() != bag.num_fields()) {
-      return Status::InvalidArgument("calibration batch field count " +
-                                     std::to_string(
-                                         calibration.categorical.size()) +
-                                     " != " +
-                                     std::to_string(bag.num_fields()));
-    }
-    const int64_t m = calibration.rows();
-    nn::Tensor x(m, g.input_dim_);
-    int64_t offset = 0;
-    for (size_t f = 0; f < bag.num_fields(); ++f) {
-      const nn::EmbeddingFieldSpec& spec = bag.field(f);
-      const nn::Tensor& table = bag.table(f).value();
-      for (int64_t r = 0; r < m; ++r) {
-        ATNN_ASSIGN_OR_RETURN(
-            const int64_t row,
-            ResolveRow(calibration.categorical[f][static_cast<size_t>(r)],
-                       spec.hash_buckets, table.rows(), spec.name));
-        std::memcpy(x.row_ptr(r) + offset, table.row_ptr(row),
-                    static_cast<size_t>(spec.embed_dim) * sizeof(float));
-      }
-      offset += spec.embed_dim;
-    }
-    if (g.numeric_cols_ > 0) {
-      if (calibration.numeric.cols() != g.numeric_cols_) {
-        return Status::InvalidArgument("calibration numeric width mismatch");
-      }
-      for (int64_t r = 0; r < m; ++r) {
-        std::memcpy(x.row_ptr(r) + offset, calibration.numeric.row_ptr(r),
-                    static_cast<size_t>(g.numeric_cols_) * sizeof(float));
-      }
-    }
-
-    nn::Tensor cur = x;
+    ATNN_RETURN_IF_ERROR(
+        CheckCalibrationBatch(bag, g.numeric_cols_, calibration));
+    const nn::NoGradGuard no_grad;
+    const nn::Var x = bag.Forward(
+        calibration.categorical,
+        g.numeric_cols_ > 0 ? calibration.numeric : nn::Tensor());
+    nn::Var cur = x;
     for (size_t i = 0; i < deep_layers.size(); ++i) {
-      g.deep_[i].act_scale = SafeScale(cur.AbsMax(), 63.0f);
-      cur = DenseForwardFp32(cur, deep_layers[i].weight().value(),
-                             deep_layers[i].bias().value(),
-                             deep_layers[i].activation());
+      g.deep_[i].act_scale = SafeScale(cur.value().AbsMax(), 63.0f);
+      cur = deep_layers[i].Forward(cur);
     }
-    nn::Tensor head_in;
-    if (!g.cross_.empty()) {
-      nn::Tensor cross_out = CrossForwardFp32(x, g.cross_);
-      head_in = nn::Tensor(m, cross_out.cols() + cur.cols());
-      for (int64_t r = 0; r < m; ++r) {
-        std::memcpy(head_in.row_ptr(r), cross_out.row_ptr(r),
-                    static_cast<size_t>(cross_out.cols()) * sizeof(float));
-        std::memcpy(head_in.row_ptr(r) + cross_out.cols(), cur.row_ptr(r),
-                    static_cast<size_t>(cur.cols()) * sizeof(float));
-      }
-    } else {
-      head_in = std::move(cur);
-    }
-    g.head_.act_scale = SafeScale(head_in.AbsMax(), 63.0f);
+    const nn::Var head_in =
+        tower.cross() != nullptr
+            ? nn::ConcatCols({tower.cross()->Forward(x), cur})
+            : cur;
+    g.head_.act_scale = SafeScale(head_in.value().AbsMax(), 63.0f);
   }
 
   g.PackDenseLayers();
@@ -415,104 +331,6 @@ void QuantizedGenerator::PackDenseLayers() {
   pack(&head_);
 }
 
-Status QuantizedGenerator::Forward(const data::BlockBatch& item_profile,
-                                   nn::Tensor* out) const {
-  if (item_profile.categorical.size() != fields_.size()) {
-    return Status::InvalidArgument("batch field count mismatch");
-  }
-  const int64_t m = item_profile.rows();
-  const auto& kernels = Kernels();
-
-  // Gather the tower input: dequantized embedding rows + fp32 numerics.
-  nn::Tensor x(m, input_dim_);
-  int64_t offset = 0;
-  for (size_t f = 0; f < fields_.size(); ++f) {
-    const QuantizedField& field = fields_[f];
-    const int64_t table_rows = precision_ == Precision::kInt8
-                                   ? field.rows_q.rows
-                                   : field.rows_bf.rows;
-    for (int64_t r = 0; r < m; ++r) {
-      ATNN_ASSIGN_OR_RETURN(
-          const int64_t row,
-          ResolveRow(item_profile.categorical[f][static_cast<size_t>(r)],
-                     field.hash_buckets, table_rows, field.name));
-      float* dst = x.row_ptr(r) + offset;
-      if (precision_ == Precision::kInt8) {
-        kernels.dequant_row_s8(
-            field.embed_dim,
-            field.rows_q.scales[static_cast<size_t>(row)],
-            field.rows_q.data.data() + row * field.embed_dim, dst);
-      } else {
-        kernels.bf16_to_f32(field.embed_dim,
-                            field.rows_bf.data.data() + row * field.embed_dim,
-                            dst);
-      }
-    }
-    offset += field.embed_dim;
-  }
-  if (numeric_cols_ > 0) {
-    if (item_profile.numeric.cols() != numeric_cols_) {
-      return Status::InvalidArgument("batch numeric width mismatch");
-    }
-    for (int64_t r = 0; r < m; ++r) {
-      std::memcpy(x.row_ptr(r) + offset, item_profile.numeric.row_ptr(r),
-                  static_cast<size_t>(numeric_cols_) * sizeof(float));
-    }
-  }
-
-  auto run_dense = [&](const QuantizedDense& d,
-                       const nn::Tensor& in) -> nn::Tensor {
-    nn::Tensor y(m, d.out_dim);
-    if (precision_ == Precision::kInt8) {
-      // Code 64 is the zero point, so padding lanes past in_dim represent
-      // exactly 0 (and packed B is zero there anyway).
-      std::vector<uint8_t> a(static_cast<size_t>(m * d.k4), 64);
-      const float inv_scale = 1.0f / d.act_scale;
-      for (int64_t r = 0; r < m; ++r) {
-        kernels.quantize_u8(d.in_dim, inv_scale, in.row_ptr(r),
-                            a.data() + r * d.k4);
-      }
-      kernels.gemm_s8(m, d.k4, d.out_dim, a.data(), d.packed.data(),
-                      d.colsum.data(), d.w_scales.data(), d.act_scale,
-                      y.data());
-    } else {
-      kernels.gemm_bf16(m, d.in_dim, d.out_dim, in.data(),
-                        d.weights_bf.data.data(), y.data());
-    }
-    switch (d.activation) {
-      case nn::Activation::kIdentity:
-        kernels.bias_identity(m, d.out_dim, d.bias.data(), y.data());
-        break;
-      case nn::Activation::kRelu:
-        kernels.bias_relu(m, d.out_dim, d.bias.data(), y.data());
-        break;
-      default:
-        kernels.bias_sigmoid(m, d.out_dim, d.bias.data(), y.data());
-        break;
-    }
-    return y;
-  };
-
-  nn::Tensor cur = x;
-  for (const QuantizedDense& d : deep_) cur = run_dense(d, cur);
-
-  nn::Tensor head_in;
-  if (!cross_.empty()) {
-    nn::Tensor cross_out = CrossForwardFp32(x, cross_);
-    head_in = nn::Tensor(m, cross_out.cols() + cur.cols());
-    for (int64_t r = 0; r < m; ++r) {
-      std::memcpy(head_in.row_ptr(r), cross_out.row_ptr(r),
-                  static_cast<size_t>(cross_out.cols()) * sizeof(float));
-      std::memcpy(head_in.row_ptr(r) + cross_out.cols(), cur.row_ptr(r),
-                  static_cast<size_t>(cur.cols()) * sizeof(float));
-    }
-  } else {
-    head_in = std::move(cur);
-  }
-  *out = run_dense(head_, head_in);
-  return Status::OK();
-}
-
 Status QuantizedGenerator::Validate() const {
   if (precision_ == Precision::kFp32) {
     return Status::DataLoss("quantized artifact claims fp32 precision");
@@ -522,11 +340,20 @@ Status QuantizedGenerator::Validate() const {
   }
   int64_t embed_width = 0;
   for (const QuantizedField& field : fields_) {
-    embed_width += field.embed_dim;
+    const int64_t rows = precision_ == Precision::kInt8 ? field.rows_q.rows
+                                                        : field.rows_bf.rows;
+    // A table has rows (which bounds embed_dim by the payload below), and a
+    // hashed one exactly hash_buckets of them: any other count would let a
+    // bucket index past the table.
+    if (rows <= 0 || field.hash_buckets < 0 ||
+        (field.hash_buckets > 0 && field.hash_buckets != rows)) {
+      return Status::DataLoss("field " + field.name +
+                              " has no rows or hash_buckets != its rows");
+    }
     if (precision_ == Precision::kInt8) {
       const QuantizedRowMatrix& q = field.rows_q;
       if (q.cols != field.embed_dim ||
-          q.data.size() != static_cast<size_t>(q.rows * q.cols) ||
+          q.data.size() != CheckedCount(q.rows, q.cols) ||
           q.scales.size() != static_cast<size_t>(q.rows)) {
         return Status::DataLoss("field " + field.name + " shape mismatch");
       }
@@ -535,12 +362,13 @@ Status QuantizedGenerator::Validate() const {
     } else {
       const Bf16Matrix& b = field.rows_bf;
       if (b.cols != field.embed_dim ||
-          b.data.size() != static_cast<size_t>(b.rows * b.cols)) {
+          b.data.size() != CheckedCount(b.rows, b.cols)) {
         return Status::DataLoss("field " + field.name + " shape mismatch");
       }
     }
+    embed_width += field.embed_dim;
   }
-  if (embed_width + numeric_cols_ != input_dim_) {
+  if (numeric_cols_ != input_dim_ - embed_width) {
     return Status::DataLoss("embedding widths do not sum to input_dim");
   }
 
@@ -550,7 +378,7 @@ Status QuantizedGenerator::Validate() const {
         d.bias.size() != static_cast<size_t>(d.out_dim)) {
       return Status::DataLoss("dense layer shape mismatch");
     }
-    if (!SupportedActivation(d.activation)) {
+    if (!nn::ir::IsEpilogueActivation(d.activation)) {
       return Status::DataLoss("dense layer has unsupported activation");
     }
     ATNN_RETURN_IF_ERROR(CheckFinite(d.bias, "dense bias"));
@@ -558,7 +386,7 @@ Status QuantizedGenerator::Validate() const {
       if (!std::isfinite(d.act_scale) || d.act_scale == 0.0f) {
         return Status::DataLoss("non-finite or zero activation scale");
       }
-      if (d.codes.size() != static_cast<size_t>(d.in_dim * d.out_dim) ||
+      if (d.codes.size() != CheckedCount(d.in_dim, d.out_dim) ||
           d.w_scales.size() != static_cast<size_t>(d.out_dim)) {
         return Status::DataLoss("dense int8 payload shape mismatch");
       }
@@ -566,8 +394,7 @@ Status QuantizedGenerator::Validate() const {
           CheckFiniteNonzeroScales(d.w_scales, "dense weight scales"));
     } else {
       if (d.weights_bf.rows != d.in_dim || d.weights_bf.cols != d.out_dim ||
-          d.weights_bf.data.size() !=
-              static_cast<size_t>(d.in_dim * d.out_dim)) {
+          d.weights_bf.data.size() != CheckedCount(d.in_dim, d.out_dim)) {
         return Status::DataLoss("dense bf16 payload shape mismatch");
       }
     }
@@ -598,6 +425,18 @@ Status QuantizedGenerator::Validate() const {
 
 namespace {
 
+/// Reads an element count and bounds it by the bytes left, as
+/// ReadFloatVector does: every field, dense layer and cross layer starts
+/// with two 8-byte values, so a larger count is corrupt — checked before
+/// the caller sizes a vector by it.
+Status ReadCount(BinaryReader* reader, uint32_t* count) {
+  ATNN_RETURN_IF_ERROR(reader->ReadU32(count));
+  if (*count > reader->remaining() / (2 * sizeof(int64_t))) {
+    return Status::Corruption("element count exceeds buffer");
+  }
+  return Status::OK();
+}
+
 void SerializeDense(BinaryWriter* writer, const QuantizedDense& d,
                     Precision precision) {
   writer->WriteI64(d.in_dim);
@@ -625,12 +464,14 @@ Status DeserializeDense(BinaryReader* reader, Precision precision,
   d->activation = static_cast<nn::Activation>(activation);
   ATNN_RETURN_IF_ERROR(reader->ReadFloatVector(&d->bias));
   ATNN_RETURN_IF_ERROR(reader->ReadF32(&d->act_scale));
-  if (d->in_dim < 0 || d->out_dim < 0) {
-    return Status::Corruption("negative dense dimensions");
+  // Positive dims bound out_dim by the code blob's size, which keeps the
+  // packing that follows the read (k4 * out_dim bytes) inside the payload.
+  if (d->in_dim <= 0 || d->out_dim <= 0) {
+    return Status::Corruption("non-positive dense dimensions");
   }
   if (precision == Precision::kInt8) {
     ATNN_RETURN_IF_ERROR(ReadInt8Blob(
-        reader, static_cast<size_t>(d->in_dim * d->out_dim), &d->codes));
+        reader, CheckedCount(d->in_dim, d->out_dim), &d->codes));
     ATNN_RETURN_IF_ERROR(reader->ReadFloatVector(&d->w_scales));
   } else {
     ATNN_RETURN_IF_ERROR(ReadBf16(reader, &d->weights_bf));
@@ -692,7 +533,7 @@ StatusOr<QuantizedGenerator> QuantizedGenerator::DeserializeFrom(
   ATNN_RETURN_IF_ERROR(reader->ReadI64(&g.numeric_cols_));
   ATNN_RETURN_IF_ERROR(reader->ReadI64(&g.vector_dim_));
   uint32_t num_fields = 0;
-  ATNN_RETURN_IF_ERROR(reader->ReadU32(&num_fields));
+  ATNN_RETURN_IF_ERROR(ReadCount(reader, &num_fields));
   g.fields_.resize(num_fields);
   for (QuantizedField& field : g.fields_) {
     ATNN_RETURN_IF_ERROR(reader->ReadString(&field.name));
@@ -705,8 +546,7 @@ StatusOr<QuantizedGenerator> QuantizedGenerator::DeserializeFrom(
         return Status::Corruption("negative embedding dimensions");
       }
       ATNN_RETURN_IF_ERROR(ReadInt8Blob(
-          reader,
-          static_cast<size_t>(field.rows_q.rows * field.rows_q.cols),
+          reader, CheckedCount(field.rows_q.rows, field.rows_q.cols),
           &field.rows_q.data));
       ATNN_RETURN_IF_ERROR(reader->ReadFloatVector(&field.rows_q.scales));
     } else {
@@ -714,14 +554,14 @@ StatusOr<QuantizedGenerator> QuantizedGenerator::DeserializeFrom(
     }
   }
   uint32_t num_deep = 0;
-  ATNN_RETURN_IF_ERROR(reader->ReadU32(&num_deep));
+  ATNN_RETURN_IF_ERROR(ReadCount(reader, &num_deep));
   g.deep_.resize(num_deep);
   for (QuantizedDense& d : g.deep_) {
     ATNN_RETURN_IF_ERROR(DeserializeDense(reader, g.precision_, &d));
   }
   ATNN_RETURN_IF_ERROR(DeserializeDense(reader, g.precision_, &g.head_));
   uint32_t num_cross = 0;
-  ATNN_RETURN_IF_ERROR(reader->ReadU32(&num_cross));
+  ATNN_RETURN_IF_ERROR(ReadCount(reader, &num_cross));
   g.cross_.resize(num_cross);
   for (CrossLayerFp32& layer : g.cross_) {
     ATNN_RETURN_IF_ERROR(reader->ReadFloatVector(&layer.w));
@@ -787,6 +627,105 @@ void QuantizedGenerator::CorruptScaleForTest(float value) {
   } else {
     head_.act_scale = value;
   }
+}
+
+namespace {
+
+using nn::ir::LowPrecisionWeights;
+using nn::ir::NodeDef;
+using nn::ir::OpKind;
+
+/// A node whose value is [batch, cols]; the plan sizes batch values by
+/// max_batch, so the nominal row count is 1.
+NodeDef BatchNode(OpKind kind, int64_t cols, std::vector<int32_t> inputs) {
+  NodeDef node;
+  node.kind = kind;
+  node.inputs = std::move(inputs);
+  node.batch_rows = true;
+  node.rows = 1;
+  node.cols = cols;
+  return node;
+}
+
+/// A constant [rows, size / rows] view of artifact-owned floats.
+int32_t AddBorrowed(nn::ir::Graph* graph, const std::vector<float>& values,
+                    int64_t rows) {
+  NodeDef node;
+  node.rows = rows;
+  node.cols = static_cast<int64_t>(values.size()) / rows;
+  node.data = values.data();
+  node.label = "param";
+  return graph->AddNode(std::move(node));
+}
+
+}  // namespace
+
+StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileQuantizedPlan(
+    const QuantizedGenerator& artifact, int64_t max_batch,
+    std::shared_ptr<const void> keepalive) {
+  ATNN_RETURN_IF_ERROR(artifact.Validate());
+  const bool int8 = artifact.precision() == Precision::kInt8;
+  nn::ir::Graph graph;
+  // x0 = concat_cols(one lookup per field, the dense block)
+  std::vector<int32_t> parts;
+  for (const QuantizedField& field : artifact.fields()) {
+    NodeDef lookup = BatchNode(OpKind::kEmbedLookup, field.embed_dim, {});
+    lookup.field = static_cast<int32_t>(parts.size());
+    lookup.hash_buckets = field.hash_buckets;
+    lookup.weights =
+        int8 ? LowPrecisionWeights{.rows = field.rows_q.rows,
+                                   .s8 = field.rows_q.data.data(),
+                                   .scales = field.rows_q.scales.data()}
+             : LowPrecisionWeights{.rows = field.rows_bf.rows,
+                                   .bf16 = field.rows_bf.data.data()};
+    parts.push_back(graph.AddNode(std::move(lookup)));
+  }
+  graph.set_num_fields(static_cast<int32_t>(parts.size()));
+  if (artifact.numeric_cols() > 0) {
+    graph.set_dense_cols(artifact.numeric_cols());
+    parts.push_back(graph.AddNode(
+        BatchNode(OpKind::kDenseInput, artifact.numeric_cols(), {})));
+  }
+  const int64_t width = artifact.input_dim();
+  const int32_t x0 = graph.AddNode(
+      BatchNode(OpKind::kConcatCols, width, std::move(parts)));
+
+  // act(x W + b) of one quantized dense layer over the batch value `x`.
+  const auto dense = [&](const QuantizedDense& d, int32_t x) {
+    NodeDef node = BatchNode(
+        int8 ? OpKind::kDenseAffineS8 : OpKind::kDenseAffineBf16, d.out_dim,
+        {x, AddBorrowed(&graph, d.bias, 1)});
+    node.act = d.activation;
+    node.weights =
+        int8 ? LowPrecisionWeights{.rows = d.in_dim,
+                                   .s8 = d.packed.data(),
+                                   .colsum = d.colsum.data(),
+                                   .scales = d.w_scales.data(),
+                                   .act_scale = d.act_scale}
+             : LowPrecisionWeights{.rows = d.in_dim,
+                                   .bf16 = d.weights_bf.data.data()};
+    return graph.AddNode(std::move(node));
+  };
+  int32_t deep = x0;
+  for (const QuantizedDense& d : artifact.deep()) deep = dense(d, deep);
+  int32_t head_in = deep;
+  if (!artifact.cross().empty()) {
+    int32_t x = x0;
+    for (const CrossLayerFp32& layer : artifact.cross()) {
+      x = graph.AddNode(BatchNode(OpKind::kCrossLayer, width,
+                                  {x, x0, AddBorrowed(&graph, layer.w, width),
+                                   AddBorrowed(&graph, layer.b, 1)}));
+    }
+    head_in = graph.AddNode(BatchNode(
+        OpKind::kConcatCols, width + graph.node(deep).cols, {x, deep}));
+  }
+  graph.set_output(dense(artifact.head(), head_in));
+
+  ATNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<nn::ir::CompiledPlan> plan,
+      nn::ir::CompiledPlan::Compile(std::move(graph), {.max_batch = max_batch},
+                                    std::move(keepalive)));
+  return std::shared_ptr<const nn::ir::CompiledPlan>(std::move(plan));
 }
 
 }  // namespace atnn::quant

@@ -2,6 +2,7 @@
 #define ATNN_QUANT_QUANTIZED_GENERATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "common/status.h"
 #include "core/atnn.h"
 #include "data/schema.h"
+#include "nn/ir/plan.h"
 #include "nn/layers.h"
 #include "nn/tensor.h"
 
@@ -46,7 +48,7 @@ struct Bf16Matrix {
 /// format the artifact's precision selects.
 struct QuantizedField {
   std::string name;
-  int64_t hash_buckets = 0;    // 0 = direct vocab indexing
+  int64_t hash_buckets = 0;    // 0 = direct vocab indexing, else == rows
   int64_t embed_dim = 0;
   QuantizedRowMatrix rows_q;   // kInt8
   Bf16Matrix rows_bf;          // kBf16
@@ -85,33 +87,39 @@ struct CrossLayerFp32 {
 /// g(X_ip): quantized embedding tables + dense tower weights with fp32
 /// scales, built offline from a trained AtnnModel plus a calibration batch
 /// and serialized alongside the model snapshot (versioned tag, CRC via the
-/// common binary container). Forward runs entirely on the KernelTable
-/// low-precision kernels — no autograd graph, no fp32 weight copy in
-/// memory. See DESIGN.md §15.
+/// common binary container). It is weights only: CompileQuantizedPlan
+/// lowers it into the same CompiledPlan executor fp32 serving uses, whose
+/// steps run the KernelTable low-precision kernels over these buffers —
+/// no autograd graph, no fp32 weight copy in memory. See DESIGN.md §15.
 class QuantizedGenerator {
  public:
   /// Quantizes `model`'s generator path at the given precision (kBf16 or
   /// kInt8 — kFp32 is InvalidArgument; serve the model itself instead).
   /// `calibration` is a representative item-profile batch (e.g. a slice of
-  /// the catalog); its per-layer fp32 activation absmax becomes the static
-  /// int8 activation scales. Must be non-empty for kInt8.
+  /// the catalog); each dense layer's fp32 input absmax over it, from the
+  /// model's tape forward, becomes its static int8 activation scale. For
+  /// kInt8 a batch the generator cannot read is InvalidArgument, or
+  /// OutOfRange for a direct id past its table.
   static StatusOr<QuantizedGenerator> Build(
       const core::AtnnModel& model, const data::BlockBatch& calibration,
       Precision precision);
 
-  /// g(X_ip): [batch, vector_dim] generator vectors through the quantized
-  /// path. `out` is overwritten.
-  Status Forward(const data::BlockBatch& item_profile,
-                 nn::Tensor* out) const;
-
   /// Structural + numeric integrity: every row/column/activation scale
-  /// must be finite and nonzero, shapes consistent. DataLoss on failure
+  /// must be finite and nonzero, shapes consistent, and a hashed field's
+  /// hash_buckets equal to its table's rows. DataLoss on failure
   /// (ValidateServingSnapshot refuses to publish such an artifact).
   Status Validate() const;
 
   Precision precision() const { return precision_; }
   int64_t vector_dim() const { return vector_dim_; }
   int64_t input_dim() const { return input_dim_; }
+  int64_t numeric_cols() const { return numeric_cols_; }
+
+  /// The weights, read by the plan lowering and by reference executors.
+  const std::vector<QuantizedField>& fields() const { return fields_; }
+  const std::vector<QuantizedDense>& deep() const { return deep_; }
+  const std::vector<CrossLayerFp32>& cross() const { return cross_; }
+  const QuantizedDense& head() const { return head_; }
 
   /// Serialized payload size in bytes (what Save writes, pre-container).
   int64_t QuantizedByteSize() const;
@@ -152,6 +160,14 @@ class QuantizedGenerator {
 
 /// Artifact format version; bumped on any wire change.
 constexpr uint32_t kQuantFormatVersion = 1;
+
+/// Lowers `artifact` (after its Validate passes) into a CompiledPlan for
+/// batches of up to `max_batch` rows (DESIGN.md §15). The plan borrows the
+/// artifact's buffers; `keepalive` (may be null) is pinned for the plan's
+/// lifetime — pass the artifact's owning handle.
+StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileQuantizedPlan(
+    const QuantizedGenerator& artifact, int64_t max_batch,
+    std::shared_ptr<const void> keepalive = nullptr);
 
 }  // namespace atnn::quant
 

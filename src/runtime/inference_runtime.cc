@@ -116,9 +116,7 @@ uint64_t InferenceRuntime::CommitPublish(CheckedSnapshot checked) {
   ATNN_CHECK(checked.checker_ == this)
       << "CommitPublish takes only a snapshot this runtime checked";
   ServingSnapshot& snapshot = checked.snapshot_;
-  if (snapshot.plan != nullptr) {
-    stats_.RecordPlanCompiled(snapshot.plan->plan_bytes());
-  }
+  stats_.RecordPlanCompiled(snapshot.plan->plan_bytes());
   if (config_.enable_score_cache) {
     // Sized before the version becomes visible, so every row a worker can
     // range-check against this snapshot has an entry.
@@ -369,37 +367,25 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
       const data::BlockBatch block =
           data::GatherBlock(*snapshot.item_profiles, miss_rows);
       const nn::ArenaScope arena_scope;  // batch-scoped tensors, one rewind
-      // Publish fixed the executor: the quantized generator (DESIGN.md §15)
-      // when the snapshot carries one, else the compiled plan, whose
-      // pre-planned program writes every intermediate at a fixed offset in
-      // this worker's reusable scratch. Either yields [rows, cols] vectors.
-      nn::Tensor quantized_vectors;
-      const float* vectors = nullptr;
-      int64_t cols = 0;
-      Status forward;
-      if (snapshot.quantized != nullptr) {
-        forward = snapshot.quantized->Forward(block, &quantized_vectors);
-        vectors = quantized_vectors.data();
-        cols = quantized_vectors.cols();
+      // The plan publish attached (fp32, or lowered from the quantized
+      // artifact) writes every intermediate at a fixed offset in this
+      // worker's reusable scratch and yields [rows, cols] vectors.
+      static thread_local nn::ir::PlanScratch plan_scratch;
+      const StatusOr<const float*> vectors = snapshot.plan->Execute(
+          {&block.categorical, &block.numeric},
+          static_cast<int64_t>(miss_rows.size()), &plan_scratch);
+      Status forward = vectors.status();
+      if (forward.ok()) {
+        stats_.RecordPlanExecution();
       } else {
-        static thread_local nn::ir::PlanScratch plan_scratch;
-        const StatusOr<const float*> out = snapshot.plan->Execute(
-            {&block.categorical, &block.numeric},
-            static_cast<int64_t>(miss_rows.size()), &plan_scratch);
-        forward = out.status();
-        if (out.ok()) {
-          vectors = out.value();
-          cols = snapshot.plan->output_cols();
-          stats_.RecordPlanExecution();
-        } else {
-          stats_.RecordPlanExecFallback();
-        }
+        stats_.RecordPlanExecFallback();
       }
+      const int64_t cols = snapshot.plan->output_cols();
       std::vector<double> miss_scores;
       miss_scores.reserve(miss_rows.size());
       for (size_t r = 0; forward.ok() && r < miss_rows.size(); ++r) {
         const double score = snapshot.predictor->ScoreVector(
-            vectors + static_cast<int64_t>(r) * cols, cols);
+            *vectors + static_cast<int64_t>(r) * cols, cols);
         if (!std::isfinite(score)) {
           forward = Status::DataLoss("forward pass produced non-finite scores");
         }

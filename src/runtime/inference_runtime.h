@@ -135,9 +135,10 @@ class InferenceRuntime {
 
   /// Validates and atomically publishes a new serving snapshot (model +
   /// mean-user vector + item-profile table), returning its version. The
-  /// executor of its cache misses is fixed here (AttachServingPlan): the
-  /// quantized generator when the snapshot carries one, otherwise a plan
-  /// compiled at batcher.max_batch_size. A snapshot rejected by
+  /// plan that executes its cache misses is attached here
+  /// (AttachServingPlan) at batcher.max_batch_size: lowered from the
+  /// quantized artifact when the snapshot carries one, otherwise compiled
+  /// from the fp32 model. A snapshot rejected by
   /// ValidateServingSnapshot (null members, dimension mismatch, an item
   /// table the generator cannot read, NaN/Inf weights) or whose plan fails
   /// to compile returns that Status, and the previously published version

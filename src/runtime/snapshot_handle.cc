@@ -70,8 +70,8 @@ Status ValidateServingSnapshot(const ServingSnapshot& snapshot) {
   if (snapshot.item_profiles == nullptr) {
     return Status::InvalidArgument("snapshot.item_profiles is null");
   }
-  // The quantized path, when present, is the one ExecuteBatch runs, so its
-  // vector_dim is the one the mean-user vector must match.
+  // The quantized artifact, when present, is the one the plan is lowered
+  // from, so its vector_dim is the one the mean-user vector must match.
   const int64_t vector_dim = snapshot.quantized != nullptr
                                  ? snapshot.quantized->vector_dim()
                                  : snapshot.model->vector_dim();
@@ -111,11 +111,12 @@ Status ValidateServingSnapshot(const ServingSnapshot& snapshot) {
 }
 
 Status AttachServingPlan(int64_t max_batch, ServingSnapshot* snapshot) {
-  if (snapshot->quantized != nullptr) {
-    snapshot->plan = nullptr;
-    return Status::OK();
-  }
-  if (snapshot->plan == nullptr) {
+  if (snapshot->plan == nullptr && snapshot->quantized != nullptr) {
+    ATNN_ASSIGN_OR_RETURN(
+        snapshot->plan,
+        quant::CompileQuantizedPlan(*snapshot->quantized, max_batch,
+                                    snapshot->quantized));
+  } else if (snapshot->plan == nullptr) {
     ATNN_ASSIGN_OR_RETURN(
         snapshot->plan,
         core::CompileGeneratorPlan(*snapshot->model, *snapshot->item_profiles,

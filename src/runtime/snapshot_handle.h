@@ -30,16 +30,16 @@ struct ServingSnapshot {
   std::shared_ptr<const core::PopularityPredictor> predictor;
   std::shared_ptr<const data::EntityTable> item_profiles;
   /// Optional low-precision generator (int8/bf16, DESIGN.md §15). When set,
-  /// cache-miss forwards run through it instead of `model`, which may then
-  /// be null — a serving process never needs the fp32 weights resident.
-  /// Cluster slicing (PublishSlices) copies the snapshot struct per shard,
-  /// so every shard shares this one artifact by reference.
+  /// the plan is lowered from it instead of compiled from `model`, which
+  /// may then be null — a serving process never needs the fp32 weights
+  /// resident. Cluster slicing (PublishSlices) copies the snapshot struct
+  /// per shard, so every shard shares this one artifact by reference.
   std::shared_ptr<const quant::QuantizedGenerator> quantized;
-  /// Compiled execution plan of the fp32 generator forward (nn/ir,
-  /// DESIGN.md §16): the executor of every cache miss of a snapshot without
-  /// `quantized`. Attached at publish by AttachServingPlan; cluster
-  /// publication compiles once and shares the plan across shard slices
-  /// (the plan closes over the model, not the item table).
+  /// Compiled execution plan of the generator forward (nn/ir, DESIGN.md
+  /// §16): the executor of every cache miss, whatever the precision.
+  /// Attached at publish by AttachServingPlan; cluster publication builds
+  /// it once and shares it across shard slices (the plan closes over the
+  /// weights, not the item table).
   std::shared_ptr<const nn::ir::CompiledPlan> plan;
   /// Free-form checkpoint label (e.g. the snapshot file it was loaded from).
   std::string tag;
@@ -66,14 +66,14 @@ struct ServingSnapshot {
 /// at most), which is noise next to the model load that preceded it.
 Status ValidateServingSnapshot(const ServingSnapshot& snapshot);
 
-/// Decides, once per snapshot, which executor serves its cache misses: the
-/// quantized generator when the snapshot carries one (an attached plan is
-/// dropped, it would never run), otherwise a CompiledPlan of the fp32
-/// generator for batches of up to `max_batch` rows. Compiles that plan
-/// unless one is attached already (the sharded front-end compiles once and
-/// shares it across slices); an attached plan whose ceiling is below
-/// `max_batch` is InvalidArgument. A failed compile returns its Status: the
-/// snapshot cannot serve and must be rejected. Call after
+/// Attaches the CompiledPlan that serves every cache miss of the snapshot,
+/// for batches of up to `max_batch` rows: the quantized artifact lowered
+/// (quant::CompileQuantizedPlan) when the snapshot carries one, even beside
+/// the fp32 model, else the fp32 generator compiled
+/// (core::CompileGeneratorPlan). An attached plan is kept (the sharded
+/// front-end builds once and shares it across slices) unless its ceiling
+/// is below `max_batch`: InvalidArgument. A failed build returns its
+/// Status and the snapshot must be rejected. Call after
 /// ValidateServingSnapshot succeeded.
 Status AttachServingPlan(int64_t max_batch, ServingSnapshot* snapshot);
 

@@ -1,7 +1,7 @@
 // End-to-end integration test over the full production pipeline:
 //   generate world -> train ATNN -> evaluate -> snapshot -> (new process)
 //   load snapshot -> build popularity predictor -> export index ->
-//   online scorer updates -> top-K agreement.
+//   top-K agreement.
 // Exercises every module boundary in one flow.
 
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include "data/tmall.h"
 #include "metrics/metrics.h"
 #include "serving/model_snapshot.h"
-#include "serving/online_scorer.h"
 #include "serving/popularity_index.h"
 #include "test_helpers.h"
 
@@ -87,35 +86,6 @@ TEST(PipelineIntegrationTest, TrainSnapshotServeRoundTrip) {
     EXPECT_EQ(top_before[i].first, top_after[i].first);
     EXPECT_EQ(top_before[i].second, top_after[i].second);
   }
-
-  // --- online: priors + a burst of behaviour reorder the index ---
-  serving::OnlineScorer::Config scorer_config;
-  scorer_config.prior_strength = 20.0;
-  serving::OnlineScorer scorer(scorer_config);
-  for (size_t i = 0; i < dataset.new_items.size(); ++i) {
-    scorer.SetPrior(dataset.new_items[i], serving_scores[i]);
-  }
-  // The lowest-prior item suddenly performs: 50 impressions, 40 clicks.
-  const int64_t sleeper =
-      top_after.back().first;  // a mid-rank item from the loaded index
-  serving::BehaviorEvent event;
-  event.item_id = sleeper;
-  int64_t ts = 0;
-  for (int i = 0; i < 50; ++i) {
-    event.timestamp = ++ts;
-    event.type = serving::EventType::kImpression;
-    ASSERT_TRUE(scorer.Observe(event).ok());
-  }
-  for (int i = 0; i < 40; ++i) {
-    event.timestamp = ++ts;
-    event.type = serving::EventType::kClick;
-    ASSERT_TRUE(scorer.Observe(event).ok());
-  }
-  serving::PopularityIndex refreshed;
-  scorer.ExportIndex(&refreshed);
-  // The sleeper's posterior (observed CTR 0.8 with strong evidence) now
-  // tops the index.
-  EXPECT_EQ(refreshed.TopK(1)[0].first, sleeper);
 
   std::remove(snapshot_path.c_str());
   std::remove(index_path.c_str());

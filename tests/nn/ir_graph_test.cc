@@ -176,6 +176,55 @@ TEST(IrGraphTest, ToTextIsDeterministicAndPointerFree) {
   EXPECT_EQ(graph.ToText(), expected);
   // Byte-for-byte stable across calls (golden tests rely on this).
   EXPECT_EQ(graph.ToText(), graph.ToText());
+
+  // Low-precision tables print their format and shape, never a pointer.
+  const int8_t codes[8] = {};
+  const float scales[4] = {1, 1, 1, 1};
+  const uint16_t bf16[8] = {};
+  Graph lowered;
+  lowered.set_num_fields(1);
+  NodeDef lookup;
+  lookup.kind = OpKind::kEmbedLookup;
+  lookup.batch_rows = true;
+  lookup.rows = 3;
+  lookup.cols = 2;
+  lookup.field = 0;
+  lookup.weights = {.rows = 4, .s8 = codes, .scales = scales};
+  const int32_t ids = lowered.AddNode(std::move(lookup));
+  const int32_t bias = AddConst(&lowered, 1, 4, "b");
+  const int32_t dense =
+      AddOp(&lowered, OpKind::kDenseAffineBf16, {ids, bias}, 3, 4, true);
+  lowered.mutable_node(dense).weights = {.rows = 2, .bf16 = bf16};
+  lowered.set_output(dense);
+  ASSERT_TRUE(lowered.Validate().ok()) << lowered.Validate().ToString();
+  EXPECT_EQ(lowered.ToText(),
+            "graph: nodes=3 fields=1 dense_cols=-1\n"
+            "%0 = embed_lookup(s8[4x2], field=0, hash=0) : [Bx2]\n"
+            "%1 = const \"b\" : [1x4]\n"
+            "%2 = dense_affine_bf16(%0, %1, act=identity) : [Bx4]\n"
+            "output %2\n");
+}
+
+TEST(IrGraphTest, ValidateRejectsLowPrecisionNodesWithoutWeights) {
+  const int8_t codes[8] = {};
+  const int32_t colsum[4] = {};
+  const float scales[4] = {1, 1, 1, 1};
+  Graph graph;
+  const int32_t x = AddDenseInput(&graph, 3, 2);
+  const int32_t b = AddConst(&graph, 1, 4, "b");
+  const int32_t dense =
+      AddOp(&graph, OpKind::kDenseAffineS8, {x, b}, 3, 4, true);
+  graph.set_output(dense);
+  EXPECT_EQ(graph.Validate().code(), StatusCode::kInvalidArgument);
+  LowPrecisionWeights& w = graph.mutable_node(dense).weights;
+  w = {.rows = 2, .s8 = codes, .colsum = colsum, .scales = scales,
+       .act_scale = 0.5f};
+  EXPECT_TRUE(graph.Validate().ok()) << graph.Validate().ToString();
+  w.act_scale = 0.0f;  // the input codes would divide by it
+  EXPECT_EQ(graph.Validate().code(), StatusCode::kInvalidArgument);
+  w.act_scale = 0.5f;
+  w.rows = 3;  // the weight no longer takes x's width
+  EXPECT_EQ(graph.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IrGraphTest, OpKindNameCoversEveryKind) {
@@ -184,6 +233,8 @@ TEST(IrGraphTest, OpKindNameCoversEveryKind) {
   EXPECT_STREQ(OpKindName(OpKind::kEmbedLookup), "embed_lookup");
   EXPECT_STREQ(OpKindName(OpKind::kMatMul), "matmul");
   EXPECT_STREQ(OpKindName(OpKind::kDenseAffine), "dense_affine");
+  EXPECT_STREQ(OpKindName(OpKind::kDenseAffineS8), "dense_affine_s8");
+  EXPECT_STREQ(OpKindName(OpKind::kDenseAffineBf16), "dense_affine_bf16");
   EXPECT_STREQ(OpKindName(OpKind::kConcatCols), "concat_cols");
   EXPECT_STREQ(OpKindName(OpKind::kSliceCols), "slice_cols");
 }

@@ -38,9 +38,10 @@ TEST(PlanScratchTest, GrowsOnceAndStaysAligned) {
 }
 
 /// Minimal executable graph: one embedding gather off a constant table,
-/// with raw (unhashed) ids so the range check is reachable.
+/// by default with raw (unhashed) ids so the range check is reachable.
 std::unique_ptr<CompiledPlan> MakeLookupPlan(int64_t vocab, int64_t dim,
-                                             int64_t max_batch) {
+                                             int64_t max_batch,
+                                             int64_t hash_buckets = 0) {
   Graph graph;
   NodeDef table;
   table.kind = OpKind::kConstant;
@@ -60,7 +61,7 @@ std::unique_ptr<CompiledPlan> MakeLookupPlan(int64_t vocab, int64_t dim,
   lookup.rows = 3;
   lookup.cols = dim;
   lookup.field = 0;
-  lookup.hash_buckets = 0;  // raw ids, no feature hash
+  lookup.hash_buckets = hash_buckets;
   graph.set_output(graph.AddNode(std::move(lookup)));
   graph.set_num_fields(1);
   CompiledPlan::Options options;
@@ -93,6 +94,16 @@ TEST(CompiledPlanTest, ExecuteRejectsOutOfRangeRawIds) {
   const std::vector<std::vector<int64_t>> negative = {{-1, 0, 1}};
   EXPECT_EQ(
       plan->Execute({&negative, nullptr}, 3, &scratch).status().code(),
+      StatusCode::kInvalidArgument);
+  // A hashed field takes any non-negative id, and only those: hashing a
+  // negative id would quietly pick some bucket.
+  const auto hashed = MakeLookupPlan(/*vocab=*/8, /*dim=*/4, /*max_batch=*/8,
+                                     /*hash_buckets=*/8);
+  const std::vector<std::vector<int64_t>> large = {{1'000'003, 8, 3}};
+  EXPECT_TRUE(hashed->Execute({&large, nullptr}, 3, &scratch).ok());
+  const std::vector<std::vector<int64_t>> hashed_negative = {{-1, -5, 3}};
+  EXPECT_EQ(
+      hashed->Execute({&hashed_negative, nullptr}, 3, &scratch).status().code(),
       StatusCode::kInvalidArgument);
 }
 

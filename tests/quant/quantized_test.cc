@@ -15,6 +15,7 @@
 #include "data/schema.h"
 #include "data/tmall.h"
 #include "nn/autograd.h"
+#include "nn/ir/plan.h"
 #include "runtime/snapshot_handle.h"
 
 namespace atnn::quant {
@@ -40,6 +41,21 @@ class QuantizedGeneratorTest : public testing::Test {
   nn::Tensor Fp32Vectors(const data::BlockBatch& block) const {
     const nn::NoGradGuard no_grad;
     return model_->GeneratorItemVector(block).value();
+  }
+
+  /// g(X_ip) of `block` through `artifact` lowered into a plan.
+  static nn::Tensor LoweredVectors(const QuantizedGenerator& artifact,
+                                   const data::BlockBatch& block) {
+    const auto plan = CompileQuantizedPlan(artifact, block.rows());
+    ATNN_CHECK(plan.ok()) << plan.status().ToString();
+    nn::ir::PlanScratch scratch;
+    const auto out = (*plan)->Execute({&block.categorical, &block.numeric},
+                                      block.rows(), &scratch);
+    ATNN_CHECK(out.ok()) << out.status().ToString();
+    nn::Tensor vectors(block.rows(), (*plan)->output_cols());
+    std::memcpy(vectors.data(), *out,
+                static_cast<size_t>(vectors.numel()) * sizeof(float));
+    return vectors;
   }
 
   data::TmallDataset dataset_;
@@ -69,11 +85,75 @@ TEST_F(QuantizedGeneratorTest, Fp32IsNotAQuantizedPrecision) {
             StatusCode::kInvalidArgument);
 }
 
+// The calibration forward is the model's tape, whose embedding gather
+// aborts on an id it cannot read: a batch it cannot read must come back as
+// a Status before the tape runs.
 TEST_F(QuantizedGeneratorTest, Int8NeedsCalibrationRows) {
-  const data::BlockBatch empty =
-      data::GatherBlock(dataset_.item_profiles, {});
-  EXPECT_FALSE(
-      QuantizedGenerator::Build(*model_, empty, Precision::kInt8).ok());
+  const auto build = [&](const data::BlockBatch& batch) {
+    return QuantizedGenerator::Build(*model_, batch, Precision::kInt8)
+        .status()
+        .code();
+  };
+  EXPECT_EQ(build(data::GatherBlock(dataset_.item_profiles, {})),
+            StatusCode::kInvalidArgument);
+
+  data::BlockBatch negative = calibration_;
+  negative.categorical[0][1] = -3;
+  EXPECT_EQ(build(negative), StatusCode::kInvalidArgument);
+
+  data::BlockBatch past_table = calibration_;
+  const size_t last = past_table.categorical.size() - 1;
+  past_table.categorical[last][0] =
+      model_->generator_embedding_bag().table(last).value().rows();
+  EXPECT_EQ(build(past_table), StatusCode::kOutOfRange);
+
+  data::BlockBatch missing_field = calibration_;
+  missing_field.categorical.pop_back();
+  EXPECT_EQ(build(missing_field), StatusCode::kInvalidArgument);
+
+  data::BlockBatch narrow = calibration_;
+  narrow.numeric =
+      nn::Tensor(calibration_.rows(), calibration_.numeric.cols() - 1);
+  EXPECT_EQ(build(narrow), StatusCode::kInvalidArgument);
+
+  // bf16 needs no calibration, so it never reads the batch.
+  EXPECT_TRUE(
+      QuantizedGenerator::Build(*model_, negative, Precision::kBf16).ok());
+}
+
+TEST_F(QuantizedGeneratorTest, LoweringEmitsOneStepPerLayer) {
+  for (const Precision precision : {Precision::kInt8, Precision::kBf16}) {
+    SCOPED_TRACE(PrecisionName(precision));
+    auto quantized =
+        QuantizedGenerator::Build(*model_, calibration_, precision);
+    ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
+    const auto plan = CompileQuantizedPlan(*quantized, /*max_batch=*/8);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::string dense = precision == Precision::kInt8
+                                  ? "dense_affine_s8("
+                                  : "dense_affine_bf16(";
+    const std::string table = precision == Precision::kInt8
+                                  ? "embed_lookup(s8["
+                                  : "embed_lookup(bf16[";
+    const std::string text = (*plan)->graph().ToText();
+    const auto count = [&text](const std::string& what) {
+      size_t n = 0;
+      for (size_t at = text.find(what); at != std::string::npos;
+           at = text.find(what, at + 1)) {
+        ++n;
+      }
+      return n;
+    };
+    const size_t fields = dataset_.item_profile_schema->num_categorical();
+    EXPECT_EQ(count(table), fields) << text;
+    EXPECT_EQ(count(dense), 3u) << text;  // two deep layers and the head
+    EXPECT_EQ(count("cross_layer("), 2u) << text;
+    EXPECT_EQ(count("concat_cols("), 2u) << text;
+    // Nothing to fold or fuse; the second cross layer runs in place.
+    EXPECT_EQ((*plan)->pass_summary(), "fold:0 dce:0 fuse:0 dce:0 inplace:1");
+    // The lookups, concat, two deep layers, two cross layers, concat, head.
+    EXPECT_EQ((*plan)->num_steps(), fields + 7);
+  }
 }
 
 TEST_F(QuantizedGeneratorTest, Int8TracksFp32Vectors) {
@@ -83,8 +163,7 @@ TEST_F(QuantizedGeneratorTest, Int8TracksFp32Vectors) {
   EXPECT_EQ(quantized->precision(), Precision::kInt8);
   EXPECT_EQ(quantized->vector_dim(), model_->vector_dim());
 
-  nn::Tensor got;
-  ASSERT_TRUE(quantized->Forward(calibration_, &got).ok());
+  const nn::Tensor got = LoweredVectors(*quantized, calibration_);
   const nn::Tensor want = Fp32Vectors(calibration_);
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
@@ -115,8 +194,7 @@ TEST_F(QuantizedGeneratorTest, Bf16TracksFp32Tightly) {
   auto quantized =
       QuantizedGenerator::Build(*model_, calibration_, Precision::kBf16);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
-  nn::Tensor got;
-  ASSERT_TRUE(quantized->Forward(calibration_, &got).ok());
+  const nn::Tensor got = LoweredVectors(*quantized, calibration_);
   const nn::Tensor want = Fp32Vectors(calibration_);
   for (int64_t r = 0; r < got.rows(); ++r) {
     for (int64_t c = 0; c < got.cols(); ++c) {
@@ -146,7 +224,7 @@ TEST_F(QuantizedGeneratorTest, AllZeroEmbeddingRowsQuantizeSafely) {
   // Zero out an entire embedding table through the optimizer's mutable
   // parameter list (the const accessors are for inference). A zero row's
   // absmax is 0; the per-row scale must fall back to 1.0, not become a
-  // 0/NaN that Validate would reject or Forward would divide by.
+  // 0/NaN that Validate would reject or the forward would divide by.
   const nn::Parameter* table = &model_->generator_embedding_bag().table(0);
   bool zeroed = false;
   for (nn::Parameter* param : model_->GeneratorParameters()) {
@@ -161,8 +239,7 @@ TEST_F(QuantizedGeneratorTest, AllZeroEmbeddingRowsQuantizeSafely) {
       QuantizedGenerator::Build(*model_, calibration_, Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
   EXPECT_TRUE(quantized->Validate().ok());
-  nn::Tensor out;
-  ASSERT_TRUE(quantized->Forward(calibration_, &out).ok());
+  const nn::Tensor out = LoweredVectors(*quantized, calibration_);
   for (int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(out.data()[i])) << i;
   }
@@ -177,8 +254,7 @@ TEST_F(QuantizedGeneratorTest, SingleItemCohortCalibrates) {
   EXPECT_TRUE(quantized->Validate().ok());
   // Activation scales calibrated on one item must still keep the whole
   // cohort finite (clipping, not poisoning, is the failure mode allowed).
-  nn::Tensor out;
-  ASSERT_TRUE(quantized->Forward(calibration_, &out).ok());
+  const nn::Tensor out = LoweredVectors(*quantized, calibration_);
   for (int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(out.data()[i])) << i;
   }
@@ -193,8 +269,7 @@ TEST_F(QuantizedGeneratorTest, ConstantNumericColumnsCalibrate) {
       QuantizedGenerator::Build(*model_, constant, Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
   EXPECT_TRUE(quantized->Validate().ok());
-  nn::Tensor out;
-  ASSERT_TRUE(quantized->Forward(calibration_, &out).ok());
+  const nn::Tensor out = LoweredVectors(*quantized, calibration_);
   for (int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(out.data()[i])) << i;
   }
@@ -213,10 +288,8 @@ TEST_F(QuantizedGeneratorTest, SaveLoadRoundTripIsBitwise) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->precision(), Precision::kInt8);
 
-  nn::Tensor before;
-  nn::Tensor after;
-  ASSERT_TRUE(quantized->Forward(calibration_, &before).ok());
-  ASSERT_TRUE(loaded->Forward(calibration_, &after).ok());
+  const nn::Tensor before = LoweredVectors(*quantized, calibration_);
+  const nn::Tensor after = LoweredVectors(*loaded, calibration_);
   ASSERT_EQ(before.rows(), after.rows());
   ASSERT_EQ(before.cols(), after.cols());
   EXPECT_EQ(0, std::memcmp(before.data(), after.data(),
@@ -247,6 +320,9 @@ TEST_F(QuantizedGeneratorTest, PoisonedScaleFailsValidate) {
   EXPECT_EQ(quantized->Validate().code(), StatusCode::kDataLoss);
   quantized->CorruptScaleForTest(0.0f);
   EXPECT_EQ(quantized->Validate().code(), StatusCode::kDataLoss);
+  // The lowering validates first, so a corrupt artifact never lowers.
+  EXPECT_EQ(CompileQuantizedPlan(*quantized, 8).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(QuantizedGeneratorTest, SnapshotValidatesWithoutFp32Model) {

@@ -195,26 +195,38 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(core::testing_helpers::TowerKindName(info.param));
     });
 
-TEST_F(CompiledServingTest, QuantizedSnapshotPublishesWithoutCompiling) {
+TEST_F(CompiledServingTest, QuantizedSnapshotPublishesItsLoweredPlan) {
   const data::BlockBatch calibration =
       data::GatherBlock(dataset_->item_profiles, dataset_->new_items);
   auto quantized = quant::QuantizedGenerator::Build(
       *model_, calibration, quant::Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
+  const auto lowered = quant::CompileQuantizedPlan(*quantized, 64);
+  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+  const auto expected = core::ScoreItemsWithPlan(
+      **lowered, *predictor_, dataset_->item_profiles, dataset_->new_items);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  // Carrying the fp32 model too does not matter: the quantized generator
-  // serves, so nothing is compiled.
+  // Carrying the fp32 model too does not matter: the artifact is what
+  // publish lowers and the plan serves.
   ServingSnapshot snapshot = MakeSnapshot();
   snapshot.quantized = Unowned(&*quantized);
+  ServingSnapshot attached = snapshot;
+  ASSERT_TRUE(AttachServingPlan(64, &attached).ok());
+  EXPECT_NE(attached.plan->graph().ToText().find("dense_affine_s8("),
+            std::string::npos);
 
   InferenceRuntime runtime(Config());
   ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
-  EXPECT_TRUE(runtime.Score(dataset_->new_items.front()).ok());
+  EXPECT_EQ(ScoreAll(&runtime), *expected);
   runtime.Shutdown();
   const auto stats = runtime.stats();
-  EXPECT_EQ(stats.plan_compiled, 0);
-  EXPECT_EQ(stats.plan_executions, 0);
+  EXPECT_EQ(stats.plan_compiled, 1);
+  EXPECT_EQ(stats.plan_executions,
+            static_cast<int64_t>(dataset_->new_items.size()));
   EXPECT_EQ(stats.plan_exec_fallback, 0);
+  EXPECT_EQ(stats.plan_reserved_bytes,
+            static_cast<int64_t>((*lowered)->plan_bytes()));
 }
 
 TEST_F(CompiledServingTest, PublishRejectsASnapshotThatCannotServe) {

@@ -13,6 +13,7 @@
 
 #include "../core/test_helpers.h"
 #include "core/atnn.h"
+#include "core/generator_plan.h"
 #include "core/popularity.h"
 #include "data/tmall.h"
 #include "quant/quantized_generator.h"
@@ -635,8 +636,8 @@ TEST_F(InferenceRuntimeTest,
 
 // The low-precision serving path: a snapshot whose generator is the int8
 // artifact and whose fp32 model is deliberately null must validate,
-// publish, and answer every request with exactly the scores the quantized
-// forward produces (the runtime adds batching, not arithmetic).
+// publish, and answer every request with exactly the scores the lowered
+// plan produces (the runtime adds batching, not arithmetic).
 TEST_F(InferenceRuntimeTest, QuantizedSnapshotServesWithoutFp32Model) {
   const data::BlockBatch calibration =
       data::GatherBlock(dataset_->item_profiles, dataset_->new_items);
@@ -644,14 +645,11 @@ TEST_F(InferenceRuntimeTest, QuantizedSnapshotServesWithoutFp32Model) {
       *model_, calibration, quant::Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
 
-  nn::Tensor vectors;
-  ASSERT_TRUE(quantized->Forward(calibration, &vectors).ok());
-  std::vector<double> expected;
-  expected.reserve(static_cast<size_t>(vectors.rows()));
-  for (int64_t r = 0; r < vectors.rows(); ++r) {
-    expected.push_back(
-        predictor_->ScoreVector(vectors.row_ptr(r), vectors.cols()));
-  }
+  const auto plan = quant::CompileQuantizedPlan(*quantized, /*max_batch=*/16);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const auto expected = core::ScoreItemsWithPlan(
+      **plan, *predictor_, dataset_->item_profiles, dataset_->new_items);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   ServingSnapshot snapshot;
   snapshot.quantized = Unowned(&*quantized);
@@ -671,7 +669,7 @@ TEST_F(InferenceRuntimeTest, QuantizedSnapshotServesWithoutFp32Model) {
   for (size_t i = 0; i < futures.size(); ++i) {
     const auto result = futures[i].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_NEAR(result.value().score, expected[i], 1e-9) << i;
+    EXPECT_EQ(result.value().score, (*expected)[i]) << i;
   }
   runtime.Shutdown();
   EXPECT_EQ(runtime.stats().completed_error, 0);

@@ -118,52 +118,41 @@ int Run(int argc, const char* const* argv) {
   const auto predictor =
       core::PopularityPredictor::Build(model, dataset, group);
 
-  std::vector<double> scores;
-  if (compute.precision == quant::Precision::kFp32) {
-    const auto plan = core::CompileGeneratorPlan(model, dataset.item_profiles,
-                                                 /*max_batch=*/1024);
-    auto planned = plan.ok() ? core::ScoreItemsWithPlan(
-                                   **plan, predictor, dataset.item_profiles,
-                                   dataset.new_items)
-                             : StatusOr<std::vector<double>>(plan.status());
-    if (!planned.ok()) {
-      std::fprintf(stderr, "compiled scoring failed: %s\n",
-                   planned.status().ToString().c_str());
-      return 1;
+  // Every precision scores through a plan. A quantized one is lowered from
+  // atnn_train's artifact, or else from quantizing the loaded model.
+  constexpr int64_t kMaxBatch = 1024;
+  const auto plan =
+      [&]() -> StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> {
+    if (compute.precision == quant::Precision::kFp32) {
+      return core::CompileGeneratorPlan(model, dataset.item_profiles,
+                                        kMaxBatch);
     }
-    scores = std::move(planned).value();
-  } else {
-    // Prefer the artifact atnn_train wrote next to the snapshot; fall back
-    // to quantizing the freshly loaded model in-process (same calibration
-    // slice as the trainer, so the artifacts are interchangeable).
     const std::string quant_path = flags.GetString("snapshot") + "." +
                                    quant::PrecisionName(compute.precision);
-    const data::BlockBatch block =
-        data::GatherBlock(dataset.item_profiles, dataset.new_items);
     auto quantized = quant::QuantizedGenerator::Load(quant_path, kModelTag);
     if (!quantized.ok()) {
-      quantized = quant::QuantizedGenerator::Build(model, block,
-                                                   compute.precision);
+      quantized = quant::QuantizedGenerator::Build(
+          model, data::GatherBlock(dataset.item_profiles, dataset.new_items),
+          compute.precision);
     }
-    if (!quantized.ok()) {
-      std::fprintf(stderr, "quantization failed: %s\n",
-                   quantized.status().ToString().c_str());
-      return 1;
-    }
-    nn::Tensor vectors;
-    status = quantized->Forward(block, &vectors);
-    if (!status.ok()) {
-      std::fprintf(stderr, "quantized forward failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    scores.reserve(static_cast<size_t>(vectors.rows()));
-    for (int64_t r = 0; r < vectors.rows(); ++r) {
-      scores.push_back(
-          predictor.ScoreVector(vectors.row_ptr(r), vectors.cols()));
-    }
-    std::printf("precision: %s\n",
-                quant::PrecisionName(compute.precision));
+    ATNN_RETURN_IF_ERROR(quantized.status());
+    auto artifact = std::make_shared<const quant::QuantizedGenerator>(
+        std::move(quantized).value());
+    return quant::CompileQuantizedPlan(*artifact, kMaxBatch, artifact);
+  }();
+  auto scored = plan.ok() ? core::ScoreItemsWithPlan(**plan, predictor,
+                                                     dataset.item_profiles,
+                                                     dataset.new_items)
+                          : StatusOr<std::vector<double>>(plan.status());
+  if (!scored.ok()) {
+    std::fprintf(stderr, "%s scoring failed: %s\n",
+                 quant::PrecisionName(compute.precision),
+                 scored.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<double>& scores = *scored;
+  if (compute.precision != quant::Precision::kFp32) {
+    std::printf("precision: %s\n", quant::PrecisionName(compute.precision));
   }
   serving::PopularityIndex index;
   index.BulkLoad(dataset.new_items, scores);
