@@ -2,10 +2,10 @@
 // execution path (DESIGN.md §16), measured and gated.
 //
 //   (a) CORRECTNESS — plan outputs are BITWISE identical to the autograd
-//       tape forward they were traced from, across batch sizes 1 / 7 /
-//       max_batch and both optimized and unoptimized pipelines. Hard gate
-//       everywhere: bitwise equality is the contract that lets the runtime
-//       swap execution strategies without revalidating scores.
+//       tape forward of the model the plan was built from, across batch
+//       sizes 1 / 7 / max_batch. Hard gate everywhere: bitwise equality is
+//       the contract that lets the runtime swap execution strategies
+//       without revalidating scores.
 //   (b) SPEED — single-row miss-path scoring (the runtime's worst case:
 //       tiny batches dominated by tape-walk overhead) must run >= 1.3x
 //       faster through the compiled plan than through the tape.
@@ -47,7 +47,6 @@
 #include "nn/arena.h"
 #include "nn/autograd.h"
 #include "nn/ir/plan.h"
-#include "nn/ir/trace.h"
 #include "runtime/inference_runtime.h"
 #include "serving/popularity_index.h"
 
@@ -207,9 +206,8 @@ int Run(bool smoke) {
     return 1;
   }
   const nn::ir::CompiledPlan& plan = **plan_or;
-  std::printf("plan: %zu steps, %zu scratch bytes, passes [%s]\n",
-              plan.num_steps(), plan.plan_bytes(),
-              plan.pass_summary().c_str());
+  std::printf("plan: %zu steps, %zu scratch bytes\n", plan.num_steps(),
+              plan.plan_bytes());
   json.Add("plan_steps", static_cast<double>(plan.num_steps()));
   json.Add("plan_bytes", static_cast<double>(plan.plan_bytes()));
 
@@ -224,49 +222,25 @@ int Run(bool smoke) {
     return rows;
   };
 
-  // --- (a) bitwise equality, optimized and unoptimized, batches 1/7/64 ---
+  // --- (a) bitwise equality, batches 1/7/64 ---
   {
     nn::ir::PlanScratch scratch;
-    // The unoptimized program must agree too: passes may only rewrite into
-    // bitwise-equal computations, so both lowering modes land on the tape.
-    auto unopt_graph = nn::ir::TraceGraph(3, [&] {
-      constexpr int64_t probe_rows[3] = {0, 0, 0};
-      return model.GeneratorItemVector(
-          data::GatherBlock(dataset.item_profiles, probe_rows));
-    });
-    ATNN_CHECK(unopt_graph.ok()) << unopt_graph.status().ToString();
-    nn::ir::CompiledPlan::Options unopt_options;
-    unopt_options.max_batch = kMaxBatch;
-    unopt_options.optimize = false;
-    auto unopt_or = nn::ir::CompiledPlan::Compile(std::move(*unopt_graph),
-                                                  unopt_options);
-    ATNN_CHECK(unopt_or.ok()) << unopt_or.status().ToString();
-    nn::ir::PlanScratch unopt_scratch;
-
     bool all_equal = true;
-    bool unopt_equal = true;
     for (const int64_t batch : {int64_t{1}, int64_t{7}, kMaxBatch}) {
       const std::vector<int64_t> rows = random_rows(batch);
       const nn::Tensor expected =
           TapeForward(model, dataset.item_profiles, rows);
       const data::BlockBatch block =
           data::GatherBlock(dataset.item_profiles, rows);
-      const nn::ir::PlanInput input{&block.categorical, &block.numeric};
-      const size_t bytes =
-          static_cast<size_t>(expected.numel()) * sizeof(float);
-      const auto out = plan.Execute(input, batch, &scratch);
+      const auto out =
+          plan.Execute({&block.categorical, &block.numeric}, batch, &scratch);
       ATNN_CHECK(out.ok()) << out.status().ToString();
-      all_equal = all_equal && std::memcmp(*out, expected.data(), bytes) == 0;
-      const auto unopt_out =
-          (*unopt_or)->Execute(input, batch, &unopt_scratch);
-      ATNN_CHECK(unopt_out.ok()) << unopt_out.status().ToString();
-      unopt_equal =
-          unopt_equal && std::memcmp(*unopt_out, expected.data(), bytes) == 0;
+      all_equal = all_equal &&
+                  std::memcmp(*out, expected.data(),
+                              static_cast<size_t>(expected.numel()) *
+                                  sizeof(float)) == 0;
     }
-    gate(all_equal,
-         "optimized plan bitwise-identical to the tape (batches 1/7/64)");
-    gate(unopt_equal,
-         "unoptimized plan bitwise-identical to the tape (batches 1/7/64)");
+    gate(all_equal, "plan bitwise-identical to the tape (batches 1/7/64)");
   }
 
   // --- (c) zero allocations per steady-state execution ---

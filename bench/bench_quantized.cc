@@ -83,10 +83,12 @@ struct JsonWriter {
 
 constexpr int64_t kChunk = 1024;
 
-/// The artifact lowered into the plan serving runs, at the chunk size.
+/// The artifact lowered into the plan serving runs over `items`, at the
+/// chunk size.
 std::shared_ptr<const nn::ir::CompiledPlan> Lower(
-    const quant::QuantizedGenerator& quantized) {
-  auto plan = quant::CompileQuantizedPlan(quantized, kChunk);
+    const quant::QuantizedGenerator& quantized,
+    const data::EntityTable& items) {
+  auto plan = quant::CompileQuantizedPlan(quantized, items, kChunk);
   ATNN_CHECK(plan.ok()) << plan.status().ToString();
   return std::move(plan).value();
 }
@@ -267,11 +269,12 @@ int Run(bool smoke) {
   // --- (a) cold-start AUC ---
   const double auc_fp32 = core::EvaluateAtnnAuc(
       model, dataset, dataset.test_indices, core::CtrPath::kGenerator);
-  const auto int8_plan = Lower(int8);
+  const auto int8_plan = Lower(int8, dataset.item_profiles);
   const double auc_int8 = QuantizedGeneratorAuc(model, *int8_plan, dataset,
                                                 dataset.test_indices);
-  const double auc_bf16 = QuantizedGeneratorAuc(model, *Lower(bf16), dataset,
-                                                dataset.test_indices);
+  const double auc_bf16 =
+      QuantizedGeneratorAuc(model, *Lower(bf16, dataset.item_profiles),
+                            dataset, dataset.test_indices);
   std::printf("cold-start AUC: fp32 %.5f | int8 %.5f (delta %+.5f) | "
               "bf16 %.5f (delta %+.5f)\n",
               auc_fp32, auc_int8, auc_int8 - auc_fp32, auc_bf16,
@@ -310,7 +313,7 @@ int Run(bool smoke) {
     std::remove(path.c_str());
     ATNN_CHECK(loaded.ok()) << loaded.status().ToString();
     const std::vector<float> loaded_out =
-        PlanVectors(*Lower(*loaded), calibration);
+        PlanVectors(*Lower(*loaded, dataset.item_profiles), calibration);
     gate(BitwiseEqual(active_out, loaded_out),
          "int8 save -> load round trip reproduces the forward bitwise");
   }

@@ -149,7 +149,9 @@ Status BinaryReader::ReadBytes(void* out, size_t size) {
   if (size > buffer_.size() - position_) {  // overflow-safe form
     return Status::Corruption("read past end of buffer");
   }
-  std::memcpy(out, buffer_.data() + position_, size);
+  // memcpy needs valid pointers even for zero bytes, and an empty vector's
+  // data() may be null (ReadFloatVector of a zero-length vector).
+  if (size > 0) std::memcpy(out, buffer_.data() + position_, size);
   position_ += size;
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "nn/ir/trace.h"
 
 namespace atnn::nn {
 
@@ -58,12 +57,7 @@ Var Constant(Tensor value) {
   NodePtr node = AllocateNode();
   node->value = std::move(value);
   node->requires_grad = false;
-  Var result(std::move(node));
-  // A trace capturing this thread's forward registers the constant here
-  // (either as a baked value or, after TraceNoteDenseInput, as the
-  // batch-varying dense input).
-  ir::TraceConstant(result);
-  return result;
+  return Var(std::move(node));
 }
 
 Var Leaf(Tensor value) {

@@ -1,6 +1,5 @@
 #include "nn/ir/graph.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -17,16 +16,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kDenseAffine: return "dense_affine";
     case OpKind::kDenseAffineS8: return "dense_affine_s8";
     case OpKind::kDenseAffineBf16: return "dense_affine_bf16";
-    case OpKind::kAdd:         return "add";
-    case OpKind::kAddBias:     return "add_bias";
-    case OpKind::kScale:       return "scale";
-    case OpKind::kScaleRows:   return "scale_rows";
-    case OpKind::kRelu:        return "relu";
-    case OpKind::kSigmoid:     return "sigmoid";
-    case OpKind::kTanh:        return "tanh";
-    case OpKind::kLeakyRelu:   return "leaky_relu";
     case OpKind::kConcatCols:  return "concat_cols";
-    case OpKind::kSliceCols:   return "slice_cols";
     case OpKind::kCrossLayer:  return "cross_layer";
   }
   return "unknown";
@@ -65,34 +55,6 @@ int32_t Graph::AddNode(NodeDef def) {
   }
   nodes_.push_back(std::move(def));
   return id;
-}
-
-int32_t Graph::RemoveDeadNodes() {
-  if (output_ < 0) return 0;
-  std::vector<char> live(nodes_.size(), 0);
-  // Nodes are topologically ordered, so one reverse sweep settles liveness.
-  live[output_] = 1;
-  for (int32_t id = size() - 1; id >= 0; --id) {
-    if (!live[id]) continue;
-    for (const int32_t input : nodes_[id].inputs) live[input] = 1;
-  }
-  std::vector<int32_t> remap(nodes_.size(), -1);
-  std::vector<NodeDef> kept;
-  kept.reserve(nodes_.size());
-  for (int32_t id = 0; id < size(); ++id) {
-    if (!live[id]) continue;
-    remap[id] = static_cast<int32_t>(kept.size());
-    kept.push_back(std::move(nodes_[id]));
-    for (int32_t& input : kept.back().inputs) input = remap[input];
-  }
-  const auto dropped = static_cast<int32_t>(nodes_.size() - kept.size());
-  nodes_ = std::move(kept);
-  output_ = remap[output_];
-  return dropped;
-}
-
-void Graph::ClearInplaceMarks() {
-  for (NodeDef& node : nodes_) node.inplace = false;
 }
 
 Status Graph::Validate() const {
@@ -185,53 +147,11 @@ Status Graph::Validate() const {
         }
         break;
       }
-      case OpKind::kAdd: {
-        ATNN_RETURN_IF_ERROR(expect_inputs(2));
-        const NodeDef& a = nodes_[node.inputs[0]];
-        const NodeDef& b = nodes_[node.inputs[1]];
-        if (a.cols != node.cols || b.cols != node.cols) {
-          return fail("shape mismatch");
-        }
-        break;
-      }
-      case OpKind::kAddBias: {
-        ATNN_RETURN_IF_ERROR(expect_inputs(2));
-        const NodeDef& bias = nodes_[node.inputs[1]];
-        if (bias.rows != 1 || bias.cols != node.cols) {
-          return fail("bias shape mismatch");
-        }
-        break;
-      }
-      case OpKind::kScaleRows: {
-        ATNN_RETURN_IF_ERROR(expect_inputs(2));
-        const NodeDef& s = nodes_[node.inputs[1]];
-        if (s.cols != 1) return fail("scale column must be [m,1]");
-        break;
-      }
-      case OpKind::kScale:
-      case OpKind::kRelu:
-      case OpKind::kSigmoid:
-      case OpKind::kTanh:
-      case OpKind::kLeakyRelu:
-        ATNN_RETURN_IF_ERROR(expect_inputs(1));
-        if (nodes_[node.inputs[0]].cols != node.cols) {
-          return fail("shape mismatch");
-        }
-        break;
       case OpKind::kConcatCols: {
         if (node.inputs.empty()) return fail("concat of nothing");
         int64_t total = 0;
         for (const int32_t input : node.inputs) total += nodes_[input].cols;
         if (total != node.cols) return fail("concat width mismatch");
-        break;
-      }
-      case OpKind::kSliceCols: {
-        ATNN_RETURN_IF_ERROR(expect_inputs(1));
-        const NodeDef& x = nodes_[node.inputs[0]];
-        if (node.slice_begin < 0 ||
-            node.slice_begin + node.cols > x.cols) {
-          return fail("slice out of range");
-        }
         break;
       }
       case OpKind::kCrossLayer: {
@@ -287,11 +207,6 @@ std::string Graph::ToText() const {
           node.kind == OpKind::kDenseAffineS8 ||
           node.kind == OpKind::kDenseAffineBf16) {
         out << ", act=" << ActivationName(node.act);
-      } else if (node.kind == OpKind::kScale ||
-                 node.kind == OpKind::kLeakyRelu) {
-        out << ", alpha=" << node.alpha;
-      } else if (node.kind == OpKind::kSliceCols) {
-        out << ", begin=" << node.slice_begin;
       }
       out << ")";
     }

@@ -7,22 +7,17 @@
 
 #include "common/status.h"
 #include "nn/ops.h"
-#include "nn/tensor.h"
 
 namespace atnn::nn::ir {
 
-/// Op vocabulary of the inference IR. Each traced kind mirrors exactly one
-/// autograd op from nn/ops.h (same kernels, same loop order), and the one
-/// pass-only kind (kCrossLayer) reproduces the bits of the op chain it
-/// replaces, which is what lets a compiled plan promise bitwise-identical
-/// outputs to the tape walk; only the lowering of a quantized artifact
-/// builds the low-precision kinds. Ops without an entry here (reductions,
-/// losses, dropout, layer_norm, ...) make a forward untraceable; TraceGraph
-/// then fails and a snapshot with such a generator cannot publish.
+/// Op vocabulary of the inference IR: what the generator builder
+/// (core/generator_plan.h) emits for every precision. Each compute kind
+/// calls the kernel-table entries its autograd counterpart in nn/ops.h
+/// issues, in the same composition, which is what lets a compiled fp32 plan
+/// promise bitwise-identical outputs to the tape forward.
 enum class OpKind : uint8_t {
-  /// Static tensor baked into the plan: a parameter (borrowed by pointer
-  /// from the model that stays alive via the plan's keepalive) or a folded /
-  /// copied value owned by the graph node.
+  /// Static tensor baked into the plan, borrowed by pointer from the model
+  /// or artifact that the plan's keepalive pins.
   kConstant,
   /// The batch-varying dense feature block ([B, dense_cols]), read straight
   /// from PlanInput at execution time.
@@ -32,6 +27,7 @@ enum class OpKind : uint8_t {
   /// (SplitMix64 % buckets) to the raw ids first. The table is the one
   /// constant input, or, with no inputs, an int8 or bf16 `weights` table.
   kEmbedLookup,
+  /// Plain x W. No builder emits it; perfbench's GEMM probe still names it.
   kMatMul,
   /// Fused act(x W + b); the gemm + bias_{identity,relu,sigmoid} epilogue
   /// pair from the kernel table, exactly as nn::DenseAffine issues it.
@@ -41,22 +37,12 @@ enum class OpKind : uint8_t {
   /// dense_affine's bias epilogue (DESIGN.md §15).
   kDenseAffineS8,
   kDenseAffineBf16,
-  kAdd,
-  kAddBias,
-  kScale,
-  kScaleRows,
-  kRelu,
-  kSigmoid,
-  kTanh,
-  kLeakyRelu,
   kConcatCols,
-  kSliceCols,
   /// One Deep & Cross layer, inputs (x_l, x0, w [d,1], b [1,d]):
   ///   x_{l+1} = x0 * (x_l w) + b + x_l
-  /// Never traced; the fusion pass rewrites the tape's
-  /// add(add_bias(scale_rows(x0, matmul(x_l, w)), b), x_l) chain into it.
   /// Executes as gemm into a per-row dot slot, then the kernel table's
-  /// cross_epilogue, which rounds like the three ops it replaces.
+  /// cross_epilogue, which rounds like the tape's matmul -> scale_rows ->
+  /// add_bias -> add chain it stands for.
   kCrossLayer,
 };
 
@@ -87,38 +73,32 @@ struct NodeDef {
   std::vector<int32_t> inputs;
 
   /// Output shape. batch_rows marks the row count as the runtime batch size
-  /// (rows then holds the probe batch it was traced with, for debugging);
-  /// static values use rows/cols directly.
+  /// (rows is then nominal); static values use rows/cols directly.
   bool batch_rows = false;
   int64_t rows = 0;
   int64_t cols = 0;
 
   // --- per-kind attributes ---
   Activation act = Activation::kIdentity;  // the three dense_affine kinds
-  float alpha = 0.0f;                      // kScale factor, kLeakyRelu slope
-  int64_t slice_begin = 0;                 // kSliceCols
   int32_t field = -1;                      // kEmbedLookup: categorical field
   int64_t hash_buckets = 0;                // kEmbedLookup: 0 = ids used raw
   LowPrecisionWeights weights;             // see LowPrecisionWeights
 
-  /// kConstant payload. `data` points at the bytes the executor reads:
-  /// either `owned` (folded/copied values) or an external buffer kept alive
-  /// by the plan's keepalive (model parameters).
+  /// kConstant payload: an external buffer kept alive by the plan's
+  /// keepalive (model parameters, artifact weights).
   const float* data = nullptr;
-  Tensor owned;
-  /// Debug label for dumps ("param", "const", "folded"); never a pointer,
-  /// so ToText stays deterministic for golden tests.
+  /// Debug label for dumps ("param"); never a pointer, so ToText stays
+  /// deterministic for golden tests.
   std::string label;
 
-  /// Set by the in-place pass: output aliases the buffer of inputs[0]
-  /// (liveness-proven safe). Structural passes clear these marks and the
-  /// in-place pass recomputes them from scratch, so marks are never stale.
+  /// Set by CompiledPlan::Compile: output aliases the buffer of inputs[0]
+  /// (liveness-proven safe). Compile recomputes every mark from scratch.
   bool inplace = false;
 };
 
-/// A traced forward of one model arm as a flat, topologically ordered node
-/// list. Built by TraceGraph (nn/ir/trace.h), rewritten by the passes
-/// (nn/ir/passes.h), lowered by CompiledPlan (nn/ir/plan.h).
+/// The serving forward of one model arm as a flat, topologically ordered
+/// node list. Built by core::CompileGeneratorSpec (core/generator_plan.h),
+/// lowered by CompiledPlan (nn/ir/plan.h).
 class Graph {
  public:
   /// Appends a node; inputs must reference existing nodes. Returns its id.
@@ -141,21 +121,13 @@ class Graph {
   int64_t dense_cols() const { return dense_cols_; }
   void set_dense_cols(int64_t cols) { dense_cols_ = cols; }
 
-  /// Rebuilds the node list keeping only nodes reachable from the output,
-  /// remapping input references. Returns the number of nodes dropped.
-  int32_t RemoveDeadNodes();
-
-  /// Drops every in-place mark (structural passes call this before
-  /// rewriting; see NodeDef::inplace).
-  void ClearInplaceMarks();
-
   /// Structural consistency: output set, inputs in range and topologically
   /// ordered, constants carry data, per-kind shape/attribute rules.
   Status Validate() const;
 
   /// Deterministic text form, one node per line:
   ///   %3 = matmul(%1, %2) : [Bx16]
-  /// Used for golden pass tests and debug dumps; contains no pointers.
+  /// Used for golden plan tests and debug dumps; contains no pointers.
   std::string ToText() const;
 
  private:

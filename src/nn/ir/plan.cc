@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/rng.h"
 #include "nn/arena.h"
-#include "nn/ir/eval.h"
-#include "nn/ir/passes.h"
 #include "nn/kernels.h"
 
 namespace atnn::nn::ir {
@@ -26,6 +26,115 @@ size_t AlignUp(size_t bytes) {
 
 bool IsComputeKind(OpKind kind) {
   return kind != OpKind::kConstant && kind != OpKind::kDenseInput;
+}
+
+/// A resolved step operand: raw pointer + shape.
+struct StepInput {
+  const float* data = nullptr;
+  int64_t rows = 0;
+  int64_t cols = 0;
+};
+
+/// Runs one compute step other than a lookup into `out` ([out_rows,
+/// def.cols]). Each case calls the kernel-table entries its autograd op in
+/// nn/ops.cc calls, in the same composition, so an fp32 step produces the
+/// tape's bits. `out` may alias ins[0].data only for a cross layer.
+/// `workspace` holds kCrossLayer's out_rows float dots (x_l·w) and
+/// kDenseAffineS8's out_rows x RoundUpK4(in) u8 input codes.
+void RunStep(const NodeDef& def, std::span<const StepInput> ins,
+             int64_t out_rows, float* out, std::byte* workspace) {
+  const kernels::KernelTable& kt = kernels::Kernels();
+  switch (def.kind) {
+    case OpKind::kMatMul:
+      kt.gemm(out_rows, ins[0].cols, ins[1].cols, ins[0].data, ins[1].data,
+              out);
+      break;
+    case OpKind::kDenseAffine:
+    case OpKind::kDenseAffineS8:
+    case OpKind::kDenseAffineBf16: {
+      // The GEMM of the weight format, then the fused bias+activation
+      // epilogue, the kernel pair nn::DenseAffine issues for fp32.
+      const LowPrecisionWeights& w = def.weights;
+      if (def.kind == OpKind::kDenseAffine) {
+        kt.gemm(out_rows, ins[0].cols, ins[1].cols, ins[0].data, ins[1].data,
+                out);
+      } else if (def.kind == OpKind::kDenseAffineS8) {
+        // Each input row becomes 7-bit codes at the layer's static scale;
+        // lanes past k hold the zero point 64, so the bytes stay defined.
+        const int64_t k = ins[0].cols;
+        const int64_t k4 = kernels::RoundUpK4(k);
+        auto* codes = reinterpret_cast<uint8_t*>(workspace);
+        const float inv_scale = 1.0f / w.act_scale;
+        for (int64_t r = 0; r < out_rows; ++r) {
+          uint8_t* row = codes + r * k4;
+          kt.quantize_u8(k, inv_scale, ins[0].data + r * k, row);
+          std::memset(row + k, 64, static_cast<size_t>(k4 - k));
+        }
+        kt.gemm_s8(out_rows, k4, def.cols, codes, w.s8, w.colsum, w.scales,
+                   w.act_scale, out);
+      } else {
+        kt.gemm_bf16(out_rows, ins[0].cols, def.cols, ins[0].data, w.bf16,
+                     out);
+      }
+      const float* bias = ins.back().data;
+      switch (def.act) {
+        case Activation::kIdentity:
+          kt.bias_identity(out_rows, def.cols, bias, out);
+          break;
+        case Activation::kRelu:
+          kt.bias_relu(out_rows, def.cols, bias, out);
+          break;
+        default:
+          kt.bias_sigmoid(out_rows, def.cols, bias, out);
+          break;
+      }
+      break;
+    }
+    case OpKind::kConcatCols: {
+      int64_t offset = 0;
+      for (const StepInput& in : ins) {
+        for (int64_t r = 0; r < out_rows; ++r) {
+          std::copy(in.data + r * in.cols, in.data + (r + 1) * in.cols,
+                    out + r * def.cols + offset);
+        }
+        offset += in.cols;
+      }
+      break;
+    }
+    case OpKind::kCrossLayer: {
+      // The matmul, then scale_rows -> add_bias -> add in one pass. Every
+      // dot is computed before any row of `out` is written, so `out` may
+      // alias x_l.
+      auto* dots = reinterpret_cast<float*>(workspace);
+      kt.gemm(out_rows, def.cols, 1, ins[0].data, ins[2].data, dots);
+      kt.cross_epilogue(out_rows, def.cols, ins[1].data, dots, ins[3].data,
+                        ins[0].data, out);
+      break;
+    }
+    case OpKind::kConstant:
+    case OpKind::kDenseInput:
+    case OpKind::kEmbedLookup:
+      ATNN_CHECK(false) << "RunStep on " << OpKindName(def.kind);
+      break;
+  }
+}
+
+/// Marks each cross layer whose x_l is a computed value read last by that
+/// layer: the layer may then overwrite x_l's buffer (see RunStep). Every
+/// other mark is cleared. The output is read by the caller after the last
+/// step, so it is never overwritten.
+void MarkInplace(Graph* graph) {
+  std::vector<int32_t> last_use(graph->size(), -1);
+  for (int32_t id = 0; id < graph->size(); ++id) {
+    for (const int32_t input : graph->node(id).inputs) last_use[input] = id;
+  }
+  last_use[graph->output()] = std::numeric_limits<int32_t>::max();
+  for (int32_t id = 0; id < graph->size(); ++id) {
+    NodeDef& node = graph->mutable_node(id);
+    node.inplace = node.kind == OpKind::kCrossLayer &&
+                   IsComputeKind(graph->node(node.inputs[0]).kind) &&
+                   last_use[node.inputs[0]] == id;
+  }
 }
 
 }  // namespace
@@ -52,10 +161,7 @@ StatusOr<std::unique_ptr<CompiledPlan>> CompiledPlan::Compile(
   plan->graph_ = std::move(graph);
   plan->options_ = options;
   plan->keepalive_ = std::move(keepalive);
-  if (options.optimize) {
-    ATNN_RETURN_IF_ERROR(
-        RunDefaultPasses(&plan->graph_, &plan->pass_summary_));
-  }
+  MarkInplace(&plan->graph_);
   ATNN_RETURN_IF_ERROR(plan->Lower());
   return plan;
 }
@@ -214,16 +320,16 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
   if (batch < 1 || batch > options_.max_batch) {
     return Status::InvalidArgument("plan batch out of range");
   }
-  const int32_t num_fields = graph_.num_fields();
-  if (num_fields > 0) {
-    if (input.categorical == nullptr ||
-        static_cast<int32_t>(input.categorical->size()) < num_fields) {
-      return Status::InvalidArgument("plan input is missing id fields");
-    }
-    for (int32_t f = 0; f < num_fields; ++f) {
-      if (static_cast<int64_t>((*input.categorical)[f].size()) != batch) {
-        return Status::InvalidArgument("plan id field size != batch");
-      }
+  const size_t num_fields =
+      input.categorical != nullptr ? input.categorical->size() : 0;
+  if (num_fields != static_cast<size_t>(graph_.num_fields())) {
+    return Status::InvalidArgument(
+        "plan input has " + std::to_string(num_fields) +
+        " id fields, the graph reads " + std::to_string(graph_.num_fields()));
+  }
+  for (size_t f = 0; f < num_fields; ++f) {
+    if (static_cast<int64_t>((*input.categorical)[f].size()) != batch) {
+      return Status::InvalidArgument("plan id field size != batch");
     }
   }
   if (graph_.dense_cols() >= 0) {
@@ -242,7 +348,7 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
 
   const kernels::KernelTable& kt = kernels::Kernels();
   std::byte* workspace = base + workspace_offset_;
-  EvalInput ins[kMaxStepInputs];
+  StepInput ins[kMaxStepInputs];
   for (const Step& step : steps_) {
     const NodeDef& def = graph_.node(step.node);
     float* out = reinterpret_cast<float*>(base + step.out.offset);
@@ -279,8 +385,8 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
       ins[i] = {resolve(op), op.rows < 0 ? batch : op.rows, op.cols};
     }
     const int64_t out_rows = step.out.rows < 0 ? batch : step.out.rows;
-    EvalNodeInto(def, std::span<const EvalInput>(ins, step.in_count),
-                 out_rows, out, workspace);
+    RunStep(def, std::span<const StepInput>(ins, step.in_count), out_rows,
+            out, workspace);
   }
   return reinterpret_cast<const float*>(base + output_offset_);
 }

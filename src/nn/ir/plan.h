@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -18,8 +17,8 @@ namespace atnn::nn::ir {
 /// the EmbeddingBag feature hash itself where the graph says so) and the
 /// dense feature block.
 struct PlanInput {
-  /// [field][row]; must cover the graph's num_fields, each with `batch`
-  /// entries. May be null when num_fields == 0.
+  /// [field][row]; exactly the graph's num_fields fields, each with
+  /// `batch` entries. May be null when num_fields == 0.
   const std::vector<std::vector<int64_t>>* categorical = nullptr;
   /// [batch, dense_cols]; may be null when the graph takes no dense block.
   const Tensor* dense = nullptr;
@@ -48,14 +47,14 @@ class PlanScratch {
   size_t capacity_ = 0;
 };
 
-/// An optimized graph lowered to a flat step program with a fixed buffer
+/// A generator graph lowered to a flat step program with a fixed buffer
 /// layout: every intermediate has a precomputed offset (liveness-driven
 /// reuse, in-place aliases honored), every constant a resolved pointer.
 /// Execution is one switch-dispatch loop over the steps against the live
 /// KernelTable — no graph walk, no shape checks, no node allocation, no
-/// arena bookkeeping. Outputs are bitwise-identical to the tape forward the
-/// graph was traced from, because each step calls the same kernels in the
-/// same composition as its autograd op.
+/// arena bookkeeping. An fp32 plan's outputs are bitwise-identical to the
+/// tape forward of the model it was built from, because each step calls the
+/// same kernels in the same composition as the autograd op it stands for.
 ///
 /// Thread safety: Execute is const and touches only the caller's scratch,
 /// so one CompiledPlan may serve concurrent workers, each with its own
@@ -65,12 +64,11 @@ class CompiledPlan {
   struct Options {
     /// Largest batch one Execute may carry; the layout is sized for it.
     int64_t max_batch = 64;
-    /// Run DefaultPasses() before lowering (off = lower the graph as-is,
-    /// used by tests to compare optimized against unoptimized programs).
-    bool optimize = true;
   };
 
-  /// Validates, optionally optimizes, and lowers `graph`. `keepalive`
+  /// Validates `graph`, marks the cross layers that may run in place (an
+  /// x_l computed by an earlier step and read last by this one), and lowers
+  /// it. Any marks the caller set are recomputed. `keepalive`
   /// (may be null) is pinned for the plan's lifetime — pass the model whose
   /// parameter buffers the graph's constants borrow, or the quantized
   /// artifact whose weights its low-precision nodes borrow.
@@ -81,9 +79,10 @@ class CompiledPlan {
   /// Runs the program for `batch` rows (1 <= batch <= max_batch) and
   /// returns the output buffer ([batch, output_cols] row-major inside
   /// `scratch` — valid until the scratch is reused or destroyed).
-  /// InvalidArgument when the input shape does not match the graph, an id
-  /// is outside its table, or an id on a hashed field is negative. Performs
-  /// no heap allocation once `scratch` has warmed to plan_bytes().
+  /// InvalidArgument when the input does not carry exactly the graph's id
+  /// fields or its dense width, an id is outside its table, or an id on a
+  /// hashed field is negative. Performs no heap allocation once `scratch`
+  /// has warmed to plan_bytes().
   StatusOr<const float*> Execute(const PlanInput& input, int64_t batch,
                                  PlanScratch* scratch) const;
 
@@ -92,9 +91,8 @@ class CompiledPlan {
   /// Scratch bytes one execution needs — the whole pre-planned layout.
   size_t plan_bytes() const { return plan_bytes_; }
   size_t num_steps() const { return steps_.size(); }
-  /// The optimized graph (dumps, tests) and the pass report ("fold:0 ...").
+  /// The lowered graph, in-place marks included (dumps, tests).
   const Graph& graph() const { return graph_; }
-  const std::string& pass_summary() const { return pass_summary_; }
 
  private:
   /// One resolved operand: constants carry a pointer, the dense input reads
@@ -108,7 +106,7 @@ class CompiledPlan {
   };
 
   struct Step {
-    int32_t node = -1;  // attributes (act, alpha, ...) read off graph_
+    int32_t node = -1;  // attributes (act, field, ...) read off graph_
     OpKind kind = OpKind::kConstant;
     Operand out;
     uint32_t in_begin = 0;
@@ -125,7 +123,6 @@ class CompiledPlan {
   Graph graph_;
   Options options_;
   std::shared_ptr<const void> keepalive_;
-  std::string pass_summary_;
   std::vector<Step> steps_;
   std::vector<Operand> operands_;
   size_t plan_bytes_ = 0;

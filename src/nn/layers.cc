@@ -1,7 +1,5 @@
 #include "nn/layers.h"
 
-#include "nn/ir/trace.h"
-
 namespace atnn::nn {
 
 Var Activate(const Var& x, Activation activation) {
@@ -210,9 +208,6 @@ Var EmbeddingBag::Forward(const std::vector<std::vector<int64_t>>& ids,
     } else {
       ATNN_CHECK_EQ(ids[f].size(), batch);
     }
-    // Binds the upcoming lookup to its PlanInput field (and feature hash)
-    // when a trace is capturing this forward; no-op otherwise.
-    ir::TraceNoteFieldLookup(static_cast<int32_t>(f), fields_[f].hash_buckets);
     if (fields_[f].hash_buckets > 0) {
       // Feature hashing: any non-negative id maps to a bucket.
       hashed.resize(ids[f].size());
@@ -229,9 +224,6 @@ Var EmbeddingBag::Forward(const std::vector<std::vector<int64_t>>& ids,
   }
   if (!dense.empty()) {
     ATNN_CHECK_EQ(dense.rows(), static_cast<int64_t>(batch));
-    // Marks the next Constant as the batch-varying dense input for a trace
-    // (instead of baking the probe batch's values into the plan).
-    ir::TraceNoteDenseInput();
     parts.push_back(Constant(ScratchCopy(dense)));
   }
   return ConcatCols(std::span<const Var>(parts.data(), parts.size()));

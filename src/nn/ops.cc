@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 
-#include "nn/ir/trace.h"
 #include "nn/kernels.h"
 #include "nn/matmul.h"
 
@@ -73,9 +72,7 @@ Var MatMul(const Var& a, const Var& b) {
       }
     };
   }
-  Var result(node);
-  ir::TraceBinary(ir::OpKind::kMatMul, result, a, b);
-  return result;
+  return Var(node);
 }
 
 Var DenseAffine(const Var& x, const Var& w, const Var& b, Activation act) {
@@ -157,9 +154,7 @@ Var DenseAffine(const Var& x, const Var& w, const Var& b, Activation act) {
       }
     };
   }
-  Var result(node);
-  ir::TraceDenseAffine(result, x, w, b, act);
-  return result;
+  return Var(node);
 }
 
 Var Add(const Var& a, const Var& b) {
@@ -175,9 +170,7 @@ Var Add(const Var& a, const Var& b) {
       }
     };
   }
-  Var result(node);
-  ir::TraceBinary(ir::OpKind::kAdd, result, a, b);
-  return result;
+  return Var(node);
 }
 
 Var Sub(const Var& a, const Var& b) {
@@ -289,9 +282,7 @@ Var Scale(const Var& a, float alpha) {
       a_node->has_dense_grad = true;
     };
   }
-  Var result(node);
-  ir::TraceUnary(ir::OpKind::kScale, result, a, alpha);
-  return result;
+  return Var(node);
 }
 
 Var AddBias(const Var& x, const Var& bias) {
@@ -317,9 +308,7 @@ Var AddBias(const Var& x, const Var& bias) {
       }
     };
   }
-  Var result(node);
-  ir::TraceBinary(ir::OpKind::kAddBias, result, x, bias);
-  return result;
+  return Var(node);
 }
 
 Var ScaleRows(const Var& x, const Var& s) {
@@ -361,9 +350,7 @@ Var ScaleRows(const Var& x, const Var& s) {
       }
     };
   }
-  Var result(node);
-  ir::TraceBinary(ir::OpKind::kScaleRows, result, x, s);
-  return result;
+  return Var(node);
 }
 
 Var Sigmoid(const Var& x) {
@@ -389,9 +376,7 @@ Var Sigmoid(const Var& x) {
       x_node->has_dense_grad = true;
     };
   }
-  Var result(node);
-  ir::TraceUnary(ir::OpKind::kSigmoid, result, x);
-  return result;
+  return Var(node);
 }
 
 Var Relu(const Var& x) {
@@ -417,9 +402,7 @@ Var Relu(const Var& x) {
       x_node->has_dense_grad = true;
     };
   }
-  Var result(node);
-  ir::TraceUnary(ir::OpKind::kRelu, result, x);
-  return result;
+  return Var(node);
 }
 
 Var Tanh(const Var& x) {
@@ -443,9 +426,7 @@ Var Tanh(const Var& x) {
       x_node->has_dense_grad = true;
     };
   }
-  Var result(node);
-  ir::TraceUnary(ir::OpKind::kTanh, result, x);
-  return result;
+  return Var(node);
 }
 
 Var LeakyRelu(const Var& x, float slope) {
@@ -473,9 +454,7 @@ Var LeakyRelu(const Var& x, float slope) {
       x_node->has_dense_grad = true;
     };
   }
-  Var result(node);
-  ir::TraceUnary(ir::OpKind::kLeakyRelu, result, x, slope);
-  return result;
+  return Var(node);
 }
 
 Var ConcatCols(std::span<const Var> parts) {
@@ -519,9 +498,7 @@ Var ConcatCols(std::span<const Var> parts) {
       }
     };
   }
-  Var result(node);
-  ir::TraceConcat(result, parts);
-  return result;
+  return Var(node);
 }
 
 Var SliceCols(const Var& x, int64_t begin, int64_t end) {
@@ -548,9 +525,7 @@ Var SliceCols(const Var& x, int64_t begin, int64_t end) {
       x_node->has_dense_grad = true;
     };
   }
-  Var result(node);
-  ir::TraceSlice(result, x, begin);
-  return result;
+  return Var(node);
 }
 
 Var ReduceMean(const Var& x) {
@@ -789,9 +764,7 @@ Var EmbeddingLookup(const Var& table, std::span<const int64_t> ids) {
       }
     };
   }
-  Var result(node);
-  ir::TraceEmbedLookup(result, table);
-  return result;
+  return Var(node);
 }
 
 Var SigmoidBceLossWithLogits(const Var& logits, const Tensor& labels) {

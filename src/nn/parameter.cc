@@ -67,6 +67,9 @@ Status LoadParameters(const std::vector<Parameter*>& params,
     if (param->rows() != rows || param->cols() != cols) {
       return Status::Corruption("shape mismatch for " + name);
     }
+    if (static_cast<int64_t>(data.size()) != param->value().numel()) {
+      return Status::Corruption("value count mismatch for " + name);
+    }
     param->value() = Tensor(rows, cols, std::move(data));
   }
   return Status::OK();

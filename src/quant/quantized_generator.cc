@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/generator_plan.h"
 #include "nn/autograd.h"
 #include "nn/ir/graph.h"
 #include "nn/kernels.h"
@@ -629,103 +630,49 @@ void QuantizedGenerator::CorruptScaleForTest(float value) {
   }
 }
 
-namespace {
-
-using nn::ir::LowPrecisionWeights;
-using nn::ir::NodeDef;
-using nn::ir::OpKind;
-
-/// A node whose value is [batch, cols]; the plan sizes batch values by
-/// max_batch, so the nominal row count is 1.
-NodeDef BatchNode(OpKind kind, int64_t cols, std::vector<int32_t> inputs) {
-  NodeDef node;
-  node.kind = kind;
-  node.inputs = std::move(inputs);
-  node.batch_rows = true;
-  node.rows = 1;
-  node.cols = cols;
-  return node;
-}
-
-/// A constant [rows, size / rows] view of artifact-owned floats.
-int32_t AddBorrowed(nn::ir::Graph* graph, const std::vector<float>& values,
-                    int64_t rows) {
-  NodeDef node;
-  node.rows = rows;
-  node.cols = static_cast<int64_t>(values.size()) / rows;
-  node.data = values.data();
-  node.label = "param";
-  return graph->AddNode(std::move(node));
-}
-
-}  // namespace
-
 StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileQuantizedPlan(
-    const QuantizedGenerator& artifact, int64_t max_batch,
-    std::shared_ptr<const void> keepalive) {
+    const QuantizedGenerator& artifact, const data::EntityTable& item_profiles,
+    int64_t max_batch, std::shared_ptr<const void> keepalive) {
   ATNN_RETURN_IF_ERROR(artifact.Validate());
   const bool int8 = artifact.precision() == Precision::kInt8;
-  nn::ir::Graph graph;
-  // x0 = concat_cols(one lookup per field, the dense block)
-  std::vector<int32_t> parts;
+  core::GeneratorSpec spec;
   for (const QuantizedField& field : artifact.fields()) {
-    NodeDef lookup = BatchNode(OpKind::kEmbedLookup, field.embed_dim, {});
-    lookup.field = static_cast<int32_t>(parts.size());
-    lookup.hash_buckets = field.hash_buckets;
-    lookup.weights =
-        int8 ? LowPrecisionWeights{.rows = field.rows_q.rows,
-                                   .s8 = field.rows_q.data.data(),
-                                   .scales = field.rows_q.scales.data()}
-             : LowPrecisionWeights{.rows = field.rows_bf.rows,
-                                   .bf16 = field.rows_bf.data.data()};
-    parts.push_back(graph.AddNode(std::move(lookup)));
-  }
-  graph.set_num_fields(static_cast<int32_t>(parts.size()));
-  if (artifact.numeric_cols() > 0) {
-    graph.set_dense_cols(artifact.numeric_cols());
-    parts.push_back(graph.AddNode(
-        BatchNode(OpKind::kDenseInput, artifact.numeric_cols(), {})));
-  }
-  const int64_t width = artifact.input_dim();
-  const int32_t x0 = graph.AddNode(
-      BatchNode(OpKind::kConcatCols, width, std::move(parts)));
-
-  // act(x W + b) of one quantized dense layer over the batch value `x`.
-  const auto dense = [&](const QuantizedDense& d, int32_t x) {
-    NodeDef node = BatchNode(
-        int8 ? OpKind::kDenseAffineS8 : OpKind::kDenseAffineBf16, d.out_dim,
-        {x, AddBorrowed(&graph, d.bias, 1)});
-    node.act = d.activation;
-    node.weights =
-        int8 ? LowPrecisionWeights{.rows = d.in_dim,
-                                   .s8 = d.packed.data(),
-                                   .colsum = d.colsum.data(),
-                                   .scales = d.w_scales.data(),
-                                   .act_scale = d.act_scale}
-             : LowPrecisionWeights{.rows = d.in_dim,
-                                   .bf16 = d.weights_bf.data.data()};
-    return graph.AddNode(std::move(node));
-  };
-  int32_t deep = x0;
-  for (const QuantizedDense& d : artifact.deep()) deep = dense(d, deep);
-  int32_t head_in = deep;
-  if (!artifact.cross().empty()) {
-    int32_t x = x0;
-    for (const CrossLayerFp32& layer : artifact.cross()) {
-      x = graph.AddNode(BatchNode(OpKind::kCrossLayer, width,
-                                  {x, x0, AddBorrowed(&graph, layer.w, width),
-                                   AddBorrowed(&graph, layer.b, 1)}));
+    core::GeneratorWeights table;
+    table.cols = field.embed_dim;
+    if (int8) {
+      table.rows = field.rows_q.rows;
+      table.low = {.s8 = field.rows_q.data.data(),
+                   .scales = field.rows_q.scales.data()};
+    } else {
+      table.rows = field.rows_bf.rows;
+      table.low = {.bf16 = field.rows_bf.data.data()};
     }
-    head_in = graph.AddNode(BatchNode(
-        OpKind::kConcatCols, width + graph.node(deep).cols, {x, deep}));
+    spec.fields.push_back({field.hash_buckets, table});
   }
-  graph.set_output(dense(artifact.head(), head_in));
-
-  ATNN_ASSIGN_OR_RETURN(
-      std::unique_ptr<nn::ir::CompiledPlan> plan,
-      nn::ir::CompiledPlan::Compile(std::move(graph), {.max_batch = max_batch},
-                                    std::move(keepalive)));
-  return std::shared_ptr<const nn::ir::CompiledPlan>(std::move(plan));
+  spec.dense_cols = artifact.numeric_cols();
+  const auto dense = [int8](const QuantizedDense& d) {
+    core::GeneratorDense layer;
+    layer.weight.rows = d.in_dim;
+    layer.weight.cols = d.out_dim;
+    layer.bias = d.bias.data();
+    layer.act = d.activation;
+    if (int8) {
+      layer.weight.low = {.s8 = d.packed.data(),
+                          .colsum = d.colsum.data(),
+                          .scales = d.w_scales.data(),
+                          .act_scale = d.act_scale};
+    } else {
+      layer.weight.low = {.bf16 = d.weights_bf.data.data()};
+    }
+    return layer;
+  };
+  for (const QuantizedDense& d : artifact.deep()) spec.deep.push_back(dense(d));
+  for (const CrossLayerFp32& layer : artifact.cross()) {
+    spec.cross.push_back({layer.w.data(), layer.b.data()});
+  }
+  spec.head = dense(artifact.head());
+  return core::CompileGeneratorSpec(spec, item_profiles, max_batch,
+                                    std::move(keepalive));
 }
 
 }  // namespace atnn::quant

@@ -162,12 +162,14 @@ class QuantizedGenerator {
 constexpr uint32_t kQuantFormatVersion = 1;
 
 /// Lowers `artifact` (after its Validate passes) into a CompiledPlan for
-/// batches of up to `max_batch` rows (DESIGN.md §15). The plan borrows the
-/// artifact's buffers; `keepalive` (may be null) is pinned for the plan's
-/// lifetime — pass the artifact's owning handle.
+/// batches of up to `max_batch` rows (DESIGN.md §15): the artifact fills a
+/// core::GeneratorSpec, and core::CompileGeneratorSpec checks that the plan
+/// can read `item_profiles` and builds it. The plan borrows the artifact's
+/// buffers; `keepalive` (may be null) is pinned for the plan's lifetime —
+/// pass the artifact's owning handle.
 StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileQuantizedPlan(
-    const QuantizedGenerator& artifact, int64_t max_batch,
-    std::shared_ptr<const void> keepalive = nullptr);
+    const QuantizedGenerator& artifact, const data::EntityTable& item_profiles,
+    int64_t max_batch, std::shared_ptr<const void> keepalive = nullptr);
 
 }  // namespace atnn::quant
 

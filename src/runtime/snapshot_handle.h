@@ -53,10 +53,6 @@ struct ServingSnapshot {
 ///     non-null                                         (InvalidArgument)
 ///   - mean-user vector width matches the scoring path's vector_dim
 ///                                                      (InvalidArgument)
-///   - fp32 serving (no `quantized`): the generator can read the item
-///     table — same categorical field count, every unhashed field's vocab
-///     within its embedding table, assembled input as wide as the
-///     generator tower's                                (InvalidArgument)
 ///   - NaN/Inf sweep over the mean-user vector and every generator-path
 ///     parameter                                        (DataLoss)
 ///   - quantized (when present): shape consistency and a finite/nonzero
@@ -70,10 +66,14 @@ Status ValidateServingSnapshot(const ServingSnapshot& snapshot);
 /// for batches of up to `max_batch` rows: the quantized artifact lowered
 /// (quant::CompileQuantizedPlan) when the snapshot carries one, even beside
 /// the fp32 model, else the fp32 generator compiled
-/// (core::CompileGeneratorPlan). An attached plan is kept (the sharded
-/// front-end builds once and shares it across slices) unless its ceiling
-/// is below `max_batch`: InvalidArgument. A failed build returns its
-/// Status and the snapshot must be rejected. Call after
+/// (core::CompileGeneratorPlan). Either build first checks that the plan
+/// can read the item table (core::CompileGeneratorSpec): an empty table is
+/// FailedPrecondition; another categorical field count, a vocab past its
+/// table or another numeric width is InvalidArgument. An attached plan is
+/// kept, and the table not re-checked (the sharded front-end builds once
+/// over the full catalog and shares the plan across slices), unless its
+/// ceiling is below `max_batch`: InvalidArgument. A failed build returns
+/// its Status and the snapshot must be rejected. Call after
 /// ValidateServingSnapshot succeeded.
 Status AttachServingPlan(int64_t max_batch, ServingSnapshot* snapshot);
 

@@ -4,7 +4,7 @@
 // both sides to reject the batch (InvalidArgument on the plan side):
 //   - the reference interpreter (reference_interpreter.h) against the
 //     CompiledPlan lowered from an int8 artifact, and from a bf16 one;
-//   - the autograd tape against the fp32 CompiledPlan traced from it.
+//   - the autograd tape against the fp32 CompiledPlan built from it.
 // The fp32 plan and the int8 plan of a tower without sigmoid layers are
 // also promised bitwise equal across kernel tables, and the harness checks
 // that too. Generated cases vary the
@@ -373,7 +373,8 @@ Tower MakeTower(Rng& rng, Pair pair) {
     hashed.push_back(rng.Bernoulli(0.3));
   }
   tower.artifact = Rehash(*built, hashed);
-  auto plan = quant::CompileQuantizedPlan(*tower.artifact, max_batch,
+  const data::EntityTable items(tower.items, 1);
+  auto plan = quant::CompileQuantizedPlan(*tower.artifact, items, max_batch,
                                           tower.artifact);
   ATNN_CHECK(plan.ok()) << plan.status().ToString();
   tower.plan = std::move(plan).value();

@@ -1,5 +1,6 @@
 #include "nn/ir/graph.h"
 
+#include <deque>
 #include <string>
 #include <utility>
 
@@ -10,18 +11,20 @@
 namespace atnn::nn::ir {
 namespace {
 
-/// Adds an owning constant filled with a deterministic ramp.
-int32_t AddConst(Graph* graph, int64_t rows, int64_t cols,
-                 const std::string& label, float base = 1.0f) {
+/// Adds a constant borrowing a deterministic ramp from `storage`, which
+/// must outlive the graph (the builders borrow model and artifact buffers
+/// the same way).
+int32_t AddConst(Graph* graph, std::deque<Tensor>* storage, int64_t rows,
+                 int64_t cols, const std::string& label, float base = 1.0f) {
+  Tensor& values = storage->emplace_back(rows, cols);
+  for (int64_t i = 0; i < values.numel(); ++i) {
+    values.data()[i] = base + 0.25f * static_cast<float>(i);
+  }
   NodeDef def;
   def.kind = OpKind::kConstant;
   def.rows = rows;
   def.cols = cols;
-  def.owned = Tensor(rows, cols);
-  for (int64_t i = 0; i < def.owned.numel(); ++i) {
-    def.owned.data()[i] = base + 0.25f * static_cast<float>(i);
-  }
-  def.data = def.owned.data();
+  def.data = values.data();
   def.label = label;
   return graph->AddNode(std::move(def));
 }
@@ -48,9 +51,10 @@ int32_t AddOp(Graph* graph, OpKind kind, std::vector<int32_t> inputs,
 }
 
 TEST(IrGraphTest, AddNodeAssignsSequentialIdsAndValidates) {
+  std::deque<Tensor> storage;
   Graph graph;
   const int32_t x = AddDenseInput(&graph, 3, 4);
-  const int32_t w = AddConst(&graph, 4, 2, "w");
+  const int32_t w = AddConst(&graph, &storage, 4, 2, "w");
   const int32_t mm = AddOp(&graph, OpKind::kMatMul, {x, w}, 3, 2, true);
   EXPECT_EQ(x, 0);
   EXPECT_EQ(w, 1);
@@ -61,8 +65,9 @@ TEST(IrGraphTest, AddNodeAssignsSequentialIdsAndValidates) {
 }
 
 TEST(IrGraphTest, ValidateRejectsUnsetOutput) {
+  std::deque<Tensor> storage;
   Graph graph;
-  AddConst(&graph, 1, 1, "c");
+  AddConst(&graph, &storage, 1, 1, "c");
   const Status status = graph.Validate();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.ToString().find("output"), std::string::npos);
@@ -79,9 +84,10 @@ TEST(IrGraphTest, ValidateRejectsConstantWithoutData) {
 }
 
 TEST(IrGraphTest, ValidateRejectsShapeMismatch) {
+  std::deque<Tensor> storage;
   Graph graph;
   const int32_t x = AddDenseInput(&graph, 3, 4);
-  const int32_t w = AddConst(&graph, 5, 2, "w");  // 4 != 5: bad inner dim
+  const int32_t w = AddConst(&graph, &storage, 5, 2, "w");  // 4 != 5
   graph.set_output(AddOp(&graph, OpKind::kMatMul, {x, w}, 3, 2, true));
   const Status status = graph.Validate();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -89,19 +95,24 @@ TEST(IrGraphTest, ValidateRejectsShapeMismatch) {
 }
 
 TEST(IrGraphTest, ValidateRejectsInplaceAliasingALeaf) {
+  std::deque<Tensor> storage;
   Graph graph;
-  const int32_t c = AddConst(&graph, 2, 2, "c");
-  const int32_t relu = AddOp(&graph, OpKind::kRelu, {c}, 2, 2, false);
-  graph.mutable_node(relu).inplace = true;  // would clobber the constant
-  graph.set_output(relu);
+  const int32_t x0 = AddDenseInput(&graph, 3, 4);
+  const int32_t w = AddConst(&graph, &storage, 4, 1, "w");
+  const int32_t b = AddConst(&graph, &storage, 1, 4, "b");
+  const int32_t cross =
+      AddOp(&graph, OpKind::kCrossLayer, {x0, x0, w, b}, 3, 4, true);
+  graph.mutable_node(cross).inplace = true;  // would clobber the dense block
+  graph.set_output(cross);
   const Status status = graph.Validate();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.ToString().find("inplace"), std::string::npos);
 }
 
 TEST(IrGraphTest, ValidateRejectsEmbedFieldOutsideRange) {
+  std::deque<Tensor> storage;
   Graph graph;
-  const int32_t table = AddConst(&graph, 8, 4, "emb");
+  const int32_t table = AddConst(&graph, &storage, 8, 4, "emb");
   NodeDef def;
   def.kind = OpKind::kEmbedLookup;
   def.inputs = {table};
@@ -115,64 +126,33 @@ TEST(IrGraphTest, ValidateRejectsEmbedFieldOutsideRange) {
   EXPECT_TRUE(graph.Validate().ok()) << graph.Validate().ToString();
 }
 
-TEST(IrGraphTest, RemoveDeadNodesDropsAndRemaps) {
-  Graph graph;
-  const int32_t x = AddDenseInput(&graph, 3, 4);
-  AddConst(&graph, 1, 1, "dead1");                      // unused
-  const int32_t w = AddConst(&graph, 4, 4, "w");
-  const int32_t dead2 = AddConst(&graph, 1, 4, "dead2");
-  AddOp(&graph, OpKind::kScale, {dead2}, 1, 4, false);  // dead subtree
-  const int32_t mm = AddOp(&graph, OpKind::kMatMul, {x, w}, 3, 4, true);
-  graph.set_output(mm);
-
-  EXPECT_EQ(graph.RemoveDeadNodes(), 3);
-  EXPECT_EQ(graph.size(), 3);
-  // Survivors keep their order and the live edge is remapped.
-  EXPECT_EQ(graph.node(0).kind, OpKind::kDenseInput);
-  EXPECT_EQ(graph.node(1).kind, OpKind::kConstant);
-  EXPECT_EQ(graph.node(2).kind, OpKind::kMatMul);
-  EXPECT_EQ(graph.node(2).inputs, (std::vector<int32_t>{0, 1}));
-  EXPECT_EQ(graph.output(), 2);
-  EXPECT_TRUE(graph.Validate().ok());
-  // Second sweep finds nothing.
-  EXPECT_EQ(graph.RemoveDeadNodes(), 0);
-}
-
-TEST(IrGraphTest, ClearInplaceMarksResetsEveryNode) {
-  Graph graph;
-  const int32_t x = AddDenseInput(&graph, 3, 4);
-  const int32_t relu = AddOp(&graph, OpKind::kRelu, {x}, 3, 4, true);
-  const int32_t tanh = AddOp(&graph, OpKind::kTanh, {relu}, 3, 4, true);
-  graph.mutable_node(tanh).inplace = true;
-  graph.set_output(tanh);
-  graph.ClearInplaceMarks();
-  for (int32_t id = 0; id < graph.size(); ++id) {
-    EXPECT_FALSE(graph.node(id).inplace) << id;
-  }
-}
-
 TEST(IrGraphTest, ToTextIsDeterministicAndPointerFree) {
+  std::deque<Tensor> storage;
   Graph graph;
   const int32_t x = AddDenseInput(&graph, 3, 4);
-  const int32_t w = AddConst(&graph, 4, 2, "w");
-  const int32_t b = AddConst(&graph, 1, 2, "b");
+  const int32_t w = AddConst(&graph, &storage, 4, 2, "w");
+  const int32_t b = AddConst(&graph, &storage, 1, 2, "b");
   const int32_t affine =
       AddOp(&graph, OpKind::kDenseAffine, {x, w, b}, 3, 2, true);
   graph.mutable_node(affine).act = Activation::kRelu;
-  const int32_t scaled = AddOp(&graph, OpKind::kScale, {affine}, 3, 2, true);
-  graph.mutable_node(scaled).alpha = 0.5f;
-  graph.mutable_node(scaled).inplace = true;
-  graph.set_output(scaled);
+  const int32_t cw = AddConst(&graph, &storage, 2, 1, "cw");
+  const int32_t cb = AddConst(&graph, &storage, 1, 2, "cb");
+  const int32_t cross = AddOp(&graph, OpKind::kCrossLayer,
+                              {affine, affine, cw, cb}, 3, 2, true);
+  graph.mutable_node(cross).inplace = true;
+  graph.set_output(cross);
   ASSERT_TRUE(graph.Validate().ok()) << graph.Validate().ToString();
 
   const std::string expected =
-      "graph: nodes=5 fields=0 dense_cols=4\n"
+      "graph: nodes=7 fields=0 dense_cols=4\n"
       "%0 = dense_input : [Bx4]\n"
       "%1 = const \"w\" : [4x2]\n"
       "%2 = const \"b\" : [1x2]\n"
       "%3 = dense_affine(%0, %1, %2, act=relu) : [Bx2]\n"
-      "%4 = scale(%3, alpha=0.5) : [Bx2] inplace\n"
-      "output %4\n";
+      "%4 = const \"cw\" : [2x1]\n"
+      "%5 = const \"cb\" : [1x2]\n"
+      "%6 = cross_layer(%3, %3, %4, %5) : [Bx2] inplace\n"
+      "output %6\n";
   EXPECT_EQ(graph.ToText(), expected);
   // Byte-for-byte stable across calls (golden tests rely on this).
   EXPECT_EQ(graph.ToText(), graph.ToText());
@@ -191,7 +171,7 @@ TEST(IrGraphTest, ToTextIsDeterministicAndPointerFree) {
   lookup.field = 0;
   lookup.weights = {.rows = 4, .s8 = codes, .scales = scales};
   const int32_t ids = lowered.AddNode(std::move(lookup));
-  const int32_t bias = AddConst(&lowered, 1, 4, "b");
+  const int32_t bias = AddConst(&lowered, &storage, 1, 4, "b");
   const int32_t dense =
       AddOp(&lowered, OpKind::kDenseAffineBf16, {ids, bias}, 3, 4, true);
   lowered.mutable_node(dense).weights = {.rows = 2, .bf16 = bf16};
@@ -209,9 +189,10 @@ TEST(IrGraphTest, ValidateRejectsLowPrecisionNodesWithoutWeights) {
   const int8_t codes[8] = {};
   const int32_t colsum[4] = {};
   const float scales[4] = {1, 1, 1, 1};
+  std::deque<Tensor> storage;
   Graph graph;
   const int32_t x = AddDenseInput(&graph, 3, 2);
-  const int32_t b = AddConst(&graph, 1, 4, "b");
+  const int32_t b = AddConst(&graph, &storage, 1, 4, "b");
   const int32_t dense =
       AddOp(&graph, OpKind::kDenseAffineS8, {x, b}, 3, 4, true);
   graph.set_output(dense);
@@ -236,7 +217,7 @@ TEST(IrGraphTest, OpKindNameCoversEveryKind) {
   EXPECT_STREQ(OpKindName(OpKind::kDenseAffineS8), "dense_affine_s8");
   EXPECT_STREQ(OpKindName(OpKind::kDenseAffineBf16), "dense_affine_bf16");
   EXPECT_STREQ(OpKindName(OpKind::kConcatCols), "concat_cols");
-  EXPECT_STREQ(OpKindName(OpKind::kSliceCols), "slice_cols");
+  EXPECT_STREQ(OpKindName(OpKind::kCrossLayer), "cross_layer");
 }
 
 }  // namespace

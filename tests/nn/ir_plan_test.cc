@@ -38,20 +38,22 @@ TEST(PlanScratchTest, GrowsOnceAndStaysAligned) {
 }
 
 /// Minimal executable graph: one embedding gather off a constant table,
-/// by default with raw (unhashed) ids so the range check is reachable.
+/// by default with raw (unhashed) ids so the range check is reachable. The
+/// plan borrows the table and pins it through its keepalive, as the
+/// generator builder pins the model.
 std::unique_ptr<CompiledPlan> MakeLookupPlan(int64_t vocab, int64_t dim,
                                              int64_t max_batch,
                                              int64_t hash_buckets = 0) {
+  auto values = std::make_shared<Tensor>(vocab, dim);
+  for (int64_t i = 0; i < values->numel(); ++i) {
+    values->data()[i] = static_cast<float>(i);
+  }
   Graph graph;
   NodeDef table;
   table.kind = OpKind::kConstant;
   table.rows = vocab;
   table.cols = dim;
-  table.owned = Tensor(vocab, dim);
-  for (int64_t i = 0; i < table.owned.numel(); ++i) {
-    table.owned.data()[i] = static_cast<float>(i);
-  }
-  table.data = table.owned.data();
+  table.data = values->data();
   table.label = "emb";
   const int32_t table_id = graph.AddNode(std::move(table));
   NodeDef lookup;
@@ -66,7 +68,7 @@ std::unique_ptr<CompiledPlan> MakeLookupPlan(int64_t vocab, int64_t dim,
   graph.set_num_fields(1);
   CompiledPlan::Options options;
   options.max_batch = max_batch;
-  auto plan = CompiledPlan::Compile(std::move(graph), options);
+  auto plan = CompiledPlan::Compile(std::move(graph), options, values);
   ATNN_CHECK(plan.ok()) << plan.status().ToString();
   return std::move(plan).value();
 }
@@ -122,6 +124,11 @@ TEST(CompiledPlanTest, ExecuteValidatesBatchAndInputShapes) {
   // Field size disagrees with the batch.
   EXPECT_EQ(plan->Execute({&ids, nullptr}, 1, &scratch).status().code(),
             StatusCode::kInvalidArgument);
+  // One id field more than the graph reads: the plan would silently score
+  // the first ones.
+  const std::vector<std::vector<int64_t>> extra = {{1, 2}, {0, 0}};
+  EXPECT_EQ(plan->Execute({&extra, nullptr}, 2, &scratch).status().code(),
+            StatusCode::kInvalidArgument);
   // The matching call still works on the same scratch.
   EXPECT_TRUE(plan->Execute({&ids, nullptr}, 2, &scratch).ok());
 }
@@ -136,26 +143,28 @@ TEST(CompiledPlanTest, CompileRejectsBadOptionsAndGraphs) {
   }
   {
     // A non-batch output can never serve per-row scoring.
+    const Tensor x(1, 4);
+    const Tensor w(4, 4);
+    const Tensor b(1, 4);
     Graph graph;
-    NodeDef c;
-    c.kind = OpKind::kConstant;
-    c.rows = 1;
-    c.cols = 4;
-    c.owned = Tensor(1, 4);
-    c.data = c.owned.data();
-    const int32_t cid = graph.AddNode(std::move(c));
-    NodeDef relu;
-    relu.kind = OpKind::kRelu;
-    relu.inputs = {cid};
-    relu.rows = 1;
-    relu.cols = 4;
-    graph.set_output(graph.AddNode(std::move(relu)));
+    std::vector<int32_t> inputs;
+    for (const Tensor* value : {&x, &w, &b}) {
+      NodeDef c;
+      c.kind = OpKind::kConstant;
+      c.rows = value->rows();
+      c.cols = value->cols();
+      c.data = value->data();
+      inputs.push_back(graph.AddNode(std::move(c)));
+    }
+    NodeDef affine;
+    affine.kind = OpKind::kDenseAffine;
+    affine.inputs = std::move(inputs);
+    affine.rows = 1;
+    affine.cols = 4;
+    graph.set_output(graph.AddNode(std::move(affine)));
     CompiledPlan::Options options;
     const auto plan = CompiledPlan::Compile(std::move(graph), options);
     EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
-    // (The default pipeline folds relu(const) first, so the diagnostic is
-    // "output is not a computed value" rather than "not batch-shaped" —
-    // either way the output can never serve per-row scoring.)
     EXPECT_NE(plan.status().ToString().find("output"), std::string::npos)
         << plan.status().ToString();
   }
@@ -231,7 +240,6 @@ TEST_P(GeneratorPlanTowerTest, CompiledScoresMatchTheTapeBitwise) {
       EXPECT_GT((*plan)->plan_bytes(), 0u);
       EXPECT_EQ((*plan)->max_batch(), max_batch);
       EXPECT_EQ((*plan)->output_cols(), model->vector_dim());
-      EXPECT_FALSE((*plan)->pass_summary().empty());
 
       const auto planned = core::ScoreItemsWithPlan(
           **plan, predictor, dataset_->item_profiles, dataset_->new_items);
@@ -283,6 +291,94 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(core::testing_helpers::TowerKindName(info.param));
     });
 
+// The fp32 serving program of the tiny towers at max_batch 64, pinned:
+// graph text, step count and scratch layout.
+TEST_F(GeneratorPlanTest, TinyTowersCompileToTheirGoldenPlans) {
+  struct Golden {
+    nn::TowerKind kind;
+    const char* text;
+    size_t steps;
+    size_t bytes;
+  };
+  const Golden goldens[] = {
+      {nn::TowerKind::kDeepCross,
+       "graph: nodes=32 fields=7 dense_cols=31\n"
+       "%0 = const \"param\" : [40x6]\n"
+       "%1 = embed_lookup(%0, field=0, hash=0) : [Bx6]\n"
+       "%2 = const \"param\" : [160x16]\n"
+       "%3 = embed_lookup(%2, field=1, hash=0) : [Bx16]\n"
+       "%4 = const \"param\" : [240x16]\n"
+       "%5 = embed_lookup(%4, field=2, hash=0) : [Bx16]\n"
+       "%6 = const \"param\" : [400x16]\n"
+       "%7 = embed_lookup(%6, field=3, hash=0) : [Bx16]\n"
+       "%8 = const \"param\" : [10x4]\n"
+       "%9 = embed_lookup(%8, field=4, hash=0) : [Bx4]\n"
+       "%10 = const \"param\" : [4x2]\n"
+       "%11 = embed_lookup(%10, field=5, hash=0) : [Bx2]\n"
+       "%12 = const \"param\" : [20x4]\n"
+       "%13 = embed_lookup(%12, field=6, hash=0) : [Bx4]\n"
+       "%14 = dense_input : [Bx31]\n"
+       "%15 = concat_cols(%1, %3, %5, %7, %9, %11, %13, %14) : [Bx95]\n"
+       "%16 = const \"param\" : [95x32]\n"
+       "%17 = const \"param\" : [1x32]\n"
+       "%18 = dense_affine(%15, %16, %17, act=relu) : [Bx32]\n"
+       "%19 = const \"param\" : [32x16]\n"
+       "%20 = const \"param\" : [1x16]\n"
+       "%21 = dense_affine(%18, %19, %20, act=relu) : [Bx16]\n"
+       "%22 = const \"param\" : [95x1]\n"
+       "%23 = const \"param\" : [1x95]\n"
+       "%24 = cross_layer(%15, %15, %22, %23) : [Bx95]\n"
+       "%25 = const \"param\" : [95x1]\n"
+       "%26 = const \"param\" : [1x95]\n"
+       "%27 = cross_layer(%24, %15, %25, %26) : [Bx95] inplace\n"
+       "%28 = concat_cols(%27, %21) : [Bx111]\n"
+       "%29 = const \"param\" : [111x12]\n"
+       "%30 = const \"param\" : [1x12]\n"
+       "%31 = dense_affine(%28, %29, %30, act=identity) : [Bx12]\n"
+       "output %31\n",
+       14, 101888},
+      {nn::TowerKind::kFullyConnected,
+       "graph: nodes=25 fields=7 dense_cols=31\n"
+       "%0 = const \"param\" : [40x6]\n"
+       "%1 = embed_lookup(%0, field=0, hash=0) : [Bx6]\n"
+       "%2 = const \"param\" : [160x16]\n"
+       "%3 = embed_lookup(%2, field=1, hash=0) : [Bx16]\n"
+       "%4 = const \"param\" : [240x16]\n"
+       "%5 = embed_lookup(%4, field=2, hash=0) : [Bx16]\n"
+       "%6 = const \"param\" : [400x16]\n"
+       "%7 = embed_lookup(%6, field=3, hash=0) : [Bx16]\n"
+       "%8 = const \"param\" : [10x4]\n"
+       "%9 = embed_lookup(%8, field=4, hash=0) : [Bx4]\n"
+       "%10 = const \"param\" : [4x2]\n"
+       "%11 = embed_lookup(%10, field=5, hash=0) : [Bx2]\n"
+       "%12 = const \"param\" : [20x4]\n"
+       "%13 = embed_lookup(%12, field=6, hash=0) : [Bx4]\n"
+       "%14 = dense_input : [Bx31]\n"
+       "%15 = concat_cols(%1, %3, %5, %7, %9, %11, %13, %14) : [Bx95]\n"
+       "%16 = const \"param\" : [95x32]\n"
+       "%17 = const \"param\" : [1x32]\n"
+       "%18 = dense_affine(%15, %16, %17, act=relu) : [Bx32]\n"
+       "%19 = const \"param\" : [32x16]\n"
+       "%20 = const \"param\" : [1x16]\n"
+       "%21 = dense_affine(%18, %19, %20, act=relu) : [Bx16]\n"
+       "%22 = const \"param\" : [16x12]\n"
+       "%23 = const \"param\" : [1x12]\n"
+       "%24 = dense_affine(%21, %22, %23, act=identity) : [Bx12]\n"
+       "output %24\n",
+       11, 48896},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(core::testing_helpers::TowerKindName(golden.kind));
+    const std::unique_ptr<core::AtnnModel> model = MakeModel(golden.kind);
+    const auto plan =
+        core::CompileGeneratorPlan(*model, dataset_->item_profiles, 64);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ((*plan)->graph().ToText(), golden.text);
+    EXPECT_EQ((*plan)->num_steps(), golden.steps);
+    EXPECT_EQ((*plan)->plan_bytes(), golden.bytes);
+  }
+}
+
 TEST_F(GeneratorPlanTest, ExecuteRejectsDenseShapeDrift) {
   const auto plan =
       core::CompileGeneratorPlan(*model_, dataset_->item_profiles, 4);
@@ -293,7 +389,7 @@ TEST_F(GeneratorPlanTest, ExecuteRejectsDenseShapeDrift) {
   ASSERT_TRUE(
       (*plan)->Execute({&block.categorical, &block.numeric}, 2, &scratch)
           .ok());
-  // A dense block whose width drifted from the traced schema is refused —
+  // A dense block whose width drifted from the compiled schema is refused —
   // the runtime answers such a batch from its degraded chain.
   const Tensor wrong_width(2, block.numeric.cols() + 1);
   EXPECT_EQ((*plan)
@@ -306,6 +402,23 @@ TEST_F(GeneratorPlanTest, ExecuteRejectsDenseShapeDrift) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// A table the generator cannot read is a Status before any graph exists;
+// a wider dense block used to abort the process inside the compile.
+TEST_F(GeneratorPlanTest, CompileRejectsATableTheGeneratorCannotRead) {
+  const data::FeatureSchema& schema = *dataset_->item_profile_schema;
+  std::vector<data::FeatureSpec> wider_dense = schema.features();
+  wider_dense.push_back(data::FeatureSpec::Numeric("extra"));
+  std::vector<data::FeatureSpec> extra_field = schema.features();
+  extra_field.push_back(data::FeatureSpec::Categorical("extra", 3, 2));
+  for (auto* features : {&wider_dense, &extra_field}) {
+    const data::EntityTable table(
+        std::make_shared<const data::FeatureSchema>(*features), 1);
+    EXPECT_EQ(core::CompileGeneratorPlan(*model_, table, 16).status().code(),
+              StatusCode::kInvalidArgument)
+        << features->back().name;
+  }
 }
 
 TEST_F(GeneratorPlanTest, CompileRequiresANonEmptyItemTable) {

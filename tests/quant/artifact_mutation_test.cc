@@ -70,7 +70,8 @@ class ArtifactMutationTest : public ::testing::TestWithParam<Precision> {
     if (Status valid = artifact->Validate(); !valid.ok()) {
       return {Stage::kValidate, valid};
     }
-    const auto plan = CompileQuantizedPlan(*artifact, kBatch);
+    const auto plan =
+        CompileQuantizedPlan(*artifact, dataset_.item_profiles, kBatch);
     if (!plan.ok()) return {Stage::kLower, plan.status()};
     nn::ir::PlanScratch scratch;
     const auto out = (*plan)->Execute({&batch_.categorical, &batch_.numeric},

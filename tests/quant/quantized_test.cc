@@ -44,9 +44,10 @@ class QuantizedGeneratorTest : public testing::Test {
   }
 
   /// g(X_ip) of `block` through `artifact` lowered into a plan.
-  static nn::Tensor LoweredVectors(const QuantizedGenerator& artifact,
-                                   const data::BlockBatch& block) {
-    const auto plan = CompileQuantizedPlan(artifact, block.rows());
+  nn::Tensor LoweredVectors(const QuantizedGenerator& artifact,
+                            const data::BlockBatch& block) const {
+    const auto plan =
+        CompileQuantizedPlan(artifact, dataset_.item_profiles, block.rows());
     ATNN_CHECK(plan.ok()) << plan.status().ToString();
     nn::ir::PlanScratch scratch;
     const auto out = (*plan)->Execute({&block.categorical, &block.numeric},
@@ -127,7 +128,8 @@ TEST_F(QuantizedGeneratorTest, LoweringEmitsOneStepPerLayer) {
     auto quantized =
         QuantizedGenerator::Build(*model_, calibration_, precision);
     ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
-    const auto plan = CompileQuantizedPlan(*quantized, /*max_batch=*/8);
+    const auto plan = CompileQuantizedPlan(*quantized, dataset_.item_profiles,
+                                           /*max_batch=*/8);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const std::string dense = precision == Precision::kInt8
                                   ? "dense_affine_s8("
@@ -149,11 +151,49 @@ TEST_F(QuantizedGeneratorTest, LoweringEmitsOneStepPerLayer) {
     EXPECT_EQ(count(dense), 3u) << text;  // two deep layers and the head
     EXPECT_EQ(count("cross_layer("), 2u) << text;
     EXPECT_EQ(count("concat_cols("), 2u) << text;
-    // Nothing to fold or fuse; the second cross layer runs in place.
-    EXPECT_EQ((*plan)->pass_summary(), "fold:0 dce:0 fuse:0 dce:0 inplace:1");
+    // The second cross layer runs in place.
+    EXPECT_EQ(count(" inplace"), 1u) << text;
     // The lookups, concat, two deep layers, two cross layers, concat, head.
     EXPECT_EQ((*plan)->num_steps(), fields + 7);
   }
+}
+
+// The int8 lowering of the tiny DCN tower, pinned: graph text, step count
+// and scratch layout at max_batch 64.
+TEST_F(QuantizedGeneratorTest, Int8LoweringMatchesItsGoldenPlan) {
+  auto quantized =
+      QuantizedGenerator::Build(*model_, calibration_, Precision::kInt8);
+  ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
+  const auto plan =
+      CompileQuantizedPlan(*quantized, dataset_.item_profiles, 64);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ((*plan)->graph().ToText(),
+      "graph: nodes=22 fields=7 dense_cols=31\n"
+      "%0 = embed_lookup(s8[40x6], field=0, hash=0) : [Bx6]\n"
+      "%1 = embed_lookup(s8[160x16], field=1, hash=0) : [Bx16]\n"
+      "%2 = embed_lookup(s8[240x16], field=2, hash=0) : [Bx16]\n"
+      "%3 = embed_lookup(s8[400x16], field=3, hash=0) : [Bx16]\n"
+      "%4 = embed_lookup(s8[10x4], field=4, hash=0) : [Bx4]\n"
+      "%5 = embed_lookup(s8[4x2], field=5, hash=0) : [Bx2]\n"
+      "%6 = embed_lookup(s8[20x4], field=6, hash=0) : [Bx4]\n"
+      "%7 = dense_input : [Bx31]\n"
+      "%8 = concat_cols(%0, %1, %2, %3, %4, %5, %6, %7) : [Bx95]\n"
+      "%9 = const \"param\" : [1x32]\n"
+      "%10 = dense_affine_s8(%8, %9, act=relu) : [Bx32]\n"
+      "%11 = const \"param\" : [1x16]\n"
+      "%12 = dense_affine_s8(%10, %11, act=relu) : [Bx16]\n"
+      "%13 = const \"param\" : [95x1]\n"
+      "%14 = const \"param\" : [1x95]\n"
+      "%15 = cross_layer(%8, %8, %13, %14) : [Bx95]\n"
+      "%16 = const \"param\" : [95x1]\n"
+      "%17 = const \"param\" : [1x95]\n"
+      "%18 = cross_layer(%15, %8, %16, %17) : [Bx95] inplace\n"
+      "%19 = concat_cols(%18, %12) : [Bx111]\n"
+      "%20 = const \"param\" : [1x12]\n"
+      "%21 = dense_affine_s8(%19, %20, act=identity) : [Bx12]\n"
+      "output %21\n");
+  EXPECT_EQ((*plan)->num_steps(), 14u);
+  EXPECT_EQ((*plan)->plan_bytes(), 108800u);
 }
 
 TEST_F(QuantizedGeneratorTest, Int8TracksFp32Vectors) {
@@ -321,7 +361,9 @@ TEST_F(QuantizedGeneratorTest, PoisonedScaleFailsValidate) {
   quantized->CorruptScaleForTest(0.0f);
   EXPECT_EQ(quantized->Validate().code(), StatusCode::kDataLoss);
   // The lowering validates first, so a corrupt artifact never lowers.
-  EXPECT_EQ(CompileQuantizedPlan(*quantized, 8).status().code(),
+  EXPECT_EQ(CompileQuantizedPlan(*quantized, dataset_.item_profiles, 8)
+                .status()
+                .code(),
             StatusCode::kDataLoss);
 }
 

@@ -29,9 +29,23 @@ class CompiledServingTest : public ::testing::Test {
         core::testing_helpers::MakeNormalizedTinyDataset());
     model_ = MakeModel(nn::TowerKind::kDeepCross).release();
     predictor_ = new core::PopularityPredictor(MakePredictor(*model_));
+    const data::BlockBatch calibration =
+        data::GatherBlock(dataset_->item_profiles, dataset_->new_items);
+    for (const quant::Precision precision :
+         {quant::Precision::kInt8, quant::Precision::kBf16}) {
+      auto built =
+          quant::QuantizedGenerator::Build(*model_, calibration, precision);
+      ATNN_CHECK(built.ok()) << built.status().ToString();
+      (precision == quant::Precision::kInt8 ? int8_ : bf16_) =
+          new quant::QuantizedGenerator(std::move(built).value());
+    }
   }
 
   static void TearDownTestSuite() {
+    delete bf16_;
+    bf16_ = nullptr;
+    delete int8_;
+    int8_ = nullptr;
     delete predictor_;
     predictor_ = nullptr;
     delete model_;
@@ -55,11 +69,18 @@ class CompiledServingTest : public ::testing::Test {
         model, *dataset_, core::SelectActiveUsers(*dataset_, 64));
   }
 
-  static ServingSnapshot MakeSnapshot() {
+  /// The shared model's snapshot; an int8 or bf16 one also carries that
+  /// precision's artifact, which its plan is lowered from.
+  static ServingSnapshot MakeSnapshot(
+      quant::Precision precision = quant::Precision::kFp32) {
     ServingSnapshot snapshot;
     snapshot.model = Unowned(model_);
     snapshot.predictor = Unowned(predictor_);
     snapshot.item_profiles = Unowned(&dataset_->item_profiles);
+    if (precision != quant::Precision::kFp32) {
+      snapshot.quantized =
+          Unowned(precision == quant::Precision::kInt8 ? int8_ : bf16_);
+    }
     snapshot.tag = "compiled-serving-test";
     return snapshot;
   }
@@ -115,6 +136,8 @@ class CompiledServingTest : public ::testing::Test {
     const data::EntityTable& items = dataset_->item_profiles;
     std::vector<data::FeatureSpec> wider_dense = items.schema().features();
     wider_dense.push_back(data::FeatureSpec::Numeric("extra"));
+    std::vector<data::FeatureSpec> extra_field = items.schema().features();
+    extra_field.push_back(data::FeatureSpec::Categorical("extra", 3, 2));
 
     // One brand id past the generator's embedding table, on a served row.
     std::vector<data::FeatureSpec> wider_vocab = items.schema().features();
@@ -135,11 +158,15 @@ class CompiledServingTest : public ::testing::Test {
                       std::make_shared<const data::EntityTable>(
                           CopyUnderSchema(items, wider_dense)),
                       StatusCode::kInvalidArgument});
+    tables.push_back({"one more categorical field",
+                      std::make_shared<const data::EntityTable>(
+                          CopyUnderSchema(items, extra_field)),
+                      StatusCode::kInvalidArgument});
     tables.push_back({"brand vocab wider than the embedding table",
                       std::make_shared<const data::EntityTable>(
                           std::move(out_of_vocab)),
                       StatusCode::kInvalidArgument});
-    // Passes validation; the compile has no row to trace with.
+    // Passes validation; the plan build refuses a table with no rows.
     tables.push_back({"empty item table",
                       std::make_shared<const data::EntityTable>(
                           items.schema_ptr(), 0),
@@ -147,14 +174,22 @@ class CompiledServingTest : public ::testing::Test {
     return tables;
   }
 
+  static constexpr quant::Precision kPrecisions[] = {
+      quant::Precision::kFp32, quant::Precision::kInt8,
+      quant::Precision::kBf16};
+
   static data::TmallDataset* dataset_;
   static core::AtnnModel* model_;
   static core::PopularityPredictor* predictor_;
+  static quant::QuantizedGenerator* int8_;
+  static quant::QuantizedGenerator* bf16_;
 };
 
 data::TmallDataset* CompiledServingTest::dataset_ = nullptr;
 core::AtnnModel* CompiledServingTest::model_ = nullptr;
 core::PopularityPredictor* CompiledServingTest::predictor_ = nullptr;
+quant::QuantizedGenerator* CompiledServingTest::int8_ = nullptr;
+quant::QuantizedGenerator* CompiledServingTest::bf16_ = nullptr;
 
 class CompiledServingTowerTest
     : public CompiledServingTest,
@@ -201,7 +236,8 @@ TEST_F(CompiledServingTest, QuantizedSnapshotPublishesItsLoweredPlan) {
   auto quantized = quant::QuantizedGenerator::Build(
       *model_, calibration, quant::Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
-  const auto lowered = quant::CompileQuantizedPlan(*quantized, 64);
+  const auto lowered =
+      quant::CompileQuantizedPlan(*quantized, dataset_->item_profiles, 64);
   ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
   const auto expected = core::ScoreItemsWithPlan(
       **lowered, *predictor_, dataset_->item_profiles, dataset_->new_items);
@@ -229,46 +265,93 @@ TEST_F(CompiledServingTest, QuantizedSnapshotPublishesItsLoweredPlan) {
             static_cast<int64_t>((*lowered)->plan_bytes()));
 }
 
+// Every precision's plan build checks the item table: a quantized snapshot
+// over a table its artifact cannot read used to publish, and then degraded
+// or silently scored the wrong fields.
 TEST_F(CompiledServingTest, PublishRejectsASnapshotThatCannotServe) {
-  for (const UnservableTable& bad : UnservableTables()) {
-    SCOPED_TRACE(bad.what);
-    InferenceRuntime runtime(Config());
-    ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+  for (const quant::Precision precision : kPrecisions) {
+    for (const UnservableTable& bad : UnservableTables()) {
+      SCOPED_TRACE(std::string(quant::PrecisionName(precision)) + ": " +
+                   bad.what);
+      InferenceRuntime runtime(Config());
+      ASSERT_TRUE(runtime.Publish(MakeSnapshot(precision)).ok());
 
-    ServingSnapshot snapshot = MakeSnapshot();
-    snapshot.item_profiles = bad.table;
-    EXPECT_EQ(runtime.Publish(std::move(snapshot)).status().code(), bad.code);
-    EXPECT_EQ(runtime.stats().publish_rejected, 1);
-    EXPECT_EQ(runtime.snapshot_version(), 1u);
-    const auto answer = runtime.Score(dataset_->new_items.front());
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_EQ(answer->tier, ServingTier::kFresh);
-    EXPECT_EQ(answer->snapshot_version, 1u);
+      ServingSnapshot snapshot = MakeSnapshot(precision);
+      snapshot.item_profiles = bad.table;
+      EXPECT_EQ(runtime.Publish(std::move(snapshot)).status().code(),
+                bad.code);
+      EXPECT_EQ(runtime.stats().publish_rejected, 1);
+      EXPECT_EQ(runtime.snapshot_version(), 1u);
+      const auto answer = runtime.Score(dataset_->new_items.front());
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->tier, ServingTier::kFresh);
+      EXPECT_EQ(answer->snapshot_version, 1u);
+    }
   }
 }
 
 TEST_F(CompiledServingTest, PublishShardedRejectsASnapshotThatCannotServe) {
-  for (const UnservableTable& bad : UnservableTables()) {
-    SCOPED_TRACE(bad.what);
-    cluster::ShardedRuntimeConfig config;
-    config.num_shards = 2;
-    config.shard = Config();
-    cluster::ShardedRuntime sharded(config);
-    ASSERT_TRUE(sharded.PublishSharded(MakeSnapshot()).ok());
+  for (const quant::Precision precision : kPrecisions) {
+    for (const UnservableTable& bad : UnservableTables()) {
+      SCOPED_TRACE(std::string(quant::PrecisionName(precision)) + ": " +
+                   bad.what);
+      cluster::ShardedRuntimeConfig config;
+      config.num_shards = 2;
+      config.shard = Config();
+      cluster::ShardedRuntime sharded(config);
+      ASSERT_TRUE(sharded.PublishSharded(MakeSnapshot(precision)).ok());
 
+      ServingSnapshot snapshot = MakeSnapshot(precision);
+      snapshot.item_profiles = bad.table;
+      EXPECT_EQ(sharded.PublishSharded(snapshot).status().code(), bad.code);
+      int64_t rejected = -1;
+      for (const auto& [name, value] : sharded.Collect().counters) {
+        if (name == "gather.publish_rejected") rejected = value;
+      }
+      EXPECT_EQ(rejected, 1);
+      // Refused before any shard swapped.
+      for (size_t i = 0; i < sharded.num_shards(); ++i) {
+        EXPECT_EQ(sharded.shard(i).snapshot_version(), 1u) << i;
+      }
+      const auto answer = sharded.Score(dataset_->new_items.front());
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->tier, ServingTier::kFresh);
+      EXPECT_EQ(answer->snapshot_version, 1u);
+    }
+  }
+}
+
+// The plan serves identity, relu and sigmoid layers only (the epilogues
+// its dense steps fuse), for every precision: a tanh or leaky_relu
+// generator does not compile, and publishing it keeps the old version.
+TEST_F(CompiledServingTest, GeneratorsWithOtherActivationsAreRejected) {
+  for (const nn::Activation act :
+       {nn::Activation::kTanh, nn::Activation::kLeakyRelu}) {
+    SCOPED_TRACE(static_cast<int>(act));
+    core::AtnnConfig config;
+    config.tower =
+        core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
+    config.tower.hidden_activation = act;
+    config.seed = 11;
+    const core::AtnnModel model(*dataset_->user_schema,
+                                *dataset_->item_profile_schema,
+                                *dataset_->item_stats_schema, config);
+    EXPECT_EQ(core::CompileGeneratorPlan(model, dataset_->item_profiles, 64)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+
+    InferenceRuntime runtime(Config());
+    ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+    const core::PopularityPredictor predictor = MakePredictor(model);
     ServingSnapshot snapshot = MakeSnapshot();
-    snapshot.item_profiles = bad.table;
-    EXPECT_EQ(sharded.PublishSharded(snapshot).status().code(), bad.code);
-    int64_t rejected = -1;
-    for (const auto& [name, value] : sharded.Collect().counters) {
-      if (name == "gather.publish_rejected") rejected = value;
-    }
-    EXPECT_EQ(rejected, 1);
-    // Refused before any shard swapped.
-    for (size_t i = 0; i < sharded.num_shards(); ++i) {
-      EXPECT_EQ(sharded.shard(i).snapshot_version(), 1u) << i;
-    }
-    const auto answer = sharded.Score(dataset_->new_items.front());
+    snapshot.model = Unowned(&model);
+    snapshot.predictor = Unowned(&predictor);
+    EXPECT_EQ(runtime.Publish(std::move(snapshot)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(runtime.stats().publish_rejected, 1);
+    EXPECT_EQ(runtime.snapshot_version(), 1u);
+    const auto answer = runtime.Score(dataset_->new_items.front());
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->tier, ServingTier::kFresh);
     EXPECT_EQ(answer->snapshot_version, 1u);
@@ -289,7 +372,7 @@ TEST_F(CompiledServingTest, AttachedPlanBelowTheBatchCeilingIsRejected) {
 }
 
 TEST_F(CompiledServingTest, FailedPlanExecutionDegradesTheMisses) {
-  // An attached plan traced from a generator one dense column narrower
+  // An attached plan built from a generator one dense column narrower
   // than the published table: every Execute refuses the block.
   const data::FeatureSchema& schema = dataset_->item_profiles.schema();
   std::vector<data::FeatureSpec> narrow = schema.features();

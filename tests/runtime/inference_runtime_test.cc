@@ -645,7 +645,8 @@ TEST_F(InferenceRuntimeTest, QuantizedSnapshotServesWithoutFp32Model) {
       *model_, calibration, quant::Precision::kInt8);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
 
-  const auto plan = quant::CompileQuantizedPlan(*quantized, /*max_batch=*/16);
+  const auto plan = quant::CompileQuantizedPlan(
+      *quantized, dataset_->item_profiles, /*max_batch=*/16);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const auto expected = core::ScoreItemsWithPlan(
       **plan, *predictor_, dataset_->item_profiles, dataset_->new_items);

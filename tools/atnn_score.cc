@@ -138,7 +138,8 @@ int Run(int argc, const char* const* argv) {
     ATNN_RETURN_IF_ERROR(quantized.status());
     auto artifact = std::make_shared<const quant::QuantizedGenerator>(
         std::move(quantized).value());
-    return quant::CompileQuantizedPlan(*artifact, kMaxBatch, artifact);
+    return quant::CompileQuantizedPlan(*artifact, dataset.item_profiles,
+                                       kMaxBatch, artifact);
   }();
   auto scored = plan.ok() ? core::ScoreItemsWithPlan(**plan, predictor,
                                                      dataset.item_profiles,
