@@ -12,11 +12,9 @@
 //       versions and the gate is an exact == 0. Report-only under
 //       sanitizers (their runtimes own the allocator).
 //
-// Also gated: on the scalar backend, training with fused epilogues + arena
-// must produce a loss history BITWISE IDENTICAL to the unfused, arena-off
-// configuration — which is computationally the pre-PR serial loop. This is
-// the end-to-end half of the "--atnn_kernel=scalar reproduces the old
-// numbers" guarantee (the op-level half lives in kernels_test.cc).
+// That arena-backed training computes the same bits as heap tensors is a
+// test (ArenaScopeTest in tests/nn/arena_test.cc), as is the fused dense
+// epilogue against its unfused composition (FusedDenseAffineTest).
 //
 // Emits BENCH_kernels.json next to the working directory for dashboards.
 //
@@ -356,44 +354,6 @@ int Run(bool smoke) {
     }
   }
 
-  // --- (c) scalar backend reproduces the pre-PR training run bitwise ---
-  {
-    const Backend previous = nn::kernels::ActiveBackend();
-    ATNN_CHECK(nn::kernels::SetBackend(Backend::kScalar).ok());
-    core::TrainOptions options = BenchTrainOptions();
-    options.epochs = smoke ? 1 : 2;
-
-    const auto train_history = [&] {
-      core::AtnnModel model(*dataset.user_schema,
-                            *dataset.item_profile_schema,
-                            *dataset.item_stats_schema, model_config);
-      return TrainAtnnModel(&model, dataset, options);
-    };
-    nn::SetFusedEpilogues(true);
-    nn::SetArenaEnabled(true);
-    const auto fused_history = train_history();
-    // Unfused + arena-off is computationally the pre-PR serial loop: the
-    // same scalar arithmetic in the same order, heap tensors, three-node
-    // dense layers.
-    nn::SetFusedEpilogues(false);
-    nn::SetArenaEnabled(false);
-    const auto unfused_history = train_history();
-    nn::SetFusedEpilogues(true);
-    nn::SetArenaEnabled(true);
-    ATNN_CHECK(nn::kernels::SetBackend(previous).ok());
-
-    bool identical = fused_history.size() == unfused_history.size();
-    for (size_t e = 0; identical && e < fused_history.size(); ++e) {
-      identical = fused_history[e].loss_i == unfused_history[e].loss_i &&
-                  fused_history[e].loss_g == unfused_history[e].loss_g &&
-                  fused_history[e].loss_s == unfused_history[e].loss_s;
-    }
-    gate(identical,
-         "scalar-backend loss history bitwise-identical: fused+arena vs "
-         "unfused+heap (pre-PR loop)");
-    json.Add("scalar_history_bitwise_identical", identical ? 1.0 : 0.0);
-  }
-
   if (!json.Flush("BENCH_kernels.json")) {
     std::fprintf(stderr, "warning: could not write BENCH_kernels.json\n");
   } else {
@@ -408,9 +368,7 @@ int Run(bool smoke) {
 int main(int argc, char** argv) {
   atnn::FlagParser flags("Kernel & memory layer benchmark");
   flags.AddBool("smoke", false,
-                "smaller sizes/iterations for CI sanitizer jobs; speed and "
-                "allocation gates become report-only, the bitwise "
-                "equality gate stays hard");
+                "smaller sizes/iterations for CI sanitizer jobs");
   const atnn::Status status = flags.Parse(argc - 1, argv + 1);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),

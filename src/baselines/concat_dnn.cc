@@ -27,7 +27,6 @@ ConcatDnnModel::ConcatDnnModel(const data::FeatureSchema& user_schema,
               config.hidden_dims.end());
   dims.push_back(1);
   mlp_ = std::make_unique<nn::Mlp>("concat_dnn.mlp", dims,
-                                   nn::Activation::kRelu,
                                    nn::Activation::kIdentity, &rng);
 }
 

@@ -44,7 +44,6 @@ DeepFmModel::DeepFmModel(const data::FeatureSchema& user_schema,
   dims.insert(dims.end(), config.deep_dims.begin(), config.deep_dims.end());
   dims.push_back(1);
   deep_ = std::make_unique<nn::Mlp>("deepfm.deep", dims,
-                                    nn::Activation::kRelu,
                                     nn::Activation::kIdentity, &rng);
 }
 

@@ -80,7 +80,6 @@ WideDeepModel::WideDeepModel(const data::FeatureSchema& user_schema,
   dims.insert(dims.end(), config.deep_dims.begin(), config.deep_dims.end());
   dims.push_back(1);
   deep_ = std::make_unique<nn::Mlp>("wide_deep.deep", dims,
-                                    nn::Activation::kRelu,
                                     nn::Activation::kIdentity, &rng);
 
   // Cross-feature source fields (skipped gracefully if the schema lacks

@@ -5,7 +5,7 @@
 namespace atnn {
 
 namespace {
-LogLevel g_min_level = LogLevel::kInfo;
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -27,13 +27,10 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_min_level; }
-void SetLogLevel(LogLevel level) { g_min_level = level; }
-
 namespace internal_logging {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(level >= g_min_level) {
+    : enabled_(level >= kMinLevel) {
   if (enabled_) {
     stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line
             << "] ";

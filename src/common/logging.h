@@ -7,13 +7,8 @@
 
 namespace atnn {
 
+/// Messages below kInfo are dropped.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Returns the process-wide minimum level; messages below it are dropped.
-LogLevel GetLogLevel();
-
-/// Sets the process-wide minimum log level (not thread-safe; call at start).
-void SetLogLevel(LogLevel level);
 
 namespace internal_logging {
 

@@ -126,33 +126,6 @@ int64_t Rng::Binomial(int64_t n, double p) {
   return std::clamp<int64_t>(static_cast<int64_t>(std::llround(draw)), 0, n);
 }
 
-double Rng::Gamma(double shape, double scale) {
-  ATNN_DCHECK(shape > 0.0);
-  ATNN_DCHECK(scale > 0.0);
-  if (shape < 1.0) {
-    // Boost to shape+1 and apply the standard power correction.
-    const double u = std::max(Uniform(), 1e-300);
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia–Tsang squeeze method.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = 0.0;
-    double v = 0.0;
-    do {
-      x = Normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = Uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return scale * d * v;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return scale * d * v;
-    }
-  }
-}
-
 size_t Rng::Categorical(const std::vector<double>& weights) {
   ATNN_CHECK(!weights.empty());
   double total = 0.0;

@@ -59,10 +59,6 @@ class Rng {
   /// approximation with continuity correction for large n.
   int64_t Binomial(int64_t n, double p);
 
-  /// Gamma(shape, scale) via Marsaglia–Tsang; used for heavy-tailed
-  /// popularity and GMV processes.
-  double Gamma(double shape, double scale);
-
   /// Log-normal draw: exp(Normal(mu, sigma)).
   double LogNormal(double mu, double sigma) {
     return std::exp(Normal(mu, sigma));

@@ -62,33 +62,6 @@ std::string TablePrinter::ToString() const {
   return out.str();
 }
 
-std::string TablePrinter::ToCsv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string escaped = "\"";
-    for (char ch : cell) {
-      if (ch == '"') escaped += '"';
-      escaped += ch;
-    }
-    escaped += '"';
-    return escaped;
-  };
-  std::ostringstream out;
-  for (size_t c = 0; c < header_.size(); ++c) {
-    if (c > 0) out << ",";
-    out << escape(header_[c]);
-  }
-  out << "\n";
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ",";
-      out << escape(row[c]);
-    }
-    out << "\n";
-  }
-  return out.str();
-}
-
 void TablePrinter::Print() const { std::cout << ToString() << std::flush; }
 
 }  // namespace atnn

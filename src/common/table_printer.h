@@ -7,8 +7,7 @@
 namespace atnn {
 
 /// Renders aligned ASCII tables for the benchmark harnesses so bench output
-/// visually matches the rows the paper reports. Also exports CSV for
-/// downstream plotting.
+/// visually matches the rows the paper reports.
 class TablePrinter {
  public:
   explicit TablePrinter(std::string title) : title_(std::move(title)) {}
@@ -24,9 +23,6 @@ class TablePrinter {
 
   /// Renders the table with box-drawing separators.
   std::string ToString() const;
-
-  /// Renders as CSV (header + rows).
-  std::string ToCsv() const;
 
   /// Prints ToString() to stdout.
   void Print() const;

@@ -17,7 +17,7 @@
 #include "nn/arena.h"
 #include "nn/autograd.h"
 #include "nn/optimizer.h"
-#include "obs/trace_span.h"
+#include "obs/metrics_registry.h"
 
 namespace atnn::core {
 

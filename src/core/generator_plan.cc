@@ -79,12 +79,7 @@ int32_t AddConstant(Graph* graph, const float* data, int64_t rows,
 
 /// act(x W + b) over the batch value `x`: dense_affine after its weight
 /// and bias constants, or a low-precision kind after its bias.
-StatusOr<int32_t> AddDense(Graph* graph, const GeneratorDense& layer,
-                           int32_t x) {
-  if (!nn::ir::IsEpilogueActivation(layer.act)) {
-    return Status::InvalidArgument(
-        "generator layers serve identity, relu or sigmoid activations only");
-  }
+int32_t AddDense(Graph* graph, const GeneratorDense& layer, int32_t x) {
   const GeneratorWeights& w = layer.weight;
   NodeDef node;
   if (w.fp32 != nullptr) {
@@ -139,7 +134,7 @@ StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileGeneratorSpec(
 
   int32_t deep = x0;
   for (const GeneratorDense& layer : spec.deep) {
-    ATNN_ASSIGN_OR_RETURN(deep, AddDense(&graph, layer, deep));
+    deep = AddDense(&graph, layer, deep);
   }
   int32_t head_in = deep;
   if (!spec.cross.empty()) {
@@ -152,9 +147,7 @@ StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileGeneratorSpec(
     head_in = graph.AddNode(BatchNode(
         OpKind::kConcatCols, width + graph.node(deep).cols, {x, deep}));
   }
-  ATNN_ASSIGN_OR_RETURN(const int32_t out,
-                        AddDense(&graph, spec.head, head_in));
-  graph.set_output(out);
+  graph.set_output(AddDense(&graph, spec.head, head_in));
 
   ATNN_ASSIGN_OR_RETURN(
       std::unique_ptr<nn::ir::CompiledPlan> plan,

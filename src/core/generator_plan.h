@@ -66,8 +66,7 @@ struct GeneratorSpec {
 /// First checks that the plan can read `item_profiles`: FailedPrecondition
 /// for a table with no rows; InvalidArgument when it has no schema, another
 /// categorical field count, an unhashed field whose vocab runs past its
-/// table, or a numeric width other than `dense_cols`. A layer activation
-/// other than identity, relu or sigmoid is InvalidArgument.
+/// table, or a numeric width other than `dense_cols`.
 StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileGeneratorSpec(
     const GeneratorSpec& spec, const data::EntityTable& item_profiles,
     int64_t max_batch, std::shared_ptr<const void> keepalive = nullptr);

@@ -47,10 +47,8 @@ MultiTaskAtnnModel::MultiTaskAtnnModel(
   const std::vector<int64_t> head_dims = {head_input,
                                           config.tower.output_dim, 1};
   gmv_head_ = std::make_unique<nn::Mlp>("mt_atnn.gmv_head", head_dims,
-                                        nn::Activation::kRelu,
                                         nn::Activation::kIdentity, &rng);
   vppv_head_ = std::make_unique<nn::Mlp>("mt_atnn.vppv_head", head_dims,
-                                         nn::Activation::kRelu,
                                          nn::Activation::kIdentity, &rng);
 }
 

@@ -10,7 +10,6 @@ FeatureBinner FeatureBinner::Fit(const nn::Tensor& features, int max_bins) {
   ATNN_CHECK(max_bins >= 2 && max_bins <= 256);
   ATNN_CHECK(features.rows() > 0);
   FeatureBinner binner;
-  binner.max_bins_ = max_bins;
   const auto cols = static_cast<size_t>(features.cols());
   binner.thresholds_.resize(cols);
 
@@ -42,14 +41,6 @@ FeatureBinner FeatureBinner::Fit(const nn::Tensor& features, int max_bins) {
       }
     }
   }
-  return binner;
-}
-
-FeatureBinner FeatureBinner::FromThresholds(
-    std::vector<std::vector<float>> thresholds, int max_bins) {
-  FeatureBinner binner;
-  binner.thresholds_ = std::move(thresholds);
-  binner.max_bins_ = max_bins;
   return binner;
 }
 

@@ -17,11 +17,6 @@ class FeatureBinner {
   /// ([rows, cols]). max_bins must be in [2, 256].
   static FeatureBinner Fit(const nn::Tensor& features, int max_bins);
 
-  /// Reconstructs a binner from serialized thresholds (see GbdtModel
-  /// persistence).
-  static FeatureBinner FromThresholds(
-      std::vector<std::vector<float>> thresholds, int max_bins);
-
   /// Bin index of a raw value for the given column.
   uint8_t Bin(size_t column, float value) const;
 
@@ -33,17 +28,10 @@ class FeatureBinner {
   int num_bins(size_t column) const {
     return static_cast<int>(thresholds_[column].size()) + 1;
   }
-  int max_bins() const { return max_bins_; }
-
-  /// Upper-bound threshold of bin b for a column (bin b holds values
-  /// <= thresholds[b]; the last bin is unbounded).
-  const std::vector<float>& thresholds(size_t column) const {
-    return thresholds_[column];
-  }
-
  private:
+  /// Per column, the upper bound of each bin but the last: bin b holds
+  /// values <= thresholds_[column][b]; the last bin is unbounded.
   std::vector<std::vector<float>> thresholds_;
-  int max_bins_ = 0;
 };
 
 }  // namespace atnn::gbdt

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "common/serialize.h"
 
 namespace atnn::gbdt {
 
@@ -108,122 +107,6 @@ std::vector<double> GbdtModel::PredictProbability(
   std::vector<double> result = PredictRaw(features);
   for (double& value : result) value = Sigmoid(value);
   return result;
-}
-
-std::vector<double> GbdtModel::FeatureImportance() const {
-  std::vector<double> gains(num_columns_, 0.0);
-  for (const RegressionTree& tree : trees_) {
-    tree.AccumulateFeatureGains(&gains);
-  }
-  double total = 0.0;
-  for (double g : gains) total += g;
-  if (total > 0.0) {
-    for (double& g : gains) g /= total;
-  }
-  return gains;
-}
-
-namespace {
-constexpr uint32_t kGbdtFormatVersion = 1;
-}  // namespace
-
-Status GbdtModel::SaveToFile(const std::string& path) const {
-  BinaryWriter writer;
-  writer.WriteU32(kGbdtFormatVersion);
-  writer.WriteU32(config_.loss == GbdtLoss::kLogistic ? 0u : 1u);
-  writer.WriteF64(config_.learning_rate);
-  writer.WriteF64(base_margin_);
-  writer.WriteU64(num_columns_);
-  writer.WriteU32(static_cast<uint32_t>(binner_.max_bins()));
-  for (size_t c = 0; c < num_columns_; ++c) {
-    writer.WriteFloatVector(binner_.thresholds(c));
-  }
-  writer.WriteU64(trees_.size());
-  for (const RegressionTree& tree : trees_) {
-    const auto& nodes = tree.nodes();
-    const auto& gains = tree.split_gains();
-    writer.WriteU64(nodes.size());
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      writer.WriteU32(nodes[n].is_leaf ? 1u : 0u);
-      writer.WriteI64(nodes[n].feature);
-      writer.WriteI64(nodes[n].threshold_bin);
-      writer.WriteI64(nodes[n].left);
-      writer.WriteI64(nodes[n].right);
-      writer.WriteF64(nodes[n].weight);
-      writer.WriteF64(gains[n]);
-    }
-  }
-  return writer.FlushToFile(path);
-}
-
-StatusOr<GbdtModel> GbdtModel::LoadFromFile(const std::string& path) {
-  ATNN_ASSIGN_OR_RETURN(BinaryReader reader, BinaryReader::FromFile(path));
-  uint32_t version = 0;
-  ATNN_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kGbdtFormatVersion) {
-    return Status::Corruption("unsupported GBDT snapshot version " +
-                              std::to_string(version));
-  }
-  GbdtModel model;
-  uint32_t loss = 0;
-  ATNN_RETURN_IF_ERROR(reader.ReadU32(&loss));
-  if (loss > 1) return Status::Corruption("bad loss tag");
-  model.config_.loss = loss == 0 ? GbdtLoss::kLogistic : GbdtLoss::kSquared;
-  ATNN_RETURN_IF_ERROR(reader.ReadF64(&model.config_.learning_rate));
-  ATNN_RETURN_IF_ERROR(reader.ReadF64(&model.base_margin_));
-  uint64_t num_columns = 0;
-  ATNN_RETURN_IF_ERROR(reader.ReadU64(&num_columns));
-  model.num_columns_ = num_columns;
-  uint32_t max_bins = 0;
-  ATNN_RETURN_IF_ERROR(reader.ReadU32(&max_bins));
-  std::vector<std::vector<float>> thresholds(num_columns);
-  for (uint64_t c = 0; c < num_columns; ++c) {
-    ATNN_RETURN_IF_ERROR(reader.ReadFloatVector(&thresholds[c]));
-  }
-  model.binner_ = FeatureBinner::FromThresholds(
-      std::move(thresholds), static_cast<int>(max_bins));
-
-  uint64_t num_trees = 0;
-  ATNN_RETURN_IF_ERROR(reader.ReadU64(&num_trees));
-  model.trees_.reserve(num_trees);
-  for (uint64_t t = 0; t < num_trees; ++t) {
-    uint64_t num_nodes = 0;
-    ATNN_RETURN_IF_ERROR(reader.ReadU64(&num_nodes));
-    std::vector<RegressionTree::Node> nodes(num_nodes);
-    std::vector<double> gains(num_nodes);
-    for (uint64_t n = 0; n < num_nodes; ++n) {
-      uint32_t is_leaf = 0;
-      int64_t feature = 0;
-      int64_t threshold_bin = 0;
-      int64_t left = 0;
-      int64_t right = 0;
-      ATNN_RETURN_IF_ERROR(reader.ReadU32(&is_leaf));
-      ATNN_RETURN_IF_ERROR(reader.ReadI64(&feature));
-      ATNN_RETURN_IF_ERROR(reader.ReadI64(&threshold_bin));
-      ATNN_RETURN_IF_ERROR(reader.ReadI64(&left));
-      ATNN_RETURN_IF_ERROR(reader.ReadI64(&right));
-      ATNN_RETURN_IF_ERROR(reader.ReadF64(&nodes[n].weight));
-      ATNN_RETURN_IF_ERROR(reader.ReadF64(&gains[n]));
-      nodes[n].is_leaf = is_leaf == 1;
-      nodes[n].feature = static_cast<int>(feature);
-      nodes[n].threshold_bin = static_cast<int>(threshold_bin);
-      nodes[n].left = static_cast<int>(left);
-      nodes[n].right = static_cast<int>(right);
-      // Structural validation: children must point inside the tree.
-      if (!nodes[n].is_leaf &&
-          (left < 0 || right < 0 ||
-           left >= static_cast<int64_t>(num_nodes) ||
-           right >= static_cast<int64_t>(num_nodes))) {
-        return Status::Corruption("tree child index out of range");
-      }
-    }
-    model.trees_.push_back(
-        RegressionTree::FromParts(std::move(nodes), std::move(gains)));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after GBDT snapshot");
-  }
-  return model;
 }
 
 }  // namespace atnn::gbdt

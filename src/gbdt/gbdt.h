@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "gbdt/binner.h"
 #include "gbdt/tree.h"
 #include "nn/tensor.h"
@@ -51,9 +50,6 @@ class GbdtModel {
   /// Sigmoid(margin) — logistic loss only.
   std::vector<double> PredictProbability(const nn::Tensor& features) const;
 
-  /// Total split gain per feature, normalized to sum to 1.
-  std::vector<double> FeatureImportance() const;
-
   /// Training loss after each boosting round (for convergence tests).
   const std::vector<double>& training_loss_curve() const {
     return training_loss_;
@@ -61,11 +57,6 @@ class GbdtModel {
 
   size_t num_trees() const { return trees_.size(); }
   const GbdtConfig& config() const { return config_; }
-
-  /// Persists the trained ensemble (binner thresholds, trees, base margin)
-  /// so a serving process can predict without retraining.
-  Status SaveToFile(const std::string& path) const;
-  static StatusOr<GbdtModel> LoadFromFile(const std::string& path);
 
  private:
   GbdtConfig config_;

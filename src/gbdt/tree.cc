@@ -24,7 +24,6 @@ void RegressionTree::Grow(const std::vector<uint8_t>& binned,
   ATNN_CHECK(!row_indices.empty());
   ATNN_CHECK_EQ(gradients.size(), hessians.size());
   nodes_.clear();
-  split_gains_.clear();
   std::vector<int64_t> rows = row_indices;
   BuildNode(binned, num_columns, binner, gradients, hessians, &rows, 0,
             config, rng);
@@ -45,7 +44,6 @@ int RegressionTree::BuildNode(const std::vector<uint8_t>& binned,
 
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
-  split_gains_.push_back(0.0);
   nodes_[static_cast<size_t>(node_index)].weight =
       -sum_g / (sum_h + config.lambda);
 
@@ -140,7 +138,6 @@ int RegressionTree::BuildNode(const std::vector<uint8_t>& binned,
   node.threshold_bin = best.threshold_bin;
   node.left = left_child;
   node.right = right_child;
-  split_gains_[static_cast<size_t>(node_index)] = best.gain;
   return node_index;
 }
 
@@ -154,32 +151,6 @@ double RegressionTree::PredictBinned(const uint8_t* bins) const {
                                                           : node.right;
   }
   return nodes_[static_cast<size_t>(index)].weight;
-}
-
-size_t RegressionTree::num_leaves() const {
-  size_t count = 0;
-  for (const Node& node : nodes_) {
-    if (node.is_leaf) ++count;
-  }
-  return count;
-}
-
-RegressionTree RegressionTree::FromParts(std::vector<Node> nodes,
-                                         std::vector<double> gains) {
-  ATNN_CHECK_EQ(nodes.size(), gains.size());
-  RegressionTree tree;
-  tree.nodes_ = std::move(nodes);
-  tree.split_gains_ = std::move(gains);
-  return tree;
-}
-
-void RegressionTree::AccumulateFeatureGains(std::vector<double>* gains) const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].is_leaf) {
-      ATNN_DCHECK(static_cast<size_t>(nodes_[i].feature) < gains->size());
-      (*gains)[static_cast<size_t>(nodes_[i].feature)] += split_gains_[i];
-    }
-  }
 }
 
 }  // namespace atnn::gbdt

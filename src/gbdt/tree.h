@@ -50,19 +50,6 @@ class RegressionTree {
   /// Prediction for one binned row (pointer to its num_columns bins).
   double PredictBinned(const uint8_t* bins) const;
 
-  const std::vector<Node>& nodes() const { return nodes_; }
-  size_t num_leaves() const;
-
-  /// Adds each split's gain to `gains[feature]` (split-gain importance).
-  void AccumulateFeatureGains(std::vector<double>* gains) const;
-
-  /// Reconstructs a tree from serialized parts (see GbdtModel persistence).
-  /// gains must be node-aligned (0.0 for leaves).
-  static RegressionTree FromParts(std::vector<Node> nodes,
-                                  std::vector<double> gains);
-
-  const std::vector<double>& split_gains() const { return split_gains_; }
-
  private:
   struct SplitDecision {
     bool found = false;
@@ -79,7 +66,6 @@ class RegressionTree {
                 const TreeConfig& config, Rng* rng);
 
   std::vector<Node> nodes_;
-  std::vector<double> split_gains_;  // parallel to nodes_, 0 for leaves
 };
 
 }  // namespace atnn::gbdt

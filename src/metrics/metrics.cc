@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/macros.h"
 
@@ -52,57 +51,6 @@ double Auc(const std::vector<double>& scores,
               static_cast<double>(num_negative));
 }
 
-double GroupedAuc(const std::vector<double>& scores,
-                  const std::vector<float>& labels,
-                  const std::vector<int64_t>& group_ids) {
-  ATNN_CHECK_EQ(scores.size(), labels.size());
-  ATNN_CHECK_EQ(scores.size(), group_ids.size());
-  ATNN_CHECK(!scores.empty());
-
-  // Bucket example indices by group.
-  std::unordered_map<int64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < group_ids.size(); ++i) {
-    groups[group_ids[i]].push_back(i);
-  }
-
-  double weighted_sum = 0.0;
-  double total_weight = 0.0;
-  std::vector<double> group_scores;
-  std::vector<float> group_labels;
-  for (const auto& [group, indices] : groups) {
-    bool has_positive = false;
-    bool has_negative = false;
-    for (size_t i : indices) {
-      (labels[i] > 0.5f ? has_positive : has_negative) = true;
-    }
-    if (!has_positive || !has_negative) continue;
-    group_scores.clear();
-    group_labels.clear();
-    for (size_t i : indices) {
-      group_scores.push_back(scores[i]);
-      group_labels.push_back(labels[i]);
-    }
-    const double weight = static_cast<double>(indices.size());
-    weighted_sum += weight * Auc(group_scores, group_labels);
-    total_weight += weight;
-  }
-  ATNN_CHECK(total_weight > 0.0)
-      << "GAUC undefined: every group is single-class";
-  return weighted_sum / total_weight;
-}
-
-double LogLoss(const std::vector<double>& probabilities,
-               const std::vector<float>& labels, double eps) {
-  ATNN_CHECK_EQ(probabilities.size(), labels.size());
-  ATNN_CHECK(!probabilities.empty());
-  double total = 0.0;
-  for (size_t i = 0; i < probabilities.size(); ++i) {
-    const double p = std::clamp(probabilities[i], eps, 1.0 - eps);
-    total += labels[i] > 0.5f ? -std::log(p) : -std::log(1.0 - p);
-  }
-  return total / static_cast<double>(probabilities.size());
-}
-
 double MeanAbsoluteError(const std::vector<double>& predictions,
                          const std::vector<float>& targets) {
   ATNN_CHECK_EQ(predictions.size(), targets.size());
@@ -112,18 +60,6 @@ double MeanAbsoluteError(const std::vector<double>& predictions,
     total += std::abs(predictions[i] - static_cast<double>(targets[i]));
   }
   return total / static_cast<double>(predictions.size());
-}
-
-double RootMeanSquaredError(const std::vector<double>& predictions,
-                            const std::vector<float>& targets) {
-  ATNN_CHECK_EQ(predictions.size(), targets.size());
-  ATNN_CHECK(!predictions.empty());
-  double total = 0.0;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    const double diff = predictions[i] - static_cast<double>(targets[i]);
-    total += diff * diff;
-  }
-  return std::sqrt(total / static_cast<double>(predictions.size()));
 }
 
 double PearsonCorrelation(const std::vector<double>& a,

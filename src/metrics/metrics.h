@@ -12,27 +12,9 @@ namespace atnn::metrics {
 double Auc(const std::vector<double>& scores,
            const std::vector<float>& labels);
 
-/// Grouped AUC (GAUC), the industrial companion metric to AUC for CTR
-/// models: AUC computed within each group (typically one group per user),
-/// averaged with weights proportional to group size. Groups whose labels
-/// are single-class contribute nothing (no ranking decision exists within
-/// them). Returns the weighted mean; CHECK-fails if no group is scorable.
-double GroupedAuc(const std::vector<double>& scores,
-                  const std::vector<float>& labels,
-                  const std::vector<int64_t>& group_ids);
-
-/// Average binary cross-entropy of probabilities against 0/1 labels.
-/// Probabilities are clamped to [eps, 1-eps].
-double LogLoss(const std::vector<double>& probabilities,
-               const std::vector<float>& labels, double eps = 1e-7);
-
 /// Mean absolute error.
 double MeanAbsoluteError(const std::vector<double>& predictions,
                          const std::vector<float>& targets);
-
-/// Root mean squared error.
-double RootMeanSquaredError(const std::vector<double>& predictions,
-                            const std::vector<float>& targets);
 
 /// Pearson correlation of two sequences (0 when either is constant).
 double PearsonCorrelation(const std::vector<double>& a,

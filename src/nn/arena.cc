@@ -1,6 +1,5 @@
 #include "nn/arena.h"
 
-#include <atomic>
 #include <new>
 
 namespace atnn::nn {
@@ -13,8 +12,6 @@ size_t RoundUpToAlignment(size_t bytes) {
   ATNN_CHECK(bytes <= std::numeric_limits<size_t>::max() - kTensorAlignment);
   return (bytes + kTensorAlignment - 1) & ~(kTensorAlignment - 1);
 }
-
-std::atomic<bool> g_arena_enabled{true};
 
 thread_local int t_scope_depth = 0;
 
@@ -63,24 +60,13 @@ TensorArena& ThreadArena() {
   return arena;
 }
 
-bool ArenaEnabled() {
-  return g_arena_enabled.load(std::memory_order_relaxed);
-}
-
-void SetArenaEnabled(bool enabled) {
-  g_arena_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 bool ArenaActive() { return t_scope_depth > 0; }
 
-ArenaScope::ArenaScope() : active_(ArenaEnabled()) {
-  if (!active_) return;
-  mark_ = ThreadArena().Checkpoint();
+ArenaScope::ArenaScope() : mark_(ThreadArena().Checkpoint()) {
   ++t_scope_depth;
 }
 
 ArenaScope::~ArenaScope() {
-  if (!active_) return;
   --t_scope_depth;
   ThreadArena().Rewind(mark_);
 }

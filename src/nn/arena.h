@@ -99,13 +99,7 @@ class TensorArena {
 /// The calling thread's arena. Created on first use, freed at thread exit.
 TensorArena& ThreadArena();
 
-/// Global switch for arena-backed tensor allocation; on by default. Turning
-/// it off makes every ArenaScope a no-op (all tensors heap-allocated),
-/// which is how the benches A/B the arena against plain allocation.
-bool ArenaEnabled();
-void SetArenaEnabled(bool enabled);
-
-/// True while the calling thread is inside at least one active ArenaScope;
+/// True while the calling thread is inside at least one ArenaScope;
 /// step-scoped tensors (node outputs, gradients, op workspaces) then draw
 /// from ThreadArena().
 bool ArenaActive();
@@ -123,7 +117,6 @@ class ArenaScope {
   ArenaScope& operator=(const ArenaScope&) = delete;
 
  private:
-  bool active_;
   TensorArena::Mark mark_;
 };
 

@@ -26,11 +26,8 @@ namespace {
 
 const char* ActivationName(Activation act) {
   switch (act) {
-    case Activation::kIdentity:  return "identity";
-    case Activation::kRelu:      return "relu";
-    case Activation::kSigmoid:   return "sigmoid";
-    case Activation::kTanh:      return "tanh";
-    case Activation::kLeakyRelu: return "leaky_relu";
+    case Activation::kIdentity: return "identity";
+    case Activation::kRelu:     return "relu";
   }
   return "unknown";
 }
@@ -40,11 +37,6 @@ bool IsLeafKind(OpKind kind) {
 }
 
 }  // namespace
-
-bool IsEpilogueActivation(Activation act) {
-  return act == Activation::kIdentity || act == Activation::kRelu ||
-         act == Activation::kSigmoid;
-}
 
 int32_t Graph::AddNode(NodeDef def) {
   const int32_t id = size();
@@ -136,9 +128,6 @@ Status Graph::Validate() const {
         if (x.cols != w_rows || node.cols != w_cols || b.rows != 1 ||
             b.cols != w_cols) {
           return fail("shape mismatch");
-        }
-        if (!IsEpilogueActivation(node.act)) {
-          return fail("unsupported fused activation");
         }
         if (node.kind == OpKind::kDenseAffineS8
                 ? !low.s8 || !low.colsum || !low.scales || low.act_scale == 0

@@ -29,7 +29,7 @@ enum class OpKind : uint8_t {
   kEmbedLookup,
   /// Plain x W. No builder emits it; perfbench's GEMM probe still names it.
   kMatMul,
-  /// Fused act(x W + b); the gemm + bias_{identity,relu,sigmoid} epilogue
+  /// Fused act(x W + b); the gemm + bias_{identity,relu} epilogue
   /// pair from the kernel table, exactly as nn::DenseAffine issues it.
   kDenseAffine,
   /// act(x W + b) over int8 / bf16 `weights`, inputs (x, b): quantize_u8
@@ -48,9 +48,6 @@ enum class OpKind : uint8_t {
 
 /// Stable lowercase op name ("matmul", "dense_affine", ...).
 const char* OpKindName(OpKind kind);
-
-/// The activations the dense_affine kinds fuse: identity, relu, sigmoid.
-bool IsEpilogueActivation(Activation act);
 
 /// A [rows, cols] weight borrowed from a quantized artifact (pinned by the
 /// plan's keepalive): for kDenseAffineS8 PackInt8B codes with per-column

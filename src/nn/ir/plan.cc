@@ -77,16 +77,10 @@ void RunStep(const NodeDef& def, std::span<const StepInput> ins,
                      out);
       }
       const float* bias = ins.back().data;
-      switch (def.act) {
-        case Activation::kIdentity:
-          kt.bias_identity(out_rows, def.cols, bias, out);
-          break;
-        case Activation::kRelu:
-          kt.bias_relu(out_rows, def.cols, bias, out);
-          break;
-        default:
-          kt.bias_sigmoid(out_rows, def.cols, bias, out);
-          break;
+      if (def.act == Activation::kRelu) {
+        kt.bias_relu(out_rows, def.cols, bias, out);
+      } else {
+        kt.bias_identity(out_rows, def.cols, bias, out);
       }
       break;
     }

@@ -13,20 +13,6 @@
 
 namespace atnn::nn::kernels {
 
-namespace {
-
-/// Exp256's clamp bound. Both sigmoid epilogues saturate outside ±this:
-/// past it the polynomial path and std::exp disagree (the scalar exp
-/// overflows to Inf near -88.73 while the clamped polynomial returns a
-/// large finite value, leaving one side exactly 0.0f and the other a
-/// subnormal ~4e-39 — millions of ULPs apart). The true sigmoid is within
-/// half an ULP of 0/1 well before ±88, so saturating both families keeps
-/// them bitwise identical on the boundary inputs the int8-dequant epilogue
-/// can feed them.
-constexpr float kSigmoidSaturation = 88.3762626647949f;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Scalar reference kernels.
 //
@@ -168,24 +154,6 @@ void BiasReluScalar(int64_t rows, int64_t cols, const float* bias, float* x) {
   }
 }
 
-void BiasSigmoidScalar(int64_t rows, int64_t cols, const float* bias,
-                       float* x) {
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = x + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      const float z = row[c] + bias[c];
-      if (z >= kSigmoidSaturation) {
-        row[c] = 1.0f;
-      } else if (z <= -kSigmoidSaturation) {
-        row[c] = 0.0f;
-      } else {
-        // NaN falls through both comparisons and propagates via exp.
-        row[c] = 1.0f / (1.0f + std::exp(-z));
-      }
-    }
-  }
-}
-
 // The cross epilogue's mul and two adds must round separately, as they do
 // in the three ops it replaces; -march=native lets GCC contract them into
 // an FMA otherwise.
@@ -307,8 +275,7 @@ constexpr KernelTable kScalarTable = {
     GemmScalar,       GemmTransBAccumScalar, GemmTransAAccumScalar,
     AxpyScalar,       ScaleScalar,           AddScalar,
     SumScalar,        SquaredNormScalar,     DotScalar,
-    BiasIdentityScalar, BiasReluScalar,      BiasSigmoidScalar,
-    CrossEpilogueScalar,
+    BiasIdentityScalar, BiasReluScalar,      CrossEpilogueScalar,
     QuantizeU8Scalar, DequantRowS8Scalar,    GemmS8Scalar,
     F32ToBf16Scalar,  Bf16ToF32Scalar,       GemmBf16Scalar,
 };
@@ -737,81 +704,6 @@ ATNN_AVX2 void BiasReluAvx2(int64_t rows, int64_t cols, const float* bias,
   }
 }
 
-/// Cephes-style polynomial expf for the sigmoid epilogue (no SVML in a
-/// plain GCC build). |error| is a few ulp over the clamped range, well
-/// inside the 1e-5 tolerance the fused-vs-unfused tests allow.
-ATNN_AVX2 inline __m256 Exp256(__m256 x) {
-  const __m256 hi = _mm256_set1_ps(88.3762626647949f);
-  const __m256 lo = _mm256_set1_ps(-88.3762626647949f);
-  const __m256 log2e = _mm256_set1_ps(1.44269504088896341f);
-  const __m256 ln2_hi = _mm256_set1_ps(0.693359375f);
-  const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-
-  x = _mm256_min_ps(x, hi);
-  x = _mm256_max_ps(x, lo);
-
-  // n = round(x / ln2); r = x - n*ln2 in two parts for precision.
-  __m256 fx = _mm256_fmadd_ps(x, log2e, _mm256_set1_ps(0.5f));
-  fx = _mm256_floor_ps(fx);
-  x = _mm256_fnmadd_ps(fx, ln2_hi, x);
-  x = _mm256_fnmadd_ps(fx, ln2_lo, x);
-
-  const __m256 z = _mm256_mul_ps(x, x);
-  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.3981999507e-3f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(8.3334519073e-3f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(4.1665795894e-2f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.6666665459e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(5.0000001201e-1f));
-  y = _mm256_fmadd_ps(y, z, _mm256_add_ps(x, one));
-
-  // Scale by 2^n via the exponent bits.
-  __m256i n = _mm256_cvttps_epi32(fx);
-  n = _mm256_add_epi32(n, _mm256_set1_epi32(0x7f));
-  n = _mm256_slli_epi32(n, 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(n));
-}
-
-ATNN_AVX2 void BiasSigmoidAvx2(int64_t rows, int64_t cols, const float* bias,
-                               float* x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sat = _mm256_set1_ps(kSigmoidSaturation);
-  const __m256 neg_sat = _mm256_set1_ps(-kSigmoidSaturation);
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = x + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m256 z = _mm256_add_ps(_mm256_loadu_ps(row + c),
-                                     _mm256_loadu_ps(bias + c));
-      const __m256 e = Exp256(_mm256_sub_ps(zero, z));
-      __m256 out = _mm256_div_ps(one, _mm256_add_ps(one, e));
-      // Saturate past Exp256's clamp bound so boundary z (which the
-      // int8-dequant epilogue can produce) matches the scalar family
-      // exactly instead of differing by a clamped-vs-overflowed exp.
-      out = _mm256_blendv_ps(out, one, _mm256_cmp_ps(z, sat, _CMP_GE_OQ));
-      out = _mm256_blendv_ps(out, zero,
-                             _mm256_cmp_ps(z, neg_sat, _CMP_LE_OQ));
-      // Exp256 clamps its argument, which would swallow NaN inputs; put
-      // them back so the fused path propagates like the scalar one.
-      const __m256 nan_mask = _mm256_cmp_ps(z, z, _CMP_UNORD_Q);
-      out = _mm256_blendv_ps(out, z, nan_mask);
-      _mm256_storeu_ps(row + c, out);
-    }
-    for (; c < cols; ++c) {
-      const float z = row[c] + bias[c];
-      if (z >= kSigmoidSaturation) {
-        row[c] = 1.0f;
-      } else if (z <= -kSigmoidSaturation) {
-        row[c] = 0.0f;
-      } else {
-        row[c] = 1.0f / (1.0f + std::exp(-z));
-      }
-    }
-  }
-}
-
 // GCC contracts _mm256_add_ps(_mm256_mul_ps(...), ...) into an FMA too;
 // the epilogue must keep the scalar family's three roundings.
 #pragma GCC push_options
@@ -1031,8 +923,7 @@ constexpr KernelTable kAvx2Table = {
     GemmAvx2,       GemmTransBAccumAvx2, GemmTransAAccumAvx2,
     AxpyAvx2,       ScaleAvx2,           AddAvx2,
     SumAvx2,        SquaredNormAvx2,     DotAvx2,
-    BiasIdentityAvx2, BiasReluAvx2,      BiasSigmoidAvx2,
-    CrossEpilogueAvx2,
+    BiasIdentityAvx2, BiasReluAvx2,      CrossEpilogueAvx2,
     QuantizeU8Avx2, DequantRowS8Avx2,    GemmS8Avx2,
     F32ToBf16Avx2,  Bf16ToF32Avx2,       GemmBf16Avx2,
 };

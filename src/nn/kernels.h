@@ -52,8 +52,6 @@ struct KernelTable {
   void (*bias_identity)(int64_t rows, int64_t cols, const float* bias,
                         float* x);
   void (*bias_relu)(int64_t rows, int64_t cols, const float* bias, float* x);
-  void (*bias_sigmoid)(int64_t rows, int64_t cols, const float* bias,
-                       float* x);
   /// Deep & Cross layer epilogue over [rows, cols]:
   ///   out[r,c] = ((x0[r,c] * s[r]) + bias[c]) + xl[r,c]
   /// Three separately rounded operations (both versions are compiled

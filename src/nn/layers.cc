@@ -2,23 +2,6 @@
 
 namespace atnn::nn {
 
-Var Activate(const Var& x, Activation activation) {
-  switch (activation) {
-    case Activation::kIdentity:
-      return x;
-    case Activation::kRelu:
-      return Relu(x);
-    case Activation::kSigmoid:
-      return Sigmoid(x);
-    case Activation::kTanh:
-      return Tanh(x);
-    case Activation::kLeakyRelu:
-      return LeakyRelu(x);
-  }
-  ATNN_CHECK(false) << "unknown activation";
-  return x;
-}
-
 Dense::Dense(const std::string& name, int64_t in_dim, int64_t out_dim,
              Activation activation, Rng* rng)
     : weight_(name + ".weight",
@@ -32,16 +15,7 @@ Dense::Dense(const std::string& name, int64_t in_dim, int64_t out_dim,
 
 Var Dense::Forward(const Var& x) const {
   ATNN_CHECK_EQ(x.cols(), in_dim());
-  // One fused node (GEMM + in-register bias/activation epilogue) for the
-  // activations the kernel layer fuses; bitwise-identical to the three-node
-  // composition below on the scalar backend.
-  if (FusedEpiloguesEnabled() &&
-      (activation_ == Activation::kIdentity ||
-       activation_ == Activation::kRelu ||
-       activation_ == Activation::kSigmoid)) {
-    return DenseAffine(x, weight_.var(), bias_.var(), activation_);
-  }
-  return Activate(AddBias(MatMul(x, weight_.var()), bias_.var()), activation_);
+  return DenseAffine(x, weight_.var(), bias_.var(), activation_);
 }
 
 void Dense::CollectParameters(std::vector<Parameter*>* out) {
@@ -50,14 +24,13 @@ void Dense::CollectParameters(std::vector<Parameter*>* out) {
 }
 
 Mlp::Mlp(const std::string& name, const std::vector<int64_t>& dims,
-         Activation hidden_activation, Activation output_activation,
-         Rng* rng) {
+         Activation output_activation, Rng* rng) {
   ATNN_CHECK(dims.size() >= 2) << "Mlp needs at least input and output dims";
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     const bool last = (i + 2 == dims.size());
     layers_.emplace_back(name + ".layer" + std::to_string(i), dims[i],
                          dims[i + 1],
-                         last ? output_activation : hidden_activation, rng);
+                         last ? output_activation : Activation::kRelu, rng);
   }
 }
 
@@ -108,23 +81,6 @@ void CrossNetwork::CollectParameters(std::vector<Parameter*>* out) {
   }
 }
 
-LayerNormLayer::LayerNormLayer(const std::string& name, int64_t dim,
-                               float eps)
-    : gamma_(name + ".gamma", Tensor::Ones(1, dim)),
-      beta_(name + ".beta", Tensor::Zeros(1, dim)),
-      eps_(eps) {
-  ATNN_CHECK(dim > 0);
-}
-
-Var LayerNormLayer::Forward(const Var& x) const {
-  return LayerNorm(x, gamma_.var(), beta_.var(), eps_);
-}
-
-void LayerNormLayer::CollectParameters(std::vector<Parameter*>* out) {
-  out->push_back(&gamma_);
-  out->push_back(&beta_);
-}
-
 namespace {
 
 std::vector<int64_t> DeepDims(int64_t input_dim,
@@ -155,7 +111,7 @@ Tower::Tower(const std::string& name, int64_t input_dim,
                                                   config.cross_layers, rng)
                  : nullptr),
       deep_(name + ".deep", DeepDims(input_dim, config.deep_dims),
-            config.hidden_activation, config.hidden_activation, rng),
+            Activation::kRelu, rng),
       head_(name + ".head", HeadInputDim(input_dim, config), config.output_dim,
             Activation::kIdentity, rng) {
   ATNN_CHECK(!config.deep_dims.empty());

@@ -14,9 +14,6 @@ namespace atnn::nn {
 
 // Activation lives in ops.h (DenseAffine needs it below the layer level).
 
-/// Applies the chosen nonlinearity.
-Var Activate(const Var& x, Activation activation);
-
 /// Fully connected layer y = act(x W + b) with W [in, out], b [1, out].
 class Dense : public Module {
  public:
@@ -42,12 +39,12 @@ class Dense : public Module {
   Activation activation_;
 };
 
-/// Stack of Dense layers. dims = {in, h1, ..., out}. Hidden layers use
-/// `hidden_activation`; the last layer uses `output_activation`.
+/// Stack of Dense layers. dims = {in, h1, ..., out}. Hidden layers are
+/// ReLU; the last layer uses `output_activation`.
 class Mlp : public Module {
  public:
   Mlp(const std::string& name, const std::vector<int64_t>& dims,
-      Activation hidden_activation, Activation output_activation, Rng* rng);
+      Activation output_activation, Rng* rng);
 
   Var Forward(const Var& x) const;
 
@@ -86,23 +83,6 @@ class CrossNetwork : public Module {
   std::vector<Parameter> biases_;
 };
 
-/// Layer normalization with learned gain and bias (gamma init 1, beta 0).
-class LayerNormLayer : public Module {
- public:
-  LayerNormLayer(const std::string& name, int64_t dim, float eps = 1e-5f);
-
-  Var Forward(const Var& x) const;
-
-  void CollectParameters(std::vector<Parameter*>* out) override;
-
-  int64_t dim() const { return gamma_.cols(); }
-
- private:
-  Parameter gamma_;
-  Parameter beta_;
-  float eps_;
-};
-
 /// Which architecture a tower uses. The paper compares fully connected
 /// towers (TNN-FC) against Deep & Cross towers (TNN-DCN / ATNN).
 enum class TowerKind { kFullyConnected, kDeepCross };
@@ -117,10 +97,10 @@ struct TowerConfig {
   int cross_layers = 3;
   /// Output embedding dimension (paper: 128).
   int64_t output_dim = 32;
-  Activation hidden_activation = Activation::kRelu;
 };
 
-/// One tower: input features -> representation vector. Deep & Cross:
+/// One tower: input features -> representation vector. The deep layers are
+/// ReLU and the head is identity. Deep & Cross:
 /// concat(cross(x), deep(x)) -> Dense(out_dim). Fully connected: deep(x)
 /// -> Dense(out_dim).
 class Tower : public Module {

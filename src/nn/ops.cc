@@ -1,7 +1,6 @@
 #include "nn/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "nn/kernels.h"
@@ -39,17 +38,7 @@ Tensor ScratchScalar(float value) {
   return out;
 }
 
-std::atomic<bool> g_fused_epilogues{true};
-
 }  // namespace
-
-bool FusedEpiloguesEnabled() {
-  return g_fused_epilogues.load(std::memory_order_relaxed);
-}
-
-void SetFusedEpilogues(bool enabled) {
-  g_fused_epilogues.store(enabled, std::memory_order_relaxed);
-}
 
 Var MatMul(const Var& a, const Var& b) {
   ATNN_CHECK_EQ(a.cols(), b.rows());
@@ -78,25 +67,16 @@ Var MatMul(const Var& a, const Var& b) {
 Var DenseAffine(const Var& x, const Var& w, const Var& b, Activation act) {
   ATNN_CHECK_EQ(x.cols(), w.rows());
   ATNN_CHECK(b.rows() == 1 && b.cols() == w.cols());
-  ATNN_CHECK(act == Activation::kIdentity || act == Activation::kRelu ||
-             act == Activation::kSigmoid)
-      << "DenseAffine has fused epilogues for identity/relu/sigmoid only";
   const int64_t m = x.rows();
   const int64_t k = x.cols();
   const int64_t n = w.cols();
   const kernels::KernelTable& kt = kernels::Kernels();
   Tensor out = ScratchTensorUninit(m, n);
   kt.gemm(m, k, n, x.value().data(), w.value().data(), out.data());
-  switch (act) {
-    case Activation::kIdentity:
-      kt.bias_identity(m, n, b.value().data(), out.data());
-      break;
-    case Activation::kRelu:
-      kt.bias_relu(m, n, b.value().data(), out.data());
-      break;
-    default:
-      kt.bias_sigmoid(m, n, b.value().data(), out.data());
-      break;
+  if (act == Activation::kRelu) {
+    kt.bias_relu(m, n, b.value().data(), out.data());
+  } else {
+    kt.bias_identity(m, n, b.value().data(), out.data());
   }
   auto node = MakeNode(std::move(out), {x.node(), w.node(), b.node()},
                        "dense_affine");
@@ -108,25 +88,19 @@ Var DenseAffine(const Var& x, const Var& w, const Var& b, Activation act) {
       const int64_t rows = self->grad.rows();
       const int64_t cols = self->grad.cols();
       // dZ (gradient at the pre-activation) is recovered from the OUTPUT:
-      // for relu, y > 0 iff z > 0; for sigmoid, dz = g*y*(1-y). Expressions
-      // and loop order match the unfused Relu/Sigmoid backward exactly, so
-      // results are bitwise-identical on the scalar backend.
+      // for relu, y > 0 iff z > 0. The loop order matches the unfused Relu
+      // backward exactly, so results are bitwise-identical to the
+      // three-node composition on the scalar backend.
       Tensor dz_local;
       const Tensor* dz = &self->grad;
-      if (act != Activation::kIdentity) {
+      if (act == Activation::kRelu) {
         dz_local = ScratchTensorUninit(rows, cols);
         const float* g = self->grad.data();
         const float* y = self->value.data();
         float* dst = dz_local.data();
         const int64_t count = self->grad.numel();
-        if (act == Activation::kRelu) {
-          for (int64_t i = 0; i < count; ++i) {
-            dst[i] = y[i] > 0.0f ? g[i] : 0.0f;
-          }
-        } else {
-          for (int64_t i = 0; i < count; ++i) {
-            dst[i] = g[i] * y[i] * (1.0f - y[i]);
-          }
+        for (int64_t i = 0; i < count; ++i) {
+          dst[i] = y[i] > 0.0f ? g[i] : 0.0f;
         }
         dz = &dz_local;
       }
@@ -405,58 +379,6 @@ Var Relu(const Var& x) {
   return Var(node);
 }
 
-Var Tanh(const Var& x) {
-  Tensor out = ScratchCopy(x.value());
-  {
-    float* dst = out.data();
-    const int64_t n = out.numel();
-    for (int64_t i = 0; i < n; ++i) dst[i] = std::tanh(dst[i]);
-  }
-  auto node = MakeNode(std::move(out), {x.node()}, "tanh");
-  if (node->requires_grad) {
-    node->backward_fn = [](Node* self) {
-      const NodePtr& x_node = self->parents[0];
-      if (!x_node->requires_grad) return;
-      x_node->EnsureGrad();
-      const float* g = self->grad.data();
-      const float* y = self->value.data();
-      float* dst = x_node->grad.data();
-      const int64_t n = self->grad.numel();
-      for (int64_t i = 0; i < n; ++i) dst[i] += g[i] * (1.0f - y[i] * y[i]);
-      x_node->has_dense_grad = true;
-    };
-  }
-  return Var(node);
-}
-
-Var LeakyRelu(const Var& x, float slope) {
-  Tensor out = ScratchCopy(x.value());
-  {
-    float* dst = out.data();
-    const int64_t n = out.numel();
-    for (int64_t i = 0; i < n; ++i) {
-      if (dst[i] < 0.0f) dst[i] *= slope;
-    }
-  }
-  auto node = MakeNode(std::move(out), {x.node()}, "leaky_relu");
-  if (node->requires_grad) {
-    node->backward_fn = [slope](Node* self) {
-      const NodePtr& x_node = self->parents[0];
-      if (!x_node->requires_grad) return;
-      x_node->EnsureGrad();
-      const float* g = self->grad.data();
-      const float* xv = x_node->value.data();
-      float* dst = x_node->grad.data();
-      const int64_t n = self->grad.numel();
-      for (int64_t i = 0; i < n; ++i) {
-        dst[i] += g[i] * (xv[i] > 0.0f ? 1.0f : slope);
-      }
-      x_node->has_dense_grad = true;
-    };
-  }
-  return Var(node);
-}
-
 Var ConcatCols(std::span<const Var> parts) {
   ATNN_CHECK(!parts.empty());
   const int64_t rows = parts[0].rows();
@@ -501,33 +423,6 @@ Var ConcatCols(std::span<const Var> parts) {
   return Var(node);
 }
 
-Var SliceCols(const Var& x, int64_t begin, int64_t end) {
-  ATNN_CHECK(0 <= begin && begin < end && end <= x.cols())
-      << "slice [" << begin << "," << end << ") of " << x.cols() << " cols";
-  const int64_t rows = x.rows();
-  const int64_t cols = end - begin;
-  Tensor out = ScratchTensorUninit(rows, cols);
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* src = x.value().row_ptr(r) + begin;
-    std::copy(src, src + cols, out.row_ptr(r));
-  }
-  auto node = MakeNode(std::move(out), {x.node()}, "slice_cols");
-  if (node->requires_grad) {
-    node->backward_fn = [begin, cols](Node* self) {
-      const NodePtr& x_node = self->parents[0];
-      if (!x_node->requires_grad) return;
-      x_node->EnsureGrad();
-      for (int64_t r = 0; r < self->grad.rows(); ++r) {
-        const float* g = self->grad.row_ptr(r);
-        float* dst = x_node->grad.row_ptr(r) + begin;
-        for (int64_t c = 0; c < cols; ++c) dst[c] += g[c];
-      }
-      x_node->has_dense_grad = true;
-    };
-  }
-  return Var(node);
-}
-
 Var ReduceMean(const Var& x) {
   ATNN_CHECK(x.value().numel() > 0);
   Tensor out = ScratchScalar(static_cast<float>(x.value().Mean()));
@@ -560,35 +455,6 @@ Var ReduceSum(const Var& x) {
       float* dst = x_node->grad.data();
       const int64_t n = x_node->value.numel();
       for (int64_t i = 0; i < n; ++i) dst[i] += g;
-      x_node->has_dense_grad = true;
-    };
-  }
-  return Var(node);
-}
-
-Var MeanRows(const Var& x) {
-  ATNN_CHECK(x.rows() > 0);
-  Tensor out = ScratchTensor(1, x.cols());
-  for (int64_t r = 0; r < x.rows(); ++r) {
-    const float* row = x.value().row_ptr(r);
-    float* dst = out.data();
-    for (int64_t c = 0; c < x.cols(); ++c) dst[c] += row[c];
-  }
-  out.Scale(1.0f / static_cast<float>(x.rows()));
-  auto node = MakeNode(std::move(out), {x.node()}, "mean_rows");
-  if (node->requires_grad) {
-    node->backward_fn = [](Node* self) {
-      const NodePtr& x_node = self->parents[0];
-      if (!x_node->requires_grad) return;
-      x_node->EnsureGrad();
-      const float inv_rows = 1.0f / static_cast<float>(x_node->value.rows());
-      const float* g = self->grad.data();
-      for (int64_t r = 0; r < x_node->value.rows(); ++r) {
-        float* dst = x_node->grad.row_ptr(r);
-        for (int64_t c = 0; c < x_node->value.cols(); ++c) {
-          dst[c] += g[c] * inv_rows;
-        }
-      }
       x_node->has_dense_grad = true;
     };
   }
@@ -840,143 +706,6 @@ Var MseLoss(const Var& pred, const Tensor& target) {
 
 Var MseBetween(const Var& a, const Var& b) {
   return ReduceMean(Square(Sub(a, b)));
-}
-
-Var Dropout(const Var& x, float rate, Rng* rng, bool training) {
-  ATNN_CHECK(rate >= 0.0f && rate < 1.0f);
-  if (!training || rate == 0.0f) return x;
-  const float keep_scale = 1.0f / (1.0f - rate);
-  // Mask tensor used by forward and (via node->saved) backward.
-  Tensor mask = ScratchTensorUninit(x.rows(), x.cols());
-  {
-    float* m = mask.data();
-    for (int64_t i = 0; i < mask.numel(); ++i) {
-      m[i] = rng->Bernoulli(rate) ? 0.0f : keep_scale;
-    }
-  }
-  Tensor out = ScratchCopy(x.value());
-  {
-    float* dst = out.data();
-    const float* m = mask.data();
-    for (int64_t i = 0; i < out.numel(); ++i) dst[i] *= m[i];
-  }
-  auto node = MakeNode(std::move(out), {x.node()}, "dropout");
-  if (node->requires_grad) {
-    node->saved.push_back(std::move(mask));
-    node->backward_fn = [](Node* self) {
-      const NodePtr& x_node = self->parents[0];
-      if (!x_node->requires_grad) return;
-      x_node->EnsureGrad();
-      const float* g = self->grad.data();
-      const float* m = self->saved[0].data();
-      float* dst = x_node->grad.data();
-      const int64_t n = self->grad.numel();
-      for (int64_t i = 0; i < n; ++i) dst[i] += g[i] * m[i];
-      x_node->has_dense_grad = true;
-    };
-  }
-  return Var(node);
-}
-
-Var LayerNorm(const Var& x, const Var& gamma, const Var& beta, float eps) {
-  const int64_t rows = x.rows();
-  const int64_t cols = x.cols();
-  ATNN_CHECK(gamma.rows() == 1 && gamma.cols() == cols);
-  ATNN_CHECK(beta.rows() == 1 && beta.cols() == cols);
-  ATNN_CHECK(cols > 0);
-
-  // Cache the per-row standardized values and inverse stddevs for backward
-  // (stored in node->saved when a backward pass will run).
-  Tensor x_hat = ScratchTensorUninit(rows, cols);
-  Tensor inv_std = ScratchTensorUninit(rows, 1);
-  Tensor out = ScratchTensorUninit(rows, cols);
-  const float* gv = gamma.value().data();
-  const float* bv = beta.value().data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = x.value().row_ptr(r);
-    double mean = 0.0;
-    for (int64_t c = 0; c < cols; ++c) mean += row[c];
-    mean /= static_cast<double>(cols);
-    double variance = 0.0;
-    for (int64_t c = 0; c < cols; ++c) {
-      const double diff = row[c] - mean;
-      variance += diff * diff;
-    }
-    variance /= static_cast<double>(cols);
-    const auto s_inv = static_cast<float>(1.0 / std::sqrt(variance + eps));
-    inv_std.at(r, 0) = s_inv;
-    float* hat = x_hat.row_ptr(r);
-    float* dst = out.row_ptr(r);
-    for (int64_t c = 0; c < cols; ++c) {
-      hat[c] = (row[c] - static_cast<float>(mean)) * s_inv;
-      dst[c] = gv[c] * hat[c] + bv[c];
-    }
-  }
-
-  auto node =
-      MakeNode(std::move(out), {x.node(), gamma.node(), beta.node()},
-               "layer_norm");
-  if (node->requires_grad) {
-    node->saved.reserve(2);
-    node->saved.push_back(std::move(x_hat));
-    node->saved.push_back(std::move(inv_std));
-    node->backward_fn = [](Node* self) {
-      const NodePtr& x_node = self->parents[0];
-      const NodePtr& gamma_node = self->parents[1];
-      const NodePtr& beta_node = self->parents[2];
-      const Tensor& x_hat = self->saved[0];
-      const Tensor& inv_std = self->saved[1];
-      const int64_t rows = self->grad.rows();
-      const int64_t cols = self->grad.cols();
-      if (beta_node->requires_grad) {
-        beta_node->EnsureGrad();
-        float* db = beta_node->grad.data();
-        for (int64_t r = 0; r < rows; ++r) {
-          const float* g = self->grad.row_ptr(r);
-          for (int64_t c = 0; c < cols; ++c) db[c] += g[c];
-        }
-        beta_node->has_dense_grad = true;
-      }
-      if (gamma_node->requires_grad) {
-        gamma_node->EnsureGrad();
-        float* dg = gamma_node->grad.data();
-        for (int64_t r = 0; r < rows; ++r) {
-          const float* g = self->grad.row_ptr(r);
-          const float* hat = x_hat.row_ptr(r);
-          for (int64_t c = 0; c < cols; ++c) dg[c] += g[c] * hat[c];
-        }
-        gamma_node->has_dense_grad = true;
-      }
-      if (x_node->requires_grad) {
-        x_node->EnsureGrad();
-        const float* gv = gamma_node->value.data();
-        for (int64_t r = 0; r < rows; ++r) {
-          const float* g = self->grad.row_ptr(r);
-          const float* hat = x_hat.row_ptr(r);
-          float* dst = x_node->grad.row_ptr(r);
-          // dxhat = g * gamma; dx = (dxhat - mean(dxhat)
-          //        - xhat * mean(dxhat * xhat)) * inv_std.
-          double mean_dxhat = 0.0;
-          double mean_dxhat_xhat = 0.0;
-          for (int64_t c = 0; c < cols; ++c) {
-            const double dxhat = static_cast<double>(g[c]) * gv[c];
-            mean_dxhat += dxhat;
-            mean_dxhat_xhat += dxhat * hat[c];
-          }
-          mean_dxhat /= static_cast<double>(cols);
-          mean_dxhat_xhat /= static_cast<double>(cols);
-          const float s_inv = inv_std.at(r, 0);
-          for (int64_t c = 0; c < cols; ++c) {
-            const double dxhat = static_cast<double>(g[c]) * gv[c];
-            dst[c] += static_cast<float>(
-                (dxhat - mean_dxhat - hat[c] * mean_dxhat_xhat) * s_inv);
-          }
-        }
-        x_node->has_dense_grad = true;
-      }
-    };
-  }
-  return Var(node);
 }
 
 }  // namespace atnn::nn

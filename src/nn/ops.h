@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "nn/autograd.h"
 #include "nn/tensor.h"
 
@@ -18,14 +17,12 @@ namespace atnn::nn {
 // outputs, gradients and backward workspaces draw from the thread arena,
 // so a steady-state training step allocates nothing from the heap.
 
-/// Nonlinearity selector (used by DenseAffine here and the layers in
-/// layers.h).
+/// Nonlinearity of a dense layer (DenseAffine here, the layers in
+/// layers.h). The values are stable: int8/bf16 artifacts store them as a
+/// u32 tag.
 enum class Activation {
-  kIdentity,
-  kRelu,
-  kSigmoid,
-  kTanh,
-  kLeakyRelu,
+  kIdentity = 0,
+  kRelu = 1,
 };
 
 /// C = A * B. A [m,k], B [k,n] -> [m,n].
@@ -52,17 +49,10 @@ Var AddBias(const Var& x, const Var& bias);
 
 /// Fused dense layer: act(x W + b) in one node, with the GEMM epilogue
 /// (bias add + activation) applied in-register by the kernel layer instead
-/// of as three tape nodes. Supports kIdentity/kRelu/kSigmoid (the
-/// activations with fused epilogue kernels); forward and backward are
-/// bitwise-identical to the Activate(AddBias(MatMul(x,w),b)) composition on
-/// the scalar backend. x [m,k], w [k,n], b [1,n] -> [m,n].
+/// of as three tape nodes. Forward and backward are bitwise-identical to
+/// the AddBias(MatMul(x,w),b) composition (then Relu for kRelu) on the
+/// scalar backend. x [m,k], w [k,n], b [1,n] -> [m,n].
 Var DenseAffine(const Var& x, const Var& w, const Var& b, Activation act);
-
-/// Whether Dense::Forward routes through DenseAffine (default) or the
-/// three-node composition. The off switch exists for A/B equality gates in
-/// bench_kernels and tests.
-bool FusedEpiloguesEnabled();
-void SetFusedEpilogues(bool enabled);
 
 /// out[i,j] = x[i,j] * s[i]; s is a column [m,1]. (Row-wise scaling, the
 /// core of the DCN cross layer.)
@@ -70,9 +60,6 @@ Var ScaleRows(const Var& x, const Var& s);
 
 Var Sigmoid(const Var& x);
 Var Relu(const Var& x);
-Var Tanh(const Var& x);
-/// max(x, slope*x) with slope in (0,1).
-Var LeakyRelu(const Var& x, float slope = 0.01f);
 
 /// Horizontal concatenation; all inputs share the row count.
 Var ConcatCols(std::span<const Var> parts);
@@ -80,17 +67,11 @@ inline Var ConcatCols(std::initializer_list<Var> parts) {
   return ConcatCols(std::span<const Var>(parts.begin(), parts.size()));
 }
 
-/// Columns [begin, end) of x.
-Var SliceCols(const Var& x, int64_t begin, int64_t end);
-
 /// Mean over all elements -> [1,1].
 Var ReduceMean(const Var& x);
 
 /// Sum over all elements -> [1,1].
 Var ReduceSum(const Var& x);
-
-/// Column-wise mean over rows -> [1,n]. (Used for mean user vectors.)
-Var MeanRows(const Var& x);
 
 /// Elementwise square.
 Var Square(const Var& x);
@@ -130,19 +111,6 @@ Var MseLoss(const Var& pred, const Tensor& target);
 /// Mean squared difference of two differentiable matrices, i.e.
 /// mean((a - b)^2). Used for the L2 variant of the similarity loss L_s.
 Var MseBetween(const Var& a, const Var& b);
-
-/// Inverted dropout: during training each element is zeroed with
-/// probability `rate` and survivors are scaled by 1/(1-rate); at inference
-/// (training=false) it is the identity. The mask is drawn from *rng, so
-/// training remains deterministic under a fixed seed.
-Var Dropout(const Var& x, float rate, Rng* rng, bool training);
-
-/// Layer normalization (Ba et al. 2016): per-row standardization with a
-/// learned elementwise gain and bias:
-///   y = gamma * (x - mean_row) / sqrt(var_row + eps) + beta
-/// gamma and beta are [1, n].
-Var LayerNorm(const Var& x, const Var& gamma, const Var& beta,
-              float eps = 1e-5f);
 
 }  // namespace atnn::nn
 

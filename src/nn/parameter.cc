@@ -43,13 +43,17 @@ Status LoadParameters(const std::vector<Parameter*>& params,
                               " parameters, model expects " +
                               std::to_string(params.size()));
   }
-  std::unordered_map<std::string, Parameter*> by_name;
-  for (Parameter* param : params) {
-    if (!by_name.emplace(param->name(), param).second) {
+  std::unordered_map<std::string, size_t> by_name;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (!by_name.emplace(params[i]->name(), i).second) {
       return Status::InvalidArgument("duplicate parameter name: " +
-                                     param->name());
+                                     params[i]->name());
     }
   }
+  // Every record is read into staging first, so a snapshot that turns out
+  // corrupt anywhere leaves every parameter as it was.
+  std::vector<Tensor> staged(params.size());
+  std::vector<bool> seen(params.size(), false);
   for (uint64_t i = 0; i < count; ++i) {
     std::string name;
     int64_t rows = 0;
@@ -63,14 +67,27 @@ Status LoadParameters(const std::vector<Parameter*>& params,
     if (it == by_name.end()) {
       return Status::Corruption("snapshot parameter not in model: " + name);
     }
-    Parameter* param = it->second;
+    const size_t index = it->second;
+    // With the count equal to the model's, a repeated name also means a
+    // missing one.
+    if (seen[index]) {
+      return Status::Corruption("snapshot names parameter twice: " + name);
+    }
+    seen[index] = true;
+    const Parameter* param = params[index];
     if (param->rows() != rows || param->cols() != cols) {
       return Status::Corruption("shape mismatch for " + name);
     }
     if (static_cast<int64_t>(data.size()) != param->value().numel()) {
       return Status::Corruption("value count mismatch for " + name);
     }
-    param->value() = Tensor(rows, cols, std::move(data));
+    staged[index] = Tensor(rows, cols, std::move(data));
+  }
+  if (!reader->AtEnd()) {
+    return Status::Corruption("trailing bytes after snapshot payload");
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->value() = std::move(staged[i]);
   }
   return Status::OK();
 }

@@ -71,8 +71,10 @@ void ZeroAllGrads(const std::vector<Parameter*>& params);
 void SaveParameters(const std::vector<Parameter*>& params, BinaryWriter* writer);
 
 /// Restores parameters saved by SaveParameters. Every parameter in `params`
-/// must be present in the snapshot with a matching shape; extra snapshot
-/// entries are an error (catches architecture drift).
+/// must be present in the snapshot exactly once with a matching shape;
+/// extra snapshot entries are an error (catches architecture drift), and so
+/// are bytes after the last record. All or nothing: on any error no
+/// parameter has changed.
 Status LoadParameters(const std::vector<Parameter*>& params,
                       BinaryReader* reader);
 

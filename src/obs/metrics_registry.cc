@@ -137,11 +137,6 @@ MetricsSnapshot MetricsRegistry::Collect() const {
   return snapshot;
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* const global = new MetricsRegistry();
-  return *global;
-}
-
 namespace {
 
 template <typename T>

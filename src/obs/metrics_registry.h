@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "obs/histogram.h"
 
 namespace atnn::obs {
@@ -117,8 +119,7 @@ void SortByName(MetricsSnapshot* snapshot);
 /// everything into a MetricsSnapshot.
 ///
 /// Instantiate one per subsystem that needs isolated numbers (each
-/// InferenceRuntime owns one via RuntimeStats) or use Global() for
-/// process-wide metrics.
+/// InferenceRuntime owns one via RuntimeStats).
 ///
 /// mutex_acquisitions() counts every time the registry mutex was taken —
 /// registration and Collect only. bench_runtime_throughput asserts it does
@@ -141,9 +142,6 @@ class MetricsRegistry {
     return mutex_acquisitions_.load(std::memory_order_relaxed);
   }
 
-  /// Process-wide registry for metrics without a natural owner.
-  static MetricsRegistry& Global();
-
  private:
   std::unique_lock<std::mutex> Lock() const;
 
@@ -153,6 +151,67 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+};
+
+/// RAII timer feeding a pre-resolved histogram: construction stamps the
+/// clock, destruction records the elapsed microseconds. The hot-path
+/// primitive — resolve the Histogram once at setup (GetHistogram takes the
+/// registry mutex), then a ScopedTimer per event is clock reads plus a
+/// lock-free Record.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Histogram* sink)
+      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+  ~ScopedTimer() {
+    if (sink_ != nullptr) sink_->Record(ElapsedUs());
+  }
+
+  double ElapsedUs() const {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+
+  /// Detaches the sink: nothing is recorded at destruction (e.g. the timed
+  /// operation failed and its latency would pollute the distribution).
+  void Cancel() { sink_ = nullptr; }
+
+ private:
+  Histogram* sink_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// Bridges ThreadPool's observer hook into a registry: `<prefix>.tasks`
+/// (counter), `<prefix>.queue_depth` (gauge), `<prefix>.task_us`
+/// (histogram of per-task run time). Handles resolve at construction; the
+/// per-task callbacks are lock-free. Attach with pool->SetObserver(&m);
+/// the adapter must outlive its pool (or be detached first).
+class ThreadPoolMetrics : public ThreadPoolObserver {
+ public:
+  ThreadPoolMetrics(MetricsRegistry* registry, std::string_view prefix)
+      : tasks_(registry->GetCounter(std::string(prefix) + ".tasks")),
+        queue_depth_(registry->GetGauge(std::string(prefix) +
+                                        ".queue_depth")),
+        task_us_(registry->GetHistogram(std::string(prefix) + ".task_us")) {}
+
+  void OnTaskQueued(size_t queue_depth) override {
+    tasks_.Increment();
+    queue_depth_.Set(static_cast<double>(queue_depth));
+  }
+
+  void OnTaskComplete(double task_us, size_t queue_depth) override {
+    task_us_.Record(task_us);
+    queue_depth_.Set(static_cast<double>(queue_depth));
+  }
+
+ private:
+  Counter& tasks_;
+  Gauge& queue_depth_;
+  Histogram& task_us_;
 };
 
 }  // namespace atnn::obs

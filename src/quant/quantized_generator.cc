@@ -6,7 +6,6 @@
 
 #include "core/generator_plan.h"
 #include "nn/autograd.h"
-#include "nn/ir/graph.h"
 #include "nn/kernels.h"
 #include "nn/ops.h"
 
@@ -233,10 +232,6 @@ StatusOr<QuantizedGenerator> QuantizedGenerator::Build(
   // 1 and are calibrated below for int8.
   auto build_dense = [&](const nn::Dense& dense,
                          QuantizedDense* out) -> Status {
-    if (!nn::ir::IsEpilogueActivation(dense.activation())) {
-      return Status::InvalidArgument(
-          "quantized path supports identity/relu/sigmoid activations only");
-    }
     const nn::Tensor& w = dense.weight().value();
     const nn::Tensor& b = dense.bias().value();
     if (!w.AllFinite() || !b.AllFinite()) {
@@ -379,9 +374,6 @@ Status QuantizedGenerator::Validate() const {
         d.bias.size() != static_cast<size_t>(d.out_dim)) {
       return Status::DataLoss("dense layer shape mismatch");
     }
-    if (!nn::ir::IsEpilogueActivation(d.activation)) {
-      return Status::DataLoss("dense layer has unsupported activation");
-    }
     ATNN_RETURN_IF_ERROR(CheckFinite(d.bias, "dense bias"));
     if (precision_ == Precision::kInt8) {
       if (!std::isfinite(d.act_scale) || d.act_scale == 0.0f) {
@@ -459,7 +451,7 @@ Status DeserializeDense(BinaryReader* reader, Precision precision,
   ATNN_RETURN_IF_ERROR(reader->ReadI64(&d->out_dim));
   uint32_t activation = 0;
   ATNN_RETURN_IF_ERROR(reader->ReadU32(&activation));
-  if (activation > static_cast<uint32_t>(nn::Activation::kLeakyRelu)) {
+  if (activation > static_cast<uint32_t>(nn::Activation::kRelu)) {
     return Status::Corruption("bad activation tag");
   }
   d->activation = static_cast<nn::Activation>(activation);

@@ -11,7 +11,7 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "obs/trace_span.h"
+#include "obs/metrics_registry.h"
 #include "runtime/fault_injection.h"
 #include "runtime/micro_batcher.h"
 #include "runtime/runtime_stats.h"

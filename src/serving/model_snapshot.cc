@@ -30,11 +30,7 @@ Status LoadModelSnapshot(nn::Module* model, const std::string& path,
                                    "' does not match expected '" +
                                    expected_tag + "'");
   }
-  ATNN_RETURN_IF_ERROR(nn::LoadParameters(model->Parameters(), &reader));
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after snapshot payload");
-  }
-  return Status::OK();
+  return nn::LoadParameters(model->Parameters(), &reader);
 }
 
 Status LoadModelSnapshotWithRetry(

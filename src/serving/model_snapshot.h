@@ -22,7 +22,8 @@ Status SaveModelSnapshot(nn::Module* model, const std::string& path,
                          const std::string& model_tag);
 
 /// Restores parameters into `model`. Fails with Corruption/InvalidArgument
-/// if the file is damaged, the tag differs, or shapes mismatch.
+/// if the file is damaged, the tag differs, or shapes mismatch; a failed
+/// load leaves every parameter of `model` as it was.
 Status LoadModelSnapshot(nn::Module* model, const std::string& path,
                          const std::string& expected_tag);
 

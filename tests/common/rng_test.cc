@@ -123,17 +123,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / 30000.0, 0.5, 0.02);
 }
 
-TEST(RngTest, GammaMean) {
-  Rng rng(21);
-  double sum = 0.0;
-  for (int i = 0; i < 30000; ++i) sum += rng.Gamma(3.0, 2.0);
-  EXPECT_NEAR(sum / 30000.0, 6.0, 0.15);
-  // Shape < 1 branch.
-  sum = 0.0;
-  for (int i = 0; i < 30000; ++i) sum += rng.Gamma(0.5, 1.0);
-  EXPECT_NEAR(sum / 30000.0, 0.5, 0.05);
-}
-
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(22);
   std::vector<double> weights = {1.0, 3.0, 6.0};

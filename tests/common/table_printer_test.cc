@@ -17,15 +17,6 @@ TEST(TablePrinterTest, RendersAlignedTable) {
   EXPECT_NE(text.find("0.7121"), std::string::npos);
 }
 
-TEST(TablePrinterTest, CsvEscapesSpecialCharacters) {
-  TablePrinter table("");
-  table.SetHeader({"name", "note"});
-  table.AddRow({"a,b", "say \"hi\""});
-  const std::string csv = table.ToCsv();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(TablePrinterTest, NumFormatsPrecision) {
   EXPECT_EQ(TablePrinter::Num(0.71214, 4), "0.7121");
   EXPECT_EQ(TablePrinter::Num(10.5, 2), "10.50");

@@ -109,16 +109,10 @@ inline Status ReferenceForward(const quant::QuantizedGenerator& artifact,
       kt.gemm_bf16(m, d.in_dim, d.out_dim, in.data(),
                    d.weights_bf.data.data(), y.data());
     }
-    switch (d.activation) {
-      case nn::Activation::kIdentity:
-        kt.bias_identity(m, d.out_dim, d.bias.data(), y.data());
-        break;
-      case nn::Activation::kRelu:
-        kt.bias_relu(m, d.out_dim, d.bias.data(), y.data());
-        break;
-      default:
-        kt.bias_sigmoid(m, d.out_dim, d.bias.data(), y.data());
-        break;
+    if (d.activation == nn::Activation::kRelu) {
+      kt.bias_relu(m, d.out_dim, d.bias.data(), y.data());
+    } else {
+      kt.bias_identity(m, d.out_dim, d.bias.data(), y.data());
     }
     return y;
   };

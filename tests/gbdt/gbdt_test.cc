@@ -69,9 +69,6 @@ TEST(GbdtTest, LearnsAxisAlignedDecisionBoundary) {
 
   const std::vector<double> probs = model.PredictProbability(features);
   EXPECT_GT(metrics::Auc(probs, labels), 0.99);
-  // Importance concentrates on feature 0.
-  const std::vector<double> importance = model.FeatureImportance();
-  EXPECT_GT(importance[0], 0.9);
 }
 
 TEST(GbdtTest, LearnsXorInteraction) {
@@ -159,46 +156,6 @@ TEST(GbdtTest, DeterministicForFixedSeed) {
   a.Train(features, labels, config);
   b.Train(features, labels, config);
   EXPECT_EQ(a.PredictRaw(features), b.PredictRaw(features));
-}
-
-TEST(GbdtTest, SaveLoadReproducesPredictionsExactly) {
-  Rng rng(13);
-  const int64_t n = 1500;
-  nn::Tensor features(n, 6);
-  std::vector<float> labels(static_cast<size_t>(n));
-  for (int64_t r = 0; r < n; ++r) {
-    double logit = -0.5;
-    for (int64_t c = 0; c < 6; ++c) {
-      features.at(r, c) = static_cast<float>(rng.Normal());
-      logit += 0.4 * features.at(r, c) * (c % 2 == 0 ? 1.0 : -1.0);
-    }
-    labels[static_cast<size_t>(r)] =
-        rng.Bernoulli(1.0 / (1.0 + std::exp(-logit))) ? 1.0f : 0.0f;
-  }
-  GbdtConfig config;
-  config.num_trees = 15;
-  GbdtModel model;
-  model.Train(features, labels, config);
-
-  const std::string path = testing::TempDir() + "/gbdt_snapshot.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  auto loaded_or = GbdtModel::LoadFromFile(path);
-  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
-
-  const auto original = model.PredictProbability(features);
-  const auto restored = loaded_or->PredictProbability(features);
-  ASSERT_EQ(original.size(), restored.size());
-  for (size_t i = 0; i < original.size(); ++i) {
-    ASSERT_EQ(original[i], restored[i]) << "row " << i;
-  }
-  // Feature importance also survives (split gains are serialized).
-  EXPECT_EQ(model.FeatureImportance(), loaded_or->FeatureImportance());
-  std::remove(path.c_str());
-}
-
-TEST(GbdtTest, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_EQ(GbdtModel::LoadFromFile("/no/such/model.bin").status().code(),
-            StatusCode::kIoError);
 }
 
 TEST(GbdtTest, MinSamplesLeafBoundsLeafSize) {

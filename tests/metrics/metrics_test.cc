@@ -57,70 +57,9 @@ TEST(AucTest, InvariantToMonotoneTransform) {
   EXPECT_DOUBLE_EQ(Auc(scores, labels), Auc(transformed, labels));
 }
 
-TEST(GroupedAucTest, SingleGroupEqualsAuc) {
-  const std::vector<double> scores = {0.9, 0.2, 0.6, 0.4};
-  const std::vector<float> labels = {1, 0, 1, 0};
-  EXPECT_DOUBLE_EQ(GroupedAuc(scores, labels, {7, 7, 7, 7}),
-                   Auc(scores, labels));
-}
-
-TEST(GroupedAucTest, WeightsGroupsBySize) {
-  // Group 1 (4 examples, AUC 1.0), group 2 (2 examples, AUC 0.0):
-  // GAUC = (4*1 + 2*0) / 6.
-  const std::vector<double> scores = {0.9, 0.8, 0.2, 0.1, 0.3, 0.7};
-  const std::vector<float> labels = {1, 1, 0, 0, 1, 0};
-  const std::vector<int64_t> groups = {1, 1, 1, 1, 2, 2};
-  EXPECT_DOUBLE_EQ(GroupedAuc(scores, labels, groups), 4.0 / 6.0);
-}
-
-TEST(GroupedAucTest, SingleClassGroupsSkipped) {
-  // Group 2 is all-positive -> excluded from the average entirely.
-  const std::vector<double> scores = {0.9, 0.1, 0.5, 0.6};
-  const std::vector<float> labels = {1, 0, 1, 1};
-  const std::vector<int64_t> groups = {1, 1, 2, 2};
-  EXPECT_DOUBLE_EQ(GroupedAuc(scores, labels, groups), 1.0);
-}
-
-TEST(GroupedAucTest, AllSingleClassGroupsAbort) {
-  // Every group has only one label value, so no group contributes a defined
-  // AUC and the weighted average has zero total weight.
-  EXPECT_DEATH(GroupedAuc({0.9, 0.8, 0.2, 0.1}, {1, 1, 0, 0}, {1, 1, 2, 2}),
-               "GAUC undefined");
-}
-
-TEST(GroupedAucTest, PerUserRankingDiffersFromGlobal) {
-  // Globally inverted scales per user: global AUC is poor, but within each
-  // user the ranking is perfect, so GAUC = 1.
-  const std::vector<double> scores = {10.0, 9.0, 0.2, 0.1};
-  const std::vector<float> labels = {1, 0, 1, 0};
-  const std::vector<int64_t> groups = {1, 1, 2, 2};
-  EXPECT_DOUBLE_EQ(GroupedAuc(scores, labels, groups), 1.0);
-  EXPECT_LT(Auc(scores, labels), 1.0);
-}
-
-TEST(LogLossTest, PerfectPredictionNearZero) {
-  EXPECT_LT(LogLoss({0.9999, 0.0001}, {1, 0}), 0.001);
-}
-
-TEST(LogLossTest, UninformedPredictionIsLog2) {
-  EXPECT_NEAR(LogLoss({0.5, 0.5}, {1, 0}), std::log(2.0), 1e-12);
-}
-
-TEST(LogLossTest, ClampsExtremeProbabilities) {
-  // p = 0 with label 1 must not produce infinity.
-  const double loss = LogLoss({0.0}, {1});
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(loss, 10.0);
-}
-
 TEST(MaeTest, HandComputed) {
   EXPECT_DOUBLE_EQ(MeanAbsoluteError({1.0, 2.0, 5.0}, {1.0f, 4.0f, 2.0f}),
                    (0.0 + 2.0 + 3.0) / 3.0);
-}
-
-TEST(RmseTest, HandComputed) {
-  EXPECT_DOUBLE_EQ(RootMeanSquaredError({0.0, 0.0}, {3.0f, 4.0f}),
-                   std::sqrt((9.0 + 16.0) / 2.0));
 }
 
 TEST(PearsonTest, PerfectLinearCorrelation) {

@@ -4,13 +4,17 @@
 #include <cstring>
 #include <latch>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../core/test_helpers.h"
+#include "core/atnn.h"
 #include "nn/autograd.h"
 #include "nn/ops.h"
+#include "nn/optimizer.h"
 #include "nn/tensor.h"
 
 namespace atnn::nn {
@@ -168,16 +172,89 @@ TEST(ArenaScopeTest, StepLoopReachesZeroSteadyStateGrowth) {
   EXPECT_EQ(ThreadArena().HighWaterMark(), high_water);
 }
 
-TEST(ArenaScopeTest, DisabledGlobalSwitchMakesScopesNoOps) {
-  ASSERT_TRUE(ArenaEnabled());
-  SetArenaEnabled(false);
-  {
-    const ArenaScope scope;
-    EXPECT_FALSE(ArenaActive());
-    const Tensor t = ScratchTensor(3, 3);
-    EXPECT_FALSE(t.arena_backed());
+// The arena changes where step tensors live, never what they hold: a few
+// ATNN discriminator + generator steps (bench_kernels' training step), each
+// inside an ArenaScope, end with the same losses and parameters, bit for
+// bit, as the same steps on heap tensors. Checked on every kernel table
+// this host runs.
+TEST(ArenaScopeTest, AtnnTrainingStepsMatchHeapTensorsBitwise) {
+  const data::TmallDataset dataset =
+      core::testing_helpers::MakeNormalizedTinyDataset();
+  core::AtnnConfig config;
+  config.tower = core::testing_helpers::TinyTowerConfig(TowerKind::kDeepCross);
+  config.seed = 7;
+  const std::vector<int64_t> rows(dataset.train_indices.begin(),
+                                  dataset.train_indices.begin() + 256);
+  const data::CtrBatch batch = data::MakeCtrBatch(dataset, rows);
+
+  struct Trained {
+    std::vector<float> losses;  // per step: L_i, L_g, L_s
+    std::vector<std::vector<float>> parameters;
+  };
+  const auto train = [&](bool in_arena) {
+    core::AtnnModel model(*dataset.user_schema, *dataset.item_profile_schema,
+                          *dataset.item_stats_schema, config);
+    Adam optimizer_d(model.DiscriminatorParameters(), 2e-3f);
+    Adam optimizer_g(model.GeneratorParameters(), 2e-3f);
+    const std::vector<Parameter*> parameters = model.Parameters();
+    Trained trained;
+    for (int step = 0; step < 3; ++step) {
+      std::optional<ArenaScope> scope;  // declared before every Var below
+      if (in_arena) scope.emplace();
+      ZeroAllGrads(parameters);
+      const Var user_vec = model.UserVector(batch.user);
+      const Var enc_vec =
+          model.EncoderItemVector(batch.item_profile, batch.item_stats);
+      const Var loss_i = SigmoidBceLossWithLogits(
+          model.EncoderLogits(enc_vec, user_vec), batch.labels);
+      EXPECT_EQ(loss_i.value().arena_backed(), in_arena);
+      Backward(loss_i);
+      optimizer_d.ClipGradNorm(5.0);
+      optimizer_d.Step();
+
+      ZeroAllGrads(parameters);
+      const Var user_vec_g = model.UserVector(batch.user);
+      const Var enc_vec_g =
+          model.EncoderItemVector(batch.item_profile, batch.item_stats);
+      const Var gen_vec = model.GeneratorItemVector(batch.item_profile);
+      const Var loss_g = SigmoidBceLossWithLogits(
+          model.GeneratorLogits(gen_vec, user_vec_g), batch.labels);
+      const Var loss_s = model.SimilarityLoss(gen_vec, enc_vec_g);
+      Backward(Add(loss_g, Scale(loss_s, 0.1f)));
+      optimizer_g.ClipGradNorm(5.0);
+      optimizer_g.Step();
+      trained.losses.insert(trained.losses.end(),
+                            {loss_i.value().scalar(), loss_g.value().scalar(),
+                             loss_s.value().scalar()});
+    }
+    for (const Parameter* parameter : parameters) {
+      const Tensor& value = parameter->value();
+      trained.parameters.emplace_back(value.data(),
+                                      value.data() + value.numel());
+    }
+    return trained;
+  };
+
+  for (const kernels::Backend backend :
+       core::testing_helpers::HostBackends()) {
+    SCOPED_TRACE(kernels::BackendName(backend));
+    const core::testing_helpers::ScopedBackend use(backend);
+    const Trained arena = train(/*in_arena=*/true);
+    const Trained heap = train(/*in_arena=*/false);
+    ASSERT_EQ(arena.losses.size(), heap.losses.size());
+    EXPECT_EQ(std::memcmp(arena.losses.data(), heap.losses.data(),
+                          arena.losses.size() * sizeof(float)),
+              0);
+    ASSERT_EQ(arena.parameters.size(), heap.parameters.size());
+    for (size_t i = 0; i < arena.parameters.size(); ++i) {
+      ASSERT_EQ(arena.parameters[i].size(), heap.parameters[i].size());
+      EXPECT_EQ(std::memcmp(arena.parameters[i].data(),
+                            heap.parameters[i].data(),
+                            arena.parameters[i].size() * sizeof(float)),
+                0)
+          << "parameter " << i;
+    }
   }
-  SetArenaEnabled(true);
 }
 
 TEST(ArenaThreadingTest, EachThreadHasItsOwnArena) {

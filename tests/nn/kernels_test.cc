@@ -248,17 +248,6 @@ TEST_F(Avx2VsScalarTest, BiasEpilogues) {
                 0)
           << "variant=" << variant << " cols=" << cols;
     }
-
-    // sigmoid: Exp256 is a polynomial approximation, tolerance-equal.
-    auto x_scalar = base;
-    auto x_avx2 = base;
-    scalar().bias_sigmoid(rows, cols, bias.data(), x_scalar.data());
-    avx2().bias_sigmoid(rows, cols, bias.data(), x_avx2.data());
-    for (size_t i = 0; i < x_scalar.size(); ++i) {
-      EXPECT_NEAR(x_avx2[i], x_scalar[i], 1e-6) << "cols=" << cols;
-      EXPECT_GE(x_avx2[i], 0.0f);
-      EXPECT_LE(x_avx2[i], 1.0f);
-    }
   }
 }
 
@@ -412,22 +401,6 @@ TEST_F(Avx2VsScalarTest, NanAndInfPropagation) {
     EXPECT_EQ(x[4], 0.0f);  // max(0, -inf)
     EXPECT_TRUE(std::isnan(x[8]));  // NaN in the scalar tail (9 % 8 == 1)
 
-    // bias_sigmoid: NaN in, NaN out (the AVX2 path restores NaN after the
-    // clamped Exp256); +/-inf saturate to the asymptotes.
-    std::vector<float> s = {kNan, 0.0f, 100.0f, -100.0f, kInf, -kInf, 1.0f,
-                            -1.0f, kNan};
-    table->bias_sigmoid(1, static_cast<int64_t>(s.size()), bias.data(),
-                        s.data());
-    EXPECT_TRUE(std::isnan(s[0]));
-    EXPECT_FLOAT_EQ(s[1], 0.5f);
-    EXPECT_FLOAT_EQ(s[2], 1.0f);
-    // Saturation: the AVX2 exp clamps its argument, leaving a denormal
-    // rather than an exact zero, so compare with a tolerance.
-    EXPECT_NEAR(s[3], 0.0f, 1e-6);
-    EXPECT_FLOAT_EQ(s[4], 1.0f);
-    EXPECT_NEAR(s[5], 0.0f, 1e-6);
-    EXPECT_TRUE(std::isnan(s[8]));
-
     // gemm: 0 * inf inside the accumulation must produce NaN.
     const std::vector<float> a = {0.0f, 1.0f};
     const std::vector<float> b = {kInf, 3.0f};
@@ -438,10 +411,9 @@ TEST_F(Avx2VsScalarTest, NanAndInfPropagation) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused DenseAffine vs the unfused Activate(AddBias(MatMul)) chain. On the
-// scalar backend the contract is bitwise equality of both the forward
-// values and every input gradient — this is the op-level half of the
-// "--atnn_kernel=scalar reproduces the pre-PR training run" guarantee.
+// Fused DenseAffine vs the unfused AddBias(MatMul) chain (then Relu for
+// kRelu). On the scalar backend the contract is bitwise equality of both
+// the forward values and every input gradient.
 // ---------------------------------------------------------------------------
 
 class FusedDenseAffineTest : public testing::TestWithParam<Activation> {
@@ -457,17 +429,7 @@ class FusedDenseAffineTest : public testing::TestWithParam<Activation> {
 
 Var UnfusedChain(const Var& x, const Var& w, const Var& b, Activation act) {
   const Var z = AddBias(MatMul(x, w), b);
-  switch (act) {
-    case Activation::kIdentity:
-      return z;
-    case Activation::kRelu:
-      return Relu(z);
-    case Activation::kSigmoid:
-      return Sigmoid(z);
-    default:
-      ATNN_CHECK(false) << "unsupported activation in test";
-      return z;
-  }
+  return act == Activation::kRelu ? Relu(z) : z;
 }
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b, const char* what) {
@@ -510,88 +472,12 @@ TEST_P(FusedDenseAffineTest, ForwardAndBackwardBitwiseMatchUnfused) {
 
 INSTANTIATE_TEST_SUITE_P(Activations, FusedDenseAffineTest,
                          testing::Values(Activation::kIdentity,
-                                         Activation::kRelu,
-                                         Activation::kSigmoid),
+                                         Activation::kRelu),
                          [](const testing::TestParamInfo<Activation>& info) {
-                           switch (info.param) {
-                             case Activation::kIdentity:
-                               return "identity";
-                             case Activation::kRelu:
-                               return "relu";
-                             default:
-                               return "sigmoid";
-                           }
+                           return info.param == Activation::kRelu
+                                      ? "relu"
+                                      : "identity";
                          });
-
-// ---------------------------------------------------------------------------
-// Sigmoid epilogue saturation boundary (regression). Near ±88.72 the
-// scalar std::exp overflows to Inf while the AVX2 polynomial clamps its
-// argument, which used to leave one family at exactly 0.0f and the other
-// at a subnormal ~4e-39 — millions of ULPs apart on inputs the
-// int8-dequant epilogue can produce. Both families now saturate to exact
-// 0/1 outside ±88.3762626647949 (Exp256's clamp bound; the true sigmoid
-// is within half an ULP of 0/1 well before that).
-// ---------------------------------------------------------------------------
-
-constexpr float kSigmoidBoundary = 88.3762626647949f;
-constexpr float kSaturatedInputs[] = {
-    kSigmoidBoundary, 88.72f, 89.0f, 100.0f, 1000.0f,
-    std::numeric_limits<float>::infinity()};
-
-TEST(SigmoidSaturationTest, ScalarSaturatesToExactZeroAndOne) {
-  const KernelTable& table = Table(Backend::kScalar);
-  const float zero_bias = 0.0f;
-  for (const float z : kSaturatedInputs) {
-    float pos = z;
-    float neg = -z;
-    table.bias_sigmoid(1, 1, &zero_bias, &pos);
-    table.bias_sigmoid(1, 1, &zero_bias, &neg);
-    EXPECT_EQ(pos, 1.0f) << "sigmoid(" << z << ")";
-    EXPECT_EQ(neg, 0.0f) << "sigmoid(" << -z << ")";
-  }
-}
-
-TEST(SigmoidSaturationTest, InteriorStaysSmoothAndNanPropagates) {
-  const KernelTable& table = Table(Backend::kScalar);
-  const float zero_bias = 0.0f;
-  float mid = 0.0f;
-  table.bias_sigmoid(1, 1, &zero_bias, &mid);
-  EXPECT_FLOAT_EQ(mid, 0.5f);
-  float interior = 15.0f;
-  table.bias_sigmoid(1, 1, &zero_bias, &interior);
-  EXPECT_GT(interior, 0.999f);
-  EXPECT_LT(interior, 1.0f);  // not yet saturated
-  float nan = std::numeric_limits<float>::quiet_NaN();
-  table.bias_sigmoid(1, 1, &zero_bias, &nan);
-  EXPECT_TRUE(std::isnan(nan));
-}
-
-TEST_F(Avx2VsScalarTest, BiasSigmoidBoundaryBitwise) {
-  // 18 columns: two full 8-lanes plus a ragged tail, covering the vector
-  // and tail code paths with every boundary input in both signs plus NaN.
-  std::vector<float> inputs;
-  for (const float z : kSaturatedInputs) {
-    inputs.push_back(z);
-    inputs.push_back(-z);
-  }
-  inputs.push_back(std::numeric_limits<float>::quiet_NaN());
-  while (inputs.size() % 18 != 0) inputs.push_back(88.0f);
-  const std::vector<float> bias(18, 0.0f);
-
-  std::vector<float> a = inputs;
-  std::vector<float> b = inputs;
-  scalar().bias_sigmoid(static_cast<int64_t>(a.size()) / 18, 18,
-                        bias.data(), a.data());
-  avx2().bias_sigmoid(static_cast<int64_t>(b.size()) / 18, 18, bias.data(),
-                      b.data());
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::isnan(inputs[i])) {
-      EXPECT_TRUE(std::isnan(a[i]) && std::isnan(b[i])) << i;
-    } else {
-      EXPECT_EQ(a[i], b[i]) << "input " << inputs[i];
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Low-precision kernels (int8 / bf16). The int8 chain is held to the
@@ -846,15 +732,6 @@ TEST_F(Avx2VsScalarTest, GemmBf16WithinTolerance) {
       EXPECT_NEAR(ca[i], c_f32[i], 0.2) << "n=" << n << " i=" << i;
     }
   }
-}
-
-TEST(FusedEpiloguesFlagTest, ToggleRoundTrips) {
-  const bool before = FusedEpiloguesEnabled();
-  SetFusedEpilogues(false);
-  EXPECT_FALSE(FusedEpiloguesEnabled());
-  SetFusedEpilogues(true);
-  EXPECT_TRUE(FusedEpiloguesEnabled());
-  SetFusedEpilogues(before);
 }
 
 }  // namespace

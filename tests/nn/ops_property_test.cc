@@ -65,9 +65,17 @@ TEST_P(OpsPropertyTest, ConcatThenSliceRecoversParts) {
   const auto [rows, cols] = GetParam();
   Var a = Constant(Random(rows, cols, 6));
   Var b = Constant(Random(rows, cols + 1, 7));
-  Var joined = ConcatCols({a, b});
-  ExpectNear(SliceCols(joined, 0, cols).value(), a.value(), 0.0f);
-  ExpectNear(SliceCols(joined, cols, 2 * cols + 1).value(), b.value(), 0.0f);
+  const Var joined = ConcatCols({a, b});
+  ASSERT_EQ(joined.rows(), rows);
+  ASSERT_EQ(joined.cols(), 2 * cols + 1);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(joined.value().at(r, c), a.value().at(r, c));
+    }
+    for (int64_t c = 0; c <= cols; ++c) {
+      EXPECT_EQ(joined.value().at(r, cols + c), b.value().at(r, c));
+    }
+  }
 }
 
 TEST_P(OpsPropertyTest, MatMulWithIdentityIsNoop) {
@@ -197,16 +205,6 @@ TEST_P(OpsPropertyTest, MseLossZeroIffEqual) {
   Tensor shifted = target;
   shifted.at(0, 0) += 1.0f;
   EXPECT_GT(MseLoss(Constant(shifted), target).value().scalar(), 0.0f);
-}
-
-TEST_P(OpsPropertyTest, MeanRowsOfConstantRowsIsThatRow) {
-  const auto [rows, cols] = GetParam();
-  Tensor row = Random(1, cols, 23);
-  Tensor stacked(rows, cols);
-  for (int64_t r = 0; r < rows; ++r) {
-    std::copy(row.data(), row.data() + cols, stacked.row_ptr(r));
-  }
-  ExpectNear(MeanRows(Constant(stacked)).value(), row, 1e-5f);
 }
 
 INSTANTIATE_TEST_SUITE_P(

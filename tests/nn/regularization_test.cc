@@ -1,5 +1,4 @@
-// Tests for the regularization features: Dropout, LayerNorm, AdamW weight
-// decay and learning-rate decay.
+// Tests for AdamW weight decay.
 
 #include <cmath>
 
@@ -11,114 +10,6 @@
 
 namespace atnn::nn {
 namespace {
-
-TEST(DropoutTest, InferenceModeIsIdentity) {
-  Rng rng(1);
-  Var x = Constant(Tensor::Full(4, 8, 2.0f));
-  Var y = Dropout(x, 0.5f, &rng, /*training=*/false);
-  for (int64_t i = 0; i < y.value().numel(); ++i) {
-    EXPECT_EQ(y.value().data()[i], 2.0f);
-  }
-}
-
-TEST(DropoutTest, ZeroRateIsIdentity) {
-  Rng rng(2);
-  Var x = Constant(Tensor::Full(2, 4, 3.0f));
-  Var y = Dropout(x, 0.0f, &rng, /*training=*/true);
-  EXPECT_EQ(y.value().Sum(), x.value().Sum());
-}
-
-TEST(DropoutTest, TrainingDropsAndRescales) {
-  Rng rng(3);
-  Var x = Constant(Tensor::Full(100, 100, 1.0f));
-  Var y = Dropout(x, 0.4f, &rng, /*training=*/true);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < y.value().numel(); ++i) {
-    const float v = y.value().data()[i];
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(v, 1.0f / 0.6f, 1e-5f);  // inverted dropout scale
-    }
-  }
-  EXPECT_NEAR(double(zeros) / 10000.0, 0.4, 0.02);
-  // Expectation is preserved.
-  EXPECT_NEAR(y.value().Mean(), 1.0, 0.03);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Rng rng(4);
-  Var x = Leaf(Tensor::Full(10, 10, 1.0f));
-  Var y = Dropout(x, 0.5f, &rng, /*training=*/true);
-  Var loss = ReduceSum(y);
-  Backward(loss);
-  // Gradient is zero exactly where the output was dropped.
-  for (int64_t i = 0; i < x.value().numel(); ++i) {
-    if (y.value().data()[i] == 0.0f) {
-      EXPECT_EQ(x.grad().data()[i], 0.0f);
-    } else {
-      EXPECT_NEAR(x.grad().data()[i], 2.0f, 1e-5f);  // 1/(1-0.5)
-    }
-  }
-}
-
-TEST(DropoutTest, DeterministicForSeed) {
-  Rng rng_a(9);
-  Rng rng_b(9);
-  Var x = Constant(Tensor::Full(5, 5, 1.0f));
-  Var a = Dropout(x, 0.3f, &rng_a, true);
-  Var b = Dropout(x, 0.3f, &rng_b, true);
-  for (int64_t i = 0; i < a.value().numel(); ++i) {
-    EXPECT_EQ(a.value().data()[i], b.value().data()[i]);
-  }
-}
-
-TEST(LayerNormTest, NormalizesRowsToZeroMeanUnitVariance) {
-  Rng rng(5);
-  Tensor data(4, 16);
-  for (int64_t i = 0; i < data.numel(); ++i) {
-    data.data()[i] = static_cast<float>(rng.Normal(3.0, 2.5));
-  }
-  Var gamma = Constant(Tensor::Ones(1, 16));
-  Var beta = Constant(Tensor::Zeros(1, 16));
-  Var y = LayerNorm(Constant(data), gamma, beta);
-  for (int64_t r = 0; r < 4; ++r) {
-    double mean = 0.0;
-    double var = 0.0;
-    for (int64_t c = 0; c < 16; ++c) mean += y.value().at(r, c);
-    mean /= 16.0;
-    for (int64_t c = 0; c < 16; ++c) {
-      const double d = y.value().at(r, c) - mean;
-      var += d * d;
-    }
-    var /= 16.0;
-    EXPECT_NEAR(mean, 0.0, 1e-5);
-    EXPECT_NEAR(var, 1.0, 1e-3);
-  }
-}
-
-TEST(LayerNormTest, GammaBetaShiftAndScale) {
-  Tensor data(1, 4, {1, 2, 3, 4});
-  Var gamma = Constant(Tensor::Full(1, 4, 2.0f));
-  Var beta = Constant(Tensor::Full(1, 4, 10.0f));
-  Var y = LayerNorm(Constant(data), gamma, beta);
-  double mean = 0.0;
-  for (int64_t c = 0; c < 4; ++c) mean += y.value().at(0, c);
-  EXPECT_NEAR(mean / 4.0, 10.0, 1e-5);  // beta shifts the mean
-}
-
-TEST(LayerNormLayerTest, ParametersAndForward) {
-  LayerNormLayer layer("ln", 8);
-  EXPECT_EQ(layer.Parameters().size(), 2u);
-  EXPECT_EQ(layer.NumParameterElements(), 16);
-  Var out = layer.Forward(Constant(Tensor::Full(3, 8, 5.0f)));
-  EXPECT_EQ(out.rows(), 3);
-  EXPECT_EQ(out.cols(), 8);
-  // Constant rows normalize to beta (0) regardless of the input value.
-  for (int64_t i = 0; i < out.value().numel(); ++i) {
-    EXPECT_NEAR(out.value().data()[i], 0.0f, 1e-2f);
-  }
-}
 
 TEST(AdamWTest, WeightDecayShrinksUnusedDirections) {
   // With zero gradient signal, decoupled decay pulls weights toward zero.

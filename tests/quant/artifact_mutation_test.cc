@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,27 @@ TEST_P(ArtifactMutationTest, HugeFieldCountIsCorruption) {
   const Outcome outcome = Run(payload);
   EXPECT_EQ(outcome.stage, Stage::kDeserialize);
   EXPECT_EQ(outcome.status.code(), StatusCode::kCorruption);
+}
+
+// A dense layer's activation is a u32 tag: 0 identity, 1 relu. Any other
+// tag is Corruption at deserialize, for a deep layer and for the head.
+TEST_P(ArtifactMutationTest, ActivationTagPastReluIsCorruption) {
+  for (const auto& [layer, tag] : {std::pair<std::string, uint32_t>{
+                                       "deep 0", 1},
+                                   {"head", 0}}) {
+    const size_t offset = Slot(layer + " out_dim").offset + sizeof(int64_t);
+    uint32_t stored = 0;
+    std::memcpy(&stored, payload_.data() + offset, sizeof(stored));
+    ASSERT_EQ(stored, tag) << layer;
+    for (const uint32_t bad : {2u, 3u, 4u, 0xffffffffu}) {
+      std::string payload = payload_;
+      std::memcpy(payload.data() + offset, &bad, sizeof(bad));
+      const Outcome outcome = Run(payload);
+      EXPECT_EQ(outcome.stage, Stage::kDeserialize) << layer << " " << bad;
+      EXPECT_EQ(outcome.status.code(), StatusCode::kCorruption)
+          << layer << " " << bad;
+    }
+  }
 }
 
 TEST_P(ArtifactMutationTest, EveryMutantStopsWithAStatusOrServes) {

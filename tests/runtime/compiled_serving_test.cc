@@ -321,43 +321,6 @@ TEST_F(CompiledServingTest, PublishShardedRejectsASnapshotThatCannotServe) {
   }
 }
 
-// The plan serves identity, relu and sigmoid layers only (the epilogues
-// its dense steps fuse), for every precision: a tanh or leaky_relu
-// generator does not compile, and publishing it keeps the old version.
-TEST_F(CompiledServingTest, GeneratorsWithOtherActivationsAreRejected) {
-  for (const nn::Activation act :
-       {nn::Activation::kTanh, nn::Activation::kLeakyRelu}) {
-    SCOPED_TRACE(static_cast<int>(act));
-    core::AtnnConfig config;
-    config.tower =
-        core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
-    config.tower.hidden_activation = act;
-    config.seed = 11;
-    const core::AtnnModel model(*dataset_->user_schema,
-                                *dataset_->item_profile_schema,
-                                *dataset_->item_stats_schema, config);
-    EXPECT_EQ(core::CompileGeneratorPlan(model, dataset_->item_profiles, 64)
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-
-    InferenceRuntime runtime(Config());
-    ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
-    const core::PopularityPredictor predictor = MakePredictor(model);
-    ServingSnapshot snapshot = MakeSnapshot();
-    snapshot.model = Unowned(&model);
-    snapshot.predictor = Unowned(&predictor);
-    EXPECT_EQ(runtime.Publish(std::move(snapshot)).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(runtime.stats().publish_rejected, 1);
-    EXPECT_EQ(runtime.snapshot_version(), 1u);
-    const auto answer = runtime.Score(dataset_->new_items.front());
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_EQ(answer->tier, ServingTier::kFresh);
-    EXPECT_EQ(answer->snapshot_version, 1u);
-  }
-}
-
 TEST_F(CompiledServingTest, AttachedPlanBelowTheBatchCeilingIsRejected) {
   InferenceRuntime runtime(Config());  // max_batch_size 64
   ServingSnapshot snapshot = MakeSnapshot();

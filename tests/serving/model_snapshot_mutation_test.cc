@@ -1,8 +1,9 @@
 // Seeded mutation loop over serialized model snapshots. Every mutant is
 // written through BinaryWriter::FlushToFile, so it carries a fresh CRC and
 // reaches the parser, and goes into a fresh model through
-// LoadModelSnapshot. It must then stop with a Status, or load a model that
-// publish refuses, or publish and serve. Nothing may abort. Run under
+// LoadModelSnapshot. It must then stop with a Status that leaves the model's
+// parameters untouched, or load a model that publish refuses, or publish
+// and serve. Nothing may abort. Run under
 // ASan+UBSan (label `sanitize`), no memory or undefined-behaviour error
 // may show on the way either.
 
@@ -78,6 +79,17 @@ std::string WithInt(const std::string& payload, const IntSlot& slot,
 /// Where a mutant stopped.
 enum class Stage { kLoad, kPublish, kServed };
 
+/// Every parameter value of `model`, in order, as raw bytes.
+std::string ParameterBytes(nn::Module* model) {
+  std::string bytes;
+  for (const nn::Parameter* param : model->Parameters()) {
+    const nn::Tensor& value = param->value();
+    bytes.append(reinterpret_cast<const char*>(value.data()),
+                 static_cast<size_t>(value.numel()) * sizeof(float));
+  }
+  return bytes;
+}
+
 class ModelSnapshotMutationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -114,14 +126,25 @@ class ModelSnapshotMutationTest : public ::testing::Test {
     ATNN_CHECK(writer.FlushToFile(path_).ok());
   }
 
+  /// Loads `payload` into `model`. A failed load must leave the model's
+  /// parameters as they were, byte for byte.
+  Status Load(const std::string& payload, nn::Module* model) const {
+    Write(payload);
+    const std::string before = ParameterBytes(model);
+    Status status = LoadModelSnapshot(model, path_, kTag);
+    if (!status.ok()) {
+      EXPECT_TRUE(ParameterBytes(model) == before)
+          << "a failed load (" << status.ToString()
+          << ") changed the model's parameters";
+    }
+    return status;
+  }
+
   /// Loads `payload` into a fresh model, publishes it over the served
   /// version and scores a few items.
   Stage Run(const std::string& payload, runtime::InferenceRuntime* runtime) {
-    Write(payload);
     std::shared_ptr<core::AtnnModel> model = MakeModel(29);
-    if (!LoadModelSnapshot(model.get(), path_, kTag).ok()) {
-      return Stage::kLoad;
-    }
+    if (!Load(payload, model.get()).ok()) return Stage::kLoad;
     runtime::ServingSnapshot snapshot;
     snapshot.model = model;
     snapshot.predictor = runtime::Unowned(predictor_.get());
@@ -157,9 +180,34 @@ TEST_F(ModelSnapshotMutationTest, ShortValueVectorIsCorruption) {
   ASSERT_GT(count.value, 0u);
   std::string mutant = WithInt(payload_, count, count.value - 1);
   mutant.erase(count.offset + count.width, sizeof(float));
-  Write(mutant);
-  EXPECT_EQ(LoadModelSnapshot(MakeModel(29).get(), path_, kTag).code(),
+  EXPECT_EQ(Load(mutant, MakeModel(29).get()).code(),
             StatusCode::kCorruption);
+}
+
+// A snapshot that names its first parameter twice and its second never
+// used to load OK, leaving the second at its initial values.
+TEST_F(ModelSnapshotMutationTest, RepeatedParameterNameIsCorruption) {
+  const std::unique_ptr<core::AtnnModel> source = MakeModel(11);
+  std::vector<nn::Parameter*> params = source->Parameters();
+  ASSERT_GE(params.size(), 2u);
+  params[1] = params[0];
+  BinaryWriter writer;
+  writer.WriteU32(kSnapshotFormatVersion);
+  writer.WriteString(kTag);
+  nn::SaveParameters(params, &writer);
+  EXPECT_EQ(Load(writer.buffer(), MakeModel(29).get()).code(),
+            StatusCode::kCorruption);
+}
+
+// Bytes after the last record used to be noticed only after every
+// parameter had been overwritten.
+TEST_F(ModelSnapshotMutationTest, TrailingBytesAreCorruption) {
+  for (const size_t extra : {size_t{1}, sizeof(float), size_t{64}}) {
+    EXPECT_EQ(Load(payload_ + std::string(extra, '\0'), MakeModel(29).get())
+                  .code(),
+              StatusCode::kCorruption)
+        << extra;
+  }
 }
 
 TEST_F(ModelSnapshotMutationTest, EveryMutantStopsWithAStatusOrServes) {
