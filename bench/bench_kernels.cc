@@ -111,18 +111,6 @@ void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
 namespace atnn::bench {
 namespace {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }

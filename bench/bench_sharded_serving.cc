@@ -77,6 +77,13 @@ namespace {
 /// sub-batches always end in a partial batch — a rigged comparison.
 constexpr size_t kChunk = 1000;
 
+/// Whole-request budget of the chaos and recover drills. Sanitized builds
+/// run several times slower, so a plain build's 50 ms misses whole chunks
+/// there (seen under TSan after the host sat idle): every breaker opens
+/// on the gather timeouts, and a drill without a supervisor never closes
+/// them again.
+constexpr int64_t kDrillBudgetUs = kSanitized ? 500000 : 50000;
+
 /// Total worker threads across the whole runtime, re-partitioned as the
 /// shard count grows — the sweep models one fixed machine sharded N ways,
 /// so the p99 gate measures scatter/gather overhead, not thread
@@ -318,7 +325,7 @@ int RunChaos(bool smoke) {
 
   cluster::ShardedRuntimeConfig config =
       ShardedConfig(kShards, world.prior);
-  config.default_deadline_us = 50000;  // 50ms whole-request budget
+  config.default_deadline_us = kDrillBudgetUs;
   cluster::ShardedRuntime runtime(config);
   const auto published = runtime.PublishSharded(MakeSnapshot(world));
   if (!published.ok()) {
@@ -390,7 +397,7 @@ int RunRecover(bool smoke) {
 
   cluster::ShardedRuntimeConfig config =
       ShardedConfig(kShards, world.prior);
-  config.default_deadline_us = 50000;
+  config.default_deadline_us = kDrillBudgetUs;
   // Fast breaker re-admission: the drill's wall clock is the replay, not
   // a production cooldown.
   config.breaker.cooldown_ms = 5;

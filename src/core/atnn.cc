@@ -4,6 +4,15 @@
 
 namespace atnn::core {
 
+namespace {
+
+template <typename T>
+std::unique_ptr<T> CopyOrNull(const std::unique_ptr<T>& source) {
+  return source != nullptr ? std::make_unique<T>(*source) : nullptr;
+}
+
+}  // namespace
+
 AtnnModel::AtnnModel(const data::FeatureSchema& user_schema,
                      const data::FeatureSchema& item_profile_schema,
                      const data::FeatureSchema& item_stats_schema,
@@ -38,6 +47,18 @@ AtnnModel::AtnnModel(const data::FeatureSchema& user_schema,
   generator_tower_ = std::make_unique<nn::Tower>(
       "atnn.generator_tower", profile_input, config.tower, &rng);
 }
+
+AtnnModel::AtnnModel(const AtnnModel& other)
+    : nn::Module(other),
+      config_(other.config_),
+      user_bag_(CopyOrNull(other.user_bag_)),
+      item_profile_bag_(CopyOrNull(other.item_profile_bag_)),
+      generator_bag_(CopyOrNull(other.generator_bag_)),
+      user_tower_(CopyOrNull(other.user_tower_)),
+      encoder_tower_(CopyOrNull(other.encoder_tower_)),
+      generator_tower_(CopyOrNull(other.generator_tower_)),
+      encoder_bias_(other.encoder_bias_),
+      generator_bias_(other.generator_bias_) {}
 
 nn::Var AtnnModel::UserVector(const data::BlockBatch& user) const {
   return user_tower_->Forward(

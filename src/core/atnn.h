@@ -45,6 +45,11 @@ class AtnnModel : public nn::Module {
             const data::FeatureSchema& item_stats_schema,
             const AtnnConfig& config);
 
+  /// Deep copy: every parameter is copied into a node of its own, and the
+  /// copy's generator path reads the copy's own tables (shared or not).
+  /// No gradient or optimizer state is copied.
+  AtnnModel(const AtnnModel& other);
+
   /// f_u(X_u): [batch, d].
   nn::Var UserVector(const data::BlockBatch& user) const;
 

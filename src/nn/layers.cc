@@ -117,6 +117,16 @@ Tower::Tower(const std::string& name, int64_t input_dim,
   ATNN_CHECK(!config.deep_dims.empty());
 }
 
+Tower::Tower(const Tower& other)
+    : Module(other),
+      input_dim_(other.input_dim_),
+      config_(other.config_),
+      cross_(other.cross_ != nullptr
+                 ? std::make_unique<CrossNetwork>(*other.cross_)
+                 : nullptr),
+      deep_(other.deep_),
+      head_(other.head_) {}
+
 Var Tower::Forward(const Var& x) const {
   ATNN_CHECK_EQ(x.cols(), input_dim_);
   Var deep_out = deep_.Forward(x);

@@ -108,6 +108,9 @@ class Tower : public Module {
   Tower(const std::string& name, int64_t input_dim, const TowerConfig& config,
         Rng* rng);
 
+  /// Deep copy, like every layer here: each Parameter gets its own node.
+  Tower(const Tower& other);
+
   Var Forward(const Var& x) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;

@@ -5,13 +5,27 @@
 
 namespace atnn::nn {
 
-Parameter::Parameter(std::string name, Tensor value)
-    : name_(std::move(name)), node_(std::make_shared<Node>()) {
-  node_->value = std::move(value);
-  node_->requires_grad = true;
-  node_->is_parameter = true;
-  node_->op = "parameter:" + name_;
+namespace {
+
+/// A parameter's leaf lives on the heap: it outlives every ArenaScope.
+NodePtr MakeLeaf(const std::string& name, Tensor value) {
+  NodePtr node = std::make_shared<Node>();
+  node->value = std::move(value);
+  node->requires_grad = true;
+  node->is_parameter = true;
+  node->op = "parameter:" + name;
+  return node;
 }
+
+}  // namespace
+
+Parameter::Parameter(std::string name, Tensor value)
+    : name_(std::move(name)), node_(MakeLeaf(name_, std::move(value))) {}
+
+Parameter::Parameter(const Parameter& other)
+    : name_(other.name_),
+      node_(other.node_ != nullptr ? MakeLeaf(name_, other.value())
+                                   : nullptr) {}
 
 int64_t Module::NumParameterElements() {
   int64_t total = 0;

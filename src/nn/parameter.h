@@ -14,10 +14,22 @@ namespace atnn::nn {
 /// A named, trainable tensor. The underlying graph node is long-lived:
 /// every training step builds fresh op nodes on top of the same parameter
 /// leaves, and optimizers mutate `value()` in place.
+///
+/// A Parameter owns its node, so a copy is deep: a new leaf with the same
+/// name and an owning copy of the value, and no gradient. (A `Var` copy,
+/// by contrast, aliases the same node.) Layers and models built from
+/// Parameters copy the same way, which is how a trained model is published
+/// without aliasing the one a training loop keeps mutating.
 class Parameter {
  public:
   Parameter() = default;
   Parameter(std::string name, Tensor value);
+
+  Parameter(const Parameter& other);
+  Parameter& operator=(const Parameter&) = delete;
+  // Declared so containers growing during construction move, not copy.
+  Parameter(Parameter&&) noexcept = default;
+  Parameter& operator=(Parameter&&) noexcept = default;
 
   const std::string& name() const { return name_; }
 
@@ -81,9 +93,9 @@ Status LoadParameters(const std::vector<Parameter*>& params,
 /// Copies values src[i] -> dst[i]. The lists must align pairwise in name
 /// and shape — CollectParameters emits a structural order, so two models
 /// built from the same schemas + config align exactly. Gradients and any
-/// optimizer state attached to dst are untouched; this is the warm-start /
-/// publish-a-copy primitive of the streaming trainer (live snapshots must
-/// never alias a model a training loop is mutating).
+/// optimizer state attached to dst are untouched; this is the streaming
+/// trainer's warm start into a model that already exists. To publish a
+/// copy, copy-construct the model instead.
 Status CopyParameterValues(const std::vector<Parameter*>& src,
                            const std::vector<Parameter*>& dst);
 

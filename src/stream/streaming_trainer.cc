@@ -72,12 +72,7 @@ Status StreamingTrainer::WarmStartFrom(
 
 runtime::ServingSnapshot StreamingTrainer::MakeSnapshot(
     const std::string& tag) {
-  auto model_copy = std::make_unique<core::AtnnModel>(
-      *dataset_.user_schema, *dataset_.item_profile_schema,
-      *dataset_.item_stats_schema, config_.model);
-  const Status copied = nn::CopyParameterValues(model_->Parameters(),
-                                                model_copy->Parameters());
-  ATNN_CHECK(copied.ok()) << "snapshot copy failed: " << copied.ToString();
+  auto model_copy = std::make_unique<core::AtnnModel>(*model_);
   auto predictor =
       std::make_shared<core::PopularityPredictor>(core::PopularityPredictor::
           Build(*model_copy, dataset_, user_group_, /*batch_size=*/1024,

@@ -92,9 +92,10 @@ struct DayReport {
 /// The trainer owns a mutable copy of the dataset and appends each day's
 /// feedback to its interaction log, so one day's cohort becomes history
 /// the next day can replay. The published snapshot never aliases the
-/// training model: weights are deep-copied into a fresh AtnnModel and the
-/// popularity predictor is rebuilt, so the runtime's RCU swap hands
-/// workers a model no training loop will ever mutate.
+/// training model: it holds a copy of that model (copying an AtnnModel
+/// gives every parameter a node of its own) and a rebuilt popularity
+/// predictor, so the runtime's RCU swap hands workers a model no training
+/// loop will ever mutate.
 ///
 /// Determinism: with a fixed config and stream, two runs publish
 /// bitwise-identical snapshots — day d trains with seed DaySeed(seed, d)
@@ -134,8 +135,9 @@ class StreamingTrainer {
   /// Steps until the stream is exhausted.
   StatusOr<std::vector<DayReport>> Run(sim::ArrivalStream* arrivals);
 
-  /// Builds a publishable deep-copy snapshot of the current weights
-  /// (fresh model + rebuilt popularity predictor + shared item profiles).
+  /// Builds a publishable snapshot of the current weights: a deep copy of
+  /// the training model, its rebuilt popularity predictor and the shared
+  /// item profiles.
   runtime::ServingSnapshot MakeSnapshot(const std::string& tag);
 
   const core::AtnnModel& model() const { return *model_; }

@@ -1,9 +1,14 @@
 #include "core/atnn.h"
 
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
+#include "core/generator_plan.h"
+#include "core/popularity.h"
 #include "core/trainer.h"
 #include "test_helpers.h"
 
@@ -158,6 +163,104 @@ TEST_F(AtnnModelTest, L2SimilarityModeAlsoTrains) {
   options.epochs = 2;
   const auto history = TrainAtnnModel(&model, *dataset_, options);
   EXPECT_LT(history.back().loss_s, history.front().loss_s);
+}
+
+TEST_F(AtnnModelTest, CopyIsDeepAndServesTheSameBits) {
+  std::vector<int64_t> item_rows(
+      static_cast<size_t>(dataset_->item_profiles.num_rows()));
+  std::iota(item_rows.begin(), item_rows.end(), int64_t{0});
+  const std::vector<int64_t> users = SelectActiveUsers(*dataset_, 64);
+  for (const bool share : {true, false}) {
+    SCOPED_TRACE(share ? "shared embeddings" : "separate embeddings");
+    AtnnConfig config = MakeConfig();
+    config.share_embeddings = share;
+    AtnnModel source(*dataset_->user_schema, *dataset_->item_profile_schema,
+                     *dataset_->item_stats_schema, config);
+    // A short run moves the weights off their seeded init, so a model
+    // rebuilt from the config would not match, and leaves gradients the
+    // copy must not take.
+    TrainOptions options = FastOptions();
+    options.epochs = 1;
+    TrainAtnnOnIndices(&source, *dataset_,
+                       std::span<const int64_t>(dataset_->train_indices)
+                           .first(512),
+                       options);
+
+    AtnnModel copy(source);
+    const std::vector<nn::Parameter*> from = source.Parameters();
+    const std::vector<nn::Parameter*> to = copy.Parameters();
+    ASSERT_EQ(to.size(), from.size());
+    std::set<const nn::Node*> source_nodes;
+    bool source_has_grad = false;
+    for (const nn::Parameter* param : from) {
+      source_nodes.insert(param->node());
+      source_has_grad = source_has_grad || !param->grad().empty();
+    }
+    EXPECT_TRUE(source_has_grad);
+    for (size_t i = 0; i < from.size(); ++i) {
+      SCOPED_TRACE(from[i]->name());
+      EXPECT_EQ(to[i]->name(), from[i]->name());
+      ASSERT_EQ(to[i]->rows(), from[i]->rows());
+      ASSERT_EQ(to[i]->cols(), from[i]->cols());
+      EXPECT_EQ(0, std::memcmp(to[i]->value().data(), from[i]->value().data(),
+                               static_cast<size_t>(from[i]->numel()) *
+                                   sizeof(float)));
+      EXPECT_EQ(source_nodes.count(to[i]->node()), 0u);
+      EXPECT_TRUE(to[i]->grad().empty());
+    }
+
+    // Both step groups hold only the copy's parameters; with sharing on,
+    // they meet on the copy's item-profile tables, which are the tables
+    // the copy's generator path reads.
+    const std::set<const nn::Parameter*> copy_params(to.begin(), to.end());
+    const std::vector<nn::Parameter*> d_params =
+        copy.DiscriminatorParameters();
+    const std::vector<nn::Parameter*> g_params = copy.GeneratorParameters();
+    const std::set<const nn::Parameter*> d_set(d_params.begin(),
+                                               d_params.end());
+    for (const nn::Parameter* param : d_params) {
+      EXPECT_EQ(copy_params.count(param), 1u) << param->name();
+    }
+    size_t shared_tables = 0;
+    for (const nn::Parameter* param : g_params) {
+      EXPECT_EQ(copy_params.count(param), 1u) << param->name();
+      if (d_set.count(param) > 0) {
+        ++shared_tables;
+        EXPECT_EQ(param->name().rfind("atnn.item.emb.", 0), 0u)
+            << param->name();
+      }
+    }
+    const nn::EmbeddingBag& bag = copy.generator_embedding_bag();
+    EXPECT_NE(&bag, &source.generator_embedding_bag());
+    EXPECT_EQ(shared_tables, share ? bag.num_fields() : 0u);
+    for (size_t f = 0; f < bag.num_fields(); ++f) {
+      EXPECT_EQ(copy_params.count(&bag.table(f)), 1u);
+      EXPECT_EQ(d_set.count(&bag.table(f)), share ? 1u : 0u);
+    }
+
+    // What a publish serves: the predictor and plan built from the copy
+    // score every item row bitwise as those built from the source.
+    const PopularityPredictor source_predictor =
+        PopularityPredictor::Build(source, *dataset_, users);
+    const PopularityPredictor copy_predictor =
+        PopularityPredictor::Build(copy, *dataset_, users);
+    const auto source_plan =
+        CompileGeneratorPlan(source, dataset_->item_profiles, 64);
+    const auto copy_plan =
+        CompileGeneratorPlan(copy, dataset_->item_profiles, 64);
+    ASSERT_TRUE(source_plan.ok()) << source_plan.status().ToString();
+    ASSERT_TRUE(copy_plan.ok()) << copy_plan.status().ToString();
+    const auto source_scores = ScoreItemsWithPlan(
+        **source_plan, source_predictor, dataset_->item_profiles, item_rows);
+    const auto copy_scores = ScoreItemsWithPlan(
+        **copy_plan, copy_predictor, dataset_->item_profiles, item_rows);
+    ASSERT_TRUE(source_scores.ok()) << source_scores.status().ToString();
+    ASSERT_TRUE(copy_scores.ok()) << copy_scores.status().ToString();
+    ASSERT_EQ(copy_scores->size(), item_rows.size());
+    ASSERT_EQ(source_scores->size(), item_rows.size());
+    EXPECT_EQ(0, std::memcmp(copy_scores->data(), source_scores->data(),
+                             item_rows.size() * sizeof(double)));
+  }
 }
 
 TEST_F(AtnnModelTest, PredictionsAreFiniteProbabilities) {

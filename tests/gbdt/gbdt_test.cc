@@ -1,5 +1,6 @@
 #include "gbdt/gbdt.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -159,23 +160,47 @@ TEST(GbdtTest, DeterministicForFixedSeed) {
 }
 
 TEST(GbdtTest, MinSamplesLeafBoundsLeafSize) {
-  Rng rng(12);
+  // One feature equal to the row index: each leaf of a single tree is a
+  // contiguous run of equal margins over the rows in order. Labels in
+  // blocks of 25 rows give splits worth making down to that width.
   const int64_t n = 200;
   nn::Tensor features(n, 1);
   std::vector<float> labels(static_cast<size_t>(n));
   for (int64_t r = 0; r < n; ++r) {
     features.at(r, 0) = static_cast<float>(r);
-    labels[static_cast<size_t>(r)] = (r % 2 == 0) ? 1.0f : 0.0f;
+    labels[static_cast<size_t>(r)] = static_cast<float>((r / 25) % 2);
   }
   GbdtConfig config;
   config.num_trees = 1;
   config.subsample = 1.0;
   config.tree.max_depth = 20;
-  config.tree.min_samples_leaf = 50;
-  GbdtModel model;
-  model.Train(features, labels, config);
+  const auto leaf_runs = [&](int min_samples_leaf) {
+    config.tree.min_samples_leaf = min_samples_leaf;
+    GbdtModel model;
+    model.Train(features, labels, config);
+    EXPECT_EQ(model.num_trees(), 1u);
+    const std::vector<double> margins = model.PredictRaw(features);
+    std::vector<int64_t> runs = {1};
+    for (size_t r = 1; r < margins.size(); ++r) {
+      if (margins[r] == margins[r - 1]) {
+        ++runs.back();
+      } else {
+        runs.push_back(1);
+      }
+    }
+    return runs;
+  };
+
   // With >= 50 rows per leaf and 200 rows, a tree has at most 4 leaves.
-  EXPECT_EQ(model.num_trees(), 1u);
+  const std::vector<int64_t> bounded = leaf_runs(50);
+  EXPECT_GE(bounded.size(), 2u);
+  EXPECT_LE(bounded.size(), 4u);
+  for (const int64_t run : bounded) EXPECT_GE(run, 50);
+  // The bound is what limits the leaves: at 10, the same data splits into
+  // leaves shorter than 50 rows.
+  const std::vector<int64_t> loose = leaf_runs(10);
+  EXPECT_TRUE(std::any_of(loose.begin(), loose.end(),
+                          [](int64_t run) { return run < 50; }));
 }
 
 }  // namespace

@@ -1,9 +1,70 @@
 #include "nn/layers.h"
 
+#include <cstring>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace atnn::nn {
 namespace {
+
+// Growing a vector of layers must move their parameters, never deep-copy
+// them, and a copy must not be reseated by assignment.
+static_assert(std::is_nothrow_move_constructible_v<Parameter>);
+static_assert(std::is_nothrow_move_constructible_v<Dense>);
+static_assert(!std::is_copy_assignable_v<Parameter>);
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.numel() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0);
+}
+
+/// Checks one copied parameter: the source's name, op and bits on a leaf
+/// of its own with no gradient, and a write into either side leaves the
+/// other as it was. Overwrites both values.
+void ExpectDeepParameterCopy(Parameter* source, Parameter* copy) {
+  SCOPED_TRACE(source->name());
+  EXPECT_EQ(copy->name(), source->name());
+  EXPECT_EQ(copy->node()->op, source->node()->op);
+  EXPECT_TRUE(BitwiseEqual(copy->value(), source->value()));
+  EXPECT_NE(copy->node(), source->node());
+  EXPECT_TRUE(copy->node()->is_parameter);
+  EXPECT_TRUE(copy->node()->requires_grad);
+  EXPECT_TRUE(copy->grad().empty());
+  EXPECT_TRUE(copy->node()->touched_rows.empty());
+
+  const Tensor copy_before = copy->value();
+  source->value().Fill(-3.0f);
+  EXPECT_TRUE(BitwiseEqual(copy->value(), copy_before));
+  const Tensor source_before = source->value();
+  copy->value().Fill(5.0f);
+  EXPECT_TRUE(BitwiseEqual(source->value(), source_before));
+}
+
+/// ExpectDeepParameterCopy over every parameter of a copied module, plus
+/// no copy node among the source's. The source must carry gradients, so
+/// the copy's empty ones show it took none. Overwrites every value.
+void ExpectDeepModuleCopy(Module* source, Module* copy) {
+  const std::vector<Parameter*> from = source->Parameters();
+  const std::vector<Parameter*> to = copy->Parameters();
+  ASSERT_EQ(to.size(), from.size());
+  std::set<const Node*> source_nodes;
+  bool source_has_grad = false;
+  for (const Parameter* param : from) {
+    source_nodes.insert(param->node());
+    source_has_grad = source_has_grad || !param->grad().empty();
+  }
+  EXPECT_TRUE(source_has_grad);
+  for (size_t i = 0; i < from.size(); ++i) {
+    EXPECT_EQ(source_nodes.count(to[i]->node()), 0u) << to[i]->name();
+    ExpectDeepParameterCopy(from[i], to[i]);
+  }
+}
 
 TEST(DenseTest, ShapesAndParameterNames) {
   Rng rng(1);
@@ -173,6 +234,105 @@ TEST(EmbeddingBagTest, NoDenseBlock) {
   Var out = bag.Forward(ids, Tensor());
   EXPECT_EQ(out.rows(), 2);
   EXPECT_EQ(out.cols(), 2);
+}
+
+TEST(ParameterCopyTest, CopyIsANewLeafWithTheSameBitsAndNoGrad) {
+  Rng rng(21);
+  Parameter source("p", NormalInit(3, 4, 1.0f, &rng));
+  const Tensor x = NormalInit(2, 3, 1.0f, &rng);
+  Backward(ReduceSum(MatMul(Constant(x), source.var())));
+  ASSERT_FALSE(source.grad().empty());
+
+  Parameter copy(source);
+  EXPECT_TRUE(BitwiseEqual(MatMul(Constant(x), copy.var()).value(),
+                           MatMul(Constant(x), source.var()).value()));
+  ExpectDeepParameterCopy(&source, &copy);
+}
+
+TEST(ParameterCopyTest, MovesKeepTheNode) {
+  Rng rng(22);
+  std::vector<Parameter> params;
+  params.emplace_back("p0", NormalInit(2, 2, 1.0f, &rng));
+  const Node* first = params[0].node();
+  for (int i = 1; i < 64; ++i) {
+    params.emplace_back(std::to_string(i), Tensor::Zeros(1, 1));
+  }
+  EXPECT_EQ(params[0].node(), first);
+  const Parameter moved(std::move(params[0]));
+  EXPECT_EQ(moved.node(), first);
+  EXPECT_EQ(moved.name(), "p0");
+}
+
+TEST(DenseTest, CopyIsDeepAndComputesTheSameBits) {
+  Rng rng(23);
+  Dense source("fc", 5, 4, Activation::kRelu, &rng);
+  const Tensor x = NormalInit(3, 5, 1.0f, &rng);
+  Backward(ReduceSum(source.Forward(Constant(x))));
+
+  Dense copy(source);
+  EXPECT_EQ(copy.activation(), source.activation());
+  EXPECT_TRUE(BitwiseEqual(copy.Forward(Constant(x)).value(),
+                           source.Forward(Constant(x)).value()));
+  ExpectDeepModuleCopy(&source, &copy);
+}
+
+TEST(CrossNetworkTest, CopyIsDeepAndComputesTheSameBits) {
+  Rng rng(24);
+  CrossNetwork source("cross", 6, 3, &rng);
+  const Tensor x = NormalInit(4, 6, 1.0f, &rng);
+  Backward(ReduceSum(source.Forward(Constant(x))));
+
+  CrossNetwork copy(source);
+  EXPECT_EQ(copy.num_layers(), source.num_layers());
+  EXPECT_TRUE(BitwiseEqual(copy.Forward(Constant(x)).value(),
+                           source.Forward(Constant(x)).value()));
+  ExpectDeepModuleCopy(&source, &copy);
+}
+
+TEST(EmbeddingBagTest, CopyIsDeepAndComputesTheSameBits) {
+  Rng rng(25);
+  EmbeddingFieldSpec hashed;
+  hashed.name = "seller";
+  hashed.embed_dim = 3;
+  hashed.hash_buckets = 16;
+  EmbeddingBag source("bag", {{"cat", 10, 4}, hashed}, &rng);
+  const std::vector<std::vector<int64_t>> ids = {{0, 7, 9}, {5, 123456, 5}};
+  const Tensor dense = NormalInit(3, 2, 1.0f, &rng);
+  Backward(ReduceSum(source.Forward(ids, dense)));
+  ASSERT_FALSE(source.table(0).node()->touched_rows.empty());
+
+  EmbeddingBag copy(source);
+  ASSERT_EQ(copy.num_fields(), source.num_fields());
+  EXPECT_EQ(copy.field(1).hash_buckets, source.field(1).hash_buckets);
+  EXPECT_TRUE(BitwiseEqual(copy.Forward(ids, dense).value(),
+                           source.Forward(ids, dense).value()));
+  ExpectDeepModuleCopy(&source, &copy);
+}
+
+TEST(TowerTest, CopyIsDeepAndComputesTheSameBits) {
+  for (const TowerKind kind :
+       {TowerKind::kDeepCross, TowerKind::kFullyConnected}) {
+    SCOPED_TRACE(kind == TowerKind::kDeepCross ? "deep_cross"
+                                               : "fully_connected");
+    Rng rng(26);
+    TowerConfig config;
+    config.kind = kind;
+    config.deep_dims = {16, 8};
+    config.cross_layers = 2;
+    config.output_dim = 6;
+    Tower source("t", 10, config, &rng);
+    const Tensor x = NormalInit(4, 10, 1.0f, &rng);
+    Backward(ReduceSum(source.Forward(Constant(x))));
+
+    Tower copy(source);
+    EXPECT_EQ(copy.cross() == nullptr, source.cross() == nullptr);
+    if (source.cross() != nullptr) {
+      EXPECT_NE(copy.cross(), source.cross());
+    }
+    EXPECT_TRUE(BitwiseEqual(copy.Forward(Constant(x)).value(),
+                             source.Forward(Constant(x)).value()));
+    ExpectDeepModuleCopy(&source, &copy);
+  }
 }
 
 TEST(ModuleTest, NumParameterElementsCounts) {

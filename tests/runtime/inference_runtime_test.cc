@@ -270,13 +270,18 @@ TEST_F(InferenceRuntimeTest, HotSwapChurnDropsNothingAndScoresConsistently) {
   runtime.Publish(snapshot_for(1));
 
   std::atomic<bool> stop_publishing{false};
+  std::atomic<int> churn_publishes{0};
   std::thread publisher([&] {
     int version = 2;
     while (!stop_publishing.load()) {
       runtime.Publish(snapshot_for(version++));
+      churn_publishes.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  // Requests go out once the churn has begun, so they race live swaps even
+  // when a loaded host schedules the publisher late.
+  while (churn_publishes.load() == 0) std::this_thread::yield();
 
   constexpr int kRounds = 20;
   std::vector<std::future<StatusOr<ScoreResult>>> futures;

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,6 +136,18 @@ TEST(StreamingTrainerTest, PublishedSnapshotDoesNotAliasTheTrainingModel) {
       ModelsBitwiseEqual(*publisher.snapshots[0].model, trainer.model()));
   EXPECT_TRUE(
       ModelsBitwiseEqual(*publisher.snapshots[1].model, trainer.model()));
+  // No published parameter is a node of the training model.
+  std::set<const nn::Node*> training_nodes;
+  for (const nn::Parameter* param :
+       const_cast<core::AtnnModel&>(trainer.model()).Parameters()) {
+    training_nodes.insert(param->node());
+  }
+  for (const runtime::ServingSnapshot& snapshot : publisher.snapshots) {
+    for (const nn::Parameter* param :
+         const_cast<core::AtnnModel&>(*snapshot.model).Parameters()) {
+      EXPECT_EQ(training_nodes.count(param->node()), 0u) << param->name();
+    }
+  }
 }
 
 TEST(StreamingTrainerTest, SwitchesOffMatchesBatchTrainerBitwise) {
