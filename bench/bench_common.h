@@ -27,21 +27,6 @@
 
 namespace atnn::bench {
 
-/// True in ASan or TSan builds, which run several times slower and whose
-/// runtimes allocate: perf benches make timing and allocation gates
-/// report-only there, or scale their time budgets.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 /// The scaled stand-in for the paper's Tmall dataset.
 inline data::TmallConfig PaperScaleTmallConfig() {
   data::TmallConfig config;

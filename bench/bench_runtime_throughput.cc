@@ -9,8 +9,7 @@
 //       on 1/2/4 workers, and
 //   (d) the default configuration under hot-swap churn (a new snapshot
 //       published every 100ms while the request stream is in flight, each
-//       publish invalidating the score cache), which must complete with
-//       zero dropped or erroneous responses.
+//       publish invalidating the score cache).
 //
 // On multi-core hosts the worker sweep additionally shows forward passes
 // scaling across cores; on a single-core host the 1/2/4-worker rows are
@@ -25,11 +24,14 @@
 // --chaos switches to the fault-tolerance protocol (DESIGN.md §7): a
 // fault-free baseline run followed by the same stream under injected
 // worker delays, batch failures, queue rejections, and corrupt snapshot
-// publishes. Gates: zero crashed requests, every response tier-tagged,
-// every corrupt publish rejected while serving continues, and the p99 of
-// fresh (non-degraded) responses within 2x the fault-free baseline.
-// --smoke shrinks the world/stream for CI sanitizer jobs and makes the
-// p99 gate report-only (sanitizer scheduling noise swamps tail latency).
+// publishes. Gate: the p99 of fresh (non-degraded) responses within 2x
+// the fault-free baseline, with zero crashed requests in both passes as
+// its precondition.
+//
+// The correctness half of both protocols is InferenceRuntimeTest: churn
+// that drops nothing, injected faults that degrade every response
+// cleanly and tier-tagged, corrupt publishes rejected while valid ones
+// land, and no metrics-registry mutex acquisition on the score path.
 
 #include <atomic>
 #include <cstdio>
@@ -45,6 +47,7 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "core/popularity.h"
+#include "perf_common.h"
 #include "runtime/inference_runtime.h"
 #include "serving/popularity_index.h"
 
@@ -93,11 +96,6 @@ struct RuntimeRunResult {
   int64_t cache_hits = 0;
   int64_t swaps = 0;
   int64_t errors = 0;
-  /// Registry-mutex acquisitions between the first enqueue and the last
-  /// resolved future. The metrics layer's contract is that the score path
-  /// records lock-free — handles are registered at construction, so this
-  /// must be zero; anything else means a mutex crept into a Record* chain.
-  int64_t mutex_locks_during_replay = 0;
 };
 
 RuntimeRunResult RunRuntime(const core::AtnnModel& model,
@@ -134,8 +132,6 @@ RuntimeRunResult RunRuntime(const core::AtnnModel& model,
   }
 
   Stopwatch timer;
-  const int64_t locks_before =
-      runtime.metrics_registry().mutex_acquisitions();
   std::vector<std::future<StatusOr<runtime::ScoreResult>>> futures;
   futures.reserve(stream.size());
   for (int64_t item : stream) futures.push_back(runtime.ScoreAsync(item));
@@ -144,8 +140,6 @@ RuntimeRunResult RunRuntime(const core::AtnnModel& model,
     if (!future.get().ok()) ++result.errors;
   }
   result.seconds = timer.ElapsedSeconds();
-  result.mutex_locks_during_replay =
-      runtime.metrics_registry().mutex_acquisitions() - locks_before;
 
   if (swapper.joinable()) {
     stop_swapping.store(true);
@@ -170,12 +164,7 @@ RuntimeRunResult RunRuntime(const core::AtnnModel& model,
 /// two fresh-tier latency distributions are comparable.
 struct ChaosRunOutcome {
   runtime::StatsSnapshot stats;
-  int64_t requests = 0;
-  int64_t crashed = 0;           // futures that resolved with an error
-  int64_t corrupt_attempts = 0;  // armed-corrupt publishes issued
-  int64_t corrupt_accepted = 0;  // ...that validation failed to reject
-  int64_t mutex_locks_during_replay = 0;  // see RuntimeRunResult
-  uint64_t final_version = 0;
+  int64_t crashed = 0;  // futures that resolved with an error
 };
 
 ChaosRunOutcome RunChaosPass(const core::AtnnModel& model,
@@ -213,8 +202,6 @@ ChaosRunOutcome RunChaosPass(const core::AtnnModel& model,
     outcome.crashed = static_cast<int64_t>(stream.size());
     return outcome;
   }
-  const int64_t locks_before =
-      runtime.metrics_registry().mutex_acquisitions();
 
   // The publisher thread keeps hot-swapping under load; in the injected
   // pass every other publish is armed to be corrupted in flight, which
@@ -224,13 +211,8 @@ ChaosRunOutcome RunChaosPass(const core::AtnnModel& model,
     bool corrupt_next = inject;
     while (!stop_swapping.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      if (corrupt_next) {
-        runtime.fault_injector().ArmCorruptPublish();
-        ++outcome.corrupt_attempts;
-        if (runtime.Publish(snapshot).ok()) ++outcome.corrupt_accepted;
-      } else {
-        runtime.Publish(snapshot);
-      }
+      if (corrupt_next) runtime.fault_injector().ArmCorruptPublish();
+      runtime.Publish(snapshot);
       if (inject) corrupt_next = !corrupt_next;
     }
   });
@@ -238,54 +220,52 @@ ChaosRunOutcome RunChaosPass(const core::AtnnModel& model,
   std::vector<std::future<StatusOr<runtime::ScoreResult>>> futures;
   futures.reserve(stream.size());
   for (int64_t item : stream) futures.push_back(runtime.ScoreAsync(item));
-  outcome.requests = static_cast<int64_t>(stream.size());
   for (auto& future : futures) {
     if (!future.get().ok()) ++outcome.crashed;
   }
-  outcome.mutex_locks_during_replay =
-      runtime.metrics_registry().mutex_acquisitions() - locks_before;
 
   stop_swapping.store(true);
   swapper.join();
-
-  if (inject) {
-    // Guarantee the corrupt-publish path ran even when the stream drained
-    // faster than the publisher's first tick (smoke budgets), and prove the
-    // surviving version still serves after a rejected publish.
-    runtime.fault_injector().ArmCorruptPublish();
-    ++outcome.corrupt_attempts;
-    if (runtime.Publish(snapshot).ok()) ++outcome.corrupt_accepted;
-    runtime.Publish(snapshot);  // a clean publish still lands afterwards
-    ++outcome.requests;
-    if (!runtime.Score(stream.front()).ok()) ++outcome.crashed;
-  }
-
   runtime.Shutdown();
   outcome.stats = runtime.stats();
-  outcome.final_version = runtime.snapshot_version();
   return outcome;
 }
 
-int RunChaos(bool smoke) {
+/// The seeded world, untrained model and predictor both protocols serve.
+struct BenchWorld {
+  data::TmallDataset dataset;
+  std::unique_ptr<core::AtnnModel> model;
+  std::unique_ptr<core::PopularityPredictor> predictor;
+};
+
+BenchWorld BuildWorld() {
   data::TmallConfig world = PaperScaleTmallConfig();
-  world.num_users = smoke ? 200 : 1000;
-  world.num_items = smoke ? 500 : 2000;
-  world.num_new_items = smoke ? 150 : 600;
-  world.num_interactions = smoke ? 8000 : 50000;
-  data::TmallDataset dataset = data::GenerateTmallDataset(world);
-  core::NormalizeTmallInPlace(&dataset);
+  world.num_users = 1000;
+  world.num_items = 2000;
+  world.num_new_items = 600;
+  world.num_interactions = 50000;
+  BenchWorld built{data::GenerateTmallDataset(world), nullptr, nullptr};
+  core::NormalizeTmallInPlace(&built.dataset);
 
   core::AtnnConfig config;
   config.tower = BenchTowerConfig(nn::TowerKind::kDeepCross);
   config.seed = 7;
-  const core::AtnnModel model(*dataset.user_schema,
-                              *dataset.item_profile_schema,
-                              *dataset.item_stats_schema, config);
-  const auto group = core::SelectActiveUsers(dataset, smoke ? 100 : 300);
-  const auto predictor =
-      core::PopularityPredictor::Build(model, dataset, group);
-  const auto stream =
-      MakeRequestStream(dataset, smoke ? 3000 : 100000);
+  built.model = std::make_unique<core::AtnnModel>(
+      *built.dataset.user_schema, *built.dataset.item_profile_schema,
+      *built.dataset.item_stats_schema, config);
+  built.predictor = std::make_unique<core::PopularityPredictor>(
+      core::PopularityPredictor::Build(
+          *built.model, built.dataset,
+          core::SelectActiveUsers(built.dataset, 300)));
+  return built;
+}
+
+int RunChaos() {
+  const BenchWorld world = BuildWorld();
+  const data::TmallDataset& dataset = world.dataset;
+  const core::AtnnModel& model = *world.model;
+  const core::PopularityPredictor& predictor = *world.predictor;
+  const auto stream = MakeRequestStream(dataset, 100000);
 
   // Tier-2 prior: "yesterday's" precomputed scores for every new arrival —
   // exactly what a production popularity index would hold.
@@ -294,8 +274,7 @@ int RunChaos(bool smoke) {
   auto prior = std::make_shared<serving::PopularityIndex>();
   prior->BulkLoad(dataset.new_items, prior_scores);
 
-  std::printf("chaos protocol: %zu requests, %s\n\n", stream.size(),
-              smoke ? "smoke budget" : "full budget");
+  std::printf("chaos protocol: %zu requests\n\n", stream.size());
   const auto baseline = RunChaosPass(model, dataset, predictor, stream,
                                      prior, /*inject=*/false);
   const auto chaos = RunChaosPass(model, dataset, predictor, stream, prior,
@@ -311,84 +290,35 @@ int RunChaos(bool smoke) {
 
   const double baseline_p99 = baseline.stats.fresh_latency_us.Percentile(0.99);
   const double chaos_p99 = chaos.stats.fresh_latency_us.Percentile(0.99);
-  int64_t tier_tagged = 0;
-  for (const int64_t count : chaos.stats.tier_counts) tier_tagged += count;
+  std::printf("\nfresh-tier p99: baseline %.0fus, chaos %.0fus (%.2fx)\n",
+              baseline_p99, chaos_p99,
+              baseline_p99 > 0.0 ? chaos_p99 / baseline_p99 : 0.0);
 
-  std::printf(
-      "\nfresh-tier p99: baseline %.0fus, chaos %.0fus (%.2fx)\n"
-      "corrupt publishes: %lld attempted, %lld accepted, "
-      "%lld rejected by validation\n"
-      "snapshot versions published under chaos: %llu\n",
-      baseline_p99, chaos_p99,
-      baseline_p99 > 0.0 ? chaos_p99 / baseline_p99 : 0.0,
-      static_cast<long long>(chaos.corrupt_attempts),
-      static_cast<long long>(chaos.corrupt_accepted),
-      static_cast<long long>(chaos.stats.publish_rejected),
-      static_cast<unsigned long long>(chaos.final_version));
-
-  int failures = 0;
-  const auto gate = [&failures](bool ok, const char* what) {
-    std::printf("%s %s\n", ok ? "PASS:" : "FAIL:", what);
-    if (!ok) ++failures;
-  };
-  gate(baseline.crashed == 0 && chaos.crashed == 0,
-       "zero crashed requests in both passes");
-  gate(tier_tagged == chaos.requests,
-       "every chaos response carries a serving tier");
-  gate(chaos.stats.faults_injected > 0, "faults actually fired");
-  gate(chaos.corrupt_attempts > 0 && chaos.corrupt_accepted == 0,
-       "every corrupt publish rejected by validation");
-  gate(chaos.stats.swaps >= 2 &&
-           chaos.stats.publish_rejected >= chaos.corrupt_attempts,
-       "valid publishes kept landing while corrupt ones were rejected");
-  gate(baseline.mutex_locks_during_replay == 0 &&
-           chaos.mutex_locks_during_replay == 0,
-       "zero metrics-registry mutex acquisitions on the score path");
-  const bool p99_ok = chaos_p99 <= 2.0 * baseline_p99;
-  if (smoke) {
-    // Sanitizer/CI scheduling noise makes tail gates flaky; report only.
-    std::printf("%s fresh-tier p99 within 2x of baseline (report-only "
-                "under --smoke)\n",
-                p99_ok ? "PASS:" : "WARN:");
-  } else {
-    gate(p99_ok, "fresh-tier p99 within 2x of fault-free baseline");
-  }
-  return failures == 0 ? 0 : 1;
+  Gates gates;
+  gates.Check(baseline.crashed == 0 && chaos.crashed == 0,
+              "zero crashed requests in both passes");
+  gates.Check(chaos_p99 <= 2.0 * baseline_p99,
+              "fresh-tier p99 within 2x of fault-free baseline");
+  return gates.exit_code();
 }
 
-int Run(bool smoke) {
-  data::TmallConfig world = PaperScaleTmallConfig();
-  world.num_users = smoke ? 200 : 1000;
-  world.num_items = smoke ? 500 : 2000;
-  world.num_new_items = smoke ? 150 : 600;
-  world.num_interactions = smoke ? 8000 : 50000;
-  data::TmallDataset dataset = data::GenerateTmallDataset(world);
-  core::NormalizeTmallInPlace(&dataset);
+int Run() {
+  const BenchWorld world = BuildWorld();
+  const data::TmallDataset& dataset = world.dataset;
+  const core::AtnnModel& model = *world.model;
+  const core::PopularityPredictor& predictor = *world.predictor;
+  const auto stream = MakeRequestStream(dataset, kRequests);
+  const auto churn_stream = MakeRequestStream(dataset, kChurnRequests);
 
-  core::AtnnConfig config;
-  config.tower = BenchTowerConfig(nn::TowerKind::kDeepCross);
-  config.seed = 7;
-  const core::AtnnModel model(*dataset.user_schema,
-                              *dataset.item_profile_schema,
-                              *dataset.item_stats_schema, config);
-  const auto group = core::SelectActiveUsers(dataset, smoke ? 100 : 300);
-  const auto predictor =
-      core::PopularityPredictor::Build(model, dataset, group);
-  const int num_requests = smoke ? 2000 : kRequests;
-  const int num_churn_requests = smoke ? 20000 : kChurnRequests;
-  const auto stream = MakeRequestStream(dataset, num_requests);
-  const auto churn_stream = MakeRequestStream(dataset, num_churn_requests);
-
-  TablePrinter table("runtime throughput — " + std::to_string(num_requests) +
+  TablePrinter table("runtime throughput — " + std::to_string(kRequests) +
                      " requests, max batch " + std::to_string(kMaxBatch));
   table.SetHeader({"mode", "workers", "wall_s", "req/s", "speedup",
                    "mean_batch", "cache_hits", "swaps", "errors"});
 
   const double seq_seconds = RunSequential(model, dataset, predictor, stream);
-  const double seq_rps = static_cast<double>(num_requests) / seq_seconds;
+  const double seq_rps = static_cast<double>(kRequests) / seq_seconds;
   table.AddRow({"sequential", "1", TablePrinter::Num(seq_seconds, 2),
                 TablePrinter::Num(seq_rps, 0), "1.00", "1", "0", "0", "0"});
-  int64_t replay_mutex_locks = 0;
 
   const auto add_row = [&](const std::string& mode, size_t workers,
                            int num_requests, const RuntimeRunResult& run) {
@@ -400,43 +330,22 @@ int Run(bool smoke) {
                   TablePrinter::Num(run.mean_batch, 1),
                   std::to_string(run.cache_hits),
                   std::to_string(run.swaps), std::to_string(run.errors)});
-    replay_mutex_locks += run.mutex_locks_during_replay;
   };
 
   for (size_t workers : {1u, 2u, 4u}) {
-    add_row("batched, no cache", workers, num_requests,
+    add_row("batched, no cache", workers, kRequests,
             RunRuntime(model, dataset, predictor, stream, workers,
                        /*enable_cache=*/false, /*swap_every_ms=*/0));
   }
   for (size_t workers : {1u, 2u, 4u}) {
-    add_row("batched+cache", workers, num_requests,
+    add_row("batched+cache", workers, kRequests,
             RunRuntime(model, dataset, predictor, stream, workers,
                        /*enable_cache=*/true, /*swap_every_ms=*/0));
   }
-
-  const auto churn =
-      RunRuntime(model, dataset, predictor, churn_stream, 4,
-                 /*enable_cache=*/true, /*swap_every_ms=*/100);
-  add_row("batched+cache+churn", 4, num_churn_requests, churn);
-
+  add_row("batched+cache+churn", 4, kChurnRequests,
+          RunRuntime(model, dataset, predictor, churn_stream, 4,
+                     /*enable_cache=*/true, /*swap_every_ms=*/100));
   table.Print();
-  if (churn.errors > 0) {
-    std::printf("FAIL: hot-swap churn produced %lld erroneous responses\n",
-                static_cast<long long>(churn.errors));
-    return 1;
-  }
-  if (replay_mutex_locks != 0) {
-    std::printf(
-        "FAIL: %lld metrics-registry mutex acquisitions during replay — "
-        "the score path is supposed to record lock-free\n",
-        static_cast<long long>(replay_mutex_locks));
-    return 1;
-  }
-  std::printf(
-      "\nhot-swap churn: %lld publishes under load, every response "
-      "answered.\nPASS: zero metrics-registry mutex acquisitions across "
-      "all replays.\n",
-      static_cast<long long>(churn.swaps));
   return 0;
 }
 
@@ -448,17 +357,12 @@ int main(int argc, char** argv) {
   flags.AddBool("chaos", false,
                 "run the fault-tolerance protocol instead of the "
                 "throughput sweep");
-  flags.AddBool("smoke", false,
-                "small world + stream (and with --chaos a report-only p99 "
-                "gate), for CI sanitizer jobs");
   const atnn::Status status = flags.Parse(argc - 1, argv + 1);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  flags.Usage().c_str());
     return 2;
   }
-  if (flags.GetBool("chaos")) {
-    return atnn::bench::RunChaos(flags.GetBool("smoke"));
-  }
-  return atnn::bench::Run(flags.GetBool("smoke"));
+  return flags.GetBool("chaos") ? atnn::bench::RunChaos()
+                                : atnn::bench::Run();
 }

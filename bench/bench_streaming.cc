@@ -12,30 +12,22 @@
 //   around each hot-swap vs the steady-state p99 far from any publish
 //   (RCU swap + eager cache rotation should make publishes nearly free).
 //
-// Gates:
-//   - zero errored requests while training/publishing runs concurrently
-//     with the replay (hard, always);
-//   - fresh AUC >= served AUC on every valid day (report-only under
-//     --smoke: tiny cohorts make AUC jumpy);
-//   - publish-window fresh p99 <= 1.5x steady-state p99 (report-only
-//     under --smoke: sanitizer scheduling noise swamps tail latency);
-//   - determinism (hard, always): with the streaming switches off, day 0
-//     of a cold-start streaming run has a loss history bitwise-identical
-//     to the public batch trainer run over the same indices and seed —
-//     the incremental path is the historical trainer, not a fork of it;
-//   - liveness of the switches (hard, always): a run with the cross-batch
-//     negative cache and one-backprop alternation ON publishes every day
-//     with finite losses.
+// Gates: zero errored requests while training and publishing run
+// concurrently with the replay (the precondition of the two below);
+// fresh AUC >= served AUC on every valid day; publish-window fresh p99
+// <= 1.5x steady-state p99.
 //
-//   $ ./build/bench/bench_streaming            # full budget
-//   $ ./build/bench/bench_streaming --smoke    # CI sanitizer budget
+// That every day publishes with monotonic versions and finite losses,
+// with the streaming switches off and on, and that day 0 with the
+// switches off replays the batch trainer bitwise, are StreamingTrainerTest
+// cases.
+//
+//   $ ./build/bench/bench_streaming
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,11 +35,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/flags.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "core/popularity.h"
+#include "perf_common.h"
 #include "runtime/inference_runtime.h"
 #include "serving/popularity_index.h"
 #include "sim/arrival_stream.h"
@@ -73,24 +65,6 @@ double Percentile(std::vector<double> values, double p) {
   return values[index];
 }
 
-bool HistoriesBitwiseEqual(const std::vector<core::EpochStats>& a,
-                           const std::vector<core::EpochStats>& b) {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(),
-                     a.size() * sizeof(core::EpochStats)) == 0;
-}
-
-bool HistoryFinite(const std::vector<core::EpochStats>& history) {
-  for (const auto& epoch : history) {
-    if (!std::isfinite(epoch.loss_i) || !std::isfinite(epoch.loss_g) ||
-        !std::isfinite(epoch.loss_s)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct StreamWorld {
   data::TmallDataset dataset;
   core::AtnnConfig config;
@@ -98,13 +72,13 @@ struct StreamWorld {
   sim::ArrivalStreamConfig arrivals;
 };
 
-StreamWorld MakeWorld(bool smoke) {
+StreamWorld MakeWorld() {
   StreamWorld world;
   data::TmallConfig tmall = PaperScaleTmallConfig();
-  tmall.num_users = smoke ? 200 : 1000;
-  tmall.num_items = smoke ? 500 : 2000;
-  tmall.num_new_items = smoke ? 150 : 600;
-  tmall.num_interactions = smoke ? 8000 : 50000;
+  tmall.num_users = 1000;
+  tmall.num_items = 2000;
+  tmall.num_new_items = 600;
+  tmall.num_interactions = 50000;
   world.dataset = data::GenerateTmallDataset(tmall);
   core::NormalizeTmallInPlace(&world.dataset);
 
@@ -114,8 +88,8 @@ StreamWorld MakeWorld(bool smoke) {
   world.train = BenchTrainOptions();
   world.train.epochs = 1;  // per-day incremental pass
 
-  world.arrivals.num_days = smoke ? 3 : 6;
-  world.arrivals.feedback_per_item = smoke ? 20 : 40;
+  world.arrivals.num_days = 6;
+  world.arrivals.feedback_per_item = 40;
   world.arrivals.seed = tmall.seed ^ 0xa55a7e11ULL;
   return world;
 }
@@ -129,7 +103,7 @@ struct LiveRunResult {
   Status stream_status;
 };
 
-LiveRunResult RunLive(const StreamWorld& world, bool smoke) {
+LiveRunResult RunLive(const StreamWorld& world) {
   LiveRunResult result;
 
   // Yesterday's model: a short batch pretrain on the historical split is
@@ -138,10 +112,9 @@ LiveRunResult RunLive(const StreamWorld& world, bool smoke) {
                              *world.dataset.item_profile_schema,
                              *world.dataset.item_stats_schema, world.config);
   core::TrainOptions pretrain = world.train;
-  pretrain.epochs = smoke ? 1 : 2;
+  pretrain.epochs = 2;
   core::TrainAtnnModel(&pretrained, world.dataset, pretrain);
-  const auto group =
-      core::SelectActiveUsers(world.dataset, smoke ? 100 : 300);
+  const auto group = core::SelectActiveUsers(world.dataset, 300);
   const auto predictor =
       core::PopularityPredictor::Build(pretrained, world.dataset, group);
   auto prior = std::make_shared<serving::PopularityIndex>();
@@ -171,7 +144,7 @@ LiveRunResult RunLive(const StreamWorld& world, bool smoke) {
   stream::StreamingTrainerConfig trainer_config;
   trainer_config.model = world.config;
   trainer_config.train = world.train;
-  trainer_config.active_user_group = smoke ? 100 : 300;
+  trainer_config.active_user_group = 300;
   trainer_config.tag = "bench-stream";
   stream::StreamingTrainer trainer(
       world.dataset, trainer_config,
@@ -188,13 +161,13 @@ LiveRunResult RunLive(const StreamWorld& world, bool smoke) {
 
   // Replay clients: Zipf-skewed blocking scores until the trainer is done
   // (plus a short steady-state tail after the last publish).
-  const size_t num_clients = smoke ? 2 : 4;
+  constexpr size_t kClients = 4;
   std::atomic<bool> stop{false};
   std::atomic<int64_t> errors{0};
-  std::vector<std::vector<Sample>> per_client(num_clients);
+  std::vector<std::vector<Sample>> per_client(kClients);
   std::vector<std::thread> clients;
-  clients.reserve(num_clients);
-  for (size_t c = 0; c < num_clients; ++c) {
+  clients.reserve(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(0xbe7c11ULL + c);
       auto& samples = per_client[c];
@@ -218,7 +191,7 @@ LiveRunResult RunLive(const StreamWorld& world, bool smoke) {
 
   // The pause between days gives the glitch analysis steady-state samples
   // between publishes (a window with no publish in sight).
-  const auto pause = std::chrono::milliseconds(smoke ? 60 : 150);
+  const auto pause = std::chrono::milliseconds(150);
   while (!arrivals.Done()) {
     auto report = trainer.Step(&arrivals);
     if (!report.ok()) {
@@ -241,38 +214,12 @@ LiveRunResult RunLive(const StreamWorld& world, bool smoke) {
   return result;
 }
 
-/// Cold-start run with a capturing publish hook — no runtime, no traffic.
-/// Used by the determinism gate (switches off) and the switches-on
-/// liveness gate.
-std::vector<stream::DayReport> RunCaptured(const StreamWorld& world,
-                                           bool negatives,
-                                           bool one_backprop,
-                                           data::TmallDataset* dataset_out) {
-  stream::StreamingTrainerConfig trainer_config;
-  trainer_config.model = world.config;
-  trainer_config.train = world.train;
-  trainer_config.train.cross_batch_negatives = negatives;
-  trainer_config.train.one_backprop = one_backprop;
-  trainer_config.active_user_group = 100;
-  uint64_t versions = 0;
-  stream::StreamingTrainer trainer(
-      world.dataset, trainer_config,
-      [&](runtime::ServingSnapshot) -> StatusOr<uint64_t> {
-        return ++versions;
-      });
-  sim::ArrivalStream arrivals(&world.dataset, world.arrivals);
-  auto reports = trainer.Run(&arrivals);
-  ATNN_CHECK(reports.ok()) << reports.status().ToString();
-  if (dataset_out != nullptr) *dataset_out = trainer.dataset();
-  return std::move(*reports);
-}
+int Run() {
+  const StreamWorld world = MakeWorld();
+  std::printf("streaming train-to-serve: %d day(s)\n\n",
+              world.arrivals.num_days);
 
-int Run(bool smoke) {
-  const StreamWorld world = MakeWorld(smoke);
-  std::printf("streaming train-to-serve: %d day(s), %s budget\n\n",
-              world.arrivals.num_days, smoke ? "smoke" : "full");
-
-  const LiveRunResult live = RunLive(world, smoke);
+  const LiveRunResult live = RunLive(world);
 
   TablePrinter table("staleness per streamed day");
   table.SetHeader({"day", "cohort", "feedback", "served_auc", "fresh_auc",
@@ -320,70 +267,13 @@ int Run(bool smoke) {
       live.publish_times.size(), glitch_p99, glitch_us.size(), steady_p99,
       steady_us.size(), steady_p99 > 0.0 ? glitch_p99 / steady_p99 : 0.0);
 
-  // Determinism gate: replay day 0 of a cold-start run through the public
-  // batch trainer — same indices, same per-day seed, fresh model from the
-  // same init — and demand a bitwise-equal loss history.
-  data::TmallDataset streamed_dataset;
-  const auto cold_reports = RunCaptured(world, /*negatives=*/false,
-                                        /*one_backprop=*/false,
-                                        &streamed_dataset);
-  bool bitwise_ok = !cold_reports.empty();
-  if (bitwise_ok) {
-    const stream::DayReport& day0 = cold_reports.front();
-    streamed_dataset.train_indices = day0.train_indices;
-    core::AtnnModel replay_model(*streamed_dataset.user_schema,
-                                 *streamed_dataset.item_profile_schema,
-                                 *streamed_dataset.item_stats_schema,
-                                 world.config);
-    core::TrainOptions replay_options = world.train;
-    replay_options.seed =
-        stream::StreamingTrainer::DaySeed(world.train.seed, day0.day);
-    const auto replay_history =
-        core::TrainAtnnModel(&replay_model, streamed_dataset, replay_options);
-    bitwise_ok = HistoriesBitwiseEqual(day0.history, replay_history);
-  }
-
-  // Switches-on liveness: CBNS + one-backprop must train and publish
-  // every day with finite losses.
-  const auto switched_reports =
-      RunCaptured(world, /*negatives=*/true, /*one_backprop=*/true, nullptr);
-  bool switches_ok =
-      switched_reports.size() ==
-      static_cast<size_t>(world.arrivals.num_days);
-  for (const auto& report : switched_reports) {
-    switches_ok = switches_ok && report.published &&
-                  HistoryFinite(report.history);
-  }
-
-  int failures = 0;
-  const auto gate = [&failures](bool ok, const char* what) {
-    std::printf("%s %s\n", ok ? "PASS:" : "FAIL:", what);
-    if (!ok) ++failures;
-  };
-  const auto soft_gate = [&](bool ok, const char* what) {
-    if (smoke) {
-      std::printf("%s %s (report-only under --smoke)\n",
-                  ok ? "PASS:" : "WARN:", what);
-    } else {
-      gate(ok, what);
-    }
-  };
-
   std::printf("\n");
-  gate(live.stream_status.ok() && live.errors == 0 &&
-           live.reports.size() ==
-               static_cast<size_t>(world.arrivals.num_days),
-       "zero errors with training/publishing concurrent to the replay");
-  bool published_all = true;
-  bool monotonic = true;
-  uint64_t last_version = 0;
-  for (const auto& report : live.reports) {
-    published_all = published_all && report.published;
-    monotonic = monotonic && report.published_version > last_version;
-    last_version = report.published_version;
-  }
-  gate(published_all && monotonic,
-       "every day published, versions strictly monotonic");
+  Gates gates;
+  gates.Check(live.stream_status.ok() && live.errors == 0 &&
+                  live.reports.size() ==
+                      static_cast<size_t>(world.arrivals.num_days),
+              "zero errors with training/publishing concurrent to the "
+              "replay");
   bool staleness_ok = true;
   int valid_days = 0;
   for (const auto& report : live.reports) {
@@ -391,37 +281,17 @@ int Run(bool smoke) {
     ++valid_days;
     staleness_ok = staleness_ok && report.fresh_auc >= report.served_auc;
   }
-  soft_gate(valid_days > 0 && staleness_ok,
-            "fresh AUC >= served AUC on every valid day (the publish "
-            "closes a real staleness gap)");
+  gates.Check(valid_days > 0 && staleness_ok,
+              "fresh AUC >= served AUC on every valid day (the publish "
+              "closes a real staleness gap)");
   const bool glitch_measurable =
       glitch_us.size() >= 50 && steady_us.size() >= 50;
-  soft_gate(glitch_measurable && glitch_p99 <= 1.5 * steady_p99,
-            "publish-window fresh p99 <= 1.5x steady state");
-  gate(bitwise_ok,
-       "switches off: day-0 streamed loss history bitwise-equal to the "
-       "batch trainer over the same indices and seed");
-  gate(switches_ok,
-       "cross-batch negatives + one-backprop: every day published with "
-       "finite losses");
-  return failures == 0 ? 0 : 1;
+  gates.Check(glitch_measurable && glitch_p99 <= 1.5 * steady_p99,
+              "publish-window fresh p99 <= 1.5x steady state");
+  return gates.exit_code();
 }
 
 }  // namespace
 }  // namespace atnn::bench
 
-int main(int argc, char** argv) {
-  atnn::FlagParser flags(
-      "Streaming train-to-serve loop: staleness and publish-glitch "
-      "benchmark");
-  flags.AddBool("smoke", false,
-                "small world + stream, report-only staleness and tail "
-                "gates, for CI sanitizer jobs");
-  const atnn::Status status = flags.Parse(argc - 1, argv + 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  return atnn::bench::Run(flags.GetBool("smoke"));
-}
+int main() { return atnn::bench::Run(); }

@@ -2,24 +2,19 @@
 // the offline side of the system.
 //
 //   (a) TrainAtnnModel serial vs. with TrainOptions::pool — batch t+1 is
-//       gathered on the pool while batch t runs forward/backward. The loss
-//       history must stay BITWISE IDENTICAL to the serial loop (same
-//       shuffle, same batch order; only batch assembly moves off the
-//       training thread) — this bench exits nonzero if it does not, which
-//       is the CI regression gate for prefetch determinism.
+//       gathered on the pool while batch t runs forward/backward.
 //   (b) EvaluateAtnnAuc and ScoreItemsPairwise serial vs. pool-parallel
-//       chunked evaluation, reported in items/sec. Chunk results merge in
-//       deterministic chunk order, so the metrics must match exactly too.
+//       chunked evaluation, reported in items/sec. Gate: parallel AUC
+//       evaluation >= 1.5x serial items/sec on a multi-core host.
+//
+// That parallelism never changes a result (bitwise loss histories, exact
+// AUC and pairwise scores) is TrainerPipelineTest's contract.
 //
 // Weights are left at their seeded initialization for the eval sweep
 // (throughput depends on tower shapes, not converged weights); the
 // training sweep trains for real since that is what is being timed.
 //
 //   $ ./build/bench/bench_training_throughput
-//
-// --smoke shrinks the world and epoch count for CI sanitizer jobs; the
-// determinism gates stay hard, the speedup numbers become report-only
-// noise (sanitizers serialize everything).
 
 #include <cstdio>
 #include <string>
@@ -27,11 +22,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "nn/arena.h"
+#include "perf_common.h"
 
 namespace atnn::bench {
 namespace {
@@ -41,26 +36,8 @@ size_t PoolThreads() {
   return hw > 1 ? static_cast<size_t>(hw > 8 ? 8 : hw) : 2;
 }
 
-bool SameHistory(const std::vector<core::EpochStats>& a,
-                 const std::vector<core::EpochStats>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t e = 0; e < a.size(); ++e) {
-    if (a[e].loss_i != b[e].loss_i || a[e].loss_g != b[e].loss_g ||
-        a[e].loss_s != b[e].loss_s) {
-      return false;
-    }
-  }
-  return true;
-}
-
-int Run(bool smoke) {
-  data::TmallConfig world = PaperScaleTmallConfig();
-  if (smoke) {
-    world.num_users = 300;
-    world.num_items = 600;
-    world.num_new_items = 200;
-    world.num_interactions = 20000;
-  }
+int Run() {
+  const data::TmallConfig world = PaperScaleTmallConfig();
   data::TmallDataset dataset = data::GenerateTmallDataset(world);
   core::NormalizeTmallInPlace(&dataset);
 
@@ -68,40 +45,29 @@ int Run(bool smoke) {
   model_config.tower = BenchTowerConfig(nn::TowerKind::kDeepCross);
   model_config.seed = 7;
 
-  core::TrainOptions options = BenchTrainOptions();
-  if (smoke) {
-    options.epochs = 1;
-    options.batch_size = 128;
-  }
+  const core::TrainOptions options = BenchTrainOptions();
 
   ThreadPool pool(PoolThreads());
   std::printf("pipeline bench: %lld interactions, %d epochs, %zu pool "
-              "threads%s\n\n",
+              "threads\n\n",
               static_cast<long long>(world.num_interactions), options.epochs,
-              pool.num_threads(), smoke ? " (smoke budget)" : "");
+              pool.num_threads());
 
   TablePrinter table("training + evaluation pipeline throughput");
   table.SetHeader({"stage", "mode", "wall_s", "items/s", "speedup"});
-  int failures = 0;
-  const auto gate = [&failures](bool ok, const char* what) {
-    std::printf("%s %s\n", ok ? "PASS:" : "FAIL:", what);
-    if (!ok) ++failures;
-  };
 
-  // --- (a) training: serial vs. prefetched, identical loss history ---
-  const auto train = [&](ThreadPool* p, double* seconds) {
+  // --- (a) training: serial vs. prefetched ---
+  const auto train_seconds = [&](ThreadPool* p) {
     core::AtnnModel model(*dataset.user_schema, *dataset.item_profile_schema,
                           *dataset.item_stats_schema, model_config);
     core::TrainOptions run_options = options;
     run_options.pool = p;
     Stopwatch timer;
-    const auto history = TrainAtnnModel(&model, dataset, run_options);
-    *seconds = timer.ElapsedSeconds();
-    return history;
+    TrainAtnnModel(&model, dataset, run_options);
+    return timer.ElapsedSeconds();
   };
-  double serial_train_s = 0.0, prefetch_train_s = 0.0;
-  const auto serial_history = train(nullptr, &serial_train_s);
-  const auto prefetch_history = train(&pool, &prefetch_train_s);
+  const double serial_train_s = train_seconds(nullptr);
+  const double prefetch_train_s = train_seconds(&pool);
 
   const double steps = static_cast<double>(dataset.train_indices.size()) *
                        options.epochs;
@@ -116,22 +82,21 @@ int Run(bool smoke) {
   core::AtnnModel eval_model(*dataset.user_schema,
                              *dataset.item_profile_schema,
                              *dataset.item_stats_schema, model_config);
-  const int eval_repeats = smoke ? 2 : 5;
-  const int eval_batch = 256;
+  constexpr int kEvalRepeats = 5;
+  constexpr int kEvalBatch = 256;
 
-  const auto time_auc = [&](ThreadPool* p, double* auc) {
+  const auto time_auc = [&](ThreadPool* p) {
     Stopwatch timer;
-    for (int r = 0; r < eval_repeats; ++r) {
-      *auc = core::EvaluateAtnnAuc(eval_model, dataset, dataset.test_indices,
-                                   core::CtrPath::kGenerator, eval_batch, p);
+    for (int r = 0; r < kEvalRepeats; ++r) {
+      core::EvaluateAtnnAuc(eval_model, dataset, dataset.test_indices,
+                            core::CtrPath::kGenerator, kEvalBatch, p);
     }
     return timer.ElapsedSeconds();
   };
-  double auc_serial = 0.0, auc_parallel = 0.0;
-  const double auc_serial_s = time_auc(nullptr, &auc_serial);
-  const double auc_parallel_s = time_auc(&pool, &auc_parallel);
+  const double auc_serial_s = time_auc(nullptr);
+  const double auc_parallel_s = time_auc(&pool);
   const double auc_items =
-      static_cast<double>(dataset.test_indices.size()) * eval_repeats;
+      static_cast<double>(dataset.test_indices.size()) * kEvalRepeats;
   const double auc_speedup = auc_serial_s / auc_parallel_s;
   table.AddRow({"eval AUC", "serial", TablePrinter::Num(auc_serial_s, 2),
                 TablePrinter::Num(auc_items / auc_serial_s, 0), "1.00"});
@@ -139,17 +104,15 @@ int Run(bool smoke) {
                 TablePrinter::Num(auc_items / auc_parallel_s, 0),
                 TablePrinter::Num(auc_speedup, 2)});
 
-  const auto group = core::SelectActiveUsers(dataset, smoke ? 100 : 300);
-  const auto time_pairwise = [&](ThreadPool* p,
-                                 std::vector<double>* scores) {
+  const auto group = core::SelectActiveUsers(dataset, 300);
+  const auto time_pairwise = [&](ThreadPool* p) {
     Stopwatch timer;
-    *scores = core::ScoreItemsPairwise(eval_model, dataset,
-                                       dataset.new_items, group, 64, p);
+    core::ScoreItemsPairwise(eval_model, dataset, dataset.new_items, group,
+                             64, p);
     return timer.ElapsedSeconds();
   };
-  std::vector<double> pairwise_serial, pairwise_parallel;
-  const double pw_serial_s = time_pairwise(nullptr, &pairwise_serial);
-  const double pw_parallel_s = time_pairwise(&pool, &pairwise_parallel);
+  const double pw_serial_s = time_pairwise(nullptr);
+  const double pw_parallel_s = time_pairwise(&pool);
   const double pw_items = static_cast<double>(dataset.new_items.size());
   table.AddRow({"pairwise", "serial", TablePrinter::Num(pw_serial_s, 2),
                 TablePrinter::Num(pw_items / pw_serial_s, 0), "1.00"});
@@ -161,47 +124,24 @@ int Run(bool smoke) {
   std::printf("\n");
 
   // The training thread's arena workspace peak (the steady-state bytes a
-  // step reuses instead of heap-allocating); bench_kernels gates the
-  // zero-allocation claim itself.
+  // step reuses instead of heap-allocating); that a warmed step allocates
+  // nothing is ArenaScopeTest's contract.
   std::printf("arena high-water mark: %.1f KiB in use, %.1f KiB reserved\n",
               nn::ThreadArena().HighWaterMark() / 1024.0,
               nn::ThreadArena().BytesReserved() / 1024.0);
 
-  // Hard gates: parallelism must never change a result.
-  gate(SameHistory(serial_history, prefetch_history),
-       "prefetched loss history bitwise-identical to serial");
-  gate(auc_serial == auc_parallel, "parallel AUC identical to serial");
-  gate(pairwise_serial == pairwise_parallel,
-       "parallel pairwise scores identical to serial");
-
-  // Throughput is machine-dependent; gate only when the pool has real
-  // cores to use (a single-core host ties by construction, and sanitizer
-  // runs serialize everything).
-  const bool eval_fast_enough = auc_speedup >= 1.5;
-  const bool multicore = std::thread::hardware_concurrency() >= 2;
-  if (smoke || !multicore) {
-    std::printf("%s eval AUC speedup %.2fx (report-only: %s)\n",
-                eval_fast_enough ? "PASS:" : "WARN:", auc_speedup,
-                smoke ? "--smoke" : "single-core host");
-  } else {
-    gate(eval_fast_enough, "parallel eval AUC >= 1.5x serial items/sec");
+  // A single-core host ties by construction: no gate there.
+  if (std::thread::hardware_concurrency() < 2) {
+    std::printf("SKIP: parallel eval gate (single-core host)\n");
+    return 0;
   }
-  return failures == 0 ? 0 : 1;
+  Gates gates;
+  gates.Check(auc_speedup >= 1.5,
+              "parallel eval AUC >= 1.5x serial items/sec");
+  return gates.exit_code();
 }
 
 }  // namespace
 }  // namespace atnn::bench
 
-int main(int argc, char** argv) {
-  atnn::FlagParser flags("Training/evaluation pipeline throughput benchmark");
-  flags.AddBool("smoke", false,
-                "small world + 1 epoch for CI sanitizer jobs; determinism "
-                "gates stay hard, speedup gates become report-only");
-  const atnn::Status status = flags.Parse(argc - 1, argv + 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  return atnn::bench::Run(flags.GetBool("smoke"));
-}
+int main() { return atnn::bench::Run(); }

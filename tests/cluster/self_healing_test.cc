@@ -6,10 +6,13 @@
 // property each drill exercises (bounded-remap moves, supervised
 // rebuild, breaker-gated re-admission).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,10 +204,16 @@ TEST_F(SelfHealingTest, KilledShardAutoRecoversToFreshUnderLoad) {
   const std::vector<int64_t> rows = AllRows();
   std::atomic<bool> stop{false};
   std::atomic<int64_t> errors{0};
+  std::atomic<int64_t> untagged{0};
   std::thread client([&] {
     while (!stop.load()) {
       for (const auto& result : runtime.ScoreBatch(rows)) {
-        if (!result.ok()) errors.fetch_add(1);
+        if (!result.ok()) {
+          errors.fetch_add(1);
+        } else if (static_cast<size_t>(result.value().tier) >=
+                   runtime::kNumServingTiers) {
+          untagged.fetch_add(1);
+        }
       }
     }
   });
@@ -235,6 +244,7 @@ TEST_F(SelfHealingTest, KilledShardAutoRecoversToFreshUnderLoad) {
   ASSERT_EQ(supervisor.health(kVictim), ShardHealth::kHealthy)
       << "supervisor never healed the killed shard";
   EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(untagged.load(), 0);
 
   // Healed means healed: every row of the victim's slice serves fresh.
   const std::vector<double> expected =
@@ -254,6 +264,97 @@ TEST_F(SelfHealingTest, KilledShardAutoRecoversToFreshUnderLoad) {
   }
   EXPECT_GE(rebuilds, 1);
   runtime.Shutdown();
+}
+
+/// A shard killed cold under load, with no supervisor to heal it: a client
+/// thread scores the catalog in chunks through a 4-shard runtime with a
+/// prior and a 500 ms whole-request budget, shard 1 dies once a full pass
+/// has been answered, and the client scores two more passes. Nothing
+/// errors, every answer carries a tier, the survivors keep answering fresh
+/// and the dead shard's rows degrade. Every non-fresh answer is counted as
+/// degraded by the gather or by the shard that gave it; a row can be
+/// counted by both (a shard can answer degraded a row the gather already
+/// abandoned), so the sum bounds the answers from above.
+TEST_F(SelfHealingTest, KilledShardDegradesThroughThePriorUnderLoad) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kVictim = 1;
+  constexpr size_t kChunk = 50;  // not a multiple of the shard batch size
+  ShardedRuntimeConfig config = Config(kShards);
+  config.breaker = CircuitBreakerConfig{};
+  config.default_deadline_us = 500'000;
+  ShardedRuntime runtime(config);
+  ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
+
+  const std::vector<int64_t> rows = AllRows();
+  const size_t chunks_per_pass = (rows.size() + kChunk - 1) / kChunk;
+  std::atomic<bool> first_pass_done{false};
+  std::atomic<bool> killed{false};
+  int64_t errors = 0;
+  int64_t untagged = 0;
+  int64_t fresh_after_kill = 0;
+  int64_t unfresh_after_kill = 0;
+  std::thread client([&] {
+    size_t chunks_after_kill = 0;
+    for (size_t chunk = 0; chunks_after_kill < 2 * chunks_per_pass;
+         ++chunk) {
+      // The kill may land while this chunk is in flight; only chunks
+      // started after it count as after the kill.
+      const bool after_kill = killed.load();
+      const size_t begin = (chunk % chunks_per_pass) * kChunk;
+      const size_t end = std::min(begin + kChunk, rows.size());
+      for (const auto& result : runtime.ScoreBatch(
+               {rows.begin() + static_cast<std::ptrdiff_t>(begin),
+                rows.begin() + static_cast<std::ptrdiff_t>(end)})) {
+        if (!result.ok()) {
+          ++errors;
+          continue;
+        }
+        const runtime::ServingTier tier = result.value().tier;
+        if (static_cast<size_t>(tier) >= runtime::kNumServingTiers) {
+          ++untagged;
+        }
+        if (!after_kill) continue;
+        ++(tier == runtime::ServingTier::kFresh ? fresh_after_kill
+                                                : unfresh_after_kill);
+      }
+      if (chunk + 1 == chunks_per_pass) first_pass_done.store(true);
+      if (after_kill) ++chunks_after_kill;
+    }
+  });
+  while (!first_pass_done.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  runtime.ShutDownShard(kVictim);
+  killed.store(true);
+  client.join();
+  runtime.Shutdown();
+
+  EXPECT_EQ(errors, 0);
+  EXPECT_EQ(untagged, 0);
+  EXPECT_GT(unfresh_after_kill, 0) << "the dead shard's rows never degraded";
+  EXPECT_GT(fresh_after_kill, 0) << "the surviving shards stopped serving";
+
+  int64_t gather_degraded = -1;
+  int64_t shard_degraded = 0;
+  bool victim_namespace = false;
+  for (const auto& [name, value] : runtime.Collect().counters) {
+    if (name == "gather.degraded") gather_degraded = value;
+    for (size_t i = 0; i < kShards; ++i) {
+      if (name == "shard" + std::to_string(i) + ".degraded") {
+        shard_degraded += value;
+      }
+    }
+    if (name == "shard" + std::to_string(kVictim) + ".enqueued") {
+      victim_namespace = true;
+    }
+  }
+  EXPECT_GT(gather_degraded, 0);
+  EXPECT_LE(unfresh_after_kill, gather_degraded + shard_degraded)
+      << "gather.degraded " << gather_degraded << ", shards' degraded "
+      << shard_degraded;
+  // The dead shard's metrics stay collected: that is how an operator
+  // attributes the degradation.
+  EXPECT_TRUE(victim_namespace);
 }
 
 /// Resize composed with admission control: a quota-starved tenant keeps

@@ -263,12 +263,17 @@ TEST_F(ShardedRuntimeTest, DeadShardDegradesThroughPriorNeverErrors) {
   const auto snapshot = runtime.Collect();
   int64_t shard_errors = 0;
   int64_t frontend_degraded = 0;
+  bool dead_namespace = false;
   for (const auto& [name, value] : snapshot.counters) {
     if (name == "gather.shard_errors") shard_errors = value;
     if (name == "gather.degraded") frontend_degraded = value;
+    if (name == "shard0.enqueued") dead_namespace = true;
   }
   EXPECT_EQ(shard_errors, degraded);
   EXPECT_EQ(frontend_degraded, degraded);
+  // The dead shard's metrics stay collected: that is how an operator
+  // attributes the degradation.
+  EXPECT_TRUE(dead_namespace);
 }
 
 TEST_F(ShardedRuntimeTest, ExpiredBudgetDegradesEveryAnswerWithTier) {
@@ -395,8 +400,11 @@ TEST_F(ShardedRuntimeTest, ResizeGrowMovesOnlyBoundedRemapRows) {
   EXPECT_EQ(runtime.ring().num_shards(), 4u);
 
   // Every row still serves fresh with an unchanged score on the new
-  // routing — including rows that moved shards.
+  // routing — including rows that moved shards — and both new shards take
+  // their share of it.
   ExpectFreshBitwise(runtime, expected, 1);
+  EXPECT_GT(runtime.shard(2).stats().enqueued, 0);
+  EXPECT_GT(runtime.shard(3).stats().enqueued, 0);
   runtime.Shutdown();
 }
 

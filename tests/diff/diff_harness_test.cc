@@ -13,22 +13,20 @@
 // subnormals, -0.0, all-zero rows).
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../common/counting_allocator.h"
 #include "../core/test_helpers.h"
 #include "../quant/artifact_layout.h"
 #include "common/rng.h"
@@ -42,74 +40,13 @@
 #include "quant/quantized_generator.h"
 #include "reference_interpreter.h"
 
-// Counting global allocator (the scheme bench_compiled uses): every
-// operator new bumps one counter, so a window of plan executions can
-// require that it does not move.
-namespace {
-
-std::atomic<uint64_t> g_alloc_count{0};
-
-void* CountedAlloc(std::size_t size, std::size_t alignment) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (size == 0) size = 1;
-  return alignment > alignof(std::max_align_t)
-             ? std::aligned_alloc(alignment, (size + alignment - 1) /
-                                                 alignment * alignment)
-             : std::malloc(size);
-}
-
-// Out of line, so the compiler never pairs an inlined free() with the
-// operator new it can see in this file.
-[[gnu::noinline]] void Release(void* ptr) { std::free(ptr); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* ptr = CountedAlloc(size, 0);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  void* ptr = CountedAlloc(size, static_cast<std::size_t>(align));
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* ptr) noexcept { Release(ptr); }
-void operator delete[](void* ptr) noexcept { Release(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { Release(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { Release(ptr); }
-void operator delete(void* ptr, std::align_val_t) noexcept { Release(ptr); }
-void operator delete[](void* ptr, std::align_val_t) noexcept {
-  Release(ptr);
-}
-void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
-  Release(ptr);
-}
-void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
-  Release(ptr);
-}
-
 namespace atnn::diff {
 namespace {
 
 using core::testing_helpers::HostBackends;
 using core::testing_helpers::ScopedBackend;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
+using counting_allocator::AllocationCount;
+using counting_allocator::kSanitized;
 
 constexpr uint64_t kSeed = 0x5eed'd1ff'2026ULL;
 // 40 towers x 250 batches = 10,000 cases per pair and kernel table.
@@ -537,12 +474,13 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("unknown");
     });
 
-// A lowered plan runs off its warmed scratch alone: no heap allocation per
-// execution, at any batch size up to max_batch. Report-only under
-// sanitizers, whose runtimes allocate behind the counter's back.
+// A plan, fp32 or lowered, runs off its warmed scratch alone: no heap
+// allocation per execution, at any batch size up to max_batch.
+// Report-only under sanitizers, whose runtimes allocate behind the
+// counter's back.
 TEST(DiffHarnessAllocationTest, LoweredPlansAllocateNothingAfterWarmup) {
   Rng rng(kSeed);
-  for (const Pair pair : {Pair::kInt8, Pair::kBf16}) {
+  for (const Pair pair : {Pair::kInt8, Pair::kBf16, Pair::kFp32}) {
     for (int t = 0; t < 4; ++t) {
       const Tower tower = MakeTower(rng, pair);
       const int64_t max_batch = tower.plan->max_batch();
@@ -555,7 +493,7 @@ TEST(DiffHarnessAllocationTest, LoweredPlansAllocateNothingAfterWarmup) {
                       ->Execute({&batches[0].categorical, &batches[0].numeric},
                                 max_batch, &scratch)
                       .ok());
-      const uint64_t before = g_alloc_count.load();
+      const uint64_t before = AllocationCount();
       bool ok = true;
       for (const data::BlockBatch& batch : batches) {
         ok &= tower.plan
@@ -563,7 +501,7 @@ TEST(DiffHarnessAllocationTest, LoweredPlansAllocateNothingAfterWarmup) {
                             batch.rows(), &scratch)
                   .ok();
       }
-      const uint64_t allocations = g_alloc_count.load() - before;
+      const uint64_t allocations = AllocationCount() - before;
       EXPECT_TRUE(ok) << tower.description;
       if (kSanitized) {
         std::printf("%s: %llu allocations (report-only under sanitizers)\n",

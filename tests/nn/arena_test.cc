@@ -1,6 +1,9 @@
 #include "nn/arena.h"
 
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <latch>
 #include <memory>
@@ -10,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/counting_allocator.h"
 #include "../core/test_helpers.h"
 #include "core/atnn.h"
 #include "nn/autograd.h"
@@ -172,62 +176,110 @@ TEST(ArenaScopeTest, StepLoopReachesZeroSteadyStateGrowth) {
   EXPECT_EQ(ThreadArena().HighWaterMark(), high_water);
 }
 
-// The arena changes where step tensors live, never what they hold: a few
-// ATNN discriminator + generator steps (bench_kernels' training step), each
-// inside an ArenaScope, end with the same losses and parameters, bit for
-// bit, as the same steps on heap tensors. Checked on every kernel table
-// this host runs.
-TEST(ArenaScopeTest, AtnnTrainingStepsMatchHeapTensorsBitwise) {
-  const data::TmallDataset dataset =
-      core::testing_helpers::MakeNormalizedTinyDataset();
+/// An ATNN model and its two Adam optimizers, stepping on one fixed batch
+/// the way core::RunEpochs does once the batch is assembled: a
+/// discriminator step on L_i, then a generator step on L_g + 0.1 L_s,
+/// each with gradient clipping.
+class AtnnStepper {
+ public:
+  AtnnStepper(const data::TmallDataset& dataset,
+              const core::AtnnConfig& config)
+      : model_(*dataset.user_schema, *dataset.item_profile_schema,
+               *dataset.item_stats_schema, config),
+        optimizer_d_(model_.DiscriminatorParameters(), 2e-3f),
+        optimizer_g_(model_.GeneratorParameters(), 2e-3f),
+        parameters_(model_.Parameters()) {}
+
+  struct StepLosses {
+    std::array<float, 3> losses;  // L_i, L_g, L_s
+    bool arena_backed = false;    // where L_i's value lived
+  };
+
+  /// One training step, inside an ArenaScope when `in_arena`.
+  StepLosses Step(const data::CtrBatch& batch, bool in_arena) {
+    std::optional<ArenaScope> scope;  // declared before every Var below
+    if (in_arena) scope.emplace();
+    ZeroAllGrads(parameters_);
+    const Var user_vec = model_.UserVector(batch.user);
+    const Var enc_vec =
+        model_.EncoderItemVector(batch.item_profile, batch.item_stats);
+    const Var loss_i = SigmoidBceLossWithLogits(
+        model_.EncoderLogits(enc_vec, user_vec), batch.labels);
+    Backward(loss_i);
+    optimizer_d_.ClipGradNorm(5.0);
+    optimizer_d_.Step();
+
+    ZeroAllGrads(parameters_);
+    const Var user_vec_g = model_.UserVector(batch.user);
+    const Var enc_vec_g =
+        model_.EncoderItemVector(batch.item_profile, batch.item_stats);
+    const Var gen_vec = model_.GeneratorItemVector(batch.item_profile);
+    const Var loss_g = SigmoidBceLossWithLogits(
+        model_.GeneratorLogits(gen_vec, user_vec_g), batch.labels);
+    const Var loss_s = model_.SimilarityLoss(gen_vec, enc_vec_g);
+    Backward(Add(loss_g, Scale(loss_s, 0.1f)));
+    optimizer_g_.ClipGradNorm(5.0);
+    optimizer_g_.Step();
+    return {{loss_i.value().scalar(), loss_g.value().scalar(),
+             loss_s.value().scalar()},
+            loss_i.value().arena_backed()};
+  }
+
+  /// The batched no-grad generator-path forward serving runs.
+  float InferenceForward(const data::CtrBatch& batch) const {
+    const NoGradGuard no_grad;
+    const ArenaScope arena_scope;
+    const Var user_vec = model_.UserVector(batch.user);
+    const Var gen_vec = model_.GeneratorItemVector(batch.item_profile);
+    return model_.GeneratorLogits(gen_vec, user_vec).value().at(0, 0);
+  }
+
+  const std::vector<Parameter*>& parameters() const { return parameters_; }
+
+ private:
+  core::AtnnModel model_;
+  Adam optimizer_d_;
+  Adam optimizer_g_;
+  std::vector<Parameter*> parameters_;
+};
+
+core::AtnnConfig StepperConfig() {
   core::AtnnConfig config;
   config.tower = core::testing_helpers::TinyTowerConfig(TowerKind::kDeepCross);
   config.seed = 7;
+  return config;
+}
+
+data::CtrBatch FirstTrainBatch(const data::TmallDataset& dataset) {
   const std::vector<int64_t> rows(dataset.train_indices.begin(),
                                   dataset.train_indices.begin() + 256);
-  const data::CtrBatch batch = data::MakeCtrBatch(dataset, rows);
+  return data::MakeCtrBatch(dataset, rows);
+}
+
+// The arena changes where step tensors live, never what they hold: a few
+// ATNN discriminator + generator steps, each inside an ArenaScope, end
+// with the same losses and parameters, bit for bit, as the same steps on
+// heap tensors. Checked on every kernel table this host runs.
+TEST(ArenaScopeTest, AtnnTrainingStepsMatchHeapTensorsBitwise) {
+  const data::TmallDataset dataset =
+      core::testing_helpers::MakeNormalizedTinyDataset();
+  const data::CtrBatch batch = FirstTrainBatch(dataset);
 
   struct Trained {
     std::vector<float> losses;  // per step: L_i, L_g, L_s
     std::vector<std::vector<float>> parameters;
   };
   const auto train = [&](bool in_arena) {
-    core::AtnnModel model(*dataset.user_schema, *dataset.item_profile_schema,
-                          *dataset.item_stats_schema, config);
-    Adam optimizer_d(model.DiscriminatorParameters(), 2e-3f);
-    Adam optimizer_g(model.GeneratorParameters(), 2e-3f);
-    const std::vector<Parameter*> parameters = model.Parameters();
+    AtnnStepper stepper(dataset, StepperConfig());
     Trained trained;
     for (int step = 0; step < 3; ++step) {
-      std::optional<ArenaScope> scope;  // declared before every Var below
-      if (in_arena) scope.emplace();
-      ZeroAllGrads(parameters);
-      const Var user_vec = model.UserVector(batch.user);
-      const Var enc_vec =
-          model.EncoderItemVector(batch.item_profile, batch.item_stats);
-      const Var loss_i = SigmoidBceLossWithLogits(
-          model.EncoderLogits(enc_vec, user_vec), batch.labels);
-      EXPECT_EQ(loss_i.value().arena_backed(), in_arena);
-      Backward(loss_i);
-      optimizer_d.ClipGradNorm(5.0);
-      optimizer_d.Step();
-
-      ZeroAllGrads(parameters);
-      const Var user_vec_g = model.UserVector(batch.user);
-      const Var enc_vec_g =
-          model.EncoderItemVector(batch.item_profile, batch.item_stats);
-      const Var gen_vec = model.GeneratorItemVector(batch.item_profile);
-      const Var loss_g = SigmoidBceLossWithLogits(
-          model.GeneratorLogits(gen_vec, user_vec_g), batch.labels);
-      const Var loss_s = model.SimilarityLoss(gen_vec, enc_vec_g);
-      Backward(Add(loss_g, Scale(loss_s, 0.1f)));
-      optimizer_g.ClipGradNorm(5.0);
-      optimizer_g.Step();
-      trained.losses.insert(trained.losses.end(),
-                            {loss_i.value().scalar(), loss_g.value().scalar(),
-                             loss_s.value().scalar()});
+      const AtnnStepper::StepLosses step_losses =
+          stepper.Step(batch, in_arena);
+      EXPECT_EQ(step_losses.arena_backed, in_arena);
+      trained.losses.insert(trained.losses.end(), step_losses.losses.begin(),
+                            step_losses.losses.end());
     }
-    for (const Parameter* parameter : parameters) {
+    for (const Parameter* parameter : stepper.parameters()) {
       const Tensor& value = parameter->value();
       trained.parameters.emplace_back(value.data(),
                                       value.data() + value.numel());
@@ -253,6 +305,51 @@ TEST(ArenaScopeTest, AtnnTrainingStepsMatchHeapTensorsBitwise) {
                             arena.parameters[i].size() * sizeof(float)),
                 0)
           << "parameter " << i;
+    }
+  }
+}
+
+// The allocation-free steady state: once warm (Adam state, arena blocks,
+// touched_rows capacity and Backward's thread-local traversal buffers),
+// a full ATNN training step and a batched no-grad inference forward make
+// zero heap allocations. Five warm-up steps, then a five-step window. The
+// batch is fixed: batch assembly allocates by design. Report-only under
+// sanitizers, whose runtimes allocate behind the counter's back.
+TEST(ArenaScopeTest, WarmAtnnStepsMakeNoHeapAllocations) {
+  const data::TmallDataset dataset =
+      core::testing_helpers::MakeNormalizedTinyDataset();
+  const data::CtrBatch batch = FirstTrainBatch(dataset);
+  constexpr int kWarmup = 5;
+  constexpr int kWindow = 5;
+  for (const kernels::Backend backend :
+       core::testing_helpers::HostBackends()) {
+    SCOPED_TRACE(kernels::BackendName(backend));
+    const core::testing_helpers::ScopedBackend use(backend);
+    AtnnStepper stepper(dataset, StepperConfig());
+
+    for (int i = 0; i < kWarmup; ++i) stepper.Step(batch, /*in_arena=*/true);
+    const uint64_t before_train = counting_allocator::AllocationCount();
+    for (int i = 0; i < kWindow; ++i) stepper.Step(batch, /*in_arena=*/true);
+    const uint64_t train_allocations =
+        counting_allocator::AllocationCount() - before_train;
+
+    float sink = 0.0f;
+    for (int i = 0; i < kWarmup; ++i) sink += stepper.InferenceForward(batch);
+    const uint64_t before_infer = counting_allocator::AllocationCount();
+    for (int i = 0; i < kWindow; ++i) sink += stepper.InferenceForward(batch);
+    const uint64_t infer_allocations =
+        counting_allocator::AllocationCount() - before_infer;
+    EXPECT_TRUE(std::isfinite(sink));
+
+    if (counting_allocator::kSanitized) {
+      std::printf("%s: %llu train-step and %llu inference-forward "
+                  "allocations (report-only under sanitizers)\n",
+                  kernels::BackendName(backend),
+                  static_cast<unsigned long long>(train_allocations),
+                  static_cast<unsigned long long>(infer_allocations));
+    } else {
+      EXPECT_EQ(train_allocations, 0u);
+      EXPECT_EQ(infer_allocations, 0u);
     }
   }
 }

@@ -3,7 +3,7 @@
 // DeserializeFrom on an in-memory reader (no container CRC to hide the
 // damage), Validate, the lowering into a CompiledPlan, and one Execute on a
 // fixed batch — and must either stop with a Status at some stage or execute
-// cleanly. Run under ASan+UBSan (label `sanitize`), "cleanly" means no
+// cleanly. Under ASan+UBSan, which runs every test, "cleanly" means no
 // memory or undefined-behaviour error on the way.
 
 #include <cstdint>

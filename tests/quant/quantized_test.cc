@@ -386,6 +386,9 @@ TEST_F(QuantizedGeneratorTest, SnapshotValidatesWithoutFp32Model) {
   built->CorruptScaleForTest(std::numeric_limits<float>::quiet_NaN());
   EXPECT_EQ(runtime::ValidateServingSnapshot(snapshot).code(),
             StatusCode::kDataLoss);
+  built->CorruptScaleForTest(0.0f);
+  EXPECT_EQ(runtime::ValidateServingSnapshot(snapshot).code(),
+            StatusCode::kDataLoss);
 
   runtime::ServingSnapshot neither;
   neither.predictor = runtime::Unowned(&predictor);

@@ -309,14 +309,19 @@ TEST_F(CompiledServingTest, PublishShardedRejectsASnapshotThatCannotServe) {
         if (name == "gather.publish_rejected") rejected = value;
       }
       EXPECT_EQ(rejected, 1);
-      // Refused before any shard swapped.
+      // Refused before any shard swapped: every arrival still answers
+      // fresh from version 1, whatever the precision.
       for (size_t i = 0; i < sharded.num_shards(); ++i) {
         EXPECT_EQ(sharded.shard(i).snapshot_version(), 1u) << i;
       }
-      const auto answer = sharded.Score(dataset_->new_items.front());
-      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-      EXPECT_EQ(answer->tier, ServingTier::kFresh);
-      EXPECT_EQ(answer->snapshot_version, 1u);
+      const auto answers = sharded.ScoreBatch(dataset_->new_items);
+      ASSERT_EQ(answers.size(), dataset_->new_items.size());
+      for (size_t i = 0; i < answers.size(); ++i) {
+        ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+        EXPECT_EQ(answers[i]->tier, ServingTier::kFresh)
+            << "item " << dataset_->new_items[i];
+        EXPECT_EQ(answers[i]->snapshot_version, 1u);
+      }
     }
   }
 }

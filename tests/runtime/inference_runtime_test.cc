@@ -287,6 +287,9 @@ TEST_F(InferenceRuntimeTest, HotSwapChurnDropsNothingAndScoresConsistently) {
   std::vector<std::future<StatusOr<ScoreResult>>> futures;
   std::vector<size_t> item_index;
   futures.reserve(kRounds * dataset_->new_items.size());
+  // The score path records lock-free, publishes included: the registry
+  // mutex must not move from the first request to the last answer.
+  const int64_t locks_before = runtime.metrics_registry().mutex_acquisitions();
   for (int round = 0; round < kRounds; ++round) {
     for (size_t i = 0; i < dataset_->new_items.size(); ++i) {
       futures.push_back(runtime.ScoreAsync(dataset_->new_items[i]));
@@ -304,6 +307,7 @@ TEST_F(InferenceRuntimeTest, HotSwapChurnDropsNothingAndScoresConsistently) {
                                : expected_b;
     EXPECT_NEAR(result.value().score, expected[item_index[f]], 1e-9);
   }
+  EXPECT_EQ(runtime.metrics_registry().mutex_acquisitions(), locks_before);
 
   stop_publishing.store(true);
   publisher.join();
@@ -558,6 +562,8 @@ TEST_F(InferenceRuntimeTest, InjectedFaultsDegradeEveryResponseCleanly) {
   constexpr int kRequests = 500;
   std::vector<std::future<StatusOr<ScoreResult>>> futures;
   futures.reserve(kRequests);
+  // Degraded answers record lock-free too.
+  const int64_t locks_before = runtime.metrics_registry().mutex_acquisitions();
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(runtime.ScoreAsync(
         dataset_->new_items[static_cast<size_t>(i) %
@@ -567,6 +573,7 @@ TEST_F(InferenceRuntimeTest, InjectedFaultsDegradeEveryResponseCleanly) {
     const auto result = future.get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
+  EXPECT_EQ(runtime.metrics_registry().mutex_acquisitions(), locks_before);
   runtime.Shutdown();
   const auto stats = runtime.stats();
   EXPECT_EQ(stats.completed_ok, kRequests);
@@ -587,11 +594,13 @@ TEST_F(InferenceRuntimeTest,
   ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
 
   std::atomic<bool> stop{false};
+  std::atomic<int64_t> valid_publishes{0};
   std::atomic<int64_t> corrupt_attempts{0};
   std::atomic<int64_t> corrupt_accepted{0};
   std::thread valid_publisher([&] {
     while (!stop.load()) {
       runtime.Publish(MakeSnapshot());
+      valid_publishes.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -624,9 +633,12 @@ TEST_F(InferenceRuntimeTest,
     EXPECT_GE(result.value().snapshot_version, 1u);
     ++answered;
   }
-  // Scoring can finish before a loaded scheduler first runs the corrupt
-  // publisher; the rejection path must have been exercised at least once.
-  while (corrupt_attempts.load() == 0) std::this_thread::yield();
+  // Scoring can finish before a loaded scheduler first runs either
+  // publisher; the rejection path and a valid publish after the initial
+  // one must each have run at least once.
+  while (corrupt_attempts.load() == 0 || valid_publishes.load() == 0) {
+    std::this_thread::yield();
+  }
   stop.store(true);
   valid_publisher.join();
   corrupt_publisher.join();
@@ -636,6 +648,7 @@ TEST_F(InferenceRuntimeTest,
   EXPECT_EQ(corrupt_accepted.load(), 0);
   const auto stats = runtime.stats();
   EXPECT_GT(stats.publish_rejected, 0);
+  EXPECT_GE(stats.swaps, 2);  // valid publishes kept landing
   EXPECT_EQ(stats.completed_error, 0);
 }
 

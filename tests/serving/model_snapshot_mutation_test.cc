@@ -3,9 +3,8 @@
 // reaches the parser, and goes into a fresh model through
 // LoadModelSnapshot. It must then stop with a Status that leaves the model's
 // parameters untouched, or load a model that publish refuses, or publish
-// and serve. Nothing may abort. Run under
-// ASan+UBSan (label `sanitize`), no memory or undefined-behaviour error
-// may show on the way either.
+// and serve. Nothing may abort. Under ASan+UBSan, which runs every test,
+// no memory or undefined-behaviour error may show on the way either.
 
 #include <cstdint>
 #include <cstdio>

@@ -6,16 +6,20 @@
 
 #include "stream/streaming_trainer.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/feature_adapter.h"
+#include "core/popularity.h"
 #include "core/trainer.h"
 #include "data/tmall.h"
 #include "nn/parameter.h"
@@ -266,31 +270,86 @@ TEST(StreamingTrainerTest, ReplaySamplesExtendTheTrainingSet) {
   }
 }
 
-TEST(StreamingTrainerTest, PublishesIntoALiveRuntime) {
+/// Streams TinyStreamConfig's days into a live runtime that first serves
+/// the seeded, untrained model, while a client thread scores Zipf rows
+/// through runtime.Score for the whole run. Every request is answered,
+/// every day publishes with finite losses, and versions strictly rise.
+void ExpectPublishesIntoALiveRuntime(bool switches_on) {
   const data::TmallDataset dataset = MakeTinyWorld();
+  StreamingTrainerConfig config = TinyTrainerConfig();
+  config.train.cross_batch_negatives = switches_on;
+  config.train.one_backprop = switches_on;
+
+  const core::AtnnModel initial_model(*dataset.user_schema,
+                                      *dataset.item_profile_schema,
+                                      *dataset.item_stats_schema,
+                                      config.model);
+  const core::PopularityPredictor initial_predictor =
+      core::PopularityPredictor::Build(
+          initial_model, dataset,
+          core::SelectActiveUsers(dataset, config.active_user_group));
+  runtime::ServingSnapshot initial;
+  initial.model = runtime::Unowned(&initial_model);
+  initial.predictor = runtime::Unowned(&initial_predictor);
+  initial.item_profiles = runtime::Unowned(&dataset.item_profiles);
+
   runtime::RuntimeConfig runtime_config;
   runtime_config.num_workers = 2;
   runtime::InferenceRuntime runtime(runtime_config);
+  ASSERT_TRUE(runtime.Publish(initial).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> answered{0};
+  std::atomic<int64_t> errors{0};
+  std::thread client([&] {
+    Rng rng(0xbe7c11ULL);
+    while (!stop.load()) {
+      const int64_t item =
+          dataset.new_items[rng.Zipf(dataset.new_items.size(), 1.1)];
+      (runtime.Score(item).ok() ? answered : errors).fetch_add(1);
+    }
+  });
   StreamingTrainer trainer(
-      dataset, TinyTrainerConfig(),
-      [&](runtime::ServingSnapshot snapshot) {
+      dataset, config, [&](runtime::ServingSnapshot snapshot) {
         return runtime.Publish(std::move(snapshot));
       });
   sim::ArrivalStream stream(&dataset, TinyStreamConfig());
   const auto reports = trainer.Run(&stream);
-  ASSERT_TRUE(reports.ok());
-  uint64_t last_version = 0;
-  for (const auto& report : *reports) {
-    EXPECT_TRUE(report.published);
-    EXPECT_GT(report.published_version, last_version);
-    last_version = report.published_version;
-  }
-  EXPECT_EQ(runtime.snapshot_version(), last_version);
+  stop.store(true);
+  client.join();
   // The last published day's weights are live: scoring works.
   const auto scored = runtime.Score(dataset.new_items.front());
-  ASSERT_TRUE(scored.ok());
-  EXPECT_TRUE(std::isfinite(scored.value().score));
   runtime.Shutdown();
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  EXPECT_TRUE(std::isfinite(scored.value().score));
+
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports->size(),
+            static_cast<size_t>(TinyStreamConfig().num_days));
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(answered.load(), 0);
+  uint64_t last_version = 1;  // the initial publish
+  for (const auto& report : *reports) {
+    EXPECT_TRUE(report.published) << "day " << report.day;
+    EXPECT_GT(report.published_version, last_version) << "day " << report.day;
+    last_version = report.published_version;
+    ASSERT_FALSE(report.history.empty());
+    for (const core::EpochStats& epoch : report.history) {
+      EXPECT_TRUE(std::isfinite(epoch.loss_i) &&
+                  std::isfinite(epoch.loss_g) && std::isfinite(epoch.loss_s))
+          << "day " << report.day;
+    }
+  }
+  EXPECT_EQ(runtime.snapshot_version(), last_version);
+}
+
+TEST(StreamingTrainerTest, PublishesIntoALiveRuntime) {
+  ExpectPublishesIntoALiveRuntime(/*switches_on=*/false);
+}
+
+// Cross-batch negatives and one-backprop alternation on.
+TEST(StreamingTrainerTest, PublishesIntoALiveRuntimeWithTheSwitchesOn) {
+  ExpectPublishesIntoALiveRuntime(/*switches_on=*/true);
 }
 
 }  // namespace
