@@ -71,13 +71,19 @@ Status CircuitBreakerConfig::Validate() const {
 CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig& config)
     : config_(config) {}
 
-void CircuitBreaker::RecordResult(bool ok) {
-  RecordResultAt(ok, Clock::now());
-}
-
 void CircuitBreaker::RecordResultAt(bool ok, Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mutex_);
   RecordResultLocked(ok, now);
+}
+
+void CircuitBreaker::RecordResults(std::span<const char> ok) {
+  RecordResultsAt(ok, Clock::now());
+}
+
+void CircuitBreaker::RecordResultsAt(std::span<const char> ok,
+                                     Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const char outcome : ok) RecordResultLocked(outcome != 0, now);
 }
 
 void CircuitBreaker::RecordResultLocked(bool ok, Clock::time_point now) {

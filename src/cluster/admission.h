@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 
 #include "common/status.h"
 
@@ -99,8 +100,13 @@ class CircuitBreaker {
   }
 
   /// Feeds one serving-path outcome into the EWMA; may open the breaker.
-  void RecordResult(bool ok);
   void RecordResultAt(bool ok, Clock::time_point now);
+
+  /// Feeds a sequence of outcomes (nonzero = ok) under one lock: the same
+  /// EWMA steps, in order, as RecordResultAt per outcome at one `now`, so a
+  /// breaker that opens part-way keeps counting the rest.
+  void RecordResults(std::span<const char> ok);
+  void RecordResultsAt(std::span<const char> ok, Clock::time_point now);
 
   /// Feeds one probe outcome. Drives open -> half-open (after cooldown)
   /// and half-open -> closed/open; in the closed state a probe outcome is

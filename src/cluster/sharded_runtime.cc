@@ -571,34 +571,39 @@ std::vector<StatusOr<runtime::ScoreResult>> ShardedRuntime::ScoreBatch(
   // One wait per shard, bounded by the whole-request budget, then every
   // row's outcome in burst order. A straggler past the budget is
   // abandoned: the shard still answers it, into the burst it co-owns,
-  // and the merge never holds the batch hostage to one shard.
+  // and the merge never holds the batch hostage to one shard. Each shard's
+  // outcomes feed its breaker once, in slot order.
   const Clock::time_point merge_start = Clock::now();
+  std::vector<char> outcomes;  // per burst slot: 1 = the shard answered OK
   for (size_t s = 0; s < num_shards; ++s) {
     if (bursts[s] == nullptr) continue;  // answered at scatter time
     bursts[s]->WaitUntil(overall_deadline);
-    CircuitBreaker& breaker = *epoch->shards[s].breaker;
+    outcomes.assign(indices[s].size(), 0);
+    int64_t timeouts = 0;
+    int64_t errors = 0;
     bursts[s]->TakeAll([&](size_t slot,
                            StatusOr<runtime::ScoreResult>* answer) {
       const size_t index = indices[s][slot];
       if (answer == nullptr) {
-        gather_timeouts_.Increment();
-        breaker.RecordResult(false);
+        ++timeouts;
         results[index] = FrontendDegraded(item_rows[index]);
       } else if (answer->ok()) {
         // Degraded-tier answers still count as successes here: the shard
         // is alive and inside its budget, just not fresh — the
         // supervisor's probes, not the breaker, handle staleness.
-        breaker.RecordResult(true);
+        outcomes[slot] = 1;
         results[index] = std::move(*answer);
       } else {
         // A down shard (FailedPrecondition after ShutDownShard) or a shard
         // erroring with its fallback chain disabled: degrade at the
         // front-end instead of surfacing a partial-failure error.
-        shard_errors_.Increment();
-        breaker.RecordResult(false);
+        ++errors;
         results[index] = FrontendDegraded(item_rows[index]);
       }
     });
+    epoch->shards[s].breaker->RecordResults(outcomes);
+    if (timeouts > 0) gather_timeouts_.Increment(timeouts);
+    if (errors > 0) shard_errors_.Increment(errors);
   }
   merge_us_.Record(MicrosSince(merge_start));
   return results;

@@ -195,17 +195,19 @@ StatusOr<std::vector<double>> ScoreItemsWithPlan(
   std::vector<double> scores;
   scores.reserve(item_rows.size());
   nn::ir::PlanScratch scratch;
+  data::BlockBuffer block;
   const int64_t cols = plan.output_cols();
   const size_t max_batch = static_cast<size_t>(plan.max_batch());
   for (size_t begin = 0; begin < item_rows.size(); begin += max_batch) {
     const size_t end = std::min(begin + max_batch, item_rows.size());
     const std::span<const int64_t> chunk(item_rows.data() + begin,
                                          end - begin);
-    const data::BlockBatch block = data::GatherBlock(item_profiles, chunk);
+    data::GatherBlockInto(item_profiles, chunk, &block);
     ATNN_ASSIGN_OR_RETURN(
         const float* vectors,
-        plan.Execute({&block.categorical, &block.numeric},
-                     static_cast<int64_t>(chunk.size()), &scratch));
+        plan.Execute({&block.categorical, block.numeric.data(), block.rows,
+                      block.numeric_cols},
+                     block.rows, &scratch));
     for (size_t r = 0; r < chunk.size(); ++r) {
       scores.push_back(
           predictor.ScoreVector(vectors + static_cast<int64_t>(r) * cols,

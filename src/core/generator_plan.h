@@ -83,11 +83,11 @@ StatusOr<std::shared_ptr<const nn::ir::CompiledPlan>> CompileGeneratorPlan(
     int64_t max_batch, std::shared_ptr<const void> keepalive = nullptr);
 
 /// Scores `item_rows` through the compiled plan: gathers blocks of up to
-/// plan.max_batch() rows, executes each through the pre-planned program,
-/// and reduces every generated vector with the predictor's O(1) dot
-/// product — the same math as PopularityPredictor::ScoreItems, row for
-/// row bitwise-identical for an fp32 plan because the plan reproduces the
-/// tape forward exactly. InvalidArgument if the table's shape drifted from
+/// plan.max_batch() rows into one reused buffer, executes each through the
+/// pre-planned program, and reduces every generated vector with the
+/// predictor's O(1) dot product — the same math as
+/// PopularityPredictor::ScoreItems, row for row bitwise-identical for an
+/// fp32 plan because the plan reproduces the tape forward exactly. InvalidArgument if the table's shape drifted from
 /// the plan's graph or an id is outside its embedding table.
 StatusOr<std::vector<double>> ScoreItemsWithPlan(
     const nn::ir::CompiledPlan& plan, const PopularityPredictor& predictor,

@@ -1,5 +1,7 @@
 #include "data/schema.h"
 
+#include <cstring>
+
 namespace atnn::data {
 
 FeatureSchema::FeatureSchema(std::vector<FeatureSpec> features)
@@ -43,27 +45,55 @@ void EntityTable::set_categorical(size_t field, int64_t row, int64_t value) {
   categorical_[field][static_cast<size_t>(row)] = value;
 }
 
+namespace {
+
+/// The one gather loop of GatherBlock and GatherBlockInto: sizes each id
+/// column of `categorical` (already one per field) to the batch and fills
+/// it, then copies each numeric row into `numeric`, [rows, num_numeric].
+void GatherRows(const EntityTable& table, std::span<const int64_t> rows,
+                std::vector<std::vector<int64_t>>* categorical,
+                float* numeric) {
+  for (size_t f = 0; f < categorical->size(); ++f) {
+    const std::vector<int64_t>& source = table.categorical_column(f);
+    std::vector<int64_t>& column = (*categorical)[f];
+    column.resize(rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      column[r] = source[static_cast<size_t>(rows[r])];
+    }
+  }
+  const auto cols = static_cast<size_t>(table.schema().num_numeric());
+  if (cols == 0) return;
+  const float* source = table.numeric_block().data();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ATNN_DCHECK(rows[r] >= 0 && rows[r] < table.num_rows());
+    std::memcpy(numeric + r * cols,
+                source + static_cast<size_t>(rows[r]) * cols,
+                cols * sizeof(float));
+  }
+}
+
+}  // namespace
+
 BlockBatch GatherBlock(const EntityTable& table,
                        std::span<const int64_t> rows) {
   const FeatureSchema& schema = table.schema();
   BlockBatch batch;
   batch.categorical.resize(schema.num_categorical());
-  const auto batch_size = static_cast<int64_t>(rows.size());
-  for (size_t f = 0; f < schema.num_categorical(); ++f) {
-    batch.categorical[f].reserve(rows.size());
-    for (int64_t row : rows) {
-      batch.categorical[f].push_back(table.categorical(f, row));
-    }
-  }
-  batch.numeric = nn::Tensor(batch_size,
+  batch.numeric = nn::Tensor(static_cast<int64_t>(rows.size()),
                              static_cast<int64_t>(schema.num_numeric()));
-  for (int64_t r = 0; r < batch_size; ++r) {
-    const int64_t src = rows[static_cast<size_t>(r)];
-    for (size_t f = 0; f < schema.num_numeric(); ++f) {
-      batch.numeric.at(r, static_cast<int64_t>(f)) = table.numeric(f, src);
-    }
-  }
+  GatherRows(table, rows, &batch.categorical, batch.numeric.data());
   return batch;
+}
+
+void GatherBlockInto(const EntityTable& table, std::span<const int64_t> rows,
+                     BlockBuffer* out) {
+  const FeatureSchema& schema = table.schema();
+  out->rows = static_cast<int64_t>(rows.size());
+  out->numeric_cols = static_cast<int64_t>(schema.num_numeric());
+  out->categorical.resize(schema.num_categorical());
+  const size_t numeric_size = rows.size() * schema.num_numeric();
+  if (out->numeric.size() < numeric_size) out->numeric.resize(numeric_size);
+  GatherRows(table, rows, &out->categorical, out->numeric.data());
 }
 
 EntityTable SliceRows(const EntityTable& table,

@@ -156,6 +156,25 @@ inline BlockBatch GatherBlock(const EntityTable& table,
                                                      rows.size()));
 }
 
+/// A gather destination refilled in place batch after batch: the per-field
+/// id columns of a BlockBatch plus the numeric rows in a flat buffer that
+/// never shrinks. Once it has held the largest batch it will be asked for,
+/// GatherBlockInto allocates nothing, whatever the batch size.
+struct BlockBuffer {
+  std::vector<std::vector<int64_t>> categorical;  // [field][row]
+  /// Row-major [rows, numeric_cols] in its first rows * numeric_cols
+  /// entries; what lies past them is left over from larger batches.
+  std::vector<float> numeric;
+  int64_t rows = 0;
+  int64_t numeric_cols = 0;
+};
+
+/// Gathers the given entity rows into `out`, reusing its storage: the same
+/// ids and numeric values GatherBlock returns, each numeric row copied
+/// with one memcpy.
+void GatherBlockInto(const EntityTable& table, std::span<const int64_t> rows,
+                     BlockBuffer* out);
+
 /// Materializes the given rows of `table` as a standalone EntityTable under
 /// the same schema: slice row i is table row rows[i]. Rows may repeat or
 /// reorder. The sharded serving layer uses this to give every shard its own

@@ -327,8 +327,9 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
     }
   }
   if (graph_.dense_cols() >= 0) {
-    if (input.dense == nullptr || input.dense->rows() != batch ||
-        input.dense->cols() != graph_.dense_cols()) {
+    if ((input.dense == nullptr && graph_.dense_cols() > 0) ||
+        input.dense_rows != batch ||
+        input.dense_cols != graph_.dense_cols()) {
       return Status::InvalidArgument("plan dense block shape mismatch");
     }
   }
@@ -336,7 +337,7 @@ StatusOr<const float*> CompiledPlan::Execute(const PlanInput& input,
   std::byte* base = scratch->Ensure(plan_bytes_);
   const auto resolve = [&](const Operand& op) -> const float* {
     if (op.constant != nullptr) return op.constant;
-    if (op.is_dense) return input.dense->data();
+    if (op.is_dense) return input.dense;
     return reinterpret_cast<const float*>(base + op.offset);
   };
 

@@ -13,15 +13,30 @@
 namespace atnn::nn::ir {
 
 /// The batch-varying inputs of one plan execution. Mirrors
-/// data::BlockBatch: per-field raw categorical ids (the executor applies
-/// the EmbeddingBag feature hash itself where the graph says so) and the
-/// dense feature block.
+/// data::BlockBatch and data::BlockBuffer: per-field raw categorical ids
+/// (the executor applies the EmbeddingBag feature hash itself where the
+/// graph says so) and the dense feature block, read through a pointer and
+/// its shape so a reused buffer larger than the batch can feed it.
 struct PlanInput {
+  PlanInput() = default;
+  /// The dense block is the whole of `block` (null: none).
+  PlanInput(const std::vector<std::vector<int64_t>>* ids, const Tensor* block)
+      : categorical(ids),
+        dense(block != nullptr ? block->data() : nullptr),
+        dense_rows(block != nullptr ? block->rows() : 0),
+        dense_cols(block != nullptr ? block->cols() : 0) {}
+  PlanInput(const std::vector<std::vector<int64_t>>* ids, const float* block,
+            int64_t rows, int64_t cols)
+      : categorical(ids), dense(block), dense_rows(rows), dense_cols(cols) {}
+
   /// [field][row]; exactly the graph's num_fields fields, each with
   /// `batch` entries. May be null when num_fields == 0.
   const std::vector<std::vector<int64_t>>* categorical = nullptr;
-  /// [batch, dense_cols]; may be null when the graph takes no dense block.
-  const Tensor* dense = nullptr;
+  /// Row-major [dense_rows, dense_cols] with dense_rows == batch; may be
+  /// null when the graph takes no dense block.
+  const float* dense = nullptr;
+  int64_t dense_rows = 0;
+  int64_t dense_cols = 0;
 };
 
 /// Reusable per-thread execution workspace: one flat allocation holding

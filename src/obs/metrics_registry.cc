@@ -55,18 +55,19 @@ void Gauge::Max(double value) {
   }
 }
 
-void Histogram::Record(double value) {
+void Histogram::Record(double value, int64_t count) {
+  if (count <= 0) return;
   Shard& shard = shards_[ShardIndex()];
   if (std::isnan(value)) {
-    shard.invalid.fetch_add(1, std::memory_order_relaxed);
+    shard.invalid.fetch_add(count, std::memory_order_relaxed);
     return;
   }
   if (value < 0.0) value = 0.0;
   value = std::min(value, LogHistogram::ValueClamp());
   shard.buckets[LogHistogram::BucketFor(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&shard.sum, value);
+      count, std::memory_order_relaxed);
+  shard.count.fetch_add(count, std::memory_order_relaxed);
+  AtomicAddDouble(&shard.sum, value * static_cast<double>(count));
   AtomicMaxDouble(&shard.max, value);
 }
 

@@ -68,7 +68,9 @@ class Gauge {
 
 /// Sharded log2 histogram. Record() touches only this thread's shard:
 /// one relaxed fetch_add per bucket/count, a relaxed CAS loop for the
-/// max — lock-free, no mutex anywhere in the call chain. Snapshot()
+/// max — lock-free, no mutex anywhere in the call chain. Record(value, n)
+/// lands n samples of one value at the cost of one, so a caller answering
+/// a run of requests with one latency records the run once. Snapshot()
 /// folds the shards into a LogHistogram view; a snapshot taken while
 /// writers are active may see a record's bucket increment before its
 /// count (or vice versa) — fine for telemetry, never torn memory.
@@ -76,7 +78,11 @@ class Histogram {
  public:
   static constexpr size_t kNumBuckets = LogHistogram::kNumBuckets;
 
-  void Record(double value);
+  /// Records `count` samples of `value`: the snapshot is that of `count`
+  /// calls of Record(value), except that the sum gains value * count in
+  /// one rounding. A NaN adds `count` to invalid(); count <= 0 records
+  /// nothing.
+  void Record(double value, int64_t count = 1);
 
   LogHistogram Snapshot() const;
 
@@ -122,8 +128,13 @@ void SortByName(MetricsSnapshot* snapshot);
 /// InferenceRuntime owns one via RuntimeStats).
 ///
 /// mutex_acquisitions() counts every time the registry mutex was taken —
-/// registration and Collect only. bench_runtime_throughput asserts it does
-/// not move during the scoring hot loop: the lock-free claim, measured.
+/// registration and Collect only. The lock-free claim, measured: it must
+/// not move while recording, as MetricsRegistryTest.
+/// RecordingNeverTakesTheRegistryMutex and RuntimeStatsTest.
+/// RecordingIsLockFreeOnTheRegistry assert, nor during serving, as
+/// InferenceRuntimeTest.HotSwapChurnDropsNothingAndScoresConsistently,
+/// InferenceRuntimeTest.InjectedFaultsDegradeEveryResponseCleanly and every
+/// perfbench run assert.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

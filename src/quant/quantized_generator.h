@@ -123,8 +123,8 @@ class QuantizedGenerator {
 
   /// Serialized payload size in bytes (what Save writes, pre-container).
   int64_t QuantizedByteSize() const;
-  /// Bytes the same tensors occupy at fp32 — the denominator of the
-  /// bench_quantized compression gate.
+  /// Bytes the same tensors occupy at fp32 — the denominator of
+  /// QuantizedGeneratorTest.CompressionRatioHolds.
   int64_t Fp32ByteSize() const;
 
   void SerializeTo(BinaryWriter* writer) const;

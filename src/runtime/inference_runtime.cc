@@ -10,7 +10,8 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
-#include "nn/arena.h"
+#include "data/schema.h"
+#include "nn/ir/plan.h"
 
 namespace atnn::runtime {
 
@@ -19,9 +20,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 constexpr auto kNoDeadline = Clock::time_point::max();
 
+double MicrosBetween(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
+}
+
 double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
+  return MicrosBetween(start, Clock::now());
 }
 
 /// The fault injector's snapshot-publish corruption: a NaN poked into a
@@ -257,7 +261,27 @@ StatsSnapshot InferenceRuntime::stats() const {
   return snapshot;
 }
 
+struct InferenceRuntime::WorkerScratch {
+  /// Where the attached plan (fp32, or lowered from the quantized
+  /// artifact) writes every intermediate at a fixed offset.
+  nn::ir::PlanScratch plan;
+  data::BlockBuffer block;
+  std::vector<size_t> live;  // positions in the batch awaiting a score
+  // Aligned with `live`:
+  std::vector<int64_t> rows;
+  std::vector<double> scores;
+  std::vector<char> state;  // 0 = needs forward, 1 = hit, 2 = degraded
+  std::vector<size_t> miss_pos;  // positions in the live-aligned arrays
+  // Aligned with `miss_pos`:
+  std::vector<int64_t> miss_rows;
+  std::vector<double> miss_scores;
+  // One run of burst answers:
+  std::vector<size_t> run_slots;
+  std::vector<ScoreResult> run_results;
+};
+
 void InferenceRuntime::WorkerLoop() {
+  WorkerScratch scratch;
   for (;;) {
     std::vector<PendingRequest> batch = batcher_.PopBatch();
     if (batch.empty()) return;  // closed and drained
@@ -282,20 +306,21 @@ void InferenceRuntime::WorkerLoop() {
       }
       continue;
     }
-    ExecuteBatch(*snapshot, &batch);
+    ExecuteBatch(*snapshot, &batch, &scratch);
   }
 }
 
 void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
-                                    std::vector<PendingRequest>* batch) {
+                                    std::vector<PendingRequest>* batch,
+                                    WorkerScratch* scratch) {
   const auto now = Clock::now();
   const int64_t num_rows = snapshot.item_profiles->num_rows();
 
   // Partition: out-of-range rows are answered immediately, requests past
   // their deadline degrade without a forward pass, the rest go through one
   // shared generator forward.
-  std::vector<size_t> live;  // positions in *batch still awaiting a score
-  live.reserve(batch->size());
+  std::vector<size_t>& live = scratch->live;
+  live.clear();
   for (size_t i = 0; i < batch->size(); ++i) {
     PendingRequest& request = (*batch)[i];
     const int64_t row = request.item_row;
@@ -324,13 +349,15 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
     return;
   }
 
-  std::vector<int64_t> rows(live.size());
+  std::vector<int64_t>& rows = scratch->rows;
+  rows.resize(live.size());
   for (size_t j = 0; j < live.size(); ++j) {
     rows[j] = (*batch)[live[j]].item_row;
   }
-  std::vector<double> scores(live.size(), 0.0);
-  // 0 = needs forward, 1 = cache hit, 2 = already answered degraded.
-  std::vector<char> state(live.size(), 0);
+  std::vector<double>& scores = scratch->scores;
+  scores.assign(live.size(), 0.0);
+  std::vector<char>& state = scratch->state;
+  state.assign(live.size(), 0);
   const size_t hits = LookupCached(snapshot.version, rows, &scores, &state);
   if (hits > 0) stats_.RecordCacheHits(hits);
 
@@ -341,8 +368,8 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
     // the model.
     const int64_t estimate_us =
         forward_cost_ewma_us_.load(std::memory_order_relaxed);
-    std::vector<size_t> miss_pos;  // positions in the live-aligned arrays
-    miss_pos.reserve(live.size() - hits);
+    std::vector<size_t>& miss_pos = scratch->miss_pos;
+    miss_pos.clear();
     for (size_t j = 0; j < live.size(); ++j) {
       if (state[j] != 0) continue;
       PendingRequest& request = (*batch)[live[j]];
@@ -360,20 +387,17 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
     }
 
     if (!miss_pos.empty()) {
-      std::vector<int64_t> miss_rows;
-      miss_rows.reserve(miss_pos.size());
+      std::vector<int64_t>& miss_rows = scratch->miss_rows;
+      miss_rows.clear();
       for (const size_t j : miss_pos) miss_rows.push_back(rows[j]);
       Stopwatch score_timer;
-      const data::BlockBatch block =
-          data::GatherBlock(*snapshot.item_profiles, miss_rows);
-      const nn::ArenaScope arena_scope;  // batch-scoped tensors, one rewind
-      // The plan publish attached (fp32, or lowered from the quantized
-      // artifact) writes every intermediate at a fixed offset in this
-      // worker's reusable scratch and yields [rows, cols] vectors.
-      static thread_local nn::ir::PlanScratch plan_scratch;
+      data::BlockBuffer& block = scratch->block;
+      data::GatherBlockInto(*snapshot.item_profiles, miss_rows, &block);
+      // The plan yields [rows, cols] vectors in the worker's scratch.
       const StatusOr<const float*> vectors = snapshot.plan->Execute(
-          {&block.categorical, &block.numeric},
-          static_cast<int64_t>(miss_rows.size()), &plan_scratch);
+          {&block.categorical, block.numeric.data(), block.rows,
+           block.numeric_cols},
+          block.rows, &scratch->plan);
       Status forward = vectors.status();
       if (forward.ok()) {
         stats_.RecordPlanExecution();
@@ -381,8 +405,8 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
         stats_.RecordPlanExecFallback();
       }
       const int64_t cols = snapshot.plan->output_cols();
-      std::vector<double> miss_scores;
-      miss_scores.reserve(miss_rows.size());
+      std::vector<double>& miss_scores = scratch->miss_scores;
+      miss_scores.clear();
       for (size_t r = 0; forward.ok() && r < miss_rows.size(); ++r) {
         const double score = snapshot.predictor->ScoreVector(
             *vectors + static_cast<int64_t>(r) * cols, cols);
@@ -391,10 +415,6 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
         }
         miss_scores.push_back(score);
       }
-      // Runtime-path arena telemetry (previously training-only): peak and
-      // reserved bytes of this worker's arena, visible via --metrics_json.
-      stats_.RecordArenaUsage(nn::ThreadArena().HighWaterMark(),
-                              nn::ThreadArena().BytesReserved());
       const double forward_us = score_timer.ElapsedMillis() * 1e3;
       stats_.RecordBatch(miss_rows.size(), forward_us);
       // EWMA (3/4 old, 1/4 new) of the batch forward cost feeds the
@@ -425,16 +445,38 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
     }
   }
 
-  for (size_t j = 0; j < live.size(); ++j) {
+  // Every fresh answer's latency is read off this one clock reading. A run
+  // of consecutive rows of one burst with one enqueue time (a burst's rows
+  // share it) is answered under one lock of its completion and recorded
+  // once; a single-row request is answered through its promise.
+  const Clock::time_point answered_at = Clock::now();
+  std::vector<size_t>& run_slots = scratch->run_slots;
+  std::vector<ScoreResult>& run_results = scratch->run_results;
+  for (size_t j = 0, end = 0; j < live.size(); j = end) {
+    end = j + 1;
     if (state[j] == 2) continue;  // already answered degraded
-    PendingRequest& request = (*batch)[live[j]];
-    ScoreResult result;
-    result.score = scores[j];
-    result.snapshot_version = snapshot.version;
-    result.tier = ServingTier::kFresh;
-    request.Complete(result);
-    stats_.RecordServed(ServingTier::kFresh,
-                        MicrosSince(request.enqueue_time));
+    PendingRequest& head = (*batch)[live[j]];
+    const ScoreResult fresh{scores[j], snapshot.version, ServingTier::kFresh};
+    const double latency_us = MicrosBetween(head.enqueue_time, answered_at);
+    if (head.burst == nullptr) {
+      head.Complete(fresh);
+      stats_.RecordServed(ServingTier::kFresh, latency_us);
+      continue;
+    }
+    run_slots.assign(1, head.slot);
+    run_results.assign(1, fresh);
+    for (; end < live.size() && state[end] != 2; ++end) {
+      const PendingRequest& request = (*batch)[live[end]];
+      if (request.burst != head.burst ||
+          request.enqueue_time != head.enqueue_time) {
+        break;
+      }
+      run_slots.push_back(request.slot);
+      run_results.push_back(
+          {scores[end], snapshot.version, ServingTier::kFresh});
+    }
+    head.burst->Complete(run_slots, run_results);
+    stats_.RecordServed(ServingTier::kFresh, latency_us, end - j);
   }
 }
 

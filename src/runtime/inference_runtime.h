@@ -247,9 +247,20 @@ class InferenceRuntime {
   FaultInjector& fault_injector() { return injector_; }
 
  private:
+  /// What one worker reuses from batch to batch (defined with
+  /// ExecuteBatch): the plan's scratch, the gathered block and the
+  /// per-batch index vectors.
+  struct WorkerScratch;
+
   void WorkerLoop();
+  /// Answers every request of `batch`: out-of-range rows and expired
+  /// deadlines at once, the rest from the cache or one shared forward.
+  /// Fresh answers are given once per run of consecutive rows of one burst
+  /// (one BurstCompletion call, one record), with every row's latency read
+  /// off one clock reading taken after the forward.
   void ExecuteBatch(const ServingSnapshot& snapshot,
-                    std::vector<PendingRequest>* batch);
+                    std::vector<PendingRequest>* batch,
+                    WorkerScratch* scratch);
   /// Fills `scores_out[i]` and marks `hit_out[i]` for each row cached at
   /// `version`; returns the number of hits. No-op when the cache is
   /// disabled. Allocates nothing.

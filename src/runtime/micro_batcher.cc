@@ -35,6 +35,22 @@ void BurstCompletion::Complete(size_t slot, StatusOr<ScoreResult> result) {
   if (last) all_answered_.notify_all();
 }
 
+void BurstCompletion::Complete(std::span<const size_t> slots,
+                               std::span<const ScoreResult> results) {
+  ATNN_DCHECK(slots.size() == results.size());
+  if (slots.empty()) return;
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t k = 0; k < slots.size(); ++k) {
+      slots_[slots[k]].emplace(results[k]);
+    }
+    unanswered_ -= slots.size();
+    last = unanswered_ == 0;
+  }
+  if (last) all_answered_.notify_all();
+}
+
 bool BurstCompletion::WaitUntil(
     std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -238,11 +254,14 @@ std::vector<PendingRequest> MicroBatcher::PopBatch() {
     }
   }
   if (stats_ != nullptr) {
-    // Record enqueue waits outside the queue lock: stats take their own
-    // mutex and producers are hot on ours.
+    // Record enqueue waits outside the queue lock, where producers are hot.
+    // A burst's rows share one enqueue time, so each run of equal times is
+    // one record of its length.
     const auto now = std::chrono::steady_clock::now();
-    for (const PendingRequest& request : batch) {
-      stats_->RecordEnqueueWait(MicrosBetween(request.enqueue_time, now));
+    for (size_t begin = 0, end = 0; begin < batch.size(); begin = end) {
+      const auto enqueued = batch[begin].enqueue_time;
+      while (end < batch.size() && batch[end].enqueue_time == enqueued) ++end;
+      stats_->RecordEnqueueWait(MicrosBetween(enqueued, now), end - begin);
     }
   }
   return batch;

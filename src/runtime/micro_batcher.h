@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -71,6 +72,12 @@ class BurstCompletion {
   /// Answers row `slot`; each slot is answered once. The answer that
   /// leaves no row unanswered wakes the waiter.
   void Complete(size_t slot, StatusOr<ScoreResult> result);
+
+  /// Answers a run of rows at once: row slots[k] gets results[k], all
+  /// under one acquisition of the mutex and with at most one wake. The
+  /// same outcome as Complete per row.
+  void Complete(std::span<const size_t> slots,
+                std::span<const ScoreResult> results);
 
   /// Blocks until every row is answered or `deadline` passes
   /// (time_point::max() waits unbounded). True when every row was

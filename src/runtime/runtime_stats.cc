@@ -51,8 +51,6 @@ RuntimeStats::RuntimeStats()
       tier_counts_(MakeTierCounters(registry_)),
       queue_depth_(registry_.GetGauge("queue_depth")),
       plan_reserved_bytes_(registry_.GetGauge("plan.reserved_bytes")),
-      arena_high_water_bytes_(registry_.GetGauge("arena.high_water_bytes")),
-      arena_reserved_bytes_(registry_.GetGauge("arena.reserved_bytes")),
       enqueue_wait_us_(registry_.GetHistogram("enqueue_wait_us")),
       batch_size_(registry_.GetHistogram("batch_size")),
       score_us_(registry_.GetHistogram("score_us")),
@@ -78,10 +76,6 @@ StatsSnapshot RuntimeStats::Snapshot() const {
   snapshot.plan_exec_fallback = plan_exec_fallback_.Value();
   snapshot.plan_reserved_bytes =
       static_cast<int64_t>(plan_reserved_bytes_.Value());
-  snapshot.arena_high_water_bytes =
-      static_cast<int64_t>(arena_high_water_bytes_.Value());
-  snapshot.arena_reserved_bytes =
-      static_cast<int64_t>(arena_reserved_bytes_.Value());
   for (size_t t = 0; t < kNumServingTiers; ++t) {
     snapshot.tier_counts[t] = tier_counts_[t]->Value();
   }
@@ -143,9 +137,6 @@ std::string RuntimeStats::ToTable(const StatsSnapshot& snapshot,
   table.AddRow({"plan_reserved_bytes",
                 std::to_string(snapshot.plan_reserved_bytes), "", "", "", "",
                 ""});
-  table.AddRow({"arena_high_water_bytes",
-                std::to_string(snapshot.arena_high_water_bytes), "", "", "",
-                "", ""});
   for (size_t t = 0; t < kNumServingTiers; ++t) {
     table.AddRow({std::string("tier_") +
                       ServingTierToString(static_cast<ServingTier>(t)),

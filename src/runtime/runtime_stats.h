@@ -56,8 +56,6 @@ struct StatsSnapshot {
   // degraded chain.
   int64_t plan_exec_fallback = 0;
   int64_t plan_reserved_bytes = 0;    // scratch layout of the current plan
-  int64_t arena_high_water_bytes = 0; // peak thread-arena bytes, any worker
-  int64_t arena_reserved_bytes = 0;   // thread-arena reservation, last worker
   std::array<int64_t, kNumServingTiers> tier_counts = {};
   LogHistogram enqueue_wait_us; // enqueue -> batch formation
   LogHistogram batch_size;      // items per executed micro-batch
@@ -73,9 +71,12 @@ struct StatsSnapshot {
 /// handles are resolved once at construction and each record is a relaxed
 /// atomic op on a per-thread shard cell — no mutex anywhere in the
 /// recording call chain (the old single-mutex design serialized every
-/// worker and client three times per request). Snapshot() aggregates the
-/// shards; it tolerates concurrent writers (eventually-consistent
-/// telemetry reads, never torn memory).
+/// worker and client three times per request). RecordServed and
+/// RecordEnqueueWait take a `count` of requests that share one measurement
+/// (a run of burst rows answered together) and cost one record whatever
+/// the count; the totals are those of `count` single records. Snapshot()
+/// aggregates the shards; it tolerates concurrent writers
+/// (eventually-consistent telemetry reads, never torn memory).
 ///
 /// The registry is exposed for exporters (atnn_serve --metrics_json) and
 /// for attaching more instruments (thread-pool metrics, trace spans) to
@@ -101,21 +102,25 @@ class RuntimeStats {
   void RecordCacheHits(size_t count) {
     cache_hits_.Increment(static_cast<int64_t>(count));
   }
-  void RecordEnqueueWait(double wait_us) { enqueue_wait_us_.Record(wait_us); }
+  void RecordEnqueueWait(double wait_us, size_t count = 1) {
+    enqueue_wait_us_.Record(wait_us, static_cast<int64_t>(count));
+  }
   void RecordResponse(bool ok, double total_latency_us) {
     (ok ? completed_ok_ : completed_error_).Increment();
     total_latency_us_.Record(total_latency_us);
   }
-  /// An OK response attributed to its serving tier; non-fresh tiers also
-  /// count as degraded.
-  void RecordServed(ServingTier tier, double total_latency_us) {
-    completed_ok_.Increment();
-    tier_counts_[static_cast<size_t>(tier)]->Increment();
-    total_latency_us_.Record(total_latency_us);
+  /// `count` OK responses attributed to their serving tier; non-fresh
+  /// tiers also count as degraded.
+  void RecordServed(ServingTier tier, double total_latency_us,
+                    size_t count = 1) {
+    const auto n = static_cast<int64_t>(count);
+    completed_ok_.Increment(n);
+    tier_counts_[static_cast<size_t>(tier)]->Increment(n);
+    total_latency_us_.Record(total_latency_us, n);
     if (tier == ServingTier::kFresh) {
-      fresh_latency_us_.Record(total_latency_us);
+      fresh_latency_us_.Record(total_latency_us, n);
     } else {
-      degraded_.Increment();
+      degraded_.Increment(n);
     }
   }
   void RecordSwap() { swaps_.Increment(); }
@@ -131,14 +136,6 @@ class RuntimeStats {
   /// A plan execution failed (shape drift, bad ids) and the batch's misses
   /// were answered from the degraded chain.
   void RecordPlanExecFallback() { plan_exec_fallback_.Increment(); }
-  /// Thread-arena usage observed after a forward (peak is kept as a
-  /// high-water mark across workers; the reservation gauge tracks the most
-  /// recent observation). Feeds arena.* into --metrics_json for the runtime
-  /// path, which previously only training telemetry reported.
-  void RecordArenaUsage(size_t high_water_bytes, size_t reserved_bytes) {
-    arena_high_water_bytes_.Max(static_cast<double>(high_water_bytes));
-    arena_reserved_bytes_.Set(static_cast<double>(reserved_bytes));
-  }
   /// Instantaneous admitted-but-unbatched queue depth (gauge).
   void SetQueueDepth(size_t depth) {
     queue_depth_.Set(static_cast<double>(depth));
@@ -175,8 +172,6 @@ class RuntimeStats {
   std::array<obs::Counter*, kNumServingTiers> tier_counts_;
   obs::Gauge& queue_depth_;
   obs::Gauge& plan_reserved_bytes_;
-  obs::Gauge& arena_high_water_bytes_;
-  obs::Gauge& arena_reserved_bytes_;
   obs::Histogram& enqueue_wait_us_;
   obs::Histogram& batch_size_;
   obs::Histogram& score_us_;

@@ -1,6 +1,7 @@
 #include "cluster/admission.h"
 
 #include <chrono>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +200,34 @@ TEST(CircuitBreakerTest, ReopenAfterCloseNeedsFreshSamples) {
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   breaker.RecordResultAt(false, T0() + milliseconds(173));
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
+}
+
+TEST(CircuitBreakerTest, OneFeedOfManyOutcomesEqualsOneFeedPerOutcome) {
+  // Successes, failures that open the breaker part-way, then a mix the open
+  // breaker still folds into its error rate.
+  std::vector<char> outcomes(6, 1);
+  outcomes.insert(outcomes.end(), 3, 0);
+  for (int i = 0; i < 7; ++i) outcomes.push_back(static_cast<char>(i % 2));
+  CircuitBreaker per_outcome(SmallBreakerConfig());
+  size_t opened_after = 0;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    per_outcome.RecordResultAt(outcomes[i] != 0, T0());
+    if (opened_after == 0 && per_outcome.state() == BreakerState::kOpen) {
+      opened_after = i + 1;
+    }
+  }
+  ASSERT_GT(opened_after, 0u);
+  ASSERT_LT(opened_after, outcomes.size()) << "must open part-way";
+
+  CircuitBreaker one_feed(SmallBreakerConfig());
+  one_feed.RecordResultsAt(outcomes, T0());
+  EXPECT_EQ(one_feed.state(), per_outcome.state());
+  EXPECT_EQ(one_feed.error_rate(), per_outcome.error_rate());
+  // Both opened at T0, so both leave the cooldown at the same probe.
+  per_outcome.RecordProbeAt(true, T0() + milliseconds(150));
+  one_feed.RecordProbeAt(true, T0() + milliseconds(150));
+  EXPECT_EQ(one_feed.state(), BreakerState::kHalfOpen);
+  EXPECT_EQ(per_outcome.state(), BreakerState::kHalfOpen);
 }
 
 TEST(CircuitBreakerTest, StateToString) {

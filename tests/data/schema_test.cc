@@ -1,7 +1,14 @@
 #include "data/schema.h"
 
+#include <cstdio>
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "../common/counting_allocator.h"
+#include "common/rng.h"
 #include "data/normalize.h"
 
 namespace atnn::data {
@@ -55,6 +62,72 @@ TEST(EntityTableTest, GatherBlockSelectsRows) {
   EXPECT_EQ(batch.categorical[0][1], 1);
   EXPECT_FLOAT_EQ(batch.numeric.at(0, 0), 30.0f);
   EXPECT_FLOAT_EQ(batch.numeric.at(1, 0), 10.0f);
+}
+
+/// A table of `num_rows` seeded random rows under the mixed schema.
+EntityTable RandomTable(int64_t num_rows, uint64_t seed) {
+  auto schema = std::make_shared<FeatureSchema>(MakeMixedSchema());
+  EntityTable table(schema, num_rows);
+  Rng rng(seed);
+  for (int64_t r = 0; r < num_rows; ++r) {
+    for (size_t f = 0; f < schema->num_categorical(); ++f) {
+      const auto vocab =
+          static_cast<uint64_t>(schema->categorical_spec(f).vocab_size);
+      table.set_categorical(f, r, static_cast<int64_t>(rng.UniformInt(vocab)));
+    }
+    for (size_t f = 0; f < schema->num_numeric(); ++f) {
+      table.set_numeric(f, r, static_cast<float>(rng.Uniform(-3.0, 3.0)));
+    }
+  }
+  return table;
+}
+
+TEST(EntityTableTest, GatherBlockIntoEqualsGatherBlock) {
+  const EntityTable table = RandomTable(200, 7);
+  Rng rng(11);
+  BlockBuffer buffer;
+  // Shrinking and growing batches through one buffer, repeats included.
+  for (const size_t size : {64u, 1u, 37u, 0u, 64u, 5u}) {
+    std::vector<int64_t> rows(size);
+    for (int64_t& row : rows) {
+      row = static_cast<int64_t>(rng.UniformInt(200));
+    }
+    const BlockBatch expected = GatherBlock(table, rows);
+    GatherBlockInto(table, rows, &buffer);
+    ASSERT_EQ(buffer.rows, static_cast<int64_t>(size));
+    ASSERT_EQ(buffer.numeric_cols, expected.numeric.cols());
+    EXPECT_EQ(buffer.categorical, expected.categorical) << "size " << size;
+    const size_t values = size * table.schema().num_numeric();
+    ASSERT_GE(buffer.numeric.size(), values);
+    if (values > 0) {
+      EXPECT_EQ(0, std::memcmp(buffer.numeric.data(), expected.numeric.data(),
+                               values * sizeof(float)))
+          << "size " << size;
+    }
+  }
+}
+
+TEST(EntityTableTest, WarmBlockBufferGathersWithoutAllocating) {
+  const EntityTable table = RandomTable(100, 3);
+  std::vector<int64_t> rows(64);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<int64_t>((i * 37) % 100);
+  }
+  BlockBuffer buffer;
+  GatherBlockInto(table, rows, &buffer);  // warms to the largest batch
+  const uint64_t before = counting_allocator::AllocationCount();
+  for (const size_t size : {64u, 1u, 37u, 64u}) {
+    GatherBlockInto(table, std::span<const int64_t>(rows.data(), size),
+                    &buffer);
+  }
+  const uint64_t allocations = counting_allocator::AllocationCount() - before;
+  if (counting_allocator::kSanitized) {
+    std::printf("warm GatherBlockInto: %llu allocations (report-only under "
+                "sanitizers)\n",
+                static_cast<unsigned long long>(allocations));
+  } else {
+    EXPECT_EQ(allocations, 0u);
+  }
 }
 
 TEST(EntityTableTest, SliceRowsMaterializesAStandaloneTable) {

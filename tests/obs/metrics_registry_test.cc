@@ -57,14 +57,65 @@ TEST(HistogramTest, ConcurrentRecordsAllLand) {
     threads.emplace_back([&hist, t] {
       for (int i = 0; i < kPerThread; ++i) {
         hist.Record(static_cast<double>(10 * (t + 1)));
+        hist.Record(static_cast<double>(10 * (t + 1)), /*count=*/3);
       }
     });
   }
   for (auto& thread : threads) thread.join();
   const LogHistogram snapshot = hist.Snapshot();
-  EXPECT_EQ(snapshot.count(), kThreads * kPerThread);
+  EXPECT_EQ(snapshot.count(), 4 * kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(snapshot.max(), 80.0);
   EXPECT_EQ(snapshot.invalid(), 0);
+}
+
+/// Every observable of a histogram view: count, sum, max, invalid, and the
+/// bucket counts through the percentiles they interpolate.
+void ExpectSameSnapshot(const LogHistogram& a, const LogHistogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.invalid(), b.invalid());
+  for (int i = 0; i <= 20; ++i) {
+    const double q = i / 20.0;
+    EXPECT_EQ(a.Percentile(q), b.Percentile(q)) << "q=" << q;
+  }
+}
+
+TEST(HistogramTest, RecordWithCountEqualsRepeatedRecords) {
+  // Values whose multiples are exact in a double, so n single additions
+  // and one multiplication give the same sum; they span bucket 0, the
+  // middle buckets, the clamped top bucket and the negative clamp.
+  const double values[] = {0.0,    0.5,     3.0,   1024.0, 5e6,
+                           -2.0,   std::numeric_limits<double>::infinity()};
+  const int64_t counts[] = {1, 7, 64};
+  MetricsRegistry registry;
+  Histogram& counted = registry.GetHistogram("counted");
+  Histogram& repeated = registry.GetHistogram("repeated");
+  for (const double value : values) {
+    for (const int64_t n : counts) {
+      counted.Record(value, n);
+      for (int64_t i = 0; i < n; ++i) repeated.Record(value);
+      ExpectSameSnapshot(counted.Snapshot(), repeated.Snapshot());
+    }
+  }
+}
+
+TEST(HistogramTest, CountedNanIsInvalidAndNonPositiveCountRecordsNothing) {
+  MetricsRegistry registry;
+  Histogram& hist = registry.GetHistogram("h");
+  hist.Record(std::numeric_limits<double>::quiet_NaN(), 5);
+  LogHistogram snapshot = hist.Snapshot();
+  EXPECT_EQ(snapshot.invalid(), 5);
+  EXPECT_EQ(snapshot.count(), 0);
+
+  hist.Record(10.0, 0);
+  hist.Record(10.0, -3);
+  hist.Record(std::numeric_limits<double>::quiet_NaN(), 0);
+  snapshot = hist.Snapshot();
+  EXPECT_EQ(snapshot.invalid(), 5);
+  EXPECT_EQ(snapshot.count(), 0);
+  EXPECT_EQ(snapshot.sum(), 0.0);
+  EXPECT_EQ(snapshot.max(), 0.0);
 }
 
 TEST(HistogramTest, ShardedNanAndInfHandlingMatchesView) {

@@ -171,15 +171,102 @@ TEST_F(InferenceRuntimeTest, ScoreBurstAnswersEveryRowIntoItsSlot) {
   });
   EXPECT_EQ(runtime.stats().enqueued, static_cast<int64_t>(rows.size()));
 
+  // Runs of burst rows are answered and recorded once, with the totals of
+  // one record per row. Shutdown joins the workers, so every record of the
+  // burst has landed.
+  runtime.Shutdown();
+  const StatsSnapshot stats = runtime.stats();
+  const auto fresh = static_cast<int64_t>(expected.size());
+  EXPECT_EQ(stats.completed_ok, fresh);
+  EXPECT_EQ(stats.completed_error, 2);
+  EXPECT_EQ(stats.tier_counts[static_cast<size_t>(ServingTier::kFresh)],
+            fresh);
+  EXPECT_EQ(stats.fresh_latency_us.count(), fresh);
+  EXPECT_EQ(stats.total_latency_us.count(),
+            static_cast<int64_t>(rows.size()));
+  EXPECT_EQ(stats.enqueue_wait_us.count(), static_cast<int64_t>(rows.size()));
+
   // After shutdown every row is refused as the real condition, not
   // degraded.
-  runtime.Shutdown();
   const auto refused = runtime.ScoreBurst(dataset_->new_items, 0);
   EXPECT_TRUE(refused->WaitUntil(std::chrono::steady_clock::now()));
   refused->TakeAll([](size_t slot, StatusOr<ScoreResult>* answer) {
     ASSERT_NE(answer, nullptr) << "slot " << slot;
     EXPECT_EQ(answer->status().code(), StatusCode::kFailedPrecondition);
   });
+}
+
+TEST_F(InferenceRuntimeTest, BurstsAndSingleRowsShareBatchesAnsweredOnce) {
+  // Two workers hold their first batches while two bursts and single rows
+  // between them queue up, so later batches mix rows of burst A, single
+  // rows and rows of burst B. B's deadline passes while the workers hold:
+  // its rows expire before their batch runs and degrade, splitting runs.
+  RuntimeConfig config = SmallRuntimeConfig();
+  config.fault_injection.enabled = true;  // for the stall switch only
+  InferenceRuntime runtime(config);
+  ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+
+  std::vector<int64_t> rows_a;
+  std::vector<int64_t> rows_single;
+  std::vector<int64_t> rows_b;
+  for (int64_t row = 0; row < 40; ++row) rows_a.push_back(row);
+  for (int64_t row = 40; row < 45; ++row) rows_single.push_back(row);
+  for (int64_t row = 45; row < 75; ++row) rows_b.push_back(row);
+  std::vector<int64_t> fresh_rows = rows_a;
+  fresh_rows.insert(fresh_rows.end(), rows_single.begin(), rows_single.end());
+  const std::vector<double> expected =
+      predictor_->ScoreItems(*model_, *dataset_, fresh_rows);
+
+  runtime.fault_injector().SetStallWorkers(true);
+  const auto burst_a = runtime.ScoreBurst(rows_a, 0);
+  std::vector<std::future<StatusOr<ScoreResult>>> singles;
+  for (const int64_t row : rows_single) {
+    singles.push_back(runtime.ScoreAsync(row));
+  }
+  const auto burst_b = runtime.ScoreBurst(rows_b, /*deadline_us=*/1000);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  runtime.fault_injector().SetStallWorkers(false);
+
+  const auto wait_limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  ASSERT_TRUE(burst_a->WaitUntil(wait_limit)) << "burst A's waiter woke";
+  ASSERT_TRUE(burst_b->WaitUntil(wait_limit)) << "burst B's waiter woke";
+  burst_a->TakeAll([&](size_t slot, StatusOr<ScoreResult>* answer) {
+    ASSERT_NE(answer, nullptr) << "slot " << slot;
+    ASSERT_TRUE(answer->ok()) << answer->status().ToString();
+    EXPECT_EQ(answer->value().tier, ServingTier::kFresh) << "slot " << slot;
+    EXPECT_EQ(answer->value().score, expected[slot]) << "slot " << slot;
+  });
+  for (size_t i = 0; i < singles.size(); ++i) {
+    const StatusOr<ScoreResult> answer = singles[i].get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer.value().tier, ServingTier::kFresh);
+    EXPECT_EQ(answer.value().score, expected[rows_a.size() + i]);
+  }
+  burst_b->TakeAll([&](size_t slot, StatusOr<ScoreResult>* answer) {
+    ASSERT_NE(answer, nullptr) << "slot " << slot;
+    ASSERT_TRUE(answer->ok()) << answer->status().ToString();
+    // Never scored, so the fallback chain cannot answer from the cache.
+    EXPECT_EQ(answer->value().tier, ServingTier::kGlobalMean)
+        << "slot " << slot;
+  });
+
+  // Every row answered exactly once: one record per row, no more.
+  runtime.Shutdown();
+  const StatsSnapshot stats = runtime.stats();
+  const auto total = static_cast<int64_t>(fresh_rows.size() + rows_b.size());
+  const auto fresh = static_cast<int64_t>(fresh_rows.size());
+  const auto expired = static_cast<int64_t>(rows_b.size());
+  EXPECT_EQ(stats.enqueued, total);
+  EXPECT_EQ(stats.enqueue_wait_us.count(), total);
+  EXPECT_EQ(stats.completed_ok, total);
+  EXPECT_EQ(stats.completed_error, 0);
+  EXPECT_EQ(stats.total_latency_us.count(), total);
+  EXPECT_EQ(stats.tier_counts[static_cast<size_t>(ServingTier::kFresh)],
+            fresh);
+  EXPECT_EQ(stats.fresh_latency_us.count(), fresh);
+  EXPECT_EQ(stats.deadline_expired, expired);
+  EXPECT_EQ(stats.degraded, expired);
 }
 
 TEST_F(InferenceRuntimeTest, InjectedFaultsDegradeEveryBurstRowCleanly) {

@@ -1,6 +1,7 @@
 #include "runtime/runtime_stats.h"
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,6 +64,33 @@ TEST(RuntimeStatsTest, ServedTiersSplitFreshFromDegraded) {
   EXPECT_EQ(snapshot.total_latency_us.count(), 5);
 }
 
+TEST(RuntimeStatsTest, CountedRecordsEqualRepeatedSingleRecords) {
+  RuntimeStats counted;
+  RuntimeStats repeated;
+  counted.RecordServed(ServingTier::kFresh, 100.0, 5);
+  counted.RecordServed(ServingTier::kPrior, 30.0, 3);
+  counted.RecordEnqueueWait(40.0, 8);
+  for (int i = 0; i < 5; ++i) repeated.RecordServed(ServingTier::kFresh, 100.0);
+  for (int i = 0; i < 3; ++i) repeated.RecordServed(ServingTier::kPrior, 30.0);
+  for (int i = 0; i < 8; ++i) repeated.RecordEnqueueWait(40.0);
+
+  const StatsSnapshot a = counted.Snapshot();
+  const StatsSnapshot b = repeated.Snapshot();
+  EXPECT_EQ(a.completed_ok, 8);
+  EXPECT_EQ(a.completed_ok, b.completed_ok);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.tier_counts, b.tier_counts);
+  for (const auto& [x, y] :
+       {std::pair{&a.total_latency_us, &b.total_latency_us},
+        std::pair{&a.fresh_latency_us, &b.fresh_latency_us},
+        std::pair{&a.enqueue_wait_us, &b.enqueue_wait_us}}) {
+    EXPECT_EQ(x->count(), y->count());
+    EXPECT_EQ(x->sum(), y->sum());
+    EXPECT_EQ(x->max(), y->max());
+    EXPECT_EQ(x->Percentile(0.5), y->Percentile(0.5));
+  }
+}
+
 // The lock-free migration's correctness test: hammer every Record* method
 // from many threads and check nothing is lost. Under TSan this also proves
 // the "no data races" half of the contract.
@@ -105,6 +133,8 @@ TEST(RuntimeStatsTest, RecordingIsLockFreeOnTheRegistry) {
     stats.RecordEnqueued();
     stats.RecordBatch(8, 50.0);
     stats.RecordServed(ServingTier::kFresh, 100.0);
+    stats.RecordServed(ServingTier::kFresh, 100.0, /*count=*/64);
+    stats.RecordEnqueueWait(5.0, /*count=*/64);
     stats.SetQueueDepth(3);
   }
   (void)stats.Snapshot();  // snapshot reads handles, not the registry map
