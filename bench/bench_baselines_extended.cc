@@ -95,7 +95,7 @@ Row EvalDeep(const std::string& name, Model* model,
                                         dataset.test_indices);
   // Cold: identical batches with the stats slab mean-imputed.
   row.cold = metrics::Auc(
-      core::ScoreChunks(dataset.test_indices, 1024, /*pool=*/nullptr,
+      core::ScoreChunks(dataset.test_indices, 1024,
                         [&](std::span<const int64_t> chunk) {
                           data::CtrBatch batch = MakeCtrBatch(dataset, chunk);
                           core::MaskStatsAsMissing(&batch.item_stats);

@@ -76,7 +76,7 @@ double QuantizedGeneratorAuc(const core::AtnnModel& model,
   const float bias = model.generator_bias_value();
   const int64_t cols = plan.output_cols();
   const std::vector<double> logits = core::ScoreChunks(
-      indices, kChunk, /*pool=*/nullptr, [&](std::span<const int64_t> chunk) {
+      indices, kChunk, [&](std::span<const int64_t> chunk) {
         const data::CtrBatch batch = data::MakeCtrBatch(dataset, chunk);
         const nn::Var user_vec = model.UserVector(batch.user);
         const std::vector<float> gen_vec =

@@ -55,7 +55,7 @@ double EvaluateCtrBaselineAuc(const Model& model,
                               const std::vector<int64_t>& indices,
                               int batch_size = 1024) {
   return metrics::Auc(
-      core::ScoreChunks(indices, batch_size, /*pool=*/nullptr,
+      core::ScoreChunks(indices, batch_size,
                         [&](std::span<const int64_t> chunk) {
                           return model.PredictCtr(
                               data::MakeCtrBatch(dataset, chunk));

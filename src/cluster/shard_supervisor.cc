@@ -189,13 +189,10 @@ void ShardSupervisor::Transition(size_t shard, ShardState* state,
 }
 
 void ShardSupervisor::Rebuild(size_t shard, ShardState* state) {
-  RetryConfig retry = config_.rebuild_retry;
-  // Per-shard jitter stream: a multi-shard outage must not hammer the
-  // snapshot store with synchronized retries.
-  retry.jitter_seed = config_.seed ^ static_cast<uint64_t>(shard);
   rebuilds_.Increment();
   const Status status = RetryWithBackoff(
-      [this, shard] { return runtime_->RebuildShard(shard); }, retry);
+      [this, shard] { return runtime_->RebuildShard(shard); },
+      config_.rebuild_retry);
   if (!status.ok()) {
     // Stays dead; the next round tries again.
     rebuild_failures_.Increment();

@@ -48,9 +48,7 @@ struct ShardSupervisorConfig {
   int probes_to_healthy = 3;
   /// EWMA smoothing for the per-shard probe latency estimate. In (0, 1].
   double latency_ewma_alpha = 0.2;
-  /// Seed for probe row choice and rebuild-retry jitter; each shard's
-  /// retry stream is seeded with `seed ^ shard` so a multi-shard outage
-  /// does not retry in lockstep.
+  /// Seed for probe row choice.
   uint64_t seed = 0x5eed;
   /// Rebuild dead shards automatically. Off, the supervisor only
   /// diagnoses (state still reaches kDead) — the atnn_serve operator path.

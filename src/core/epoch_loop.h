@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/prefetcher.h"
 #include "common/rng.h"
 #include "core/train_telemetry.h"
 #include "core/trainer.h"
@@ -39,9 +38,7 @@ struct EpochSteps {
   const char* name;
   /// Parameter groups; RunEpochs builds one Adam per group.
   std::vector<std::vector<nn::Parameter*>> groups;
-  /// Gathers the batch of a span of row ids. With TrainOptions::pool it runs
-  /// on a pool thread while the previous step trains, so it may only read
-  /// state the step does not write.
+  /// Gathers the batch of a span of row ids.
   std::function<Batch(std::span<const int64_t>)> make_batch;
   /// One mini-batch: forwards, one update(group, objective) per half-step,
   /// and the trainer's own loss sums.
@@ -56,9 +53,9 @@ struct EpochSteps {
 /// and returns the Status instead), returns at once with a warning when
 /// `rows` is empty, and otherwise runs options.epochs epochs. Each epoch
 /// decays the learning rate (after the first), reshuffles a copy of `rows`
-/// with the one Rng(options.seed), cuts MakeBatchSpans batches, prefetches
-/// them through options.pool, and runs every step under a step timer and an
-/// arena scope. Telemetry and the verbose log close each epoch.
+/// with the one Rng(options.seed), cuts MakeBatchSpans batches, gathers each
+/// one, and runs every step under a step timer and an arena scope.
+/// Telemetry and the verbose log close each epoch.
 template <typename Batch>
 void RunEpochs(std::span<const int64_t> rows, const TrainOptions& options,
                const EpochSteps<Batch>& trainer) {
@@ -96,16 +93,10 @@ void RunEpochs(std::span<const int64_t> rows, const TrainOptions& options,
       }
     }
     rng.Shuffle(&order);
-    // `order` is stable until the next epoch's shuffle, so the prefetcher
-    // may gather batch t+1 from these views while batch t trains.
     const std::vector<std::span<const int64_t>> batches =
         MakeBatchSpans(order, options.batch_size);
-    Prefetcher<Batch> batches_ahead(
-        options.pool, batches.size(), [&trainer, &batches](size_t i) {
-          return trainer.make_batch(batches[i]);
-        });
-    while (batches_ahead.HasNext()) {
-      const Batch batch = batches_ahead.Next();
+    for (const std::span<const int64_t> batch_rows : batches) {
+      const Batch batch = trainer.make_batch(batch_rows);
       const obs::ScopedTimer step_timer(telemetry.step_sink());
       telemetry.RecordStep();
       // Step-scoped tensors (graph nodes, activations, gradients of

@@ -81,14 +81,14 @@ std::vector<MultiTaskEpochStats> TrainMultiTaskAtnn(
 ElemeEval EvaluateEleme(const MultiTaskAtnnModel& model,
                         const data::ElemeDataset& dataset,
                         const std::vector<int64_t>& restaurant_rows,
-                        int batch_size, ThreadPool* pool) {
+                        int batch_size) {
   const size_t n = restaurant_rows.size();
   std::vector<double> vppv_pred(n);
   std::vector<double> gmv_pred(n);
   std::vector<float> vppv_true(n);
   std::vector<float> gmv_true(n);
   ForEachChunk(
-      restaurant_rows, batch_size, pool,
+      restaurant_rows, batch_size,
       [&](size_t first, std::span<const int64_t> chunk) {
         const data::ElemeBatch batch = MakeElemeBatch(dataset, chunk);
         const auto predictions =

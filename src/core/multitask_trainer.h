@@ -21,8 +21,7 @@ struct MultiTaskEpochStats {
 };
 
 /// Trains the extended ATNN per Algorithm 2 (D step then G step per batch);
-/// for adversarial=false configurations, only the D step runs. Honors
-/// TrainOptions::pool for batch prefetch (bitwise-identical loss history).
+/// for adversarial=false configurations, only the D step runs.
 /// An empty train split returns an empty history (no NaN epoch rows).
 std::vector<MultiTaskEpochStats> TrainMultiTaskAtnn(
     MultiTaskAtnnModel* model, const data::ElemeDataset& dataset,
@@ -33,12 +32,11 @@ struct ElemeEval {
   double vppv_mae = 0.0;
   double gmv_mae = 0.0;
 };
-/// Forwards run in no-grad mode; with a pool, chunks are scored in
-/// parallel and merged in deterministic chunk order.
+/// Forwards run in no-grad mode, chunk by chunk in order.
 ElemeEval EvaluateEleme(const MultiTaskAtnnModel& model,
                         const data::ElemeDataset& dataset,
                         const std::vector<int64_t>& restaurant_rows,
-                        int batch_size = 1024, ThreadPool* pool = nullptr);
+                        int batch_size = 1024);
 
 /// Normalizers for the Ele.me tables, fit on training restaurants only.
 struct ElemeNormalizers {

@@ -20,10 +20,10 @@ double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 nn::Tensor GroupUserVectors(const AtnnModel& model,
                             const data::TmallDataset& dataset,
                             const std::vector<int64_t>& user_group,
-                            int batch_size, ThreadPool* pool) {
+                            int batch_size) {
   nn::Tensor user_vectors(static_cast<int64_t>(user_group.size()),
                           model.vector_dim());
-  ForEachChunk(user_group, batch_size, pool,
+  ForEachChunk(user_group, batch_size,
                [&](size_t first, std::span<const int64_t> chunk) {
                  const nn::Var vectors =
                      model.UserVector(data::GatherBlock(dataset.users, chunk));
@@ -42,14 +42,14 @@ PopularityPredictor::PopularityPredictor(nn::Tensor mean_user_vector,
 
 PopularityPredictor PopularityPredictor::Build(
     const AtnnModel& model, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& user_group, int batch_size,
-    ThreadPool* pool) {
+    const std::vector<int64_t>& user_group, int batch_size) {
   ATNN_CHECK(!user_group.empty());
   ATNN_CHECK(batch_size > 0);
-  // Per-chunk partial sums, merged in chunk order below.
+  // Per-chunk partial sums, added in chunk order below. A running sum over
+  // every row would change the bits of every stored mean user vector.
   std::vector<nn::Tensor> partial((user_group.size() + batch_size - 1) /
                                   static_cast<size_t>(batch_size));
-  ForEachChunk(user_group, batch_size, pool,
+  ForEachChunk(user_group, batch_size,
                [&](size_t first, std::span<const int64_t> chunk) {
                  const nn::Var vectors =
                      model.UserVector(data::GatherBlock(dataset.users, chunk));
@@ -79,19 +79,18 @@ double PopularityPredictor::ScoreVector(const float* item_vector,
 
 std::vector<double> PopularityPredictor::ScoreItems(
     const AtnnModel& model, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& item_rows, int batch_size,
-    ThreadPool* pool) const {
+    const std::vector<int64_t>& item_rows, int batch_size) const {
   return ScoreGeneratedItems(
-      model, dataset, item_rows, batch_size, pool,
+      model, dataset, item_rows, batch_size,
       std::bind_front(&PopularityPredictor::ScoreVector, this));
 }
 
 std::vector<double> ScoreGeneratedItems(
     const AtnnModel& model, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& item_rows, int batch_size, ThreadPool* pool,
+    const std::vector<int64_t>& item_rows, int batch_size,
     const std::function<double(const float*, int64_t)>& score_vector) {
   return ScoreChunks(
-      item_rows, batch_size, pool, [&](std::span<const int64_t> chunk) {
+      item_rows, batch_size, [&](std::span<const int64_t> chunk) {
         const nn::Var vectors = model.GeneratorItemVector(
             data::GatherBlock(dataset.item_profiles, chunk));
         std::vector<double> scores;
@@ -108,15 +107,15 @@ std::vector<double> ScoreItemsPairwise(const AtnnModel& model,
                                        const data::TmallDataset& dataset,
                                        const std::vector<int64_t>& item_rows,
                                        const std::vector<int64_t>& user_group,
-                                       int batch_size, ThreadPool* pool) {
+                                       int batch_size) {
   ATNN_CHECK(!user_group.empty());
   // Precompute all user vectors once (amortized across items); the cost
   // that remains per item is still O(|user_group|) dot products.
   const nn::Tensor user_vectors =
-      GroupUserVectors(model, dataset, user_group, batch_size, pool);
+      GroupUserVectors(model, dataset, user_group, batch_size);
   const float gen_bias = model.generator_bias_value();
   return ScoreGeneratedItems(
-      model, dataset, item_rows, batch_size, pool,
+      model, dataset, item_rows, batch_size,
       [&](const float* item_vec, int64_t) {
         double total = 0.0;
         for (int64_t u = 0; u < user_vectors.rows(); ++u) {

@@ -4,7 +4,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/atnn.h"
 #include "data/tmall.h"
 
@@ -18,15 +17,13 @@ namespace atnn::core {
 class PopularityPredictor {
  public:
   /// Computes the mean user vector of `user_group` (user rows) through the
-  /// model's user tower, in batches. Forwards run in no-grad mode; with a
-  /// pool, chunks run in parallel and their partial sums merge in chunk
-  /// order (deterministic for a fixed batch_size, though the float
-  /// summation order differs from the serial loop's).
+  /// model's user tower, in batches. Forwards run in no-grad mode; each
+  /// chunk sums its own rows, and the chunk sums are added in chunk order
+  /// (the float summation order is fixed by batch_size).
   static PopularityPredictor Build(const AtnnModel& model,
                                    const data::TmallDataset& dataset,
                                    const std::vector<int64_t>& user_group,
-                                   int batch_size = 1024,
-                                   ThreadPool* pool = nullptr);
+                                   int batch_size = 1024);
 
   /// Constructs directly from a stored mean vector + bias (serving path).
   PopularityPredictor(nn::Tensor mean_user_vector, float bias);
@@ -35,14 +32,11 @@ class PopularityPredictor {
   double ScoreVector(const float* item_vector, int64_t dim) const;
 
   /// Scores the given item rows via the generator path. Cost: one
-  /// generator forward per batch plus one dot product per item. No-grad;
-  /// with a pool, chunks are scored in parallel and merged in chunk order,
-  /// so the score sequence is identical to the serial path.
+  /// generator forward per batch plus one dot product per item. No-grad.
   std::vector<double> ScoreItems(const AtnnModel& model,
                                  const data::TmallDataset& dataset,
                                  const std::vector<int64_t>& item_rows,
-                                 int batch_size = 1024,
-                                 ThreadPool* pool = nullptr) const;
+                                 int batch_size = 1024) const;
 
   const nn::Tensor& mean_user_vector() const { return mean_user_vector_; }
   float bias() const { return bias_; }
@@ -60,22 +54,21 @@ std::vector<double> ScoreItemsPairwise(const AtnnModel& model,
                                        const data::TmallDataset& dataset,
                                        const std::vector<int64_t>& item_rows,
                                        const std::vector<int64_t>& user_group,
-                                       int batch_size = 1024,
-                                       ThreadPool* pool = nullptr);
+                                       int batch_size = 1024);
 
 /// The user-tower vectors of `user_group` ([|user_group|, d], one row per
 /// user), computed through ForEachChunk in chunks of batch_size.
 nn::Tensor GroupUserVectors(const AtnnModel& model,
                             const data::TmallDataset& dataset,
                             const std::vector<int64_t>& user_group,
-                            int batch_size, ThreadPool* pool = nullptr);
+                            int batch_size);
 
 /// One score per item row: the generator vector of each row, computed
 /// through ScoreChunks, mapped by score_vector(vector, dim). The shared
 /// body of every ScoreItems variant.
 std::vector<double> ScoreGeneratedItems(
     const AtnnModel& model, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& item_rows, int batch_size, ThreadPool* pool,
+    const std::vector<int64_t>& item_rows, int batch_size,
     const std::function<double(const float*, int64_t)>& score_vector);
 
 /// Selects the top-k most active users — the paper's "top 20 million

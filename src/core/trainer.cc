@@ -57,30 +57,23 @@ std::vector<std::span<const int64_t>> MakeBatchSpans(
 }
 
 void ForEachChunk(
-    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    std::span<const int64_t> rows, int batch_size,
     const std::function<void(size_t, std::span<const int64_t>)>& fn) {
   const std::vector<std::span<const int64_t>> chunks =
       MakeBatchSpans(rows, batch_size);
-  auto run = [&](size_t i) {
+  for (size_t i = 0; i < chunks.size(); ++i) {
     const nn::NoGradGuard no_grad;
     const nn::ArenaScope arena_scope;  // per-chunk tensors, freed at once
     fn(i * static_cast<size_t>(batch_size), chunks[i]);
-  };
-  if (pool == nullptr || chunks.size() < 2) {
-    for (size_t i = 0; i < chunks.size(); ++i) run(i);
-    return;
   }
-  pool->ParallelFor(chunks.size(), [&run](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) run(i);
-  });
 }
 
 std::vector<double> ScoreChunks(
-    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    std::span<const int64_t> rows, int batch_size,
     const std::function<std::vector<double>(std::span<const int64_t>)>&
         score) {
   std::vector<double> scores(rows.size());
-  ForEachChunk(rows, batch_size, pool,
+  ForEachChunk(rows, batch_size,
                [&](size_t first, std::span<const int64_t> chunk) {
                  const std::vector<double> chunk_scores = score(chunk);
                  ATNN_CHECK_EQ(chunk_scores.size(), chunk.size());
@@ -249,10 +242,10 @@ namespace {
 /// AUC over `indices` of predict(batch), scored in ScoreChunks chunks.
 double ChunkedCtrAuc(
     const data::TmallDataset& dataset, const std::vector<int64_t>& indices,
-    int batch_size, ThreadPool* pool,
+    int batch_size,
     const std::function<std::vector<double>(data::CtrBatch*)>& predict) {
   return metrics::Auc(
-      ScoreChunks(indices, batch_size, pool,
+      ScoreChunks(indices, batch_size,
                   [&](std::span<const int64_t> chunk) {
                     data::CtrBatch batch = data::MakeCtrBatch(dataset, chunk);
                     return predict(&batch);
@@ -265,8 +258,8 @@ double ChunkedCtrAuc(
 double EvaluateTwoTowerAuc(const TwoTowerModel& model,
                            const data::TmallDataset& dataset,
                            const std::vector<int64_t>& interaction_indices,
-                           int batch_size, ThreadPool* pool) {
-  return ChunkedCtrAuc(dataset, interaction_indices, batch_size, pool,
+                           int batch_size) {
+  return ChunkedCtrAuc(dataset, interaction_indices, batch_size,
                        [&model](data::CtrBatch* batch) {
                          return model.PredictCtr(batch->user,
                                                  batch->item_profile,
@@ -281,9 +274,8 @@ void MaskStatsAsMissing(data::BlockBatch* stats) {
 
 double EvaluateTwoTowerAucMissingStats(
     const TwoTowerModel& model, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& interaction_indices, int batch_size,
-    ThreadPool* pool) {
-  return ChunkedCtrAuc(dataset, interaction_indices, batch_size, pool,
+    const std::vector<int64_t>& interaction_indices, int batch_size) {
+  return ChunkedCtrAuc(dataset, interaction_indices, batch_size,
                        [&model](data::CtrBatch* batch) {
                          MaskStatsAsMissing(&batch->item_stats);
                          return model.PredictCtr(batch->user,
@@ -295,9 +287,9 @@ double EvaluateTwoTowerAucMissingStats(
 double EvaluateAtnnAuc(const AtnnModel& model,
                        const data::TmallDataset& dataset,
                        const std::vector<int64_t>& interaction_indices,
-                       CtrPath path, int batch_size, ThreadPool* pool) {
+                       CtrPath path, int batch_size) {
   return ChunkedCtrAuc(
-      dataset, interaction_indices, batch_size, pool,
+      dataset, interaction_indices, batch_size,
       [&model, path](data::CtrBatch* batch) {
         return path == CtrPath::kEncoder
                    ? model.PredictCtrEncoder(batch->user, batch->item_profile,

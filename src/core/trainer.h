@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "core/atnn.h"
 #include "core/negative_cache.h"
@@ -30,12 +29,6 @@ struct TrainOptions {
   float weight_decay = 0.0f;
   uint64_t seed = 99;
   bool verbose = false;
-  /// Optional worker pool (not owned). When set, the batch for step t+1 is
-  /// gathered on the pool while step t runs its forward/backward — the
-  /// loss history stays bitwise identical to the serial loop (same seed,
-  /// same shuffle, same batch order; only batch *assembly* moves off the
-  /// training thread). nullptr = fully serial.
-  ThreadPool* pool = nullptr;
   /// Optional metrics sink (not owned). When set, the trainers record
   /// counter `train.steps`, histograms `train.step_us` / `train.epoch_ms`,
   /// and per-epoch gauges `train.epoch`, one `train.<loss>` per reported
@@ -122,13 +115,11 @@ enum class CtrPath {
 };
 
 /// Test-set AUC of a two-tower baseline. All Evaluate* functions score
-/// through ScoreChunks: no-grad forwards, chunks across the pool when one
-/// is given, merged in chunk order, so the score sequence (and hence the
-/// metric) is identical to the serial path.
+/// through ScoreChunks: no-grad forwards, chunk by chunk in order.
 double EvaluateTwoTowerAuc(const TwoTowerModel& model,
                            const data::TmallDataset& dataset,
                            const std::vector<int64_t>& interaction_indices,
-                           int batch_size = 1024, ThreadPool* pool = nullptr);
+                           int batch_size = 1024);
 
 /// Overwrites a gathered (already normalized) statistics block with the
 /// representation of *missing* statistics: train-mean imputation, which in
@@ -142,15 +133,13 @@ void MaskStatsAsMissing(data::BlockBatch* stats);
 /// I's cold-start column for the baselines.
 double EvaluateTwoTowerAucMissingStats(
     const TwoTowerModel& model, const data::TmallDataset& dataset,
-    const std::vector<int64_t>& interaction_indices, int batch_size = 1024,
-    ThreadPool* pool = nullptr);
+    const std::vector<int64_t>& interaction_indices, int batch_size = 1024);
 
 /// Test-set AUC of ATNN through the chosen path.
 double EvaluateAtnnAuc(const AtnnModel& model,
                        const data::TmallDataset& dataset,
                        const std::vector<int64_t>& interaction_indices,
-                       CtrPath path, int batch_size = 1024,
-                       ThreadPool* pool = nullptr);
+                       CtrPath path, int batch_size = 1024);
 
 /// Splits `indices` into contiguous chunks of at most batch_size. The
 /// chunks are views into `indices`, which must outlive (and not be
@@ -159,20 +148,17 @@ std::vector<std::span<const int64_t>> MakeBatchSpans(
     std::span<const int64_t> indices, int batch_size);
 
 /// The one evaluation loop: runs fn(first, chunk) over the MakeBatchSpans
-/// chunks of `rows`, where `first` is the chunk's position in `rows`. Each
-/// call runs under a no-grad guard and its own arena scope, across `pool`
-/// when one is given, and must write only its own outputs (the per-row
-/// slots [first, first + chunk.size())), so the merged result is identical
-/// to the serial loop.
+/// chunks of `rows` in order, where `first` is the chunk's position in
+/// `rows`. Each call runs under a no-grad guard and its own arena scope.
 void ForEachChunk(
-    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    std::span<const int64_t> rows, int batch_size,
     const std::function<void(size_t first, std::span<const int64_t> chunk)>&
         fn);
 
 /// ForEachChunk for one score per row: concatenates score(chunk) in chunk
 /// order.
 std::vector<double> ScoreChunks(
-    std::span<const int64_t> rows, int batch_size, ThreadPool* pool,
+    std::span<const int64_t> rows, int batch_size,
     const std::function<std::vector<double>(std::span<const int64_t>)>&
         score);
 

@@ -161,7 +161,7 @@ std::vector<double> ClusteredPopularityPredictor::ScoreItems(
     const AtnnModel& model, const data::TmallDataset& dataset,
     const std::vector<int64_t>& item_rows, int batch_size) const {
   return ScoreGeneratedItems(
-      model, dataset, item_rows, batch_size, /*pool=*/nullptr,
+      model, dataset, item_rows, batch_size,
       std::bind_front(&ClusteredPopularityPredictor::ScoreVector, this));
 }
 

@@ -5,19 +5,33 @@
 
 namespace atnn::nn {
 
-Optimizer::Optimizer(std::vector<Parameter*> params)
-    : params_(std::move(params)) {
+Adam::Adam(std::vector<Parameter*> params, float learning_rate, float beta1,
+           float beta2, float epsilon, float weight_decay)
+    : params_(std::move(params)),
+      learning_rate_(learning_rate),
+      beta1_(beta1),
+      beta2_(beta2),
+      epsilon_(epsilon),
+      weight_decay_(weight_decay) {
+  ATNN_CHECK(learning_rate > 0.0f);
+  ATNN_CHECK(weight_decay >= 0.0f);
+  ATNN_CHECK(beta1 >= 0.0f && beta1 < 1.0f);
+  ATNN_CHECK(beta2 >= 0.0f && beta2 < 1.0f);
+  first_moment_.reserve(params_.size());
+  second_moment_.reserve(params_.size());
   for (Parameter* param : params_) {
     ATNN_CHECK(param != nullptr);
     param->node()->EnsureGrad();
+    first_moment_.emplace_back(param->rows(), param->cols());
+    second_moment_.emplace_back(param->rows(), param->cols());
   }
 }
 
-void Optimizer::ZeroGrad() {
+void Adam::ZeroGrad() {
   for (Parameter* param : params_) param->node()->ZeroGrad();
 }
 
-const std::vector<int64_t>& Optimizer::UniqueTouchedRows(const Node& node) {
+const std::vector<int64_t>& Adam::UniqueTouchedRows(const Node& node) {
   std::vector<int64_t>& rows = touched_scratch_;
   rows.assign(node.touched_rows.begin(), node.touched_rows.end());
   std::sort(rows.begin(), rows.end());
@@ -25,7 +39,7 @@ const std::vector<int64_t>& Optimizer::UniqueTouchedRows(const Node& node) {
   return rows;
 }
 
-double Optimizer::ClipGradNorm(double max_norm) {
+double Adam::ClipGradNorm(double max_norm) {
   ATNN_CHECK(max_norm > 0.0);
   double total = 0.0;
   for (Parameter* param : params_) {
@@ -59,109 +73,6 @@ double Optimizer::ClipGradNorm(double max_norm) {
     }
   }
   return norm;
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, float learning_rate, float momentum)
-    : Optimizer(std::move(params)),
-      learning_rate_(learning_rate),
-      momentum_(momentum) {
-  ATNN_CHECK(learning_rate > 0.0f);
-  ATNN_CHECK(momentum >= 0.0f && momentum < 1.0f);
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (Parameter* param : params_) {
-      velocity_.emplace_back(param->rows(), param->cols());
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t p = 0; p < params_.size(); ++p) {
-    Node* node = params_[p]->node();
-    Tensor& value = node->value;
-    const Tensor& grad = node->grad;
-    if (grad.empty()) continue;
-
-    auto update_row = [&](int64_t row) {
-      const float* g = grad.row_ptr(row);
-      float* v = value.row_ptr(row);
-      if (momentum_ > 0.0f) {
-        float* vel = velocity_[p].row_ptr(row);
-        for (int64_t c = 0; c < value.cols(); ++c) {
-          vel[c] = momentum_ * vel[c] + g[c];
-          v[c] -= learning_rate_ * vel[c];
-        }
-      } else {
-        for (int64_t c = 0; c < value.cols(); ++c) {
-          v[c] -= learning_rate_ * g[c];
-        }
-      }
-    };
-
-    if (node->IsSparseGrad()) {
-      for (int64_t row : UniqueTouchedRows(*node)) update_row(row);
-    } else {
-      for (int64_t row = 0; row < value.rows(); ++row) update_row(row);
-    }
-  }
-}
-
-Adagrad::Adagrad(std::vector<Parameter*> params, float learning_rate,
-                 float epsilon)
-    : Optimizer(std::move(params)),
-      learning_rate_(learning_rate),
-      epsilon_(epsilon) {
-  ATNN_CHECK(learning_rate > 0.0f);
-  accumulators_.reserve(params_.size());
-  for (Parameter* param : params_) {
-    accumulators_.emplace_back(param->rows(), param->cols());
-  }
-}
-
-void Adagrad::Step() {
-  for (size_t p = 0; p < params_.size(); ++p) {
-    Node* node = params_[p]->node();
-    Tensor& value = node->value;
-    const Tensor& grad = node->grad;
-    if (grad.empty()) continue;
-    Tensor& acc = accumulators_[p];
-
-    auto update_row = [&](int64_t row) {
-      const float* g = grad.row_ptr(row);
-      float* a = acc.row_ptr(row);
-      float* v = value.row_ptr(row);
-      for (int64_t c = 0; c < value.cols(); ++c) {
-        a[c] += g[c] * g[c];
-        v[c] -= learning_rate_ * g[c] / (std::sqrt(a[c]) + epsilon_);
-      }
-    };
-
-    if (node->IsSparseGrad()) {
-      for (int64_t row : UniqueTouchedRows(*node)) update_row(row);
-    } else {
-      for (int64_t row = 0; row < value.rows(); ++row) update_row(row);
-    }
-  }
-}
-
-Adam::Adam(std::vector<Parameter*> params, float learning_rate, float beta1,
-           float beta2, float epsilon, float weight_decay)
-    : Optimizer(std::move(params)),
-      learning_rate_(learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  ATNN_CHECK(learning_rate > 0.0f);
-  ATNN_CHECK(weight_decay >= 0.0f);
-  ATNN_CHECK(beta1 >= 0.0f && beta1 < 1.0f);
-  ATNN_CHECK(beta2 >= 0.0f && beta2 < 1.0f);
-  first_moment_.reserve(params_.size());
-  second_moment_.reserve(params_.size());
-  for (Parameter* param : params_) {
-    first_moment_.emplace_back(param->rows(), param->cols());
-    second_moment_.emplace_back(param->rows(), param->cols());
-  }
 }
 
 void Adam::Step() {

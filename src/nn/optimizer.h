@@ -8,22 +8,27 @@
 
 namespace atnn::nn {
 
-/// Base class for first-order optimizers. All optimizers understand sparse
-/// gradients: when a parameter received only scatter-add contributions
-/// (embedding tables), only the touched rows are updated and only their
-/// slots of the optimizer state advance ("lazy" updates, as in TensorFlow's
-/// LazyAdam). This keeps per-step cost proportional to batch traffic rather
-/// than vocabulary size.
-class Optimizer {
+/// Adam (Kingma & Ba), the optimizer every trainer steps. It understands
+/// sparse gradients: when a parameter received only scatter-add
+/// contributions (embedding tables), only the touched rows are updated and
+/// only their slots of the moments advance ("lazy" updates, as in
+/// TensorFlow's LazyAdam), with the global step count used for bias
+/// correction. This keeps per-step cost proportional to batch traffic
+/// rather than vocabulary size. A nonzero weight_decay applies *decoupled*
+/// decay (AdamW, Loshchilov & Hutter): the pre-step parameter shrinks by
+/// learning_rate * weight_decay before the Adam step is subtracted (touched
+/// rows only for sparse parameters).
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter*> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Parameter*> params, float learning_rate,
+       float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f,
+       float weight_decay = 0.0f);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears gradients of all managed parameters (sparse-aware).
   void ZeroGrad();
@@ -33,69 +38,17 @@ class Optimizer {
   /// touched rows.
   double ClipGradNorm(double max_norm);
 
-  const std::vector<Parameter*>& params() const { return params_; }
+  float learning_rate() const { return learning_rate_; }
+  void set_learning_rate(float lr) { learning_rate_ = lr; }
+  int64_t step_count() const { return step_; }
 
- protected:
+ private:
   /// Sorted, deduplicated touched rows for a sparse-grad parameter. The
   /// returned reference points at a reused member buffer (so steady-state
   /// steps allocate nothing); it is invalidated by the next call.
   const std::vector<int64_t>& UniqueTouchedRows(const Node& node);
 
   std::vector<Parameter*> params_;
-
- private:
-  std::vector<int64_t> touched_scratch_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, float learning_rate,
-      float momentum = 0.0f);
-
-  void Step() override;
-
-  float learning_rate() const { return learning_rate_; }
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-
- private:
-  float learning_rate_;
-  float momentum_;
-  std::vector<Tensor> velocity_;  // allocated lazily when momentum > 0
-};
-
-/// Adagrad — the classic choice for sparse CTR embeddings.
-class Adagrad : public Optimizer {
- public:
-  Adagrad(std::vector<Parameter*> params, float learning_rate,
-          float epsilon = 1e-8f);
-
-  void Step() override;
-
- private:
-  float learning_rate_;
-  float epsilon_;
-  std::vector<Tensor> accumulators_;
-};
-
-/// Adam (Kingma & Ba). Sparse parameters get lazy row updates with the
-/// global step count used for bias correction. A nonzero weight_decay
-/// applies *decoupled* decay (AdamW, Loshchilov & Hutter): the pre-step
-/// parameter shrinks by learning_rate * weight_decay before the Adam step
-/// is subtracted (touched rows only for sparse parameters).
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, float learning_rate,
-       float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f,
-       float weight_decay = 0.0f);
-
-  void Step() override;
-
-  float learning_rate() const { return learning_rate_; }
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-  int64_t step_count() const { return step_; }
-
- private:
   float learning_rate_;
   float beta1_;
   float beta2_;
@@ -104,6 +57,7 @@ class Adam : public Optimizer {
   int64_t step_ = 0;
   std::vector<Tensor> first_moment_;
   std::vector<Tensor> second_moment_;
+  std::vector<int64_t> touched_scratch_;
 };
 
 }  // namespace atnn::nn

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/histogram.h"
 
 namespace atnn::obs {
@@ -194,35 +193,6 @@ class ScopedTimer {
  private:
   Histogram* sink_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Bridges ThreadPool's observer hook into a registry: `<prefix>.tasks`
-/// (counter), `<prefix>.queue_depth` (gauge), `<prefix>.task_us`
-/// (histogram of per-task run time). Handles resolve at construction; the
-/// per-task callbacks are lock-free. Attach with pool->SetObserver(&m);
-/// the adapter must outlive its pool (or be detached first).
-class ThreadPoolMetrics : public ThreadPoolObserver {
- public:
-  ThreadPoolMetrics(MetricsRegistry* registry, std::string_view prefix)
-      : tasks_(registry->GetCounter(std::string(prefix) + ".tasks")),
-        queue_depth_(registry->GetGauge(std::string(prefix) +
-                                        ".queue_depth")),
-        task_us_(registry->GetHistogram(std::string(prefix) + ".task_us")) {}
-
-  void OnTaskQueued(size_t queue_depth) override {
-    tasks_.Increment();
-    queue_depth_.Set(static_cast<double>(queue_depth));
-  }
-
-  void OnTaskComplete(double task_us, size_t queue_depth) override {
-    task_us_.Record(task_us);
-    queue_depth_.Set(static_cast<double>(queue_depth));
-  }
-
- private:
-  Counter& tasks_;
-  Gauge& queue_depth_;
-  Histogram& task_us_;
 };
 
 }  // namespace atnn::obs

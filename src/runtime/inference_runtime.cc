@@ -76,17 +76,15 @@ StatusOr<std::unique_ptr<InferenceRuntime>> InferenceRuntime::Create(
 
 InferenceRuntime::InferenceRuntime(const RuntimeConfig& config)
     : config_(config),
-      pool_metrics_(&stats_.registry(), "pool"),
       injector_(config.fault_injection),
       batcher_(config.batcher, &stats_),
-      prior_(config.prior),
-      pool_(config.num_workers) {
+      prior_(config.prior) {
   const Status valid = config.Validate();
   ATNN_CHECK(valid.ok()) << "invalid RuntimeConfig: " << valid.ToString()
                          << " (use InferenceRuntime::Create for a Status)";
-  pool_.SetObserver(&pool_metrics_);
+  workers_.reserve(config.num_workers);
   for (size_t i = 0; i < config.num_workers; ++i) {
-    pool_.Submit([this] { WorkerLoop(); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -252,7 +250,9 @@ void InferenceRuntime::SetPrior(
 
 void InferenceRuntime::Shutdown() {
   batcher_.Close();
-  pool_.Wait();
+  std::lock_guard<std::mutex> lock(workers_mutex_);
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 }
 
 StatsSnapshot InferenceRuntime::stats() const {

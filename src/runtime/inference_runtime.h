@@ -6,11 +6,11 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "runtime/fault_injection.h"
 #include "runtime/micro_batcher.h"
@@ -21,8 +21,7 @@
 namespace atnn::runtime {
 
 struct RuntimeConfig {
-  /// Worker threads executing micro-batches (each runs one blocking loop on
-  /// the underlying atnn::ThreadPool).
+  /// Worker threads executing micro-batches (each runs one blocking loop).
   size_t num_workers = 2;
   /// Memoize scores per (snapshot version, item row). Sound because the
   /// popularity path is deterministic given the published snapshot: the
@@ -214,7 +213,8 @@ class InferenceRuntime {
   void SetPrior(std::shared_ptr<const serving::PopularityIndex> prior);
 
   /// Stops admission, waits for every queued request to be answered, then
-  /// joins the workers. Idempotent.
+  /// joins the workers. Idempotent, and safe to call from several threads
+  /// at once: every call returns once the workers are joined.
   void Shutdown();
 
   /// Test-only view of the score-cache generations: the versions the fresh
@@ -233,10 +233,9 @@ class InferenceRuntime {
   CacheGenerations ScoreCacheGenerationsForTest();
 
   StatsSnapshot stats() const;
-  /// The runtime's metrics namespace: everything RuntimeStats records plus
-  /// the worker pool's `pool.*` instruments. Hand this to a
-  /// obs::PeriodicJsonExporter (atnn_serve --metrics_json) or collect it
-  /// directly; recording stays lock-free while you read.
+  /// The runtime's metrics namespace: everything RuntimeStats records.
+  /// Hand this to a obs::PeriodicJsonExporter (atnn_serve --metrics_json)
+  /// or collect it directly; recording stays lock-free while you read.
   const obs::MetricsRegistry& metrics_registry() const {
     return stats_.registry();
   }
@@ -299,9 +298,6 @@ class InferenceRuntime {
 
   RuntimeConfig config_;
   RuntimeStats stats_;
-  /// Feeds pool.{tasks,queue_depth,task_us} into stats_'s registry; must be
-  /// declared before pool_ (attached at construction, read by workers).
-  obs::ThreadPoolMetrics pool_metrics_;
   FaultInjector injector_;
   SnapshotHandle snapshots_;
   MicroBatcher batcher_;
@@ -340,9 +336,12 @@ class InferenceRuntime {
   /// fine, a lock is not worth it.
   std::atomic<int64_t> forward_cost_ewma_us_{0};
 
-  /// Declared after the batcher/stats the worker loops use; the destructor
-  /// runs Shutdown() before any member is torn down.
-  ThreadPool pool_;
+  /// One thread per worker, started by the constructor body once every
+  /// member a worker loop reads is built, and joined by Shutdown() (which
+  /// the destructor runs before any member is torn down). workers_mutex_
+  /// serializes the joins of concurrent Shutdown() calls.
+  std::mutex workers_mutex_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace atnn::runtime

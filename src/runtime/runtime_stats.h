@@ -79,8 +79,7 @@ struct StatsSnapshot {
 /// (eventually-consistent telemetry reads, never torn memory).
 ///
 /// The registry is exposed for exporters (atnn_serve --metrics_json) and
-/// for attaching more instruments (thread-pool metrics, trace spans) to
-/// the same namespace.
+/// for attaching more instruments to the same namespace.
 class RuntimeStats {
  public:
   RuntimeStats();

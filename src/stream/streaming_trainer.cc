@@ -73,10 +73,9 @@ Status StreamingTrainer::WarmStartFrom(
 runtime::ServingSnapshot StreamingTrainer::MakeSnapshot(
     const std::string& tag) {
   auto model_copy = std::make_unique<core::AtnnModel>(*model_);
-  auto predictor =
-      std::make_shared<core::PopularityPredictor>(core::PopularityPredictor::
-          Build(*model_copy, dataset_, user_group_, /*batch_size=*/1024,
-                config_.train.pool));
+  auto predictor = std::make_shared<core::PopularityPredictor>(
+      core::PopularityPredictor::Build(*model_copy, dataset_, user_group_,
+                                       /*batch_size=*/1024));
   runtime::ServingSnapshot snapshot;
   snapshot.model = std::shared_ptr<const core::AtnnModel>(
       std::move(model_copy));
@@ -120,7 +119,7 @@ StatusOr<DayReport> StreamingTrainer::Step(sim::ArrivalStream* arrivals) {
   if (report.auc_valid) {
     report.served_auc = core::EvaluateAtnnAuc(
         *model_, dataset_, cohort_rows, core::CtrPath::kGenerator,
-        /*batch_size=*/1024, config_.train.pool);
+        /*batch_size=*/1024);
   }
 
   // Day training set: cohort feedback first, then anti-forgetting replay
@@ -148,7 +147,7 @@ StatusOr<DayReport> StreamingTrainer::Step(sim::ArrivalStream* arrivals) {
   if (report.auc_valid) {
     report.fresh_auc = core::EvaluateAtnnAuc(
         *model_, dataset_, cohort_rows, core::CtrPath::kGenerator,
-        /*batch_size=*/1024, config_.train.pool);
+        /*batch_size=*/1024);
     report.staleness_gap = report.fresh_auc - report.served_auc;
   }
 

@@ -1,8 +1,6 @@
-// Tests of the parallel training/evaluation pipeline: span-based batching,
-// empty-split handling, prefetched training loops (which must match the
-// serial loop bitwise), pool-parallel evaluation (which must produce the
-// exact serial score sequence via in-order chunk merging), and the
-// telemetry every trainer reports through the shared epoch loop.
+// Tests of the training pipeline: span-based batching, empty-split
+// handling, and the telemetry every trainer reports through the shared
+// epoch loop.
 
 #include <cstdint>
 #include <string>
@@ -13,10 +11,8 @@
 
 #include "baselines/baseline_trainer.h"
 #include "baselines/wide_deep.h"
-#include "common/thread_pool.h"
 #include "core/atnn.h"
 #include "core/multitask_trainer.h"
-#include "core/popularity.h"
 #include "core/trainer.h"
 #include "core/two_tower.h"
 #include "obs/metrics_registry.h"
@@ -134,119 +130,6 @@ TEST_F(TrainerPipelineTest, EmptyTrainSplitReturnsEmptyHistory) {
           .empty());
 }
 
-TEST_F(TrainerPipelineTest, PrefetchedTwoTowerLossHistoryIsBitwiseIdentical) {
-  ThreadPool pool(4);
-  auto train = [&](ThreadPool* p) {
-    TwoTowerModel model(*dataset_->user_schema,
-                        *dataset_->item_profile_schema,
-                        *dataset_->item_stats_schema, TwoTowerCfg());
-    TrainOptions options = FastOptions();
-    options.pool = p;
-    return TrainTwoTowerModel(&model, *dataset_, options);
-  };
-  const auto serial = train(nullptr);
-  const auto prefetched = train(&pool);
-  ASSERT_EQ(serial.size(), prefetched.size());
-  for (size_t e = 0; e < serial.size(); ++e) {
-    EXPECT_EQ(serial[e].loss_i, prefetched[e].loss_i) << "epoch " << e;
-  }
-}
-
-TEST_F(TrainerPipelineTest, PrefetchedAtnnLossHistoryIsBitwiseIdentical) {
-  ThreadPool pool(4);
-  auto train = [&](ThreadPool* p) {
-    AtnnModel model(*dataset_->user_schema, *dataset_->item_profile_schema,
-                    *dataset_->item_stats_schema, AtnnCfg());
-    TrainOptions options = FastOptions();
-    options.pool = p;
-    return TrainAtnnModel(&model, *dataset_, options);
-  };
-  const auto serial = train(nullptr);
-  const auto prefetched = train(&pool);
-  ASSERT_EQ(serial.size(), prefetched.size());
-  for (size_t e = 0; e < serial.size(); ++e) {
-    EXPECT_EQ(serial[e].loss_i, prefetched[e].loss_i) << "epoch " << e;
-    EXPECT_EQ(serial[e].loss_g, prefetched[e].loss_g) << "epoch " << e;
-    EXPECT_EQ(serial[e].loss_s, prefetched[e].loss_s) << "epoch " << e;
-  }
-}
-
-TEST_F(TrainerPipelineTest, PrefetchedBaselineLossHistoryIsBitwiseIdentical) {
-  ThreadPool pool(4);
-  auto train = [&](ThreadPool* p) {
-    baselines::WideDeepModel model(*dataset_->user_schema,
-                                   *dataset_->item_profile_schema,
-                                   *dataset_->item_stats_schema,
-                                   BaselineCfg());
-    TrainOptions options = FastOptions();
-    options.pool = p;
-    return baselines::TrainCtrBaseline(&model, *dataset_, options);
-  };
-  const auto serial = train(nullptr);
-  const auto prefetched = train(&pool);
-  ASSERT_EQ(serial.size(), 2u);
-  EXPECT_EQ(serial, prefetched);
-}
-
-TEST_F(TrainerPipelineTest, ParallelAucMatchesSerialExactly) {
-  ThreadPool pool(4);
-  TwoTowerModel two_tower(*dataset_->user_schema,
-                          *dataset_->item_profile_schema,
-                          *dataset_->item_stats_schema, TwoTowerCfg());
-  // batch_size 128 over the tiny test split yields many chunks, so the
-  // merge order actually matters.
-  const double tt_serial = EvaluateTwoTowerAuc(
-      two_tower, *dataset_, dataset_->test_indices, 128, nullptr);
-  const double tt_parallel = EvaluateTwoTowerAuc(
-      two_tower, *dataset_, dataset_->test_indices, 128, &pool);
-  EXPECT_EQ(tt_serial, tt_parallel);
-
-  const double miss_serial = EvaluateTwoTowerAucMissingStats(
-      two_tower, *dataset_, dataset_->test_indices, 128, nullptr);
-  const double miss_parallel = EvaluateTwoTowerAucMissingStats(
-      two_tower, *dataset_, dataset_->test_indices, 128, &pool);
-  EXPECT_EQ(miss_serial, miss_parallel);
-
-  AtnnModel atnn(*dataset_->user_schema, *dataset_->item_profile_schema,
-                 *dataset_->item_stats_schema, AtnnCfg());
-  for (CtrPath path : {CtrPath::kEncoder, CtrPath::kGenerator}) {
-    const double serial = EvaluateAtnnAuc(atnn, *dataset_,
-                                          dataset_->test_indices, path, 128,
-                                          nullptr);
-    const double parallel = EvaluateAtnnAuc(atnn, *dataset_,
-                                            dataset_->test_indices, path, 128,
-                                            &pool);
-    EXPECT_EQ(serial, parallel);
-  }
-}
-
-TEST_F(TrainerPipelineTest, ParallelPopularityScoringMatchesSerial) {
-  ThreadPool pool(4);
-  AtnnModel atnn(*dataset_->user_schema, *dataset_->item_profile_schema,
-                 *dataset_->item_stats_schema, AtnnCfg());
-  const std::vector<int64_t> group = SelectActiveUsers(*dataset_, 100);
-
-  const auto serial_predictor =
-      PopularityPredictor::Build(atnn, *dataset_, group, 32, nullptr);
-  const auto parallel_predictor =
-      PopularityPredictor::Build(atnn, *dataset_, group, 32, &pool);
-
-  const auto serial_scores = serial_predictor.ScoreItems(
-      atnn, *dataset_, dataset_->new_items, 64, nullptr);
-  const auto parallel_scores = parallel_predictor.ScoreItems(
-      atnn, *dataset_, dataset_->new_items, 64, &pool);
-  ASSERT_EQ(serial_scores.size(), parallel_scores.size());
-  // Build merges per-chunk partial sums in chunk order regardless of the
-  // pool, so even the mean user vector is bitwise reproducible.
-  EXPECT_EQ(serial_scores, parallel_scores);
-
-  const auto pairwise_serial = ScoreItemsPairwise(
-      atnn, *dataset_, dataset_->new_items, group, 64, nullptr);
-  const auto pairwise_parallel = ScoreItemsPairwise(
-      atnn, *dataset_, dataset_->new_items, group, 64, &pool);
-  EXPECT_EQ(pairwise_serial, pairwise_parallel);
-}
-
 data::ElemeDataset* NewNormalizedElemeWorld() {
   data::ElemeConfig config;
   config.num_restaurants = 1200;
@@ -292,44 +175,6 @@ TEST_F(MultiTaskPipelineTest, EmptyTrainSplitReturnsEmptyHistory) {
   options.epochs = 2;
   options.batch_size = 64;
   EXPECT_TRUE(TrainMultiTaskAtnn(&model, empty_split, options).empty());
-}
-
-TEST_F(MultiTaskPipelineTest, PrefetchedLossHistoryIsBitwiseIdentical) {
-  ThreadPool pool(4);
-  auto train = [&](ThreadPool* p) {
-    MultiTaskAtnnModel model(*dataset_->restaurant_profile_schema,
-                             *dataset_->restaurant_stats_schema,
-                             *dataset_->user_group_schema, MtCfg());
-    TrainOptions options;
-    options.epochs = 2;
-    options.batch_size = 64;
-    options.learning_rate = 1e-3f;
-    options.pool = p;
-    return TrainMultiTaskAtnn(&model, *dataset_, options);
-  };
-  const auto serial = train(nullptr);
-  const auto prefetched = train(&pool);
-  ASSERT_EQ(serial.size(), prefetched.size());
-  for (size_t e = 0; e < serial.size(); ++e) {
-    EXPECT_EQ(serial[e].loss_gmv_d, prefetched[e].loss_gmv_d);
-    EXPECT_EQ(serial[e].loss_vppv_d, prefetched[e].loss_vppv_d);
-    EXPECT_EQ(serial[e].loss_gmv_g, prefetched[e].loss_gmv_g);
-    EXPECT_EQ(serial[e].loss_vppv_g, prefetched[e].loss_vppv_g);
-    EXPECT_EQ(serial[e].loss_s, prefetched[e].loss_s);
-  }
-}
-
-TEST_F(MultiTaskPipelineTest, ParallelEvalMatchesSerial) {
-  ThreadPool pool(4);
-  MultiTaskAtnnModel model(*dataset_->restaurant_profile_schema,
-                           *dataset_->restaurant_stats_schema,
-                           *dataset_->user_group_schema, MtCfg());
-  const ElemeEval serial =
-      EvaluateEleme(model, *dataset_, dataset_->test_indices, 64, nullptr);
-  const ElemeEval parallel =
-      EvaluateEleme(model, *dataset_, dataset_->test_indices, 64, &pool);
-  EXPECT_EQ(serial.vppv_mae, parallel.vppv_mae);
-  EXPECT_EQ(serial.gmv_mae, parallel.gmv_mae);
 }
 
 // --- telemetry: every trainer reports through the one epoch loop ---

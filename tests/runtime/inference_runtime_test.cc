@@ -269,6 +269,63 @@ TEST_F(InferenceRuntimeTest, BurstsAndSingleRowsShareBatchesAnsweredOnce) {
   EXPECT_EQ(stats.degraded, expired);
 }
 
+TEST_F(InferenceRuntimeTest, ConcurrentShutdownsDrainEveryRequestAndReturn) {
+  // Several callers can shut one runtime down at once: a sharded front-end
+  // retiring a shard, a rebuild that replaces it, and the destructor. The
+  // stall switch holds both workers while 60 rows queue; then two threads
+  // call Shutdown() together. Each call must return, and only once every
+  // queued row has been answered.
+  RuntimeConfig config = SmallRuntimeConfig();
+  config.fault_injection.enabled = true;  // for the stall switch only
+  InferenceRuntime runtime(config);
+  ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
+
+  constexpr int64_t kRows = 60;
+  runtime.fault_injector().SetStallWorkers(true);
+  std::vector<std::future<StatusOr<ScoreResult>>> futures;
+  for (int64_t row = 0; row < kRows; ++row) {
+    futures.push_back(runtime.ScoreAsync(row));
+  }
+  auto count_ready = [&futures] {
+    int64_t ready = 0;
+    for (const auto& future : futures) {
+      if (future.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        ++ready;
+      }
+    }
+    return ready;
+  };
+  ASSERT_EQ(count_ready(), 0) << "the stalled workers answered a row";
+
+  std::atomic<bool> go{false};
+  std::vector<int64_t> ready_at_return(2, -1);
+  std::vector<std::thread> closers;
+  for (size_t i = 0; i < ready_at_return.size(); ++i) {
+    closers.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      runtime.Shutdown();
+      ready_at_return[i] = count_ready();
+    });
+  }
+  go.store(true);
+  for (std::thread& closer : closers) closer.join();
+  EXPECT_EQ(ready_at_return, std::vector<int64_t>(2, kRows))
+      << "a Shutdown() returned before every row was answered";
+
+  for (auto& future : futures) {
+    const StatusOr<ScoreResult> answer = future.get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer.value().tier, ServingTier::kFresh);
+  }
+  EXPECT_EQ(runtime.stats().completed_ok, kRows);
+
+  const auto start = std::chrono::steady_clock::now();
+  runtime.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "a Shutdown() after the workers were joined waited";
+}
+
 TEST_F(InferenceRuntimeTest, InjectedFaultsDegradeEveryBurstRowCleanly) {
   RuntimeConfig config = SmallRuntimeConfig();
   config.fault_injection.enabled = true;

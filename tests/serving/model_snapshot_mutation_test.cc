@@ -103,7 +103,11 @@ class ModelSnapshotMutationTest : public ::testing::Test {
     writer.WriteString(kTag);
     nn::SaveParameters(model->Parameters(), &writer);
     payload_ = writer.buffer();
-    path_ = testing::TempDir() + "/model_snapshot_mutant.bin";
+    // One file per test: ctest runs this fixture's tests as concurrent
+    // processes, and a shared file let one test read another's mutant.
+    path_ = testing::TempDir() + "/model_snapshot_mutant_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
   }
 
   void TearDown() override { std::remove(path_.c_str()); }

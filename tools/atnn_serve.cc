@@ -719,8 +719,8 @@ int Run(int argc, const char* const* argv) {
   }
 
   // Periodic JSON-lines export of the runtime's registry (runtime counters
-  // and latency histograms, batcher queue depth, pool.* instruments).
-  // Recording stays lock-free while the exporter reads.
+  // and latency histograms, batcher queue depth). Recording stays lock-free
+  // while the exporter reads.
   std::unique_ptr<obs::PeriodicJsonExporter> metrics_exporter;
   if (!flags.GetString("metrics_json").empty()) {
     metrics_exporter = std::make_unique<obs::PeriodicJsonExporter>(
