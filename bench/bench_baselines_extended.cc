@@ -1,17 +1,15 @@
-// Beyond-the-paper comparison: the related-work CTR models the paper cites
-// (Section II-B) on the same synthetic Tmall dataset and the same
-// cold-start protocol as Table I — LR/FTRL, FM, Wide & Deep, DeepFM next
-// to GBDT, TNN-DCN and ATNN. Shows where the two-tower + adversarial
-// design sits in the model landscape it grew out of.
+// Beyond-the-paper comparison: the deep related-work CTR models the paper
+// cites (Section II-B) on the same synthetic Tmall dataset and the same
+// cold-start protocol as Table I — Concat-DNN (the paper's Figure 2 model),
+// Wide & Deep and DeepFM next to TNN-DCN and ATNN. Shows where the
+// two-tower + adversarial design sits in the model landscape it grew out
+// of.
 
 #include <cstdio>
 
 #include "baselines/baseline_trainer.h"
 #include "baselines/concat_dnn.h"
 #include "baselines/deepfm.h"
-#include "baselines/factorization_machine.h"
-#include "baselines/ftrl_lr.h"
-#include "baselines/lsplm.h"
 #include "baselines/wide_deep.h"
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
@@ -31,54 +29,6 @@ std::string Degradation(const Row& row) {
   return TablePrinter::Num(
              (row.cold - row.complete) / row.complete * 100.0, 2) +
          "%";
-}
-
-/// Sparse test views: complete and statistics-masked.
-struct SparseViews {
-  baselines::SparseDatasetView train;
-  baselines::SparseDatasetView test_complete;
-  baselines::SparseDatasetView test_cold;
-};
-
-SparseViews MakeSparseViews(const data::TmallDataset& dataset,
-                            const baselines::SparseCtrEncoder& encoder) {
-  SparseViews views;
-  views.train =
-      baselines::EncodeInteractions(dataset, dataset.train_indices, encoder);
-  views.test_complete =
-      baselines::EncodeInteractions(dataset, dataset.test_indices, encoder);
-  // Cold: gather, mask stats, then encode.
-  for (const auto chunk : core::MakeBatchSpans(dataset.test_indices, 4096)) {
-    data::CtrBatch batch = MakeCtrBatch(dataset, chunk);
-    core::MaskStatsAsMissing(&batch.item_stats);
-    auto encoded = encoder.Encode(batch);
-    for (auto& row : encoded) {
-      views.test_cold.rows.push_back(std::move(row));
-    }
-    for (int64_t r = 0; r < batch.labels.rows(); ++r) {
-      views.test_cold.labels.push_back(batch.labels.at(r, 0));
-    }
-  }
-  return views;
-}
-
-template <typename Model>
-Row EvalSparse(const std::string& name, Model* model,
-               const SparseViews& views, int passes) {
-  Stopwatch timer;
-  for (int pass = 0; pass < passes; ++pass) {
-    model->TrainPass(views.train.rows, views.train.labels);
-  }
-  Row row;
-  row.name = name;
-  row.complete = metrics::Auc(
-      model->PredictProbability(views.test_complete.rows),
-      views.test_complete.labels);
-  row.cold = metrics::Auc(model->PredictProbability(views.test_cold.rows),
-                          views.test_cold.labels);
-  row.seconds = timer.ElapsedSeconds();
-  std::printf("[baselines] %-12s done (%.1fs)\n", name.c_str(), row.seconds);
-  return row;
 }
 
 /// Evaluates an autograd baseline on complete and stats-masked batches.
@@ -113,31 +63,6 @@ void Run() {
   core::NormalizeTmallInPlace(&dataset);
 
   std::vector<Row> rows;
-
-  // --- sparse linear-era models ---
-  const baselines::SparseCtrEncoder encoder(*dataset.user_schema,
-                                            *dataset.item_profile_schema,
-                                            *dataset.item_stats_schema,
-                                            /*use_stats=*/true);
-  const SparseViews views = MakeSparseViews(dataset, encoder);
-  {
-    baselines::FtrlConfig config;
-    config.lambda1 = 0.05;
-    baselines::FtrlLogisticRegression lr(encoder.dimension(), config);
-    rows.push_back(EvalSparse("LR (FTRL)", &lr, views, 2));
-  }
-  {
-    baselines::LsplmConfig config;
-    config.num_pieces = 8;
-    baselines::LsplmModel lsplm(encoder.dimension(), config);
-    rows.push_back(EvalSparse("LS-PLM", &lsplm, views, 2));
-  }
-  {
-    baselines::FmConfig config;
-    config.latent_dim = 8;
-    baselines::FactorizationMachine fm(encoder.dimension(), config);
-    rows.push_back(EvalSparse("FM", &fm, views, 2));
-  }
 
   // --- deep models ---
   {

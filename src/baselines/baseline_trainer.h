@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sparse_encoder.h"
 #include "core/epoch_loop.h"
 #include "core/trainer.h"
 #include "data/tmall.h"
@@ -61,30 +60,6 @@ double EvaluateCtrBaselineAuc(const Model& model,
                               data::MakeCtrBatch(dataset, chunk));
                         }),
       core::GatherLabels(dataset, indices));
-}
-
-/// Interactions in sparse form, for the linear-era baselines (LR, FM).
-struct SparseDatasetView {
-  std::vector<SparseRow> rows;
-  std::vector<float> labels;
-};
-
-/// Encodes the given interaction indices into sparse rows.
-inline SparseDatasetView EncodeInteractions(
-    const data::TmallDataset& dataset, const std::vector<int64_t>& indices,
-    const SparseCtrEncoder& encoder, int batch_size = 4096) {
-  SparseDatasetView view;
-  view.rows.reserve(indices.size());
-  view.labels.reserve(indices.size());
-  for (const auto chunk : core::MakeBatchSpans(indices, batch_size)) {
-    const data::CtrBatch batch = MakeCtrBatch(dataset, chunk);
-    auto encoded = encoder.Encode(batch);
-    for (auto& row : encoded) view.rows.push_back(std::move(row));
-    for (int64_t r = 0; r < batch.labels.rows(); ++r) {
-      view.labels.push_back(batch.labels.at(r, 0));
-    }
-  }
-  return view;
 }
 
 }  // namespace atnn::baselines

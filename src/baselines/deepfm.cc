@@ -5,6 +5,13 @@
 
 namespace atnn::baselines {
 
+namespace {
+
+/// Shared embedding width of every categorical field.
+constexpr int64_t kEmbedDim = 8;
+
+}  // namespace
+
 DeepFmModel::DeepFmModel(const data::FeatureSchema& user_schema,
                          const data::FeatureSchema& item_profile_schema,
                          const data::FeatureSchema& item_stats_schema,
@@ -20,7 +27,7 @@ DeepFmModel::DeepFmModel(const data::FeatureSchema& user_schema,
           nn::Tensor::Zeros(spec.vocab_size, 1)));
       embed_tables_.push_back(std::make_unique<nn::Parameter>(
           std::string("deepfm.emb.") + prefix + "." + spec.name,
-          nn::NormalInit(spec.vocab_size, config_.embed_dim, 0.05f, &rng)));
+          nn::NormalInit(spec.vocab_size, kEmbedDim, 0.05f, &rng)));
     }
   };
   add_field_tables(user_schema, "user");
@@ -38,8 +45,7 @@ DeepFmModel::DeepFmModel(const data::FeatureSchema& user_schema,
                                           nn::Tensor::Zeros(1, 1));
 
   const int64_t deep_input =
-      static_cast<int64_t>(embed_tables_.size()) * config.embed_dim +
-      num_dense_;
+      static_cast<int64_t>(embed_tables_.size()) * kEmbedDim + num_dense_;
   std::vector<int64_t> dims = {deep_input};
   dims.insert(dims.end(), config.deep_dims.begin(), config.deep_dims.end());
   dims.push_back(1);

@@ -13,8 +13,6 @@ namespace atnn::baselines {
 
 /// DeepFM hyper-parameters (Guo et al., IJCAI'17).
 struct DeepFmConfig {
-  /// Shared embedding width of every categorical field.
-  int64_t embed_dim = 8;
   /// Hidden widths of the deep component.
   std::vector<int64_t> deep_dims = {64, 32};
   bool use_item_stats = true;

@@ -7,15 +7,8 @@ namespace atnn::baselines {
 
 namespace {
 
-std::vector<nn::EmbeddingFieldSpec> Specs(const data::FeatureSchema& schema,
-                                          int64_t embed_dim_override) {
-  std::vector<nn::EmbeddingFieldSpec> specs =
-      core::ToEmbeddingSpecs(schema);
-  if (embed_dim_override > 0) {
-    for (auto& spec : specs) spec.embed_dim = embed_dim_override;
-  }
-  return specs;
-}
+/// Hashed bucket count of the wide branch's categorical crosses.
+constexpr int64_t kCrossBuckets = 100000;
 
 /// Index of the categorical field with the given name, or -1.
 int64_t FindCategorical(const data::FeatureSchema& schema,
@@ -52,7 +45,7 @@ WideDeepModel::WideDeepModel(const data::FeatureSchema& user_schema,
   num_wide_fields_ = static_cast<int64_t>(wide_tables_.size());
 
   cross_table_ = std::make_unique<nn::Parameter>(
-      "wide_deep.wide.cross", nn::Tensor::Zeros(config.cross_buckets, 1));
+      "wide_deep.wide.cross", nn::Tensor::Zeros(kCrossBuckets, 1));
 
   num_dense_ = static_cast<int64_t>(user_schema.num_numeric() +
                                     item_profile_schema.num_numeric());
@@ -64,11 +57,11 @@ WideDeepModel::WideDeepModel(const data::FeatureSchema& user_schema,
   bias_ = std::make_unique<nn::Parameter>("wide_deep.bias",
                                           nn::Tensor::Zeros(1, 1));
 
-  // Deep branch.
+  // Deep branch, at the schema's embedding widths.
   user_bag_ = std::make_unique<nn::EmbeddingBag>(
-      "wide_deep.user", Specs(user_schema, config.embed_dim), &rng);
+      "wide_deep.user", core::ToEmbeddingSpecs(user_schema), &rng);
   item_bag_ = std::make_unique<nn::EmbeddingBag>(
-      "wide_deep.item", Specs(item_profile_schema, config.embed_dim), &rng);
+      "wide_deep.item", core::ToEmbeddingSpecs(item_profile_schema), &rng);
   int64_t deep_input =
       user_bag_->OutputDim(static_cast<int64_t>(user_schema.num_numeric())) +
       item_bag_->OutputDim(
@@ -102,8 +95,7 @@ std::vector<int64_t> WideDeepModel::CrossIds(
         HashCombine(static_cast<uint64_t>(user_col[static_cast<size_t>(r)]),
                     static_cast<uint64_t>(item_col[static_cast<size_t>(r)]));
     ids[static_cast<size_t>(r)] =
-        static_cast<int64_t>(hash % static_cast<uint64_t>(
-                                        config_.cross_buckets));
+        static_cast<int64_t>(hash % static_cast<uint64_t>(kCrossBuckets));
   }
   return ids;
 }

@@ -15,10 +15,6 @@ namespace atnn::baselines {
 struct WideDeepConfig {
   /// Hidden widths of the deep branch.
   std::vector<int64_t> deep_dims = {64, 32};
-  /// Embedding width override for the deep branch (0 = use schema dims).
-  int64_t embed_dim = 0;
-  /// Hashed bucket count for the wide branch's categorical crosses.
-  int64_t cross_buckets = 100000;
   /// When false, item statistics are excluded from both branches.
   bool use_item_stats = true;
   uint64_t seed = 29;

@@ -24,10 +24,13 @@ namespace atnn::core {
 /// gauge and a ` name=value` field of the verbose epoch log line.
 using EpochLosses = std::vector<std::pair<const char*, double>>;
 
+/// The global L2 norm every update clips its group's gradients to.
+inline constexpr double kClipNorm = 5.0;
+
 /// update(g, objective): zero every group's gradients, backpropagate
-/// `objective`, clip group g's gradients to TrainOptions::clip_norm and step
-/// its Adam. A G-step backward also deposits gradients into discriminator
-/// parameters, so zeroing everything keeps half-steps from leaking.
+/// `objective`, clip group g's gradients to kClipNorm and step its Adam. A
+/// G-step backward also deposits gradients into discriminator parameters,
+/// so zeroing everything keeps half-steps from leaking.
 using GroupUpdate =
     std::function<void(size_t group, const nn::Var& objective)>;
 
@@ -52,9 +55,9 @@ struct EpochSteps {
 /// (aborting with "invalid TrainOptions"; the StreamingTrainer checks first
 /// and returns the Status instead), returns at once with a warning when
 /// `rows` is empty, and otherwise runs options.epochs epochs. Each epoch
-/// decays the learning rate (after the first), reshuffles a copy of `rows`
-/// with the one Rng(options.seed), cuts MakeBatchSpans batches, gathers each
-/// one, and runs every step under a step timer and an arena scope.
+/// reshuffles a copy of `rows` with the one Rng(options.seed), cuts
+/// MakeBatchSpans batches, gathers each one, and runs every step under a
+/// step timer and an arena scope.
 /// Telemetry and the verbose log close each epoch.
 template <typename Batch>
 void RunEpochs(std::span<const int64_t> rows, const TrainOptions& options,
@@ -68,16 +71,13 @@ void RunEpochs(std::span<const int64_t> rows, const TrainOptions& options,
   }
   std::vector<std::unique_ptr<nn::Adam>> optimizers;
   for (const std::vector<nn::Parameter*>& group : trainer.groups) {
-    optimizers.push_back(std::make_unique<nn::Adam>(
-        group, options.learning_rate, 0.9f, 0.999f, 1e-8f,
-        options.weight_decay));
+    optimizers.push_back(
+        std::make_unique<nn::Adam>(group, options.learning_rate));
   }
   const GroupUpdate update = [&](size_t group, const nn::Var& objective) {
     for (const auto& optimizer : optimizers) optimizer->ZeroGrad();
     nn::Backward(objective);
-    if (options.clip_norm > 0.0f) {
-      optimizers[group]->ClipGradNorm(options.clip_norm);
-    }
+    optimizers[group]->ClipGradNorm(kClipNorm);
     optimizers[group]->Step();
   };
 
@@ -86,12 +86,6 @@ void RunEpochs(std::span<const int64_t> rows, const TrainOptions& options,
   TrainTelemetry telemetry(options.metrics, options.emit_metric_lines);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const auto epoch_start = TrainTelemetry::Now();
-    if (epoch > 0 && options.lr_decay_per_epoch != 1.0f) {
-      for (const auto& optimizer : optimizers) {
-        optimizer->set_learning_rate(optimizer->learning_rate() *
-                                     options.lr_decay_per_epoch);
-      }
-    }
     rng.Shuffle(&order);
     const std::vector<std::span<const int64_t>> batches =
         MakeBatchSpans(order, options.batch_size);

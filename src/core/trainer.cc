@@ -22,20 +22,6 @@ Status TrainOptions::Validate() const {
   if (!std::isfinite(learning_rate) || learning_rate <= 0.0f) {
     return Status::InvalidArgument("learning_rate must be finite and > 0");
   }
-  if (!std::isfinite(lr_decay_per_epoch) || lr_decay_per_epoch <= 0.0f) {
-    return Status::InvalidArgument(
-        "lr_decay_per_epoch must be finite and > 0");
-  }
-  if (!std::isfinite(clip_norm) || clip_norm < 0.0f) {
-    return Status::InvalidArgument("clip_norm must be finite and >= 0");
-  }
-  if (!std::isfinite(weight_decay) || weight_decay < 0.0f) {
-    return Status::InvalidArgument("weight_decay must be finite and >= 0");
-  }
-  if (!std::isfinite(negative_weight) || negative_weight < 0.0f) {
-    return Status::InvalidArgument(
-        "negative_weight must be finite and >= 0");
-  }
   if (cross_batch_negatives && negative_cache == nullptr) {
     return Status::InvalidArgument(
         "cross_batch_negatives requires a negative_cache");
@@ -136,6 +122,8 @@ std::vector<EpochStats> TrainAtnnOnIndices(AtnnModel* model,
                                            const TrainOptions& options) {
   constexpr size_t kD = 0;
   constexpr size_t kG = 1;
+  // Weight of the cached-negative BCE term in the D-step objective.
+  constexpr float kNegativeWeight = 0.1f;
   std::vector<EpochStats> history;
   EpochStats sums;
   int64_t steps_d = 0;
@@ -175,8 +163,7 @@ std::vector<EpochStats> TrainAtnnOnIndices(AtnnModel* model,
             neg_logits,
             nn::Tensor::Zeros(batch.labels.rows(),
                               options.negative_cache->total_rows()));
-        d_objective =
-            nn::Add(loss_i, nn::Scale(loss_neg, options.negative_weight));
+        d_objective = nn::Add(loss_i, nn::Scale(loss_neg, kNegativeWeight));
       }
       update(kD, d_objective);
       sums.loss_i += loss_i.value().scalar();

@@ -20,13 +20,6 @@ struct TrainOptions {
   int epochs = 3;
   int batch_size = 256;
   float learning_rate = 1e-3f;
-  /// Global-norm gradient clipping; 0 disables.
-  float clip_norm = 5.0f;
-  /// Multiplicative learning-rate decay applied before each epoch after
-  /// the first (1.0 = constant rate).
-  float lr_decay_per_epoch = 1.0f;
-  /// Decoupled (AdamW) weight decay; 0 disables.
-  float weight_decay = 0.0f;
   uint64_t seed = 99;
   bool verbose = false;
   /// Optional metrics sink (not owned). When set, the trainers record
@@ -50,8 +43,6 @@ struct TrainOptions {
   /// generated item vectors into the cache after the G step. Requires
   /// `negative_cache`.
   bool cross_batch_negatives = false;
-  /// Weight of the cached-negative BCE term in the D-step loss.
-  float negative_weight = 0.1f;
   /// Embedding FIFO backing cross_batch_negatives (not owned). Contents
   /// persist across calls on purpose: in the streaming trainer, day d+1's
   /// first batches see day d's tail cohort as negatives.
@@ -66,10 +57,8 @@ struct TrainOptions {
   /// InvalidArgument on junk that today trains garbage silently:
   /// non-positive epochs/batch_size (zero-step "histories"), non-finite or
   /// non-positive learning_rate (NaN parameters by step two; Adam refuses
-  /// 0), non-finite or non-positive lr_decay_per_epoch, non-finite or
-  /// negative clip_norm/weight_decay/negative_weight, and
-  /// cross_batch_negatives without a cache. Every trainer runs through
-  /// RunEpochs (core/epoch_loop.h), which checks this and aborts on
+  /// 0), and cross_batch_negatives without a cache. Every trainer runs
+  /// through RunEpochs (core/epoch_loop.h), which checks this and aborts on
   /// failure (the StreamingTrainer surfaces it as a Status instead).
   Status Validate() const;
 };

@@ -10,6 +10,11 @@ namespace atnn::core {
 
 namespace {
 
+/// Lloyd's iteration cap, and the relative inertia improvement below which
+/// the iterations stop early.
+constexpr int kMaxIterations = 50;
+constexpr double kTolerance = 1e-4;
+
 double SquaredDistance(const float* a, const float* b, int64_t dim) {
   double total = 0.0;
   for (int64_t c = 0; c < dim; ++c) {
@@ -66,7 +71,7 @@ KMeansResult RunKMeans(const nn::Tensor& points, const KMeansConfig& config) {
   result.assignment.assign(static_cast<size_t>(n), 0);
   result.cluster_sizes.assign(static_cast<size_t>(k), 0);
   double previous_inertia = std::numeric_limits<double>::max();
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     // Assign.
     double inertia = 0.0;
     for (int64_t i = 0; i < n; ++i) {
@@ -112,7 +117,7 @@ KMeansResult RunKMeans(const nn::Tensor& points, const KMeansConfig& config) {
     }
 
     if (previous_inertia - inertia <
-        config.tolerance * std::max(previous_inertia, 1e-12)) {
+        kTolerance * std::max(previous_inertia, 1e-12)) {
       break;
     }
     previous_inertia = inertia;

@@ -25,13 +25,12 @@ struct KMeansResult {
 
 struct KMeansConfig {
   int num_clusters = 8;
-  int max_iterations = 50;
-  /// Stop when the relative inertia improvement falls below this.
-  double tolerance = 1e-4;
   uint64_t seed = 613;
 };
 
-/// Runs k-means over the rows of `points` ([n, dim], n >= k).
+/// Runs k-means over the rows of `points` ([n, dim], n >= k): at most 50
+/// Lloyd iterations, stopping early once an iteration improves the inertia
+/// by less than 1e-4 of its previous value.
 KMeansResult RunKMeans(const nn::Tensor& points, const KMeansConfig& config);
 
 /// Preference-clustered popularity predictor: instead of one global mean

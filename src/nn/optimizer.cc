@@ -5,18 +5,19 @@
 
 namespace atnn::nn {
 
-Adam::Adam(std::vector<Parameter*> params, float learning_rate, float beta1,
-           float beta2, float epsilon, float weight_decay)
-    : params_(std::move(params)),
-      learning_rate_(learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
+namespace {
+
+// Adam's moment decay rates and denominator guard. They stay float, like the
+// moments they update; the bias corrections promote them to double.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<Parameter*> params, float learning_rate)
+    : params_(std::move(params)), learning_rate_(learning_rate) {
   ATNN_CHECK(learning_rate > 0.0f);
-  ATNN_CHECK(weight_decay >= 0.0f);
-  ATNN_CHECK(beta1 >= 0.0f && beta1 < 1.0f);
-  ATNN_CHECK(beta2 >= 0.0f && beta2 < 1.0f);
   first_moment_.reserve(params_.size());
   second_moment_.reserve(params_.size());
   for (Parameter* param : params_) {
@@ -77,8 +78,8 @@ double Adam::ClipGradNorm(double max_norm) {
 
 void Adam::Step() {
   ++step_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_));
   const float alpha =
       static_cast<float>(learning_rate_ * std::sqrt(bias2) / bias1);
 
@@ -96,16 +97,9 @@ void Adam::Step() {
       float* v_row = v2.row_ptr(row);
       float* val = value.row_ptr(row);
       for (int64_t c = 0; c < value.cols(); ++c) {
-        m_row[c] = beta1_ * m_row[c] + (1.0f - beta1_) * g[c];
-        v_row[c] = beta2_ * v_row[c] + (1.0f - beta2_) * g[c] * g[c];
-        // Decoupled (AdamW) decay shrinks the *pre-step* parameter:
-        // theta_t = theta_{t-1} - lr*wd*theta_{t-1} - alpha*m_hat/(sqrt(v_hat)+eps).
-        // Decaying after the moment update would compound the decay on the
-        // fresh Adam step instead.
-        if (weight_decay_ > 0.0f) {
-          val[c] -= learning_rate_ * weight_decay_ * val[c];
-        }
-        val[c] -= alpha * m_row[c] / (std::sqrt(v_row[c]) + epsilon_);
+        m_row[c] = kBeta1 * m_row[c] + (1.0f - kBeta1) * g[c];
+        v_row[c] = kBeta2 * v_row[c] + (1.0f - kBeta2) * g[c] * g[c];
+        val[c] -= alpha * m_row[c] / (std::sqrt(v_row[c]) + kEpsilon);
       }
     };
 

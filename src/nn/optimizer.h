@@ -14,15 +14,12 @@ namespace atnn::nn {
 /// only their slots of the moments advance ("lazy" updates, as in
 /// TensorFlow's LazyAdam), with the global step count used for bias
 /// correction. This keeps per-step cost proportional to batch traffic
-/// rather than vocabulary size. A nonzero weight_decay applies *decoupled*
-/// decay (AdamW, Loshchilov & Hutter): the pre-step parameter shrinks by
-/// learning_rate * weight_decay before the Adam step is subtracted (touched
-/// rows only for sparse parameters).
+/// rather than vocabulary size. The moment decay rates and the denominator
+/// guard are fixed at Kingma & Ba's defaults: beta1 = 0.9, beta2 = 0.999,
+/// epsilon = 1e-8 (optimizer.cc).
 class Adam {
  public:
-  Adam(std::vector<Parameter*> params, float learning_rate,
-       float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f,
-       float weight_decay = 0.0f);
+  Adam(std::vector<Parameter*> params, float learning_rate);
 
   Adam(const Adam&) = delete;
   Adam& operator=(const Adam&) = delete;
@@ -38,8 +35,6 @@ class Adam {
   /// touched rows.
   double ClipGradNorm(double max_norm);
 
-  float learning_rate() const { return learning_rate_; }
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
   int64_t step_count() const { return step_; }
 
  private:
@@ -50,10 +45,6 @@ class Adam {
 
   std::vector<Parameter*> params_;
   float learning_rate_;
-  float beta1_;
-  float beta2_;
-  float epsilon_;
-  float weight_decay_;
   int64_t step_ = 0;
   std::vector<Tensor> first_moment_;
   std::vector<Tensor> second_moment_;

@@ -14,6 +14,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Capacity (in batches) of the owned cross-batch negative cache.
+constexpr size_t kNegativeCacheBatches = 4;
+
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -42,7 +45,7 @@ StreamingTrainer::StreamingTrainer(const data::TmallDataset& dataset,
     : dataset_(dataset),
       config_(std::move(config)),
       publish_(std::move(publish)),
-      negative_cache_(config_.negative_cache_batches) {
+      negative_cache_(kNegativeCacheBatches) {
   ATNN_CHECK(publish_ != nullptr) << "StreamingTrainer needs a PublishFn";
   ATNN_CHECK(config_.active_user_group > 0);
   ATNN_CHECK(config_.replay_interactions >= 0);

@@ -38,14 +38,12 @@ struct StreamingTrainerConfig {
   /// Per-day incremental training options; `epochs` means passes over the
   /// day's feedback, and `seed` is the base the per-day seed derives from
   /// (see DaySeed). cross_batch_negatives may be set without a cache —
-  /// the trainer owns one and wires it in, so its FIFO persists across
-  /// days.
+  /// the trainer owns a 4-batch cache and wires it in, so its FIFO
+  /// persists across days.
   core::TrainOptions train;
   /// Size of the active-user group behind each published snapshot's
   /// popularity predictor (the paper's "top active users" device).
   int64_t active_user_group = 256;
-  /// Capacity (in batches) of the owned cross-batch negative cache.
-  size_t negative_cache_batches = 4;
   /// Historical train interactions sampled (with replacement) into each
   /// day's training set — anti-forgetting replay. 0 trains on the day's
   /// feedback alone.

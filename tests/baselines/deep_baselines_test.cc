@@ -1,12 +1,10 @@
-// Tests for the autograd CTR baselines: Wide & Deep and DeepFM.
+// Tests for the autograd CTR baselines: Wide & Deep, DeepFM and Concat-DNN.
 
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_trainer.h"
 #include "baselines/concat_dnn.h"
 #include "baselines/deepfm.h"
-#include "baselines/factorization_machine.h"
-#include "baselines/ftrl_lr.h"
 #include "baselines/wide_deep.h"
 #include "core/feature_adapter.h"
 
@@ -127,34 +125,6 @@ TEST_F(DeepBaselinesTest, ConcatDnnTrainsAndBeatsRandom) {
   EXPECT_LT(losses.back(), losses.front());
   EXPECT_GT(EvaluateCtrBaselineAuc(model, *dataset_, dataset_->test_indices),
             0.65);
-}
-
-TEST_F(DeepBaselinesTest, SparseBaselinesLearnTmall) {
-  const SparseCtrEncoder encoder(*dataset_->user_schema,
-                                 *dataset_->item_profile_schema,
-                                 *dataset_->item_stats_schema, true);
-  const auto train =
-      EncodeInteractions(*dataset_, dataset_->train_indices, encoder);
-  const auto test =
-      EncodeInteractions(*dataset_, dataset_->test_indices, encoder);
-
-  FtrlConfig lr_config;
-  lr_config.lambda1 = 0.1;
-  FtrlLogisticRegression lr(encoder.dimension(), lr_config);
-  for (int pass = 0; pass < 2; ++pass) {
-    lr.TrainPass(train.rows, train.labels);
-  }
-  const double lr_auc =
-      metrics::Auc(lr.PredictProbability(test.rows), test.labels);
-  EXPECT_GT(lr_auc, 0.6);
-
-  FactorizationMachine fm(encoder.dimension());
-  for (int pass = 0; pass < 2; ++pass) {
-    fm.TrainPass(train.rows, train.labels);
-  }
-  const double fm_auc =
-      metrics::Auc(fm.PredictProbability(test.rows), test.labels);
-  EXPECT_GT(fm_auc, 0.6);
 }
 
 }  // namespace

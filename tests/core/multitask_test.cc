@@ -108,32 +108,6 @@ TEST_F(MultiTaskTest, BaselineTrainsWithoutGeneratorStats) {
   EXPECT_EQ(history.back().loss_gmv_g, 0.0);
 }
 
-TEST_F(MultiTaskTest, WeightDecayAndLrDecayShapeTheHistory) {
-  const auto train = [](const TrainOptions& options) {
-    MultiTaskAtnnModel model(*dataset_->restaurant_profile_schema,
-                             *dataset_->restaurant_stats_schema,
-                             *dataset_->user_group_schema, TinyMtConfig(true));
-    return TrainMultiTaskAtnn(&model, *dataset_, options);
-  };
-  TrainOptions defaults = FastOptions();
-  defaults.epochs = 2;
-  const auto reference = train(defaults);
-  ASSERT_EQ(reference.size(), 2u);
-
-  TrainOptions decayed = defaults;
-  decayed.weight_decay = 0.5f;
-  TrainOptions annealed = defaults;
-  annealed.lr_decay_per_epoch = 0.1f;
-  for (const TrainOptions& options : {decayed, annealed}) {
-    const auto history = train(options);
-    ASSERT_EQ(history.size(), 2u);
-    // Both options act from epoch 1 on at the latest (decay scales the
-    // rate before each epoch after the first).
-    EXPECT_NE(history.back().loss_gmv_d, reference.back().loss_gmv_d);
-    EXPECT_NE(history.back().loss_s, reference.back().loss_s);
-  }
-}
-
 TEST_F(MultiTaskTest, ColdStartPredictionsAreFinite) {
   MultiTaskAtnnModel model(*dataset_->restaurant_profile_schema,
                            *dataset_->restaurant_stats_schema,

@@ -40,11 +40,6 @@ TrainOptions SaneOptions() {
 TEST(TrainOptionsValidateTest, AcceptsDefaultsAndSaneConfigs) {
   EXPECT_TRUE(TrainOptions{}.Validate().ok());
   EXPECT_TRUE(SaneOptions().Validate().ok());
-  TrainOptions decayed = SaneOptions();
-  decayed.lr_decay_per_epoch = 0.5f;
-  decayed.clip_norm = 0.0f;  // 0 disables clipping; still valid
-  decayed.weight_decay = 1e-4f;
-  EXPECT_TRUE(decayed.Validate().ok());
 }
 
 TEST(TrainOptionsValidateTest, RejectsNonPositiveEpochs) {
@@ -72,28 +67,6 @@ TEST(TrainOptionsValidateTest, RejectsBadLearningRate) {
   options.learning_rate = std::numeric_limits<float>::quiet_NaN();
   EXPECT_FALSE(options.Validate().ok());
   options.learning_rate = std::numeric_limits<float>::infinity();
-  EXPECT_FALSE(options.Validate().ok());
-}
-
-TEST(TrainOptionsValidateTest, RejectsBadLrDecay) {
-  TrainOptions options = SaneOptions();
-  options.lr_decay_per_epoch = 0.0f;
-  EXPECT_FALSE(options.Validate().ok());
-  options.lr_decay_per_epoch = -0.5f;
-  EXPECT_FALSE(options.Validate().ok());
-  options.lr_decay_per_epoch = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_FALSE(options.Validate().ok());
-}
-
-TEST(TrainOptionsValidateTest, RejectsNegativeRegularizers) {
-  TrainOptions options = SaneOptions();
-  options.clip_norm = -1.0f;
-  EXPECT_FALSE(options.Validate().ok());
-  options = SaneOptions();
-  options.weight_decay = -1e-4f;
-  EXPECT_FALSE(options.Validate().ok());
-  options = SaneOptions();
-  options.negative_weight = -0.1f;
   EXPECT_FALSE(options.Validate().ok());
 }
 
@@ -162,7 +135,7 @@ TEST_F(TrainerValidationTest, BaselineTrainerRejectsInvalidOptions) {
                                  *dataset_->item_profile_schema,
                                  *dataset_->item_stats_schema, config);
   TrainOptions options = SaneOptions();
-  options.weight_decay = -1.0f;
+  options.epochs = 0;
   EXPECT_DEATH(baselines::TrainCtrBaseline(&model, *dataset_, options),
                "invalid TrainOptions");
   options = SaneOptions();
@@ -186,7 +159,7 @@ TEST(MultiTaskTrainerValidationTest, RejectsInvalidOptions) {
                            *dataset.restaurant_stats_schema,
                            *dataset.user_group_schema, config);
   TrainOptions options = SaneOptions();
-  options.lr_decay_per_epoch = 0.0f;
+  options.batch_size = 0;
   EXPECT_DEATH(TrainMultiTaskAtnn(&model, dataset, options),
                "invalid TrainOptions");
 }

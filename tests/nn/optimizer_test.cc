@@ -40,49 +40,53 @@ TEST(AdamTest, StepCountAdvances) {
   EXPECT_EQ(adam.step_count(), 1);
 }
 
-TEST(AdamTest, DecoupledWeightDecayShrinksPreStepParameter) {
-  // One step from theta0 with a constant gradient g has a closed form:
-  //   m = (1-b1) g,  v = (1-b2) g^2,
-  //   alpha = lr * sqrt(1 - b2^t) / (1 - b1^t)   with t = 1,
-  //   theta1 = theta0 - lr*wd*theta0 - alpha * m / (sqrt(v) + eps).
-  // Applying the decay to the post-step value instead (the old bug) yields
-  //   (theta0 - step) * (1 - lr*wd), which at lr=wd=0.5 is off by
-  //   lr*wd*step = 0.125 — far outside the tolerance below.
-  const float theta0 = 2.0f;
-  const float lr = 0.5f, wd = 0.5f;
-  const float b1 = 0.9f, b2 = 0.999f, eps = 1e-8f;
-  Parameter x("x", Tensor::Scalar(theta0));
-  Adam adam({&x}, lr, b1, b2, eps, wd);
-  adam.ZeroGrad();
-  Var loss = ReduceSum(Scale(x.var(), 3.0f));  // gradient = 3 everywhere
-  Backward(loss);
-  adam.Step();
+TEST(AdamTest, FirstStepMatchesClosedForm) {
+  // From theta0 with gradient g1, Adam's first step has a closed form:
+  //   m1 = (1-b1) g1,  v1 = (1-b2) g1^2,
+  //   alpha1 = lr * sqrt(1 - b2) / (1 - b1),
+  //   theta1 = theta0 - alpha1 * m1 / (sqrt(v1) + eps)
+  //          = theta0 - lr * g1 / (|g1| + eps / sqrt(1 - b2)).
+  // A gradient near eps / sqrt(1 - b2) makes that step see eps and b2. b1
+  // cancels from any first step, so a second step with another gradient
+  // pins it:
+  //   m2 = b1 m1 + (1-b1) g2,  v2 = b2 v1 + (1-b2) g2^2,
+  //   theta2 = theta1 - lr * sqrt(1 - b2^2) / (1 - b1^2) * m2 /
+  //            (sqrt(v2) + eps).
+  const double b1 = 0.9, b2 = 0.999, eps = 1e-8;
+  const double lr = 0.5, theta0 = 2.0, g1 = 3e-7, g2 = -1e-6;
+  Parameter x("x", Tensor::Scalar(static_cast<float>(theta0)));
+  Adam adam({&x}, static_cast<float>(lr));
+  const auto step = [&](double g) {
+    adam.ZeroGrad();
+    Backward(ReduceSum(Scale(x.var(), static_cast<float>(g))));
+    adam.Step();
+    return static_cast<double>(x.value().scalar());
+  };
 
-  const float g = 3.0f;
-  const float m = (1.0f - b1) * g;
-  const float v = (1.0f - b2) * g * g;
-  const float alpha = lr * std::sqrt(1.0f - b2) / (1.0f - b1);
-  const float expected =
-      theta0 - lr * wd * theta0 - alpha * m / (std::sqrt(v) + eps);
-  EXPECT_NEAR(x.value().scalar(), expected, 1e-5f);
+  const double m1 = (1.0 - b1) * g1;
+  const double v1 = (1.0 - b2) * g1 * g1;
+  const double theta1 = theta0 - lr * std::sqrt(1.0 - b2) / (1.0 - b1) * m1 /
+                                     (std::sqrt(v1) + eps);
+  EXPECT_NEAR(step(g1), theta1, 1e-5);
+
+  const double m2 = b1 * m1 + (1.0 - b1) * g2;
+  const double v2 = b2 * v1 + (1.0 - b2) * g2 * g2;
+  const double theta2 =
+      theta1 - lr * std::sqrt(1.0 - b2 * b2) / (1.0 - b1 * b1) * m2 /
+                   (std::sqrt(v2) + eps);
+  EXPECT_NEAR(step(g2), theta2, 1e-5);
 }
 
-TEST(AdamTest, WeightDecayDoesNotCompoundOnTheFreshStep) {
-  // Same setup, compared against a wd=0 twin: the gap between the two
-  // runs after one step must be exactly the decay of theta0 — any
-  // dependence of the gap on the Adam step itself means the decay
-  // compounded on the fresh update.
-  auto one_step = [](float wd) {
-    Parameter x("x", Tensor::Scalar(2.0f));
-    Adam adam({&x}, 0.5f, 0.9f, 0.999f, 1e-8f, wd);
-    adam.ZeroGrad();
-    Var loss = ReduceSum(Scale(x.var(), 3.0f));
-    Backward(loss);
-    adam.Step();
-    return x.value().scalar();
-  };
-  const float gap = one_step(0.0f) - one_step(0.5f);
-  EXPECT_NEAR(gap, 0.5f * 0.5f * 2.0f, 1e-5f);
+TEST(AdamTest, ZeroGradientLeavesWeightsUnchanged) {
+  Parameter w("w", Tensor::Full(1, 4, 1.0f));
+  Adam adam({&w}, 0.1f);
+  adam.ZeroGrad();
+  Var loss = Scale(ReduceSum(w.var()), 0.0f);
+  Backward(loss);
+  adam.Step();
+  for (int64_t c = 0; c < 4; ++c) {
+    EXPECT_FLOAT_EQ(w.value().at(0, c), 1.0f);
+  }
 }
 
 TEST(OptimizerTest, ClipGradNormScalesDownLargeGradients) {

@@ -41,10 +41,10 @@ int Run(int argc, const char* const* argv) {
   flags.AddInt64("epochs", 3, "training epochs");
   flags.AddInt64("batch_size", 256, "mini-batch size");
   flags.AddDouble("learning_rate", 2e-3, "Adam learning rate");
-  flags.AddDouble("lambda", 0.1, "similarity-loss weight (paper: 0.1)");
+  flags.AddDouble("lambda", 0.1, "similarity-loss weight, >= 0 (paper: 0.1)");
   flags.AddInt64("vector_dim", 32, "item/user vector width");
   flags.AddInt64("user_group", 500, "active-user group size for the mean "
-                                    "user vector");
+                                    "user vector, >= 1");
   flags.AddString("snapshot", "/tmp/atnn_snapshot.bin",
                   "output path for the model snapshot");
   flags.AddString("index", "/tmp/atnn_popularity.bin",
@@ -81,8 +81,16 @@ int Run(int argc, const char* const* argv) {
   options.learning_rate =
       static_cast<float>(flags.GetDouble("learning_rate"));
   // Validate here so a bad flag yields a usage error, not the trainer's
-  // abort after the world is generated.
+  // abort after the world is generated. A negative lambda would train the
+  // generator away from the encoder; an empty user group aborts only after
+  // training, when the popularity predictor is built.
   status = options.Validate();
+  if (status.ok() && flags.GetDouble("lambda") < 0.0) {
+    status = Status::InvalidArgument("lambda must be >= 0");
+  }
+  if (status.ok() && flags.GetInt64("user_group") < 1) {
+    status = Status::InvalidArgument("user_group must be >= 1");
+  }
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  flags.Usage().c_str());
