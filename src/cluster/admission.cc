@@ -48,29 +48,6 @@ const char* BreakerStateToString(BreakerState state) {
   return "unknown";
 }
 
-Status CircuitBreakerConfig::Validate() const {
-  if (!(error_rate_threshold > 0.0) || error_rate_threshold > 1.0) {
-    return Status::InvalidArgument(
-        "error_rate_threshold must be in (0, 1]");
-  }
-  if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0) {
-    return Status::InvalidArgument("ewma_alpha must be in (0, 1]");
-  }
-  if (min_samples < 1) {
-    return Status::InvalidArgument("min_samples must be >= 1");
-  }
-  if (cooldown_ms < 0) {
-    return Status::InvalidArgument("cooldown_ms must be >= 0");
-  }
-  if (probes_to_close < 1) {
-    return Status::InvalidArgument("probes_to_close must be >= 1");
-  }
-  return Status::OK();
-}
-
-CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig& config)
-    : config_(config) {}
-
 void CircuitBreaker::RecordResultAt(bool ok, Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mutex_);
   RecordResultLocked(ok, now);
@@ -87,11 +64,11 @@ void CircuitBreaker::RecordResultsAt(std::span<const char> ok,
 }
 
 void CircuitBreaker::RecordResultLocked(bool ok, Clock::time_point now) {
-  ewma_error_rate_ = (1.0 - config_.ewma_alpha) * ewma_error_rate_ +
-                     config_.ewma_alpha * (ok ? 0.0 : 1.0);
+  ewma_error_rate_ =
+      (1.0 - kEwmaAlpha) * ewma_error_rate_ + kEwmaAlpha * (ok ? 0.0 : 1.0);
   ++samples_;
-  if (state() == BreakerState::kClosed && samples_ >= config_.min_samples &&
-      ewma_error_rate_ >= config_.error_rate_threshold) {
+  if (state() == BreakerState::kClosed && samples_ >= kMinSamples &&
+      ewma_error_rate_ >= kErrorRateThreshold) {
     OpenLocked(now);
   }
 }
@@ -114,8 +91,7 @@ void CircuitBreaker::RecordProbeAt(bool ok, Clock::time_point now) {
       RecordResultLocked(ok, now);
       return;
     case BreakerState::kOpen:
-      if (now - opened_at_ <
-          std::chrono::milliseconds(config_.cooldown_ms)) {
+      if (now - opened_at_ < kCooldown) {
         return;  // still cooling down: the probe outcome is not admitted
       }
       state_.store(static_cast<int>(BreakerState::kHalfOpen),
@@ -129,12 +105,12 @@ void CircuitBreaker::RecordProbeAt(bool ok, Clock::time_point now) {
         OpenLocked(now);
         return;
       }
-      if (++probe_successes_ >= config_.probes_to_close) {
+      if (++probe_successes_ >= kProbesToClose) {
         state_.store(static_cast<int>(BreakerState::kClosed),
                      std::memory_order_relaxed);
         // The error history belongs to the pre-trip instance of the shard
         // (or to its corpse): a close is a clean slate, re-protected by
-        // min_samples before it can trip again.
+        // kMinSamples before it can trip again.
         ewma_error_rate_ = 0.0;
         samples_ = 0;
         probe_successes_ = 0;
@@ -149,7 +125,7 @@ void CircuitBreaker::ForceOpenAt(Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Backdate past the cooldown: the first probe against the rebuilt shard
   // immediately enters the half-open evaluation window.
-  OpenLocked(now - std::chrono::milliseconds(config_.cooldown_ms + 1));
+  OpenLocked(now - kCooldown - std::chrono::milliseconds(1));
 }
 
 double CircuitBreaker::error_rate() const {

@@ -7,8 +7,6 @@
 #include <mutex>
 #include <span>
 
-#include "common/status.h"
-
 namespace atnn::cluster {
 
 /// Token-bucket rate limiter backing per-tenant admission quotas. Tokens
@@ -52,9 +50,10 @@ class TokenBucket {
 
 /// Circuit-breaker state machine guarding one shard:
 ///
-///   kClosed ──(EWMA error rate >= threshold over >= min_samples)──> kOpen
-///   kOpen ──(probe arrives after cooldown_ms)──> kHalfOpen
-///   kHalfOpen ──(probes_to_close consecutive probe successes)──> kClosed
+///   kClosed ──(EWMA error rate >= kErrorRateThreshold,
+///              over >= kMinSamples results)──> kOpen
+///   kOpen ──(probe arrives after kCooldown)──> kHalfOpen
+///   kHalfOpen ──(kProbesToClose consecutive probe successes)──> kClosed
 ///   kHalfOpen ──(any probe failure)──> kOpen (cooldown restarts)
 ///
 /// While open or half-open, AllowRequest() is false: the serving path sheds
@@ -66,28 +65,24 @@ enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 const char* BreakerStateToString(BreakerState state);
 
-struct CircuitBreakerConfig {
-  /// EWMA error rate at which the breaker opens. In (0, 1].
-  double error_rate_threshold = 0.5;
-  /// EWMA smoothing: new_rate = (1-alpha)*old + alpha*outcome. In (0, 1].
-  double ewma_alpha = 0.2;
-  /// Results observed before the error rate is trusted enough to open —
-  /// one early hiccup on a fresh breaker must not trip it.
-  int64_t min_samples = 20;
-  /// Open -> half-open is gated on this much wall time elapsing before a
-  /// probe arrives.
-  int64_t cooldown_ms = 500;
-  /// Consecutive half-open probe successes required to close.
-  int probes_to_close = 3;
-
-  Status Validate() const;
-};
-
 class CircuitBreaker {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit CircuitBreaker(const CircuitBreakerConfig& config = {});
+  /// EWMA error rate at which the breaker opens.
+  static constexpr double kErrorRateThreshold = 0.5;
+  /// EWMA smoothing: new_rate = (1-alpha)*old + alpha*outcome.
+  static constexpr double kEwmaAlpha = 0.2;
+  /// Results observed before the error rate is trusted enough to open —
+  /// one early hiccup on a fresh breaker must not trip it.
+  static constexpr int64_t kMinSamples = 20;
+  /// Open -> half-open is gated on this much wall time elapsing before a
+  /// probe arrives.
+  static constexpr std::chrono::milliseconds kCooldown{500};
+  /// Consecutive half-open probe successes required to close.
+  static constexpr int kProbesToClose = 3;
+
+  CircuitBreaker() = default;
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
@@ -125,13 +120,11 @@ class CircuitBreaker {
     return static_cast<BreakerState>(state_.load(std::memory_order_relaxed));
   }
   double error_rate() const;
-  const CircuitBreakerConfig& config() const { return config_; }
 
  private:
   void RecordResultLocked(bool ok, Clock::time_point now);
   void OpenLocked(Clock::time_point opened_at);
 
-  const CircuitBreakerConfig config_;
   std::atomic<int> state_{static_cast<int>(BreakerState::kClosed)};
 
   mutable std::mutex mutex_;

@@ -21,41 +21,25 @@ constexpr uint64_t kKeyDomain = 0x1d8af06b97f2a3c1ULL;
 /// neighbouring (shard, vnode) pairs land far apart: a single SplitMix64
 /// over the packed pair already decorrelates, the second pass folds the
 /// seed and domain in without giving any shard a structured offset.
-uint64_t VnodePosition(uint64_t seed, size_t shard, size_t vnode) {
+uint64_t VnodePosition(size_t shard, size_t vnode) {
   const uint64_t packed =
       (static_cast<uint64_t>(shard) << 32) | static_cast<uint64_t>(vnode);
-  return SplitMix64(seed ^ kVnodeDomain ^ SplitMix64(packed));
+  return SplitMix64(ShardRing::kSeed ^ kVnodeDomain ^ SplitMix64(packed));
 }
 
-uint64_t KeyPosition(uint64_t seed, int64_t key) {
-  return SplitMix64(seed ^ kKeyDomain ^ SplitMix64(static_cast<uint64_t>(key)));
+uint64_t KeyPosition(int64_t key) {
+  return SplitMix64(ShardRing::kSeed ^ kKeyDomain ^
+                    SplitMix64(static_cast<uint64_t>(key)));
 }
 
 }  // namespace
 
-Status ShardRingConfig::Validate() const {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  if (virtual_nodes_per_shard < 1) {
-    return Status::InvalidArgument("virtual_nodes_per_shard must be >= 1");
-  }
-  return Status::OK();
-}
-
-StatusOr<ShardRing> ShardRing::Create(const ShardRingConfig& config) {
-  ATNN_RETURN_IF_ERROR(config.Validate());
-  return ShardRing(config);
-}
-
-ShardRing::ShardRing(const ShardRingConfig& config) : config_(config) {
-  const Status valid = config.Validate();
-  ATNN_CHECK(valid.ok()) << "invalid ShardRingConfig: " << valid.ToString()
-                         << " (use ShardRing::Create for a Status)";
-  points_.reserve(config.num_shards * config.virtual_nodes_per_shard);
-  for (size_t shard = 0; shard < config.num_shards; ++shard) {
-    for (size_t vnode = 0; vnode < config.virtual_nodes_per_shard; ++vnode) {
-      points_.emplace_back(VnodePosition(config.seed, shard, vnode),
+ShardRing::ShardRing(size_t num_shards) : num_shards_(num_shards) {
+  ATNN_CHECK(num_shards >= 1) << "a ShardRing needs at least one shard";
+  points_.reserve(num_shards * kVirtualNodesPerShard);
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    for (size_t vnode = 0; vnode < kVirtualNodesPerShard; ++vnode) {
+      points_.emplace_back(VnodePosition(shard, vnode),
                            static_cast<uint32_t>(shard));
     }
   }
@@ -65,7 +49,7 @@ ShardRing::ShardRing(const ShardRingConfig& config) : config_(config) {
 }
 
 size_t ShardRing::ShardFor(int64_t key) const {
-  const uint64_t position = KeyPosition(config_.seed, key);
+  const uint64_t position = KeyPosition(key);
   // First point clockwise from the key's position, wrapping past the top.
   const auto it = std::lower_bound(
       points_.begin(), points_.end(),
@@ -76,7 +60,7 @@ size_t ShardRing::ShardFor(int64_t key) const {
 std::vector<double> ShardRing::ArcFractions() const {
   // Point at position p owns the arc (previous point, p]; the first point
   // additionally owns the wraparound arc from the last point through 0.
-  std::vector<double> fractions(config_.num_shards, 0.0);
+  std::vector<double> fractions(num_shards_, 0.0);
   constexpr double kRing = 18446744073709551616.0;  // 2^64
   uint64_t previous = points_.back().first;
   for (const auto& [position, shard] : points_) {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/retry.h"
 #include "common/rng.h"
 
 namespace atnn::cluster {
@@ -22,34 +23,17 @@ const char* ShardHealthToString(ShardHealth health) {
   return "unknown";
 }
 
-Status ShardSupervisorConfig::Validate() const {
-  if (probe_deadline_us < 1) {
-    return Status::InvalidArgument("probe_deadline_us must be >= 1");
-  }
-  if (probe_period_ms < 1) {
-    return Status::InvalidArgument("probe_period_ms must be >= 1");
-  }
-  if (consecutive_to_suspect < 1) {
-    return Status::InvalidArgument("consecutive_to_suspect must be >= 1");
-  }
-  if (consecutive_to_dead <= consecutive_to_suspect) {
-    return Status::InvalidArgument(
-        "consecutive_to_dead must exceed consecutive_to_suspect: the "
-        "suspect state must be reachable before dead");
-  }
-  if (probes_to_healthy < 1) {
-    return Status::InvalidArgument("probes_to_healthy must be >= 1");
-  }
-  if (!(latency_ewma_alpha > 0.0) || latency_ewma_alpha > 1.0) {
-    return Status::InvalidArgument("latency_ewma_alpha must be in (0, 1]");
-  }
-  return Status::OK();
-}
+// A shard must be able to look suspect before it is condemned.
+static_assert(ShardSupervisor::kConsecutiveToDead >
+              ShardSupervisor::kConsecutiveToSuspect);
+// A shard must not read healthy while its breaker still sheds: the probes
+// that walk a rebuilt shard to healthy also walk its breaker closed.
+static_assert(ShardSupervisor::kProbesToHealthy >=
+              CircuitBreaker::kProbesToClose);
 
-ShardSupervisor::ShardSupervisor(ShardedRuntime* runtime,
-                                 const ShardSupervisorConfig& config)
+ShardSupervisor::ShardSupervisor(ShardedRuntime* runtime, uint64_t seed)
     : runtime_(runtime),
-      config_(config),
+      seed_(seed),
       probes_(registry_.GetCounter("supervisor.probes")),
       probe_failures_(registry_.GetCounter("supervisor.probe_failures")),
       transitions_(registry_.GetCounter("supervisor.transitions")),
@@ -58,9 +42,6 @@ ShardSupervisor::ShardSupervisor(ShardedRuntime* runtime,
       healthy_shards_(registry_.GetGauge("supervisor.healthy_shards")),
       dead_shards_(registry_.GetGauge("supervisor.dead_shards")) {
   ATNN_CHECK(runtime_ != nullptr) << "ShardSupervisor needs a runtime";
-  const Status valid = config_.Validate();
-  ATNN_CHECK(valid.ok()) << "invalid ShardSupervisorConfig: "
-                         << valid.ToString();
 }
 
 ShardSupervisor::~ShardSupervisor() { Stop(); }
@@ -85,8 +66,7 @@ void ShardSupervisor::Run() {
   while (!stop_.load(std::memory_order_relaxed)) {
     Step();
     std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_.wait_for(lock,
-                   std::chrono::milliseconds(config_.probe_period_ms),
+    wake_.wait_for(lock, kProbePeriod,
                    [this] { return stop_.load(std::memory_order_relaxed); });
   }
 }
@@ -118,18 +98,16 @@ void ShardSupervisor::ProbeAndAdvance(size_t i, ShardState* state) {
   // Decorrelated per (round, shard): consecutive rounds probe different
   // rows of the slice, so a single poisoned row cannot condemn a shard by
   // being the only one ever sampled.
-  const uint64_t salt =
-      HashCombine(config_.seed, round_ * 0x100000001b3ULL + i);
-  const ProbeReport report =
-      runtime_->ProbeShard(i, salt, config_.probe_deadline_us);
+  const uint64_t salt = HashCombine(seed_, round_ * 0x100000001b3ULL + i);
+  const ProbeReport report = runtime_->ProbeShard(i, salt);
   probes_.Increment();
 
   if (report.healthy()) {
     state->ewma_latency_us =
         state->ewma_latency_us == 0.0
             ? report.latency_us
-            : (1.0 - config_.latency_ewma_alpha) * state->ewma_latency_us +
-                  config_.latency_ewma_alpha * report.latency_us;
+            : (1.0 - kLatencyEwmaAlpha) * state->ewma_latency_us +
+                  kLatencyEwmaAlpha * report.latency_us;
     state->consecutive_failures = 0;
     ++state->consecutive_healthy;
     switch (state->health) {
@@ -141,12 +119,13 @@ void ShardSupervisor::ProbeAndAdvance(size_t i, ShardState* state) {
         Transition(i, state, ShardHealth::kHealthy);
         break;
       case ShardHealth::kDead:
-        // Something outside the supervisor revived it (operator rebuild,
-        // auto_rebuild off): it still re-earns healthy through probation.
+        // Something outside the supervisor revived it (an operator rebuild
+        // after the supervisor's own failed): it still re-earns healthy
+        // through probation.
         Transition(i, state, ShardHealth::kRecovering);
         [[fallthrough]];
       case ShardHealth::kRecovering:
-        if (state->consecutive_healthy >= config_.probes_to_healthy) {
+        if (state->consecutive_healthy >= kProbesToHealthy) {
           Transition(i, state, ShardHealth::kHealthy);
         }
         break;
@@ -159,23 +138,23 @@ void ShardSupervisor::ProbeAndAdvance(size_t i, ShardState* state) {
   ++state->consecutive_failures;
   switch (state->health) {
     case ShardHealth::kHealthy:
-      if (state->consecutive_failures >= config_.consecutive_to_suspect) {
+      if (state->consecutive_failures >= kConsecutiveToSuspect) {
         Transition(i, state, ShardHealth::kSuspect);
       }
       break;
     case ShardHealth::kSuspect:
     case ShardHealth::kRecovering:
-      if (state->consecutive_failures >= config_.consecutive_to_dead) {
+      if (state->consecutive_failures >= kConsecutiveToDead) {
         Transition(i, state, ShardHealth::kDead);
       }
       break;
     case ShardHealth::kDead:
       break;
   }
-  if (state->health == ShardHealth::kDead && config_.auto_rebuild) {
+  if (state->health == ShardHealth::kDead) {
     // First entry and every later round while still dead: a rebuild that
     // failed (snapshot store blip) is retried next round, paced by the
-    // probe period on top of the per-call retry budget.
+    // probe period on top of the per-call retry schedule.
     Rebuild(i, state);
   }
 }
@@ -191,8 +170,7 @@ void ShardSupervisor::Transition(size_t shard, ShardState* state,
 void ShardSupervisor::Rebuild(size_t shard, ShardState* state) {
   rebuilds_.Increment();
   const Status status = RetryWithBackoff(
-      [this, shard] { return runtime_->RebuildShard(shard); },
-      config_.rebuild_retry);
+      [this, shard] { return runtime_->RebuildShard(shard); });
   if (!status.ok()) {
     // Stays dead; the next round tries again.
     rebuild_failures_.Increment();
@@ -200,7 +178,7 @@ void ShardSupervisor::Rebuild(size_t shard, ShardState* state) {
   }
   // The rebuilt shard serves nothing yet — RebuildShard force-opened its
   // breaker — so it is recovering, not healthy, until probes walk the
-  // breaker closed and probes_to_healthy fresh answers land here.
+  // breaker closed and kProbesToHealthy fresh answers land here.
   Transition(shard, state, ShardHealth::kRecovering);
   state->consecutive_failures = 0;
   state->consecutive_healthy = 0;

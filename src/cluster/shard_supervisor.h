@@ -2,6 +2,7 @@
 #define ATNN_CLUSTER_SHARD_SUPERVISOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -9,20 +10,18 @@
 #include <vector>
 
 #include "cluster/sharded_runtime.h"
-#include "common/retry.h"
-#include "common/status.h"
 #include "obs/metrics_registry.h"
 
 namespace atnn::cluster {
 
 /// Health verdict the supervisor holds for one shard:
 ///
-///   kHealthy ──(suspect_after consecutive failed probes)──> kSuspect
+///   kHealthy ──(kConsecutiveToSuspect consecutive failed probes)──> kSuspect
 ///   kSuspect ──(one healthy probe)──> kHealthy
-///   kSuspect ──(dead_after total consecutive failures)──> kDead
-///   kDead ──(auto-rebuild from the last published snapshot)──> kRecovering
-///   kRecovering ──(probes_to_healthy consecutive healthy probes)──> kHealthy
-///   kRecovering ──(dead_after consecutive failures again)──> kDead
+///   kSuspect ──(kConsecutiveToDead total consecutive failures)──> kDead
+///   kDead ──(rebuild from the last published snapshot)──> kRecovering
+///   kRecovering ──(kProbesToHealthy consecutive healthy probes)──> kHealthy
+///   kRecovering ──(kConsecutiveToDead consecutive failures again)──> kDead
 ///
 /// A probe is healthy only when the shard answers inside the deadline AND
 /// serves fresh (ProbeReport::healthy): a shard limping along on its
@@ -31,34 +30,6 @@ enum class ShardHealth { kHealthy = 0, kSuspect = 1, kDead = 2,
                          kRecovering = 3 };
 
 const char* ShardHealthToString(ShardHealth health);
-
-struct ShardSupervisorConfig {
-  /// Wall-time budget per synthetic probe, microseconds.
-  int64_t probe_deadline_us = 50'000;
-  /// Background cadence of Run(): one probe round per period.
-  int64_t probe_period_ms = 20;
-  /// Consecutive probe failures before healthy -> suspect.
-  int consecutive_to_suspect = 2;
-  /// Consecutive probe failures before suspect -> dead (counted from the
-  /// first failure, so it must exceed consecutive_to_suspect).
-  int consecutive_to_dead = 4;
-  /// Consecutive healthy probes before recovering -> healthy. Keep >= the
-  /// breaker's probes_to_close or the shard goes "healthy" while its
-  /// breaker still sheds.
-  int probes_to_healthy = 3;
-  /// EWMA smoothing for the per-shard probe latency estimate. In (0, 1].
-  double latency_ewma_alpha = 0.2;
-  /// Seed for probe row choice.
-  uint64_t seed = 0x5eed;
-  /// Rebuild dead shards automatically. Off, the supervisor only
-  /// diagnoses (state still reaches kDead) — the atnn_serve operator path.
-  bool auto_rebuild = true;
-  /// Retry policy for one rebuild attempt burst (RebuildShard can fail
-  /// transiently while a publish races the outage).
-  RetryConfig rebuild_retry;
-
-  Status Validate() const;
-};
 
 /// Health supervisor for a ShardedRuntime: probes every shard with seeded
 /// synthetic requests, tracks per-shard EWMA probe latency and consecutive
@@ -70,7 +41,7 @@ struct ShardSupervisorConfig {
 ///
 /// Drive it either way:
 ///   - Start()/Stop(): a background thread runs one probe round per
-///     probe_period_ms — the serving-binary mode.
+///     kProbePeriod — the serving-binary mode.
 ///   - Step(): one synchronous probe round — the deterministic test mode
 ///     (also what the background thread calls).
 ///
@@ -82,9 +53,20 @@ struct ShardSupervisorConfig {
 /// serialize on an internal mutex).
 class ShardSupervisor {
  public:
-  /// `runtime` must outlive the supervisor. Aborts on invalid config.
-  ShardSupervisor(ShardedRuntime* runtime,
-                  const ShardSupervisorConfig& config = {});
+  /// Background cadence of Run(): one probe round per period.
+  static constexpr std::chrono::milliseconds kProbePeriod{5};
+  /// Consecutive probe failures before healthy -> suspect.
+  static constexpr int kConsecutiveToSuspect = 2;
+  /// Consecutive probe failures before suspect -> dead, counted from the
+  /// first failure.
+  static constexpr int kConsecutiveToDead = 4;
+  /// Consecutive healthy probes before recovering -> healthy.
+  static constexpr int kProbesToHealthy = 3;
+  /// EWMA smoothing for the per-shard probe latency estimate.
+  static constexpr double kLatencyEwmaAlpha = 0.2;
+
+  /// `runtime` must outlive the supervisor. `seed` picks the probe rows.
+  ShardSupervisor(ShardedRuntime* runtime, uint64_t seed);
 
   ShardSupervisor(const ShardSupervisor&) = delete;
   ShardSupervisor& operator=(const ShardSupervisor&) = delete;
@@ -98,13 +80,12 @@ class ShardSupervisor {
   void Stop();
 
   /// One probe round over every shard: probe, update health, rebuild the
-  /// dead (when auto_rebuild). Returns the number of shards probed.
+  /// dead. Returns the number of shards probed.
   size_t Step();
 
   ShardHealth health(size_t shard) const;
   /// EWMA probe latency, microseconds; 0 until the first probe lands.
   double probe_latency_us(size_t shard) const;
-  const ShardSupervisorConfig& config() const { return config_; }
 
   /// supervisor.* metrics: probes, probe_failures, transitions (one per
   /// state change), rebuilds, rebuild_failures, plus gauges
@@ -127,7 +108,7 @@ class ShardSupervisor {
   void Rebuild(size_t shard, ShardState* state);
 
   ShardedRuntime* const runtime_;
-  const ShardSupervisorConfig config_;
+  const uint64_t seed_;
 
   obs::MetricsRegistry registry_;
   obs::Counter& probes_;

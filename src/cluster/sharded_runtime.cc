@@ -22,9 +22,12 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
-// Probes without an explicit budget still need a bound, or a hung shard
-// would hang the prober.
-constexpr int64_t kDefaultProbeDeadlineUs = 50'000;
+// A probe needs a bound, or a hung shard would hang the prober.
+constexpr int64_t kProbeDeadlineUs = 50'000;
+
+// Share of a ScoreBatch budget given to the scatter leg; the rest is left
+// for the merge.
+constexpr double kFanoutBudgetFraction = 0.75;
 
 }  // namespace
 
@@ -32,19 +35,10 @@ Status ShardedRuntimeConfig::Validate() const {
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  ShardRingConfig ring_config = ring;
-  ring_config.num_shards = num_shards;
-  ATNN_RETURN_IF_ERROR(ring_config.Validate());
   ATNN_RETURN_IF_ERROR(shard.Validate());
   if (default_deadline_us < 0) {
     return Status::InvalidArgument("default_deadline_us must be >= 0");
   }
-  if (!(fanout_budget_fraction > 0.0) || fanout_budget_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "fanout_budget_fraction must be in (0, 1]: the scatter leg needs a "
-        "nonzero slice of the budget and cannot exceed the whole");
-  }
-  ATNN_RETURN_IF_ERROR(breaker.Validate());
   return Status::OK();
 }
 
@@ -55,11 +49,7 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
 }
 
 ShardedRuntime::ShardedRuntime(const ShardedRuntimeConfig& config)
-    : config_([&config] {
-        ShardedRuntimeConfig fixed = config;
-        fixed.ring.num_shards = config.num_shards;
-        return fixed;
-      }()),
+    : config_(config),
       requests_(frontend_.GetCounter("gather.requests")),
       shard_errors_(frontend_.GetCounter("gather.shard_errors")),
       gather_timeouts_(frontend_.GetCounter("gather.timeouts")),
@@ -77,12 +67,11 @@ ShardedRuntime::ShardedRuntime(const ShardedRuntimeConfig& config)
   ATNN_CHECK(valid.ok()) << "invalid ShardedRuntimeConfig: "
                          << valid.ToString()
                          << " (use ShardedRuntime::Create for a Status)";
-  auto epoch = std::make_shared<Epoch>(ShardRing(config_.ring));
+  auto epoch = std::make_shared<Epoch>(ShardRing(config_.num_shards));
   epoch->shards.reserve(config_.num_shards);
   for (size_t i = 0; i < config_.num_shards; ++i) {
     epoch->shards.push_back(
-        ShardSlot{MakeShardRuntime(),
-                  std::make_shared<CircuitBreaker>(config_.breaker)});
+        ShardSlot{MakeShardRuntime(), std::make_shared<CircuitBreaker>()});
   }
   epoch_ = std::move(epoch);
   epoch_gauge_.Set(1.0);
@@ -291,10 +280,7 @@ StatusOr<ResizeReport> ShardedRuntime::ResizeShards(size_t new_num_shards) {
   }
   const bool growing = new_num_shards > old_n;
 
-  ShardRingConfig ring_config = config_.ring;
-  ring_config.num_shards = new_num_shards;
-  ATNN_RETURN_IF_ERROR(ring_config.Validate());
-  ShardRing new_ring(ring_config);
+  const ShardRing new_ring(new_num_shards);
 
   // Prefix-stable routing: a row that stays on its shard keeps its OLD
   // local index, so requests in flight across the swap keep resolving
@@ -355,8 +341,7 @@ StatusOr<ResizeReport> ShardedRuntime::ResizeShards(size_t new_num_shards) {
   }
   for (size_t s = old_n; s < new_num_shards; ++s) {
     next->shards.push_back(
-        ShardSlot{MakeShardRuntime(),
-                  std::make_shared<CircuitBreaker>(config_.breaker)});
+        ShardSlot{MakeShardRuntime(), std::make_shared<CircuitBreaker>()});
   }
 
   // Publish every new or extended slice BEFORE the routing swap: the first
@@ -433,8 +418,7 @@ Status ShardedRuntime::RebuildShard(size_t shard) {
   return Status::OK();
 }
 
-ProbeReport ShardedRuntime::ProbeShard(size_t shard, uint64_t salt,
-                                       int64_t deadline_us) {
+ProbeReport ShardedRuntime::ProbeShard(size_t shard, uint64_t salt) {
   ProbeReport report;
   const std::shared_ptr<const Epoch> epoch = CurrentEpoch();
   if (shard >= epoch->shards.size()) {
@@ -454,12 +438,10 @@ ProbeReport ShardedRuntime::ProbeShard(size_t shard, uint64_t salt,
   // probing supervisor exercises different rows each round.
   const int64_t local =
       static_cast<int64_t>(SplitMix64(salt) % slice_rows);
-  const int64_t budget =
-      deadline_us > 0 ? deadline_us : kDefaultProbeDeadlineUs;
 
   const Clock::time_point start = Clock::now();
   StatusOr<runtime::ScoreResult> result =
-      epoch->shards[shard].runtime->Probe(local, budget);
+      epoch->shards[shard].runtime->Probe(local, kProbeDeadlineUs);
   report.latency_us = MicrosSince(start);
   report.status = result.status();
   if (result.ok()) report.tier = result.value().tier;
@@ -524,7 +506,7 @@ std::vector<StatusOr<runtime::ScoreResult>> ShardedRuntime::ScoreBatch(
           ? std::max<int64_t>(
                 1, static_cast<int64_t>(
                        static_cast<double>(deadline_us) *
-                       config_.fanout_budget_fraction))
+                       kFanoutBudgetFraction))
           : 0;
 
   // --- scatter ---
@@ -594,9 +576,8 @@ std::vector<StatusOr<runtime::ScoreResult>> ShardedRuntime::ScoreBatch(
         outcomes[slot] = 1;
         results[index] = std::move(*answer);
       } else {
-        // A down shard (FailedPrecondition after ShutDownShard) or a shard
-        // erroring with its fallback chain disabled: degrade at the
-        // front-end instead of surfacing a partial-failure error.
+        // A down shard (FailedPrecondition after ShutDownShard): degrade
+        // at the front-end instead of surfacing a partial-failure error.
         ++errors;
         results[index] = FrontendDegraded(item_rows[index]);
       }

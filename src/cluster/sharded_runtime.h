@@ -22,33 +22,21 @@ struct ShardedRuntimeConfig {
   /// Per-shard InferenceRuntime worker groups. Total worker threads are
   /// num_shards * shard.num_workers.
   size_t num_shards = 2;
-  /// Ring geometry; `ring.num_shards` is overwritten with `num_shards` at
-  /// construction so the two can never disagree.
-  ShardRingConfig ring;
   /// Template applied to every shard: worker count, batcher, score cache,
-  /// degraded-fallback chain, chaos hooks. `shard.prior` is ignored — each
-  /// shard's prior is sliced out of `prior` (re-keyed to local rows) at
-  /// PublishSharded time, because shards score by local row.
+  /// chaos hooks. `shard.prior` is ignored — each shard's prior is sliced
+  /// out of `prior` (re-keyed to local rows) at PublishSharded time,
+  /// because shards score by local row.
   runtime::RuntimeConfig shard;
   /// Whole-request completion budget for Score/ScoreBatch, microseconds;
-  /// 0 = none. Split between fan-out and merge by
-  /// `fanout_budget_fraction`.
-  int64_t default_deadline_us = 0;
-  /// Fraction of the budget given to the scatter leg: each shard burst's
+  /// 0 = none. Three quarters of it is the scatter leg: each shard burst's
   /// deadline, counted from the moment the burst is handed to its shard.
   /// The whole budget, counted from the ScoreBatch call, bounds how long
-  /// the gather waits on stragglers before degrading them. Must be in
-  /// (0, 1].
-  double fanout_budget_fraction = 0.75;
+  /// the gather waits on stragglers before degrading them.
+  int64_t default_deadline_us = 0;
   /// Front-end fallback, keyed by *global* item row: answers requests
   /// whose shard is down or whose gather budget expired. May be null (the
   /// fallback then serves the noncommittal 0.5 global-mean answer).
   std::shared_ptr<const serving::PopularityIndex> prior;
-  /// Per-shard circuit breaker: a shard whose requests keep erroring stops
-  /// receiving serving traffic (its rows shed to the front-end fallback at
-  /// scatter time, before spending any deadline budget) until probe
-  /// traffic walks it back closed. See cluster/admission.h.
-  CircuitBreakerConfig breaker;
 
   Status Validate() const;
 };
@@ -173,14 +161,12 @@ class ShardedRuntime {
   Status RebuildShard(size_t shard);
 
   /// Synthetic health probe against one shard: scores a deterministically
-  /// chosen owned row (varied by `salt`) under `deadline_us`, bounded so a
-  /// hung shard returns DeadlineExceeded instead of hanging the prober.
+  /// chosen owned row (varied by `salt`) under a 50 ms deadline, bounded so
+  /// a hung shard returns DeadlineExceeded instead of hanging the prober.
   /// The outcome is fed to the shard's circuit breaker as probe traffic
   /// (driving open -> half-open -> closed). A shard that currently owns no
-  /// rows probes trivially healthy. `deadline_us` <= 0 uses a 50ms
-  /// default.
-  ProbeReport ProbeShard(size_t shard, uint64_t salt,
-                         int64_t deadline_us = 0);
+  /// rows probes trivially healthy.
+  ProbeReport ProbeShard(size_t shard, uint64_t salt);
 
   /// Scatter/gathers one batch of global item rows under the config's
   /// default deadline budget. results[i] answers item_rows[i]:

@@ -88,8 +88,8 @@ Status FlagParser::SetValue(const std::string& name,
                                        "'");
       }
       // strtod happily parses "inf"/"nan"; a non-finite flag value (say
-      // --fanout_budget_fraction=nan) would silently poison deadline math
-      // downstream, so reject it at the parse boundary.
+      // atnn_serve --tenant_qps=nan) would silently poison the quota's
+      // token math downstream, so reject it at the parse boundary.
       if (!std::isfinite(value)) {
         return Status::InvalidArgument("--" + name +
                                        " expects a finite number, got '" +

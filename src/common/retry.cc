@@ -1,58 +1,35 @@
 #include "common/retry.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
-#include "common/rng.h"
-
 namespace atnn {
 
+namespace {
+
+/// Total attempts, including the first one.
+constexpr int kMaxAttempts = 3;
+/// Sleep after the first failure; each later sleep doubles it.
+constexpr int64_t kInitialBackoffMs = 10;
+
+}  // namespace
+
 Status RetryWithBackoff(const std::function<Status()>& op,
-                        const RetryConfig& config,
                         const std::function<void(int64_t)>& sleep_ms) {
-  if (config.max_attempts < 1) {
-    return Status::InvalidArgument("RetryConfig.max_attempts must be >= 1");
-  }
-  if (config.initial_backoff_ms < 0 || config.max_backoff_ms < 0 ||
-      config.multiplier < 1.0) {
-    return Status::InvalidArgument(
-        "RetryConfig backoff must be non-negative with multiplier >= 1");
-  }
-  if (config.jitter < 0.0 || config.jitter >= 1.0) {
-    return Status::InvalidArgument("RetryConfig.jitter must be in [0, 1)");
-  }
-  if (config.max_total_backoff_ms < 0) {
-    return Status::InvalidArgument(
-        "RetryConfig.max_total_backoff_ms must be >= 0");
-  }
-  Rng rng(config.jitter_seed);
-  double backoff = static_cast<double>(config.initial_backoff_ms);
-  int64_t total_slept_ms = 0;
-  Status status;
-  for (int attempt = 0; attempt < config.max_attempts; ++attempt) {
-    status = op();
-    if (status.ok() || !IsRetriable(status.code())) return status;
-    if (attempt + 1 == config.max_attempts) break;  // no sleep after last try
-    double scaled = std::min(backoff, static_cast<double>(config.max_backoff_ms));
-    if (config.jitter > 0.0) {
-      scaled *= rng.Uniform(1.0 - config.jitter, 1.0 + config.jitter);
-    }
-    int64_t delay = static_cast<int64_t>(scaled);
-    if (config.max_total_backoff_ms > 0) {
-      const int64_t remaining = config.max_total_backoff_ms - total_slept_ms;
-      if (remaining <= 0) break;  // budget spent: return the last status
-      delay = std::min(delay, remaining);
+  int64_t backoff_ms = kInitialBackoffMs;
+  for (int attempt = 1;; ++attempt) {
+    Status status = op();
+    if (status.ok() || !IsRetriable(status.code()) ||
+        attempt == kMaxAttempts) {
+      return status;  // no sleep after the last try
     }
     if (sleep_ms != nullptr) {
-      sleep_ms(delay);
+      sleep_ms(backoff_ms);
     } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     }
-    total_slept_ms += delay;
-    backoff *= config.multiplier;
+    backoff_ms *= 2;
   }
-  return status;
 }
 
 }  // namespace atnn

@@ -8,44 +8,18 @@
 
 namespace atnn {
 
-/// Exponential-backoff schedule for RetryWithBackoff. Attempt k (0-based)
-/// sleeps initial_backoff_ms * multiplier^k before re-running, capped at
-/// max_backoff_ms, optionally scaled by seeded jitter and bounded by a
-/// per-call total-backoff budget.
-struct RetryConfig {
-  /// Total attempts, including the first one. Must be >= 1.
-  int max_attempts = 3;
-  int64_t initial_backoff_ms = 10;
-  double multiplier = 2.0;
-  int64_t max_backoff_ms = 1000;
-  /// Jitter fraction in [0, 1): each sleep is scaled by a uniform factor in
-  /// [1 - jitter, 1 + jitter] drawn from an Rng seeded with `jitter_seed`,
-  /// so the schedule is deterministic per seed but decorrelated across
-  /// seeds. N shards recovering at once should each pass their own seed
-  /// (e.g. base ^ shard index) so their retries against the shared snapshot
-  /// store fan out instead of arriving as a synchronized storm. 0 disables
-  /// jitter and reproduces the exact un-jittered schedule.
-  double jitter = 0.0;
-  uint64_t jitter_seed = 0;
-  /// Per-call retry budget: once cumulative sleep would exceed this many
-  /// milliseconds, the final sleep is clamped to the remainder and the call
-  /// stops retrying after the budget is spent — even if attempts remain.
-  /// 0 means no budget (attempts alone bound the call).
-  int64_t max_total_backoff_ms = 0;
-};
-
 /// Runs `op` until it returns OK, a non-retriable status (see IsRetriable),
-/// or `config.max_attempts` is exhausted; sleeps the backoff schedule
-/// between attempts. Returns the last status observed. `sleep_ms` exists so
-/// tests can capture the schedule instead of actually sleeping; the default
-/// is std::this_thread::sleep_for.
+/// or its third attempt fails; sleeps 10 ms after the first failure and
+/// 20 ms after the second. Returns the last status observed. `sleep_ms`
+/// exists so tests can capture the schedule instead of actually sleeping;
+/// the default is std::this_thread::sleep_for.
 ///
 /// Intended for transient snapshot publish/load failures (an NFS blip, a
 /// checkpoint mid-write, the runtime's queue momentarily full) — the
 /// operations around a serving hot-swap that must not give up on the first
 /// hiccup but also must not spin on a corrupt file forever.
 Status RetryWithBackoff(
-    const std::function<Status()>& op, const RetryConfig& config = {},
+    const std::function<Status()>& op,
     const std::function<void(int64_t)>& sleep_ms = nullptr);
 
 }  // namespace atnn

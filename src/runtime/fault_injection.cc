@@ -3,9 +3,7 @@
 namespace atnn::runtime {
 
 FaultInjector::FaultInjector(const FaultInjectionConfig& config)
-    : config_(config),
-      rng_(config.seed),
-      corrupt_publish_armed_(config.enabled && config.corrupt_next_publish) {}
+    : config_(config), rng_(config.seed) {}
 
 bool FaultInjector::Draw(double probability) {
   if (probability <= 0.0) return false;

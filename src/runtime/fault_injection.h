@@ -29,10 +29,6 @@ struct FaultInjectionConfig {
   /// P(an admission is treated as if the queue were full) — models burst
   /// overload without needing to actually saturate the queue.
   double enqueue_reject_probability = 0.0;
-  /// One-shot: corrupt the next Publish() (NaN poked into the mean-user
-  /// vector) so snapshot validation must reject it while the previous
-  /// version keeps serving. Re-armable at runtime via ArmCorruptPublish().
-  bool corrupt_next_publish = false;
 };
 
 /// Seeded, thread-safe fault-decision point shared by the runtime's stages.
@@ -58,12 +54,14 @@ class FaultInjector {
   bool ShouldRejectEnqueue();
 
   /// One-shot consume of the corrupt-publish flag: returns true exactly
-  /// once per arming. The runtime corrupts the snapshot it was handed and
-  /// lets validation reject it — the injected fault exercises the real
-  /// rejection path, not a simulated one.
+  /// once per arming. The runtime corrupts the snapshot it was handed (NaN
+  /// poked into the mean-user vector) and lets validation reject it while
+  /// the previous version keeps serving — the injected fault exercises the
+  /// real rejection path, not a simulated one.
   bool TakeCorruptPublish();
 
-  /// Re-arms the corrupt-publish fault (e.g. between chaos rounds).
+  /// Arms the corrupt-publish fault for the next Publish(). Requires
+  /// `enabled`.
   void ArmCorruptPublish();
 
   /// Armable drill switch: while set, every worker spins (in short sleeps)
@@ -93,7 +91,7 @@ class FaultInjector {
   const FaultInjectionConfig config_;
   std::mutex mutex_;  // guards rng_
   Rng rng_;
-  std::atomic<bool> corrupt_publish_armed_;
+  std::atomic<bool> corrupt_publish_armed_{false};
   std::atomic<bool> stall_workers_{false};
   std::atomic<bool> fail_all_batches_{false};
   std::atomic<int64_t> faults_injected_{0};

@@ -218,7 +218,7 @@ void InferenceRuntime::AnswerRefused(PendingRequest* request,
   // backpressure (DeadlineExceeded): answer degraded, never re-touching the
   // queue — degraded responses must stay cheap precisely when the fresh
   // path is the bottleneck.
-  AnswerDegraded(request, why, why.code() == StatusCode::kDeadlineExceeded);
+  AnswerDegraded(request, why.code() == StatusCode::kDeadlineExceeded);
 }
 
 StatusOr<ScoreResult> InferenceRuntime::Score(int64_t item_row) {
@@ -330,10 +330,7 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
           std::to_string(num_rows) + ")"));
       stats_.RecordResponse(false, MicrosSince(request.enqueue_time));
     } else if (request.deadline <= now) {
-      AnswerDegraded(&request,
-                     Status::DeadlineExceeded(
-                         "deadline expired before batch execution"),
-                     /*expired=*/true);
+      AnswerDegraded(&request, /*expired=*/true);
     } else {
       live.push_back(i);
     }
@@ -341,10 +338,8 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
   if (live.empty()) return;
 
   if (injector_.ShouldFailBatch()) {
-    const Status why =
-        Status::Unavailable("fault injection: forced batch scoring failure");
     for (const size_t i : live) {
-      AnswerDegraded(&(*batch)[i], why, /*expired=*/false);
+      AnswerDegraded(&(*batch)[i], /*expired=*/false);
     }
     return;
   }
@@ -375,11 +370,7 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
       PendingRequest& request = (*batch)[live[j]];
       if (estimate_us > 0 && request.deadline != kNoDeadline &&
           request.deadline - now < std::chrono::microseconds(estimate_us)) {
-        AnswerDegraded(&request,
-                       Status::DeadlineExceeded(
-                           "remaining deadline budget below the estimated "
-                           "forward-pass cost"),
-                       /*expired=*/true);
+        AnswerDegraded(&request, /*expired=*/true);
         state[j] = 2;
         continue;
       }
@@ -398,8 +389,8 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
           {&block.categorical, block.numeric.data(), block.rows,
            block.numeric_cols},
           block.rows, &scratch->plan);
-      Status forward = vectors.status();
-      if (forward.ok()) {
+      bool scored = vectors.ok();
+      if (scored) {
         stats_.RecordPlanExecution();
       } else {
         stats_.RecordPlanExecFallback();
@@ -407,12 +398,10 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
       const int64_t cols = snapshot.plan->output_cols();
       std::vector<double>& miss_scores = scratch->miss_scores;
       miss_scores.clear();
-      for (size_t r = 0; forward.ok() && r < miss_rows.size(); ++r) {
+      for (size_t r = 0; scored && r < miss_rows.size(); ++r) {
         const double score = snapshot.predictor->ScoreVector(
             *vectors + static_cast<int64_t>(r) * cols, cols);
-        if (!std::isfinite(score)) {
-          forward = Status::DataLoss("forward pass produced non-finite scores");
-        }
+        scored = std::isfinite(score);
         miss_scores.push_back(score);
       }
       const double forward_us = score_timer.ElapsedMillis() * 1e3;
@@ -426,13 +415,13 @@ void InferenceRuntime::ExecuteBatch(const ServingSnapshot& snapshot,
           old == 0 ? measured : (3 * old + measured) / 4,
           std::memory_order_relaxed);
 
-      if (!forward.ok()) {
-        // Scoring failure (an executor error, a corrupt snapshot that
-        // slipped past validation, or an injected numerical fault): nothing
-        // from this forward is trustworthy, so every miss degrades and the
-        // cache stays clean.
+      if (!scored) {
+        // Scoring failure (an executor error, or a non-finite score from a
+        // corrupt snapshot that slipped past validation): nothing from this
+        // forward is trustworthy, so every miss degrades and the cache
+        // stays clean.
         for (const size_t j : miss_pos) {
-          AnswerDegraded(&(*batch)[live[j]], forward, /*expired=*/false);
+          AnswerDegraded(&(*batch)[live[j]], /*expired=*/false);
           state[j] = 2;
         }
       } else {
@@ -594,13 +583,8 @@ ScoreResult InferenceRuntime::DegradedScore(int64_t item_row) {
 }
 
 void InferenceRuntime::AnswerDegraded(PendingRequest* request,
-                                      const Status& why, bool expired) {
+                                      bool expired) {
   if (expired) stats_.RecordDeadlineExpired();
-  if (!config_.enable_degraded_fallback) {
-    request->Complete(why);
-    stats_.RecordResponse(false, MicrosSince(request->enqueue_time));
-    return;
-  }
   const ScoreResult result = DegradedScore(request->item_row);
   request->Complete(result);
   stats_.RecordServed(result.tier, MicrosSince(request->enqueue_time));

@@ -38,17 +38,13 @@ struct RuntimeConfig {
   /// Per-request completion budget applied by ScoreAsync(row); 0 means no
   /// deadline. ScoreAsync(row, deadline_us) overrides per call. A request
   /// past its deadline is never given a forward pass: it is answered from
-  /// the degraded fallback chain (or with DeadlineExceeded when the chain
-  /// is disabled).
+  /// the degraded fallback chain. On deadline expiry, queue rejection, or
+  /// scoring failure, that chain answers from (in order) the score cache —
+  /// current version first, then the previous version's rotated-out
+  /// generation (stale-while-revalidate) — then the `prior` popularity
+  /// index, then the running global mean score. Every ScoreResult is
+  /// tagged with the tier that served it.
   int64_t default_deadline_us = 0;
-  /// Degraded-mode fallback chain: on deadline expiry, queue rejection, or
-  /// scoring failure, answer from (in order) the score cache — current
-  /// version first, then the previous version's rotated-out generation
-  /// (stale-while-revalidate) — then the `prior` popularity index, then
-  /// the running global mean score. Every ScoreResult is tagged with the
-  /// tier that served it. Disabled => those conditions surface as error
-  /// Statuses instead (the pre-fault-tolerance behaviour).
-  bool enable_degraded_fallback = true;
   /// Tier-2 fallback source, e.g. yesterday's precomputed popularity index
   /// (see serving/PopularityIndex). May be null; replaceable at runtime
   /// via SetPrior().
@@ -158,13 +154,10 @@ class InferenceRuntime {
   /// Enqueues one item row for scoring under the config's default
   /// deadline. The future resolves with the score, the snapshot version
   /// that produced it and the serving tier, or with:
-  ///   - ResourceExhausted:  queue full under kRejectWithStatus, fallback
-  ///                         chain disabled
-  ///   - DeadlineExceeded:   deadline blown with the fallback disabled
   ///   - InvalidArgument:    item_row outside the snapshot's profile table
   ///   - FailedPrecondition: no snapshot published yet, or shutting down
-  /// With the fallback chain enabled (default), overload and deadline
-  /// expiry produce degraded OK responses instead of the first two errors.
+  /// Overload, deadline expiry and scoring failures produce degraded OK
+  /// responses from the fallback chain, never errors.
   std::future<StatusOr<ScoreResult>> ScoreAsync(int64_t item_row);
 
   /// Same, with an explicit per-request deadline (microseconds from now;
@@ -286,10 +279,9 @@ class InferenceRuntime {
   /// mean. Always succeeds; never blocks on the queue; never runs a
   /// forward pass.
   ScoreResult DegradedScore(int64_t item_row);
-  /// Answers `request` from the fallback chain (or with `why` when the
-  /// chain is disabled) and records stats. `expired` marks deadline blown.
-  void AnswerDegraded(PendingRequest* request, const Status& why,
-                      bool expired);
+  /// Answers `request` from the fallback chain and records stats.
+  /// `expired` marks deadline blown.
+  void AnswerDegraded(PendingRequest* request, bool expired);
   /// Answers a request the queue refused for `why` (a TryEnqueue or
   /// EnqueueBurst code): FailedPrecondition as is, anything else degraded.
   void AnswerRefused(PendingRequest* request, const Status& why);

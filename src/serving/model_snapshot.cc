@@ -1,5 +1,6 @@
 #include "serving/model_snapshot.h"
 
+#include "common/retry.h"
 #include "common/serialize.h"
 
 namespace atnn::serving {
@@ -35,10 +36,10 @@ Status LoadModelSnapshot(nn::Module* model, const std::string& path,
 
 Status LoadModelSnapshotWithRetry(
     nn::Module* model, const std::string& path,
-    const std::string& expected_tag, const RetryConfig& retry,
+    const std::string& expected_tag,
     const std::function<void(int64_t)>& sleep_ms) {
   return RetryWithBackoff(
-      [&] { return LoadModelSnapshot(model, path, expected_tag); }, retry,
+      [&] { return LoadModelSnapshot(model, path, expected_tag); },
       sleep_ms);
 }
 

@@ -1,10 +1,10 @@
 #ifndef ATNN_SERVING_MODEL_SNAPSHOT_H_
 #define ATNN_SERVING_MODEL_SNAPSHOT_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "nn/parameter.h"
 
@@ -35,7 +35,7 @@ Status LoadModelSnapshot(nn::Module* model, const std::string& path,
 /// failure. `sleep_ms` is the test seam from RetryWithBackoff.
 Status LoadModelSnapshotWithRetry(
     nn::Module* model, const std::string& path,
-    const std::string& expected_tag, const RetryConfig& retry = {},
+    const std::string& expected_tag,
     const std::function<void(int64_t)>& sleep_ms = nullptr);
 
 }  // namespace atnn::serving

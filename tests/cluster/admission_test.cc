@@ -65,37 +65,20 @@ TEST(TokenBucketTest, NonPositiveWantGrantsZero) {
   EXPECT_EQ(bucket.TryAcquireAt(-3, T0()), 0);
 }
 
-CircuitBreakerConfig SmallBreakerConfig() {
-  CircuitBreakerConfig config;
-  config.error_rate_threshold = 0.5;
-  config.ewma_alpha = 0.5;
-  config.min_samples = 4;
-  config.cooldown_ms = 100;
-  config.probes_to_close = 2;
-  return config;
-}
+constexpr int64_t kMinSamples = CircuitBreaker::kMinSamples;
+constexpr int kProbesToClose = CircuitBreaker::kProbesToClose;
+constexpr auto kCooldown = CircuitBreaker::kCooldown;
 
-TEST(CircuitBreakerTest, ConfigValidation) {
-  EXPECT_TRUE(CircuitBreakerConfig{}.Validate().ok());
-  CircuitBreakerConfig config;
-  config.error_rate_threshold = 0.0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.ewma_alpha = 1.5;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.min_samples = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.cooldown_ms = -1;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.probes_to_close = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+/// Opens `breaker` at T0 with exactly kMinSamples failures.
+void Trip(CircuitBreaker* breaker) {
+  for (int64_t i = 0; i < kMinSamples; ++i) {
+    breaker->RecordResultAt(false, T0());
+  }
+  ASSERT_EQ(breaker->state(), BreakerState::kOpen);
 }
 
 TEST(CircuitBreakerTest, StartsClosedAndStaysClosedOnSuccess) {
-  CircuitBreaker breaker(SmallBreakerConfig());
+  CircuitBreaker breaker;
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_TRUE(breaker.AllowRequest());
   for (int i = 0; i < 100; ++i) breaker.RecordResultAt(true, T0());
@@ -104,22 +87,21 @@ TEST(CircuitBreakerTest, StartsClosedAndStaysClosedOnSuccess) {
 }
 
 TEST(CircuitBreakerTest, OpensOnSustainedErrorsButNotBeforeMinSamples) {
-  CircuitBreaker breaker(SmallBreakerConfig());
-  breaker.RecordResultAt(false, T0());
-  breaker.RecordResultAt(false, T0());
-  breaker.RecordResultAt(false, T0());
+  CircuitBreaker breaker;
+  for (int64_t i = 0; i + 1 < kMinSamples; ++i) {
+    breaker.RecordResultAt(false, T0());
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed)
-      << "three failures are below min_samples=4";
+      << kMinSamples - 1 << " failures are below kMinSamples";
+  EXPECT_GE(breaker.error_rate(), CircuitBreaker::kErrorRateThreshold);
   breaker.RecordResultAt(false, T0());
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_FALSE(breaker.AllowRequest());
 }
 
 TEST(CircuitBreakerTest, OccasionalErrorsDoNotTrip) {
-  CircuitBreakerConfig config = SmallBreakerConfig();
-  config.ewma_alpha = 0.1;
   // 10% error rate against a 50% threshold: never opens.
-  CircuitBreaker steady(config);
+  CircuitBreaker steady;
   for (int i = 0; i < 200; ++i) {
     steady.RecordResultAt(/*ok=*/i % 10 != 0, T0());
   }
@@ -128,47 +110,49 @@ TEST(CircuitBreakerTest, OccasionalErrorsDoNotTrip) {
 }
 
 TEST(CircuitBreakerTest, ProbeBeforeCooldownIsIgnored) {
-  CircuitBreaker breaker(SmallBreakerConfig());
-  for (int i = 0; i < 4; ++i) breaker.RecordResultAt(false, T0());
-  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.RecordProbeAt(true, T0() + milliseconds(50));
+  CircuitBreaker breaker;
+  Trip(&breaker);
+  breaker.RecordProbeAt(true, T0() + kCooldown / 2);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen)
-      << "a probe inside the 100ms cooldown must not move the breaker";
+      << "a probe inside the cooldown must not move the breaker";
 }
 
 TEST(CircuitBreakerTest, ClosesAfterConsecutiveProbeSuccesses) {
-  CircuitBreaker breaker(SmallBreakerConfig());
-  for (int i = 0; i < 4; ++i) breaker.RecordResultAt(false, T0());
-  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
+  CircuitBreaker breaker;
+  Trip(&breaker);
 
-  breaker.RecordProbeAt(true, T0() + milliseconds(150));
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_FALSE(breaker.AllowRequest())
-      << "half-open still sheds serving traffic; only probes flow";
-  breaker.RecordProbeAt(true, T0() + milliseconds(200));
+  for (int probe = 1; probe < kProbesToClose; ++probe) {
+    breaker.RecordProbeAt(true, T0() + kCooldown + milliseconds(100 * probe));
+    EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen) << "probe " << probe;
+    EXPECT_FALSE(breaker.AllowRequest())
+        << "half-open still sheds serving traffic; only probes flow";
+  }
+  breaker.RecordProbeAt(true, T0() + kCooldown +
+                                  milliseconds(100 * kProbesToClose));
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_TRUE(breaker.AllowRequest());
   EXPECT_EQ(breaker.error_rate(), 0.0) << "a close wipes the error history";
 }
 
 TEST(CircuitBreakerTest, HalfOpenProbeFailureReopensAndRestartsCooldown) {
-  CircuitBreaker breaker(SmallBreakerConfig());
-  for (int i = 0; i < 4; ++i) breaker.RecordResultAt(false, T0());
-  breaker.RecordProbeAt(true, T0() + milliseconds(150));
+  CircuitBreaker breaker;
+  Trip(&breaker);
+  breaker.RecordProbeAt(true, T0() + kCooldown + milliseconds(100));
   ASSERT_EQ(breaker.state(), BreakerState::kHalfOpen);
 
-  breaker.RecordProbeAt(false, T0() + milliseconds(200));
+  const auto reopened = T0() + kCooldown + milliseconds(200);
+  breaker.RecordProbeAt(false, reopened);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  // The cooldown restarted at 200ms: a probe at 250ms is still ignored,
-  // one at 310ms is admitted.
-  breaker.RecordProbeAt(true, T0() + milliseconds(250));
+  // The cooldown restarted at the failed probe: a probe half a cooldown
+  // later is still ignored, one just past a full cooldown is admitted.
+  breaker.RecordProbeAt(true, reopened + kCooldown / 2);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.RecordProbeAt(true, T0() + milliseconds(310));
+  breaker.RecordProbeAt(true, reopened + kCooldown + milliseconds(100));
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
 }
 
 TEST(CircuitBreakerTest, ForceOpenSkipsTheCooldown) {
-  CircuitBreaker breaker(SmallBreakerConfig());
+  CircuitBreaker breaker;
   breaker.ForceOpenAt(T0());
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_FALSE(breaker.AllowRequest());
@@ -176,29 +160,35 @@ TEST(CircuitBreakerTest, ForceOpenSkipsTheCooldown) {
   // admission through probes without sitting out the flap cooldown.
   breaker.RecordProbeAt(true, T0());
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.RecordProbeAt(true, T0());
+  for (int probe = 1; probe < kProbesToClose; ++probe) {
+    breaker.RecordProbeAt(true, T0());
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
 TEST(CircuitBreakerTest, ClosedStateProbesFeedTheErrorRate) {
-  CircuitBreaker breaker(SmallBreakerConfig());
-  for (int i = 0; i < 4; ++i) breaker.RecordProbeAt(false, T0());
+  CircuitBreaker breaker;
+  for (int64_t i = 0; i < kMinSamples; ++i) {
+    breaker.RecordProbeAt(false, T0());
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kOpen)
       << "probe failures alone must be able to trip a closed breaker";
 }
 
 TEST(CircuitBreakerTest, ReopenAfterCloseNeedsFreshSamples) {
-  CircuitBreaker breaker(SmallBreakerConfig());
-  for (int i = 0; i < 4; ++i) breaker.RecordResultAt(false, T0());
-  breaker.RecordProbeAt(true, T0() + milliseconds(150));
-  breaker.RecordProbeAt(true, T0() + milliseconds(160));
+  CircuitBreaker breaker;
+  Trip(&breaker);
+  const auto closed_at = T0() + kCooldown + milliseconds(100);
+  for (int probe = 0; probe < kProbesToClose; ++probe) {
+    breaker.RecordProbeAt(true, closed_at);
+  }
   ASSERT_EQ(breaker.state(), BreakerState::kClosed);
-  // Post-close, min_samples protects the fresh state again.
-  breaker.RecordResultAt(false, T0() + milliseconds(170));
-  breaker.RecordResultAt(false, T0() + milliseconds(171));
-  breaker.RecordResultAt(false, T0() + milliseconds(172));
+  // Post-close, kMinSamples protects the fresh state again.
+  for (int64_t i = 0; i + 1 < kMinSamples; ++i) {
+    breaker.RecordResultAt(false, closed_at + milliseconds(i));
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.RecordResultAt(false, T0() + milliseconds(173));
+  breaker.RecordResultAt(false, closed_at + milliseconds(kMinSamples));
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
 }
 
@@ -206,9 +196,9 @@ TEST(CircuitBreakerTest, OneFeedOfManyOutcomesEqualsOneFeedPerOutcome) {
   // Successes, failures that open the breaker part-way, then a mix the open
   // breaker still folds into its error rate.
   std::vector<char> outcomes(6, 1);
-  outcomes.insert(outcomes.end(), 3, 0);
+  outcomes.insert(outcomes.end(), kMinSamples - 6, 0);
   for (int i = 0; i < 7; ++i) outcomes.push_back(static_cast<char>(i % 2));
-  CircuitBreaker per_outcome(SmallBreakerConfig());
+  CircuitBreaker per_outcome;
   size_t opened_after = 0;
   for (size_t i = 0; i < outcomes.size(); ++i) {
     per_outcome.RecordResultAt(outcomes[i] != 0, T0());
@@ -219,13 +209,13 @@ TEST(CircuitBreakerTest, OneFeedOfManyOutcomesEqualsOneFeedPerOutcome) {
   ASSERT_GT(opened_after, 0u);
   ASSERT_LT(opened_after, outcomes.size()) << "must open part-way";
 
-  CircuitBreaker one_feed(SmallBreakerConfig());
+  CircuitBreaker one_feed;
   one_feed.RecordResultsAt(outcomes, T0());
   EXPECT_EQ(one_feed.state(), per_outcome.state());
   EXPECT_EQ(one_feed.error_rate(), per_outcome.error_rate());
   // Both opened at T0, so both leave the cooldown at the same probe.
-  per_outcome.RecordProbeAt(true, T0() + milliseconds(150));
-  one_feed.RecordProbeAt(true, T0() + milliseconds(150));
+  per_outcome.RecordProbeAt(true, T0() + kCooldown + milliseconds(100));
+  one_feed.RecordProbeAt(true, T0() + kCooldown + milliseconds(100));
   EXPECT_EQ(one_feed.state(), BreakerState::kHalfOpen);
   EXPECT_EQ(per_outcome.state(), BreakerState::kHalfOpen);
 }

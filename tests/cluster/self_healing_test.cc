@@ -81,8 +81,6 @@ class SelfHealingTest : public ::testing::Test {
     config.shard.batcher.max_delay_us = 200;
     config.shard.batcher.queue_capacity = 1024;
     config.prior = FlatPrior(0.5);
-    config.breaker.cooldown_ms = 0;
-    config.breaker.probes_to_close = 2;
     return config;
   }
 
@@ -194,11 +192,7 @@ TEST_F(SelfHealingTest, KilledShardAutoRecoversToFreshUnderLoad) {
   ShardedRuntime runtime(Config(kShards));
   ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
 
-  ShardSupervisorConfig supervision;
-  supervision.probe_period_ms = 1;
-  supervision.probe_deadline_us = 200'000;
-  supervision.seed = 0x5eedULL;
-  ShardSupervisor supervisor(&runtime, supervision);
+  ShardSupervisor supervisor(&runtime, /*seed=*/0x5eedULL);
   supervisor.Start();
 
   const std::vector<int64_t> rows = AllRows();
@@ -280,7 +274,6 @@ TEST_F(SelfHealingTest, KilledShardDegradesThroughThePriorUnderLoad) {
   constexpr size_t kVictim = 1;
   constexpr size_t kChunk = 50;  // not a multiple of the shard batch size
   ShardedRuntimeConfig config = Config(kShards);
-  config.breaker = CircuitBreakerConfig{};
   config.default_deadline_us = 500'000;
   ShardedRuntime runtime(config);
   ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());

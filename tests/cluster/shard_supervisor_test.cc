@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,13 +27,7 @@ class ShardSupervisorTest : public ::testing::Test {
   static void SetUpTestSuite() {
     dataset_ = new data::TmallDataset(
         core::testing_helpers::MakeNormalizedTinyDataset());
-    core::AtnnConfig config;
-    config.tower =
-        core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
-    config.seed = 11;
-    model_ = new core::AtnnModel(*dataset_->user_schema,
-                                 *dataset_->item_profile_schema,
-                                 *dataset_->item_stats_schema, config);
+    model_ = MakeModel().release();
     const auto group = core::SelectActiveUsers(*dataset_, 64);
     predictor_ = new core::PopularityPredictor(
         core::PopularityPredictor::Build(*model_, *dataset_, group));
@@ -47,6 +42,16 @@ class ShardSupervisorTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
+  static std::unique_ptr<core::AtnnModel> MakeModel() {
+    core::AtnnConfig config;
+    config.tower =
+        core::testing_helpers::TinyTowerConfig(nn::TowerKind::kDeepCross);
+    config.seed = 11;
+    return std::make_unique<core::AtnnModel>(
+        *dataset_->user_schema, *dataset_->item_profile_schema,
+        *dataset_->item_stats_schema, config);
+  }
+
   static runtime::ServingSnapshot MakeSnapshot() {
     runtime::ServingSnapshot snapshot;
     snapshot.model = runtime::Unowned(model_);
@@ -56,9 +61,10 @@ class ShardSupervisorTest : public ::testing::Test {
     return snapshot;
   }
 
-  /// Two shards, chaos hooks armed, a fast breaker that probes can walk
-  /// closed in two successes.
-  static std::unique_ptr<ShardedRuntime> MakeRuntime(size_t num_shards = 2) {
+  /// Two shards, chaos hooks armed.
+  static std::unique_ptr<ShardedRuntime> MakeRuntime(
+      size_t num_shards = 2,
+      const runtime::ServingSnapshot& snapshot = MakeSnapshot()) {
     ShardedRuntimeConfig config;
     config.num_shards = num_shards;
     config.shard.num_workers = 2;
@@ -66,26 +72,14 @@ class ShardSupervisorTest : public ::testing::Test {
     config.shard.batcher.max_delay_us = 500;
     config.shard.batcher.queue_capacity = 256;
     config.shard.fault_injection.enabled = true;
-    config.breaker.min_samples = 4;
-    config.breaker.cooldown_ms = 0;
-    config.breaker.probes_to_close = 2;
     auto runtime = std::make_unique<ShardedRuntime>(config);
-    const auto version = runtime->PublishSharded(MakeSnapshot());
+    const auto version = runtime->PublishSharded(snapshot);
     EXPECT_TRUE(version.ok()) << version.status().ToString();
     return runtime;
   }
 
-  /// Thresholds small enough that each transition is a couple of Steps.
-  static ShardSupervisorConfig FastConfig() {
-    ShardSupervisorConfig config;
-    config.probe_deadline_us = 200'000;
-    config.consecutive_to_suspect = 2;
-    config.consecutive_to_dead = 4;
-    config.probes_to_healthy = 3;
-    config.rebuild_retry.max_attempts = 2;
-    config.rebuild_retry.initial_backoff_ms = 1;
-    return config;
-  }
+  /// Probe-row seed.
+  static constexpr uint64_t kSeed = 0x5eed;
 
   static size_t StepUntil(ShardSupervisor* supervisor, size_t shard,
                           ShardHealth target, size_t max_steps = 64) {
@@ -114,32 +108,9 @@ double CounterValue(const obs::MetricsSnapshot& snapshot,
   return -1.0;
 }
 
-TEST_F(ShardSupervisorTest, ConfigValidation) {
-  EXPECT_TRUE(ShardSupervisorConfig{}.Validate().ok());
-  ShardSupervisorConfig config;
-  config.probe_deadline_us = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.probe_period_ms = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.consecutive_to_suspect = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.consecutive_to_dead = config.consecutive_to_suspect;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument)
-      << "dead must be strictly beyond suspect";
-  config = {};
-  config.probes_to_healthy = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = {};
-  config.latency_ewma_alpha = 0.0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-}
-
 TEST_F(ShardSupervisorTest, HealthyShardsStayHealthyAndTrackLatency) {
   auto runtime = MakeRuntime();
-  ShardSupervisor supervisor(runtime.get(), FastConfig());
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   for (int round = 0; round < 5; ++round) {
     EXPECT_EQ(supervisor.Step(), 2u);
   }
@@ -154,35 +125,36 @@ TEST_F(ShardSupervisorTest, HealthyShardsStayHealthyAndTrackLatency) {
 }
 
 TEST_F(ShardSupervisorTest, WalksHealthyThroughSuspectToDead) {
+  static_assert(ShardSupervisor::kConsecutiveToSuspect == 2 &&
+                ShardSupervisor::kConsecutiveToDead == 4);
   auto runtime = MakeRuntime();
-  ShardSupervisorConfig config = FastConfig();
-  config.auto_rebuild = false;  // diagnose-only: the state must park at dead
-  ShardSupervisor supervisor(runtime.get(), config);
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   supervisor.Step();
   ASSERT_EQ(supervisor.health(0), ShardHealth::kHealthy);
 
   runtime->ShutDownShard(0);
   supervisor.Step();
   EXPECT_EQ(supervisor.health(0), ShardHealth::kHealthy)
-      << "one failure is below consecutive_to_suspect=2";
+      << "one failure is below kConsecutiveToSuspect=2";
   supervisor.Step();
   EXPECT_EQ(supervisor.health(0), ShardHealth::kSuspect);
   supervisor.Step();
   EXPECT_EQ(supervisor.health(0), ShardHealth::kSuspect)
-      << "three failures are below consecutive_to_dead=4";
+      << "three failures are below kConsecutiveToDead=4";
+  // The fourth failure condemns the shard, and the same round rebuilds it:
+  // healthy -> suspect -> dead -> recovering.
   supervisor.Step();
-  EXPECT_EQ(supervisor.health(0), ShardHealth::kDead);
+  EXPECT_EQ(supervisor.health(0), ShardHealth::kRecovering);
   EXPECT_EQ(supervisor.health(1), ShardHealth::kHealthy)
       << "the healthy neighbour must be untouched";
-  // Without auto_rebuild the shard stays dead.
-  supervisor.Step();
-  EXPECT_EQ(supervisor.health(0), ShardHealth::kDead);
-  EXPECT_EQ(CounterValue(supervisor.Collect(), "supervisor.rebuilds"), 0.0);
+  const auto metrics = supervisor.Collect();
+  EXPECT_EQ(CounterValue(metrics, "supervisor.transitions"), 3.0);
+  EXPECT_EQ(CounterValue(metrics, "supervisor.rebuilds"), 1.0);
 }
 
 TEST_F(ShardSupervisorTest, SuspectClearsOnOneHealthyProbe) {
   auto runtime = MakeRuntime();
-  ShardSupervisor supervisor(runtime.get(), FastConfig());
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   // Degrade shard 0 (batches fail => answers fall to the fallback chain,
   // which probes count as unhealthy), but keep it alive.
   runtime->shard(0).fault_injector().SetFailAllBatches(true);
@@ -198,13 +170,13 @@ TEST_F(ShardSupervisorTest, SuspectClearsOnOneHealthyProbe) {
 
 TEST_F(ShardSupervisorTest, DeadShardAutoRebuildsAndReearnsHealthy) {
   auto runtime = MakeRuntime();
-  ShardSupervisor supervisor(runtime.get(), FastConfig());
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   runtime->ShutDownShard(0);
 
   // 4 failed probes -> dead -> same-step rebuild -> recovering.
   for (int round = 0; round < 4; ++round) supervisor.Step();
   EXPECT_EQ(supervisor.health(0), ShardHealth::kRecovering)
-      << "auto_rebuild must fire in the round the shard goes dead";
+      << "the rebuild must fire in the round the shard goes dead";
   EXPECT_EQ(CounterValue(supervisor.Collect(), "supervisor.rebuilds"), 1.0);
   EXPECT_NE(runtime->breaker(0).state(), BreakerState::kClosed)
       << "a rebuilt shard must not be serving yet";
@@ -228,7 +200,7 @@ TEST_F(ShardSupervisorTest, DeadShardAutoRebuildsAndReearnsHealthy) {
 
 TEST_F(ShardSupervisorTest, RecoveringRelapsesToDeadAndRebuildsAgain) {
   auto runtime = MakeRuntime();
-  ShardSupervisor supervisor(runtime.get(), FastConfig());
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   runtime->ShutDownShard(0);
   for (int round = 0; round < 4; ++round) supervisor.Step();
   ASSERT_EQ(supervisor.health(0), ShardHealth::kRecovering);
@@ -245,26 +217,38 @@ TEST_F(ShardSupervisorTest, RecoveringRelapsesToDeadAndRebuildsAgain) {
 }
 
 TEST_F(ShardSupervisorTest, ExternallyRevivedDeadShardReearnsThroughProbation) {
-  auto runtime = MakeRuntime();
-  ShardSupervisorConfig config = FastConfig();
-  config.auto_rebuild = false;
-  ShardSupervisor supervisor(runtime.get(), config);
+  // One shard serving a model of the test's own: while one of its weights
+  // is NaN, every rebuild fails snapshot validation and the killed shard
+  // stays dead.
+  const std::unique_ptr<core::AtnnModel> model = MakeModel();
+  runtime::ServingSnapshot snapshot = MakeSnapshot();
+  snapshot.model = runtime::Unowned(model.get());
+  auto runtime = MakeRuntime(1, snapshot);
+  ShardSupervisor supervisor(runtime.get(), kSeed);
+  float& weight = model->GeneratorParameters().front()->value().data()[0];
+  const float sound = weight;
+  weight = std::numeric_limits<float>::quiet_NaN();
   runtime->ShutDownShard(0);
-  for (int round = 0; round < 4; ++round) supervisor.Step();
+  for (int round = 0; round < 5; ++round) supervisor.Step();
   ASSERT_EQ(supervisor.health(0), ShardHealth::kDead);
+  EXPECT_EQ(CounterValue(supervisor.Collect(), "supervisor.rebuild_failures"),
+            2.0)
+      << "the rounds at and after the fourth failure each try a rebuild";
 
-  // Operator-path recovery: an external RebuildShard revives it...
+  // An operator revives it once the snapshot is sound again...
+  weight = sound;
   ASSERT_TRUE(runtime->RebuildShard(0).ok());
   supervisor.Step();
   // ...but the supervisor still demands probation, not instant healthy.
   EXPECT_EQ(supervisor.health(0), ShardHealth::kRecovering);
   const size_t steps = StepUntil(&supervisor, 0, ShardHealth::kHealthy);
   EXPECT_LT(steps, 64u);
+  EXPECT_EQ(runtime->breaker(0).state(), BreakerState::kClosed);
 }
 
 TEST_F(ShardSupervisorTest, StepTracksLiveResize) {
   auto runtime = MakeRuntime(2);
-  ShardSupervisor supervisor(runtime.get(), FastConfig());
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   EXPECT_EQ(supervisor.Step(), 2u);
   const auto report = runtime->ResizeShards(4);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -277,9 +261,7 @@ TEST_F(ShardSupervisorTest, StepTracksLiveResize) {
 
 TEST_F(ShardSupervisorTest, BackgroundThreadProbesAndStops) {
   auto runtime = MakeRuntime();
-  ShardSupervisorConfig config = FastConfig();
-  config.probe_period_ms = 1;
-  ShardSupervisor supervisor(runtime.get(), config);
+  ShardSupervisor supervisor(runtime.get(), kSeed);
   supervisor.Start();
   supervisor.Start();  // idempotent
   std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -136,14 +136,6 @@ TEST_F(ShardedRuntimeTest, ConfigValidationReturnsStatusNotAbort) {
             StatusCode::kInvalidArgument);
 
   config = SmallShardedConfig(2);
-  config.fanout_budget_fraction = 0.0;
-  EXPECT_EQ(ShardedRuntime::Create(config).status().code(),
-            StatusCode::kInvalidArgument);
-  config.fanout_budget_fraction = 1.5;
-  EXPECT_EQ(ShardedRuntime::Create(config).status().code(),
-            StatusCode::kInvalidArgument);
-
-  config = SmallShardedConfig(2);
   config.default_deadline_us = -1;
   EXPECT_EQ(ShardedRuntime::Create(config).status().code(),
             StatusCode::kInvalidArgument);
@@ -464,8 +456,6 @@ TEST_F(ShardedRuntimeTest, ProbeShardReportsHealthThroughTiers) {
 TEST_F(ShardedRuntimeTest, RebuildShardReadmitsOnlyThroughBreakerProbes) {
   ShardedRuntimeConfig config = SmallShardedConfig(2);
   config.prior = FlatPrior(0.75);
-  config.breaker.cooldown_ms = 0;
-  config.breaker.probes_to_close = 2;
   ShardedRuntime runtime(config);
   EXPECT_EQ(runtime.RebuildShard(0).code(),
             StatusCode::kFailedPrecondition);
@@ -640,9 +630,10 @@ TEST_F(ShardedRuntimeTest, ReusedPriorStaysKeyedToGlobalRows) {
     prior->Upsert(row, 0.001 * static_cast<double>(row + 1));
   }
   config.prior = prior;
-  // Shard requests expire at once while the gather waits: every answer
-  // comes from the shard's own re-keyed prior, not the front-end's.
-  config.fanout_budget_fraction = 1e-6;
+  // Every shard refuses its rows at admission and answers each one from
+  // its own re-keyed prior, not the front-end's.
+  config.shard.fault_injection.enabled = true;
+  config.shard.fault_injection.enqueue_reject_probability = 1.0;
   ShardedRuntime runtime(config);
   ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
   ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
@@ -839,18 +830,27 @@ TEST_F(ShardedRuntimeTest, LateAnswersNeverLandInALaterBatch) {
   ShardedRuntimeConfig config = SmallShardedConfig(2);
   config.shard.fault_injection.enabled = true;  // allows the stall drill
   config.prior = FlatPrior(0.875);
-  // Shard 0 stays routable after its timeouts.
-  config.breaker.min_samples = 1'000'000;
   ShardedRuntime runtime(config);
   ASSERT_TRUE(runtime.PublishSharded(MakeSnapshot()).ok());
   const std::vector<double> expected =
       predictor_->ScoreItems(*model_, *dataset_, AllRows());
   const std::vector<int64_t> rows = AllRows();
+  // Fewer shard-0 rows than the breaker's kMinSamples, so shard 0 stays
+  // routable after their timeouts.
+  std::vector<int64_t> shard0_rows;
+  for (const int64_t row : rows) {
+    if (runtime.ring().ShardFor(row) == 0 &&
+        static_cast<int64_t>(shard0_rows.size()) <
+            CircuitBreaker::kMinSamples / 2) {
+      shard0_rows.push_back(row);
+    }
+  }
 
   runtime.shard(0).fault_injector().SetStallWorkers(true);
-  const auto abandoned = runtime.ScoreBatch(rows, 50'000);
-  ASSERT_EQ(abandoned.size(), rows.size());
+  const auto abandoned = runtime.ScoreBatch(shard0_rows, 50'000);
+  ASSERT_EQ(abandoned.size(), shard0_rows.size());
   ASSERT_GT(Counter(runtime, "gather.timeouts"), 0);
+  ASSERT_EQ(runtime.breaker(0).state(), BreakerState::kClosed);
 
   // Shard 0 now answers the abandoned burst while the next batch is in
   // flight. In reverse order every slot index names a different row, so

@@ -357,27 +357,17 @@ TEST_F(CompiledServingTest, FailedPlanExecutionDegradesTheMisses) {
       narrow_model, data::EntityTable(narrow_schema, 1), /*max_batch=*/64);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  for (const bool fallback : {true, false}) {
-    SCOPED_TRACE(fallback ? "fallback chain" : "no fallback chain");
-    RuntimeConfig runtime_config = Config();
-    runtime_config.enable_degraded_fallback = fallback;
-    InferenceRuntime runtime(runtime_config);
-    ServingSnapshot snapshot = MakeSnapshot();
-    snapshot.plan = *plan;
-    ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
-    const auto answer = runtime.Score(dataset_->new_items.front());
-    if (fallback) {
-      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-      EXPECT_EQ(answer->tier, ServingTier::kGlobalMean);
-    } else {
-      // Without the chain the executor's own Status surfaces.
-      EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
-    }
-    runtime.Shutdown();
-    const auto stats = runtime.stats();
-    EXPECT_EQ(stats.plan_executions, 0);
-    EXPECT_EQ(stats.plan_exec_fallback, 1);
-  }
+  InferenceRuntime runtime(Config());
+  ServingSnapshot snapshot = MakeSnapshot();
+  snapshot.plan = *plan;
+  ASSERT_TRUE(runtime.Publish(std::move(snapshot)).ok());
+  const auto answer = runtime.Score(dataset_->new_items.front());
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->tier, ServingTier::kGlobalMean);
+  runtime.Shutdown();
+  const auto stats = runtime.stats();
+  EXPECT_EQ(stats.plan_executions, 0);
+  EXPECT_EQ(stats.plan_exec_fallback, 1);
 }
 
 TEST_F(CompiledServingTest, PlanCountersRenderInTheStatsTable) {

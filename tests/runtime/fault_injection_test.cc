@@ -13,9 +13,9 @@ TEST(FaultInjectionTest, DisabledInjectorIsInertEverywhere) {
   config.worker_delay_us = 1000;
   config.batch_failure_probability = 1.0;
   config.enqueue_reject_probability = 1.0;
-  config.corrupt_next_publish = true;
   FaultInjector injector(config);
   EXPECT_FALSE(injector.enabled());
+  injector.ArmCorruptPublish();
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(injector.MaybeWorkerDelayUs(), 0);
     EXPECT_FALSE(injector.ShouldFailBatch());
@@ -70,8 +70,9 @@ TEST(FaultInjectionTest, WorkerDelayReturnsConfiguredMicros) {
 TEST(FaultInjectionTest, CorruptPublishIsOneShotAndRearmable) {
   FaultInjectionConfig config;
   config.enabled = true;
-  config.corrupt_next_publish = true;
   FaultInjector injector(config);
+  EXPECT_FALSE(injector.TakeCorruptPublish()) << "unarmed until armed";
+  injector.ArmCorruptPublish();
   EXPECT_TRUE(injector.TakeCorruptPublish());
   // Consumed: the next publishes are clean until rearmed.
   EXPECT_FALSE(injector.TakeCorruptPublish());

@@ -469,10 +469,6 @@ TEST_F(InferenceRuntimeTest, RejectPolicyShedsButNeverHangs) {
   config.batcher.max_delay_us = 200;
   config.batcher.queue_capacity = 8;
   config.batcher.admission = AdmissionPolicy::kRejectWithStatus;
-  // With the fallback chain on (the default), shed requests are served
-  // degraded instead of erroring — covered elsewhere. This test pins the
-  // explicit error-surfacing mode.
-  config.enable_degraded_fallback = false;
   InferenceRuntime runtime(config);
   runtime.Publish(MakeSnapshot());
 
@@ -484,23 +480,21 @@ TEST_F(InferenceRuntimeTest, RejectPolicyShedsButNeverHangs) {
         runtime.ScoreAsync(dataset_->new_items[static_cast<size_t>(i) %
                                                dataset_->new_items.size()]));
   }
-  int ok = 0;
-  int rejected = 0;
+  // Every request is answered: a shed one from the fallback chain, never
+  // with an error.
   for (auto& future : futures) {
     const auto result = future.get();
-    if (result.ok()) {
-      ++ok;
-    } else {
-      ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-      ++rejected;
-    }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
-  EXPECT_EQ(ok + rejected, kRequests);
-  EXPECT_GT(ok, 0);  // overload sheds, it does not collapse
   runtime.Shutdown();
   const auto stats = runtime.stats();
-  EXPECT_EQ(stats.enqueued, ok);
-  EXPECT_EQ(stats.rejected, rejected);
+  EXPECT_EQ(stats.enqueued + stats.rejected, kRequests);
+  EXPECT_GT(stats.enqueued, 0);  // overload sheds, it does not collapse
+  // Only shed requests degrade. A shed row the current version already
+  // scored is answered from the cache and tagged fresh, so the two counts
+  // need not be equal.
+  EXPECT_LE(stats.degraded, stats.rejected);
+  EXPECT_EQ(stats.completed_error, 0);
 }
 
 TEST_F(InferenceRuntimeTest, ConfigValidationReturnsStatusNotAbort) {
@@ -644,19 +638,6 @@ TEST_F(InferenceRuntimeTest, FallbackChainWalksCacheThenPriorThenGlobalMean) {
             1);
   EXPECT_EQ(stats.degraded, 3);
   EXPECT_GE(stats.deadline_expired, 3);
-}
-
-TEST_F(InferenceRuntimeTest, DeadlineWithFallbackDisabledIsAnError) {
-  RuntimeConfig config = SmallRuntimeConfig();
-  config.enable_degraded_fallback = false;
-  InferenceRuntime runtime(config);
-  ASSERT_TRUE(runtime.Publish(MakeSnapshot()).ok());
-  const auto result =
-      runtime.ScoreAsync(dataset_->new_items.front(), 1).get();
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  runtime.Shutdown();
-  EXPECT_EQ(runtime.stats().deadline_expired, 1);
-  EXPECT_EQ(runtime.stats().completed_error, 1);
 }
 
 TEST_F(InferenceRuntimeTest, DegradedAnswersNeverBlockOnTheQueue) {

@@ -111,8 +111,6 @@ TEST(ModelSnapshotTest, RetryingLoaderRetriesTransientsThenSucceeds) {
   ToyModel original(1);
   ToyModel restored(2);
 
-  RetryConfig retry;
-  retry.max_attempts = 3;
   std::vector<int64_t> backoffs;
   const auto capture_sleep = [&](int64_t ms) {
     backoffs.push_back(ms);
@@ -122,10 +120,10 @@ TEST(ModelSnapshotTest, RetryingLoaderRetriesTransientsThenSucceeds) {
     }
   };
   const Status status =
-      LoadModelSnapshotWithRetry(&restored, path, "toy-v1", retry,
-                                 capture_sleep);
+      LoadModelSnapshotWithRetry(&restored, path, "toy-v1", capture_sleep);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(backoffs.size(), 2u);  // two failures, success on attempt 3
+  // Two failures, success on the third and last attempt.
+  EXPECT_EQ(backoffs, (std::vector<int64_t>{10, 20}));
   std::remove(path.c_str());
 }
 
@@ -138,7 +136,7 @@ TEST(ModelSnapshotTest, RetryingLoaderFailsFastOnPermanentErrors) {
   ToyModel restored(2);
   std::vector<int64_t> backoffs;
   const Status status = LoadModelSnapshotWithRetry(
-      &restored, path, "other-tag", {},
+      &restored, path, "other-tag",
       [&](int64_t ms) { backoffs.push_back(ms); });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(backoffs.empty()) << "permanent error must not back off";
@@ -147,14 +145,13 @@ TEST(ModelSnapshotTest, RetryingLoaderFailsFastOnPermanentErrors) {
 
 TEST(ModelSnapshotTest, RetryingLoaderGivesUpAfterAttemptBudget) {
   ToyModel model(1);
-  RetryConfig retry;
-  retry.max_attempts = 4;
   std::vector<int64_t> backoffs;
   const Status status = LoadModelSnapshotWithRetry(
-      &model, "/nonexistent/snap.bin", "toy-v1", retry,
+      &model, "/nonexistent/snap.bin", "toy-v1",
       [&](int64_t ms) { backoffs.push_back(ms); });
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_EQ(backoffs.size(), 3u);  // sleeps between the 4 attempts only
+  // Sleeps between the 3 attempts only.
+  EXPECT_EQ(backoffs, (std::vector<int64_t>{10, 20}));
 }
 
 TEST(ModelSnapshotTest, TruncationAtEveryByteBoundaryLoadsCleanly) {

@@ -57,6 +57,16 @@ int Run(int argc, const char* const* argv) {
     std::printf("%s", flags.Usage().c_str());
     return 0;
   }
+  // An empty user group would abort once the predictor is built; refuse it
+  // before any snapshot is read.
+  if (flags.GetInt64("user_group") < 1) {
+    std::fprintf(stderr, "%s\n%s",
+                 Status::InvalidArgument("user_group must be >= 1")
+                     .ToString()
+                     .c_str(),
+                 flags.Usage().c_str());
+    return 2;
+  }
   const auto compute_or = serving::ResolveComputeFlags(flags);
   if (!compute_or.ok()) {
     std::fprintf(stderr, "%s\n", compute_or.status().ToString().c_str());

@@ -47,7 +47,10 @@
 // batch failures, queue rejections) and attempts corrupt snapshot
 // publishes mid-run; the degraded-mode fallback chain (stale cache ->
 // popularity prior -> global mean) must keep answering every request, and
-// the final stats table shows the serving-tier distribution.
+// the final stats table shows the serving-tier distribution. --chaos and
+// --swap_every_ms drive the single runtime only, and --kill_shard,
+// --resize_at and --tenant_qps the sharded path only; on the other path
+// each is a usage error.
 //
 // Optionally loads trained weights with --snapshot= (a file written by
 // atnn_train); by default it serves the seeded initialization, which
@@ -228,6 +231,40 @@ int Run(int argc, const char* const* argv) {
                  "queue has to hold at least one full batch\n");
     return 2;
   }
+  // An empty user group would abort once the predictor is built. A drill
+  // flag on the serving path that does not run its drill would exit 0 with
+  // nothing drilled, so it is refused before the world is generated.
+  const bool sharded =
+      flags.GetInt64("shards") > 0 || !flags.GetString("tenants").empty();
+  const struct {
+    const char* flag;
+    bool set;
+    bool sharded_only;
+  } drills[] = {
+      {"kill_shard", flags.GetInt64("kill_shard") >= 0, true},
+      {"resize_at", flags.GetDouble("resize_at") != 0.0, true},
+      {"tenant_qps", flags.GetDouble("tenant_qps") > 0.0, true},
+      {"chaos", flags.GetBool("chaos"), false},
+      {"swap_every_ms", flags.GetInt64("swap_every_ms") > 0, false},
+  };
+  if (flags.GetInt64("user_group") < 1) {
+    status = Status::InvalidArgument("user_group must be >= 1");
+  }
+  for (const auto& drill : drills) {
+    if (status.ok() && drill.set && drill.sharded_only != sharded) {
+      status = Status::InvalidArgument(
+          std::string("--") + drill.flag +
+          (drill.sharded_only
+               ? " runs only on the sharded path (--shards or --tenants)"
+               : " runs only on the single-runtime path (without --shards "
+                 "or --tenants)"));
+    }
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
+                 flags.Usage().c_str());
+    return 2;
+  }
 
   // --- world + model ---
   data::TmallConfig world;
@@ -393,7 +430,7 @@ int Run(int argc, const char* const* argv) {
   };
 
   // --- sharded multi-tenant path (--shards / --tenants) ---
-  if (flags.GetInt64("shards") > 0 || !flags.GetString("tenants").empty()) {
+  if (sharded) {
     std::vector<std::string> tenant_names;
     {
       const std::string& spec = flags.GetString("tenants");
@@ -479,12 +516,9 @@ int Run(int argc, const char* const* argv) {
         flags.GetBool("auto_recover") && kill_shard >= 0;
     std::vector<std::unique_ptr<cluster::ShardSupervisor>> supervisors;
     if (auto_recover) {
-      cluster::ShardSupervisorConfig supervision;
-      supervision.probe_period_ms = 5;
-      supervision.seed = world.seed;
       for (const std::string& name : tenant_names) {
         supervisors.push_back(std::make_unique<cluster::ShardSupervisor>(
-            registry.Get(name), supervision));
+            registry.Get(name), world.seed));
         supervisors.back()->Start();
       }
     }
